@@ -2,8 +2,9 @@
 
 Seeded, config-driven execution of estimation, testing, tomography,
 bound-verification and scaling sweeps.  Per-trial outcomes are derived from
-counter-based streams keyed by (seed, trial), so a record re-runs
-byte-identically from its config echo regardless of the worker-pool size.
+counter-based streams keyed by (seed, trial), so each trial's record depends
+only on the seed and the trial index, and a record re-runs byte-identically
+from its config echo.
 
 Exit codes: 0 on completion, 2 on validation or I/O error, 3 when a shot
 budget overflows its cap.
@@ -18,9 +19,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .sampling import (
     RngStream,
     StateSource,
     estimate_gamma,
-    headline_shot_bound,
+    shot_budget,
 )
 
 COMMANDS = (
@@ -68,7 +68,6 @@ class ExperimentConfig:
     state_spec: str = "random_gaussian:mixed"
     out_path: Optional[str] = None
     format: str = "json"
-    workers: int = 1
     shots: Optional[int] = None
     expected: Optional[str] = None
     noise_kind: str = "depolarizing"
@@ -93,8 +92,6 @@ class ExperimentConfig:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         if self.format not in ("json", "csv"):
             raise ValidationError(f"unknown format {self.format!r}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
         if self.command == "sweep":
             if self.axis not in ("shots", "eps", "modes"):
                 raise ValidationError(f"sweep axis must be shots/eps/modes, got {self.axis!r}")
@@ -311,18 +308,6 @@ _TRIAL_WORKERS: dict = {
 }
 
 
-def _run_trials(cfg: ExperimentConfig, worker: Callable) -> List[dict]:
-    streams = [RngStream(cfg.seed, (t,)) for t in range(cfg.trials)]
-    if cfg.workers == 1:
-        return [worker(cfg, t, streams[t]) for t in range(cfg.trials)]
-    results: List[Optional[dict]] = [None] * cfg.trials
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futs = {pool.submit(worker, cfg, t, streams[t]): t for t in range(cfg.trials)}
-        for fut, t in futs.items():
-            results[t] = fut.result()
-    return results  # merged in trial order, independent of pool scheduling
-
-
 def _aggregate(cfg: ExperimentConfig, results: List[dict]) -> dict:
     agg: dict = {"trials": len(results)}
     agg["shot_total"] = int(sum(r.get("shots", 0) for r in results))
@@ -335,7 +320,7 @@ def _aggregate(cfg: ExperimentConfig, results: List[dict]) -> dict:
     if cfg.command == "verify-bounds":
         agg["violations"] = int(sum(not r["ok"] for r in results))
     if cfg.command == "estimate" and cfg.shots is None:
-        agg["headline_shot_bound"] = headline_shot_bound(cfg.scheme, cfg.modes, cfg.eps, cfg.delta) \
+        agg["headline_shot_bound"] = shot_budget(cfg.scheme, cfg.modes, cfg.eps, cfg.delta) \
             if cfg.scheme != "exact" else 0
     if cfg.command == "tomo-pure":
         agg["budget_note"] = (
@@ -353,7 +338,7 @@ def run(cfg: ExperimentConfig) -> dict:
         record = _run_sweep(cfg)
     else:
         worker = _TRIAL_WORKERS[cfg.command]
-        results = _run_trials(cfg, worker)
+        results = [worker(cfg, t, RngStream(cfg.seed, (t,))) for t in range(cfg.trials)]
         record = {"results": results, "aggregate": _aggregate(cfg, results)}
     record["config"] = asdict(cfg)
     record["wall_time_s"] = time.monotonic() - start
@@ -457,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--state-spec", dest="state_spec")
         p.add_argument("--out", dest="out_path")
         p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--workers", type=int)
         p.add_argument("--shots", type=int)
         p.add_argument("--expected")
         p.add_argument("--noise-kind", dest="noise_kind",

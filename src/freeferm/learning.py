@@ -6,12 +6,10 @@ matrix, and compare against the threshold formulas of the corresponding
 guarantee.  Verdicts carry enough evidence to recompute every threshold
 from the configuration.
 
-Shot budgets follow the algorithm boxes:
-
-* pure test          N = ceil(8 n^3 / eps_stat^2 * ln(4 n^2 / delta))
-* bounded-rank test  N = ceil(8 n^3 / eps_stat^2 * ln(8 n^2 / delta)) + tomography
-* pure tomography    N = ceil(8 n^3 / eps^2 * ln(4 n^2 / delta))
-* mixed tomography   N = ceil(16 n^4 / eps^2 * ln(4 n^2 / delta))
+Shot budgets follow the algorithm boxes and are rows of
+:data:`freeferm.sampling.SHOT_BUDGETS`: the pure test and pure tomography
+take the "commuting" row, the bounded-rank test the "rank_test" row plus its
+local tomography, and mixed tomography the "mixed_tomography" row.
 
 Strict-inequality accuracy parameters ("eps_stat < ...") are instantiated
 at 0.9x the open bound.
@@ -35,12 +33,14 @@ from .errors import (
     ValidationError,
 )
 from .sampling import (
+    DEFAULT_SHOT_CAP,
     DenseSource,
     ExactGaussianSource,
     NoisySource,
     RngStream,
     StateSource,
     estimate_gamma,
+    shot_budget,
 )
 from .skew import SkewMatrix
 from .states import GaussianState
@@ -64,7 +64,6 @@ __all__ = [
     "tomograph_pure",
     "tomograph_mixed",
     "robustness_experiment",
-    "pure_tomography_shots",
     "mixed_tomography_shots",
 ]
 
@@ -183,21 +182,8 @@ def rank_test_thresholds(cfg: TestConfig, n: int) -> Tuple[float, float, float, 
     return eps_t, eps_stat, eps_tom, eps_t2
 
 
-def pure_test_shots(n: int, eps_stat: float, delta: float) -> int:
-    return math.ceil(8.0 * n ** 3 / eps_stat ** 2 * math.log(4.0 * n ** 2 / delta))
-
-
-def rank_test_shots(n: int, eps_stat: float, delta: float) -> int:
-    return math.ceil(8.0 * n ** 3 / eps_stat ** 2 * math.log(8.0 * n ** 2 / delta))
-
-
-def pure_tomography_shots(n: int, eps: float, delta: float) -> int:
-    """Appendix budget; the main-text statement carries a 4x larger constant."""
-    return math.ceil(8.0 * n ** 3 / eps ** 2 * math.log(4.0 * n ** 2 / delta))
-
-
 def mixed_tomography_shots(n: int, eps: float, delta: float) -> int:
-    return math.ceil(16.0 * n ** 4 / eps ** 2 * math.log(4.0 * n ** 2 / delta))
+    return shot_budget("mixed_tomography", n, eps, delta)
 
 
 # -- testers ---------------------------------------------------------------------
@@ -207,12 +193,12 @@ def test_pure(
     cfg: TestConfig,
     rng_stream: RngStream,
     scheme: str = "commuting",
-    shot_cap: int = 10 ** 15,
+    shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> TestVerdict:
     """Accept (CaseA) iff every estimated normal eigenvalue is near 1."""
     n = src.n
     eps_t, eps_stat = pure_test_thresholds(cfg, n)
-    total = None if scheme == "exact" else pure_test_shots(n, eps_stat, cfg.delta)
+    total = None if scheme == "exact" else shot_budget("commuting", n, eps_stat, cfg.delta)
     est = estimate_gamma(
         src, eps_stat, cfg.delta, scheme, rng_stream.child(0),
         total_shots=total, shot_cap=shot_cap,
@@ -228,7 +214,7 @@ def test_bounded_rank(
     cfg: TestConfig,
     rng_stream: RngStream,
     scheme: str = "commuting",
-    shot_cap: int = 10 ** 15,
+    shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> TestVerdict:
     """Two-stage test: tail eigenvalues near 1, then local Gaussianity.
 
@@ -240,7 +226,7 @@ def test_bounded_rank(
     n = src.n
     eps_t, eps_stat, eps_tom, eps_t2 = rank_test_thresholds(cfg, n)
     r = cfg.r
-    total = None if scheme == "exact" else rank_test_shots(n, eps_stat, cfg.delta)
+    total = None if scheme == "exact" else shot_budget("rank_test", n, eps_stat, cfg.delta)
     est = estimate_gamma(
         src, eps_stat, cfg.delta / 2.0, scheme, rng_stream.child(0),
         total_shots=total, shot_cap=shot_cap,
@@ -257,7 +243,7 @@ def test_bounded_rank(
                           stage="tomography_stage", local_distance=0.0)
         return TestVerdict(verdict=CASE_A, evidence=ev, shots_used=est.shots_used)
 
-    rho_hat, tomo_shots = _local_tomography_counted(
+    rho_hat, tomo_shots = local_full_tomography(
         src, r, eps_tom, cfg.delta / 2.0, rng_stream.child(1), rotation=nf.q, scheme=scheme,
     )
     local_dist = _distance_to_own_gaussianification(rho_hat)
@@ -281,27 +267,15 @@ def local_full_tomography(
     rng_stream: RngStream,
     rotation: Optional[np.ndarray] = None,
     scheme: str = "sampled",
-) -> DenseState:
+) -> Tuple[DenseState, int]:
     """Single-copy Pauli tomography of the leading ``modes`` qubits.
 
     Every non-identity Pauli expectation of the rotated-and-reduced state is
     estimated to accuracy eps_tom / (2 * 2^r); linear inversion is projected
     to the PSD unit-trace cone by eigenvalue clipping.  With probability at
-    least 1 - delta the output is within eps_tom in trace norm.
+    least 1 - delta the output is within eps_tom in trace norm.  Returns the
+    estimate and the number of copies used.
     """
-    rho, _ = _local_tomography_counted(src, modes, eps_tom, delta, rng_stream, rotation, scheme)
-    return rho
-
-
-def _local_tomography_counted(
-    src: StateSource,
-    modes: int,
-    eps_tom: float,
-    delta: float,
-    rng_stream: RngStream,
-    rotation: Optional[np.ndarray],
-    scheme: str,
-) -> Tuple[DenseState, int]:
     r = modes
     if not 1 <= r <= MAX_LOCAL_MODES:
         raise TooManyLocalModes(f"local tomography supports 1..{MAX_LOCAL_MODES} modes, got {r}")
@@ -315,14 +289,16 @@ def _local_tomography_counted(
     n_paulis = 4 ** r - 1
     eps_p = eps_tom / (2.0 * d)
     per_pauli = math.ceil(2.0 / eps_p ** 2 * math.log(2.0 * n_paulis / delta))
+    perms, coefs = _pauli_strings(r)
+    cols = np.arange(d)
+    expectations = np.sum(coefs * truth.rho[cols, perms], axis=1).real  # Tr(P rho)
     acc = np.eye(d, dtype=complex)  # identity expectation is exactly 1
     for code in range(1, 4 ** r):
-        p = _pauli_matrix(r, code)
-        t = float(np.sum(p * truth.rho.T).real)
+        t = float(expectations[code])
         gen = rng_stream.child(code).generator()
         ones = gen.binomial(per_pauli, 0.5 * (1.0 + max(-1.0, min(1.0, t))))
         t_hat = (2.0 * ones - per_pauli) / per_pauli
-        acc += t_hat * p
+        acc[perms[code], cols] += t_hat * coefs[code]
     rho_hat = acc / d
     w, v = np.linalg.eigh(rho_hat)
     w = np.clip(w, 0.0, None)
@@ -330,24 +306,25 @@ def _local_tomography_counted(
     return DenseState(r, (v * w) @ v.conj().T), per_pauli * n_paulis
 
 
-_PAULI_1Q = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+def _pauli_strings(r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """All 4^r Pauli strings on r qubits as signed permutations.
 
-
-def _pauli_matrix(r: int, code: int) -> np.ndarray:
-    """Pauli string from a base-4 code, qubit 0 as the leading factor."""
-    digits = []
-    for _ in range(r):
-        digits.append(code % 4)
-        code //= 4
-    out = _PAULI_1Q[digits[-1]]
-    for dgt in digits[-2::-1]:
-        out = np.kron(out, _PAULI_1Q[dgt])
-    return out
+    Row ``code`` is the string whose base-4 digits (0, 1, 2, 3 for I, X, Y, Z)
+    name the factors, qubit 0 as the leading factor and most significant
+    digit.  With x and z the masks of the X-type (X, Y) and Z-type (Y, Z)
+    factors, P|b> = i^{|x & z|} (-1)^{|b & z|} |b ^ x>; returns (perms, coefs)
+    with P|b> = coefs[code, b] |perms[code, b]>, as in ``dense.MajoranaSet``.
+    """
+    shifts = r - 1 - np.arange(r)
+    digits = (np.arange(4 ** r)[:, None] >> (2 * shifts)) & 3  # [code, qubit]
+    x_type = ((digits == 1) | (digits == 2)).astype(np.int64)
+    z_type = (digits >= 2).astype(np.int64)
+    b = np.arange(1 << r)
+    bits = (b[:, None] >> shifts) & 1  # [b, qubit]
+    phase = np.array([1, 1j, -1, -1j])[(x_type * z_type).sum(axis=1) % 4]
+    coefs = phase[:, None] * (1 - 2 * ((z_type @ bits.T) & 1))
+    perms = b[None, :] ^ (x_type @ (1 << shifts))[:, None]
+    return perms, coefs
 
 
 # -- identity-testing reduction --------------------------------------------------
@@ -358,7 +335,7 @@ def reduce_identity_testing(
     delta: float,
     rng_stream: RngStream,
     scheme: str = "commuting",
-    shot_cap: int = 10 ** 15,
+    shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> Tuple[str, int]:
     """Identity testing through the free-fermionic lens.
 
@@ -383,7 +360,7 @@ def reduce_identity_testing(
     # full-register Gaussianity solver with eps_B = eps, eps_A = 0
     eps_tom = SLACK * (1.0 / (n + 2)) * (0.5 * eps)
     eps_t2 = (n + 1) / (n + 2) * (0.5 * eps)
-    rho_hat, tomo_shots = _local_tomography_counted(
+    rho_hat, tomo_shots = local_full_tomography(
         src, n, eps_tom, delta / 2.0, rng_stream.child(1), rotation=None, scheme=scheme,
     )
     dist = _distance_to_own_gaussianification(rho_hat)
@@ -399,13 +376,13 @@ def tomograph_pure(
     delta: float,
     rng_stream: RngStream,
     scheme: str = "commuting",
-    shot_cap: int = 10 ** 15,
+    shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> TomographyReport:
     """Learn a pure Gaussian state: estimate, take the normal form, snap
     every eigenvalue to 1."""
     _check_eps_delta(eps, delta)
     n = src.n
-    total = None if scheme == "exact" else pure_tomography_shots(n, eps, delta)
+    total = None if scheme == "exact" else shot_budget("commuting", n, eps, delta)
     est = estimate_gamma(
         src, eps, delta, scheme, rng_stream.child(0), total_shots=total, shot_cap=shot_cap,
     )
@@ -420,7 +397,7 @@ def tomograph_mixed(
     delta: float,
     rng_stream: RngStream,
     scheme: str = "commuting",
-    shot_cap: int = 10 ** 15,
+    shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> TomographyReport:
     """Learn a possibly mixed Gaussian state; eigenvalues above 1 clip to 1."""
     _check_eps_delta(eps, delta)

@@ -6,8 +6,8 @@ the quadratic observables -i gamma_j gamma_k into 2n-1 commuting rounds, and
 the two estimation schemes with their shot budgets.
 
 Randomness comes from counter-based Philox streams keyed by
-(master seed, trial id, matching id); there is no global RNG state, so runs
-are reproducible under any parallel schedule.
+(master seed, trial id, matching id); there is no global RNG state, so each
+trial's draws depend only on the seed and the trial index.
 """
 
 from __future__ import annotations
@@ -22,7 +22,13 @@ import numpy as np
 from . import dense as dense_mod
 from . import skew, states
 from .dense import DenseState
-from .errors import BudgetOverflow, DimensionMismatch, InvalidMatching, TooManyModes
+from .errors import (
+    BudgetOverflow,
+    DimensionMismatch,
+    InvalidMatching,
+    TooManyModes,
+    ValidationError,
+)
 from .skew import SkewMatrix
 from .states import GaussianState
 
@@ -39,7 +45,8 @@ __all__ = [
     "z_basis_distribution",
     "sample_z_basis",
     "estimate_gamma",
-    "headline_shot_bound",
+    "SHOT_BUDGETS",
+    "shot_budget",
     "write_shot_records",
     "write_estimate",
     "read_estimate",
@@ -49,6 +56,15 @@ __all__ = [
 MAX_SAMPLING_MODES = 14
 #: default cap on a single estimation request, in copies of the state
 DEFAULT_SHOT_CAP = 10 ** 15
+#: (c, p, k) of each copy budget ceil(c n^p / eps^2 ln(k n^2 / delta)); the
+#: commuting headline is also the pure-test and pure-tomography budget (the
+#: appendix constant; the main-text tomography statement carries 4x more)
+SHOT_BUDGETS = {
+    "commuting": (8.0, 3, 4.0),
+    "pauli_pairs": (16.0, 4, 1.0),
+    "rank_test": (8.0, 3, 8.0),
+    "mixed_tomography": (16.0, 4, 4.0),
+}
 
 
 @dataclass(frozen=True)
@@ -152,7 +168,7 @@ class NoisySource(StateSource):
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"depolarizing strength {self.p} outside [0, 1]")
+            raise ValidationError(f"depolarizing strength {self.p} outside [0, 1]")
 
     @property
     def n(self) -> int:  # type: ignore[override]
@@ -300,13 +316,11 @@ def _hoeffding_shots(eps_entry: float, fail: float, union_terms: int) -> int:
     return math.ceil(2.0 / eps_entry ** 2 * math.log(2.0 * union_terms / fail))
 
 
-def headline_shot_bound(scheme: str, n: int, eps_stat: float, delta: float) -> int:
-    """The headline copy-count bounds of the two estimation guarantees."""
-    if scheme == "commuting":
-        return math.ceil(8.0 * n ** 3 / eps_stat ** 2 * math.log(4.0 * n ** 2 / delta))
-    if scheme == "pauli_pairs":
-        return math.ceil(16.0 * n ** 4 / eps_stat ** 2 * math.log(n ** 2 / delta))
-    raise ValueError(f"no stated bound for scheme {scheme!r}")
+def shot_budget(row: str, n: int, eps: float, delta: float) -> int:
+    """Copy budget of a :data:`SHOT_BUDGETS` row; the two estimation schemes'
+    rows are the headline bounds of their guarantees."""
+    c, p, k = SHOT_BUDGETS[row]
+    return math.ceil(c * n ** p / eps ** 2 * math.log(k * n ** 2 / delta))
 
 
 def _split_budget(total: int, rounds: int) -> List[int]:
@@ -340,11 +354,11 @@ def estimate_gamma(
         g = np.clip(src.gamma(), -1.0, 1.0)
         return GammaEstimate(SkewMatrix(g, tol=1e-9), 0, "exact", 0.0, delta)
     if scheme not in ("pauli_pairs", "commuting"):
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise ValidationError(f"unknown scheme {scheme!r}")
     if not 0.0 < eps_stat <= 2.0 and total_shots is None:
-        raise ValueError(f"eps_stat {eps_stat} outside (0, 2]")
+        raise ValidationError(f"eps_stat {eps_stat} outside (0, 2]")
     if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta {delta} outside (0, 1)")
+        raise ValidationError(f"delta {delta} outside (0, 1)")
 
     pair_count = n * (2 * n - 1)
     g = np.zeros((dim, dim))

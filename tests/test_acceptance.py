@@ -247,7 +247,7 @@ def test_acceptance_tomography():
         ).trace_dist
         ok_mixed += err <= eps
 
-    pure_budget = learning.pure_tomography_shots(n, eps, delta)
+    pure_budget = sampling.shot_budget("commuting", n, eps, delta)
     assert pure_budget == math.ceil(8 * n ** 3 / eps ** 2 * math.log(4 * n ** 2 / delta))
     ok_pure = 0
     for trial in range(trials):

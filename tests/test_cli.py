@@ -21,12 +21,16 @@ def test_run_determinism():
     assert a["results"] == b["results"]
 
 
-def test_worker_pool_size_does_not_change_results():
-    kw = dict(command="tomo-mixed", modes=2, eps=0.4, delta=0.2, trials=6, seed=3,
-              state_spec="random_gaussian:mixed")
-    a = run_cfg(**kw, workers=1)
-    b = run_cfg(**kw, workers=4)
-    assert a["results"] == b["results"]
+def test_records_depend_only_on_seed_and_trial():
+    for kw in (
+        dict(command="tomo-mixed", modes=2, eps=0.4, delta=0.2, seed=3,
+             state_spec="random_gaussian:mixed"),
+        dict(command="test-rank", modes=3, rank_exponent=1, eps_a=0.0, eps_b=0.8,
+             delta=0.2, seed=3, state_spec="product:0.5,1,1"),
+    ):
+        short = run_cfg(**kw, trials=3)
+        long = run_cfg(**kw, trials=6)
+        assert short["results"] == long["results"][:3]
 
 
 def test_verify_bounds_no_violations():
@@ -134,6 +138,20 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["estimate", "--modes", "2", "--eps", "0.4", "--delta", "0.2",
                      "--trials", "1", "--seed", "1",
                      "--out", str(tmp_path / "nodir" / "x.json")]) == 2
+
+
+def test_out_of_range_input_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    for argv in (
+        ["estimate", "--modes", "2", "--eps", "3", "--trials", "1"],
+        ["robustness", "--modes", "2", "--noise-strength", "1.5", "--trials", "1"],
+    ):
+        assert cli.main([*argv, "--out", out]) == 2
+        assert "invalid configuration:" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"modes": 2, "workers": 2}))
+    assert cli.main(["estimate", "--config", str(cfg_path), "--out", out]) == 2
+    assert "invalid configuration:" in capsys.readouterr().err
 
 
 def test_config_file_and_env_out(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from freeferm import dense, learning, skew, states
+from freeferm import dense, learning, sampling, skew, states
 from freeferm.errors import (
     InfeasibleThresholds,
     PromiseNotCertified,
@@ -184,11 +184,11 @@ def test_rank_mixed_set_variant(rng):
 
 def test_local_tomography(rng):
     vac = ExactGaussianSource(states.vacuum(2))
-    rho = learning.local_full_tomography(vac, 1, 0.1, 0.1, RngStream(8))
+    rho, _ = learning.local_full_tomography(vac, 1, 0.1, 0.1, RngStream(8))
     assert dense.state_metrics(rho, dense.computational_basis(1, [0])).trace_dist < 0.1
 
     mm = ExactGaussianSource(states.product_state([0, 0, 0]))
-    rho2 = learning.local_full_tomography(mm, 2, 0.1, 0.1, RngStream(9))
+    rho2, _ = learning.local_full_tomography(mm, 2, 0.1, 0.1, RngStream(9))
     assert dense.state_metrics(rho2, dense.maximally_mixed(2)).trace_dist < 0.1
 
     with pytest.raises(TooManyLocalModes):
@@ -202,14 +202,61 @@ def test_local_tomography_matches_partial_trace(rng):
         s = states.random_gaussian_state(3, "mixed", rng)
         src = ExactGaussianSource(s)
         q = skew.random_orthogonal(6, rng)
-        rho_hat = learning.local_full_tomography(src, 1, 0.15, 0.1, RngStream(11, (t,)),
-                                                 rotation=q)
+        rho_hat, _ = learning.local_full_tomography(src, 1, 0.15, 0.1, RngStream(11, (t,)),
+                                                    rotation=q)
         truth = dense.partial_trace(
             dense.gaussian_to_dense(states.rotate(s, q)), 1
         )
         if dense.state_metrics(rho_hat, truth).trace_dist <= 0.15:
             hits += 1
     assert hits >= 18  # 1 - delta with slack
+
+
+_PAULI_1Q = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _kron_local_tomography(src, r, eps_tom, delta, rng_stream, rotation):
+    """Reference: one Kronecker-product Pauli matrix per base-4 code."""
+    truth = src.reduced_dense(rotation, r)
+    d = 1 << r
+    n_paulis = 4 ** r - 1
+    eps_p = eps_tom / (2.0 * d)
+    per_pauli = math.ceil(2.0 / eps_p ** 2 * math.log(2.0 * n_paulis / delta))
+    acc = np.eye(d, dtype=complex)
+    for code in range(1, 4 ** r):
+        digits, rest = [], code
+        for _ in range(r):
+            digits.append(rest % 4)
+            rest //= 4
+        p = _PAULI_1Q[digits[-1]]
+        for dgt in digits[-2::-1]:
+            p = np.kron(p, _PAULI_1Q[dgt])
+        t = float(np.sum(p * truth.rho.T).real)
+        gen = rng_stream.child(code).generator()
+        ones = gen.binomial(per_pauli, 0.5 * (1.0 + max(-1.0, min(1.0, t))))
+        t_hat = (2.0 * ones - per_pauli) / per_pauli
+        acc += t_hat * p
+    w, v = np.linalg.eigh(acc / d)
+    w = np.clip(w, 0.0, None)
+    w /= w.sum()
+    return (v * w) @ v.conj().T, per_pauli * n_paulis
+
+
+def test_local_tomography_matches_kron_reference(rng):
+    for r in range(1, 5):
+        for seed in range(3):
+            src = ExactGaussianSource(states.random_gaussian_state(r + 1, "mixed", rng))
+            q = skew.random_orthogonal(2 * r + 2, rng)
+            stream = RngStream(60 + seed, (r,))
+            rho_ref, shots_ref = _kron_local_tomography(src, r, 0.3, 0.1, stream, q)
+            rho_hat, shots = learning.local_full_tomography(src, r, 0.3, 0.1, stream, rotation=q)
+            assert np.array_equal(rho_hat.rho, rho_ref)
+            assert shots == shots_ref
 
 
 def test_reduce_identity_testing():
@@ -245,7 +292,7 @@ def test_tomograph_pure(rng):
         dense.gaussian_to_dense(sampled.learned), dense.gaussian_to_dense(s)
     ).trace_dist
     assert err <= 0.25
-    assert sampled.shots_used == learning.pure_tomography_shots(3, 0.25, 0.1)
+    assert sampled.shots_used == sampling.shot_budget("commuting", 3, 0.25, 0.1)
 
 
 def test_tomograph_mixed(rng):

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -216,10 +217,26 @@ def test_budget_overflow():
 
 
 def test_headline_shot_bounds():
-    assert sampling.headline_shot_bound("commuting", 3, 0.2, 0.1) == \
+    assert sampling.shot_budget("commuting", 3, 0.2, 0.1) == \
         int(np.ceil(8 * 27 / 0.04 * np.log(36 / 0.1)))
-    assert sampling.headline_shot_bound("pauli_pairs", 3, 0.2, 0.1) == \
+    assert sampling.shot_budget("pauli_pairs", 3, 0.2, 0.1) == \
         int(np.ceil(16 * 81 / 0.04 * np.log(9 / 0.1)))
+    # every row equals its closed form bit for bit, ceiling included
+    closed = {
+        "commuting": lambda n, e, d: math.ceil(8.0 * n ** 3 / e ** 2 * math.log(4.0 * n ** 2 / d)),
+        "pauli_pairs": lambda n, e, d: math.ceil(16.0 * n ** 4 / e ** 2 * math.log(n ** 2 / d)),
+        "rank_test": lambda n, e, d: math.ceil(8.0 * n ** 3 / e ** 2 * math.log(8.0 * n ** 2 / d)),
+        "mixed_tomography":
+            lambda n, e, d: math.ceil(16.0 * n ** 4 / e ** 2 * math.log(4.0 * n ** 2 / d)),
+    }
+    assert set(closed) == set(sampling.SHOT_BUDGETS)
+    # small eps and large n: where a reordered expression moves a ceiling by one
+    grid = itertools.product(range(1, 65), (0.01, 0.03, 0.05, 0.1, 0.2, 0.25, 0.5, 0.9),
+                             [i / 100 for i in range(1, 100)])
+    for n, eps, delta in grid:
+        for row, formula in closed.items():
+            assert sampling.shot_budget(row, n, eps, delta) == formula(n, eps, delta), \
+                (row, n, eps, delta)
 
 
 def test_shot_record_export():
