@@ -6,6 +6,11 @@ counter-based streams keyed by (seed, trial), so each trial's record depends
 only on the seed and the trial index, and a record re-runs byte-identically
 from its config echo.
 
+A trial that raises a toolkit error other than a validation error or a
+budget overflow is recorded as that trial's outcome (``ok`` false, the error
+class and message in ``verdict_or_error``) and counted by class in the
+aggregate's ``errors``; the run goes on.
+
 Exit codes: 0 on completion, 2 on validation or I/O error, 3 when a shot
 budget overflows its cap.
 """
@@ -19,8 +24,9 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -82,8 +88,6 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise ValidationError(f"unknown command {self.command!r}")
-        if self.modes < 1:
-            raise ValidationError(f"modes must be >= 1, got {self.modes}")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 < self.delta < 1.0:
@@ -99,6 +103,16 @@ class ExperimentConfig:
                 raise ValidationError("sweep needs at least one point")
             if self.sub_command not in ("estimate", "tomo-pure", "tomo-mixed"):
                 raise ValidationError(f"sweep sub-command {self.sub_command!r} unsupported")
+        # every mode count the run will use, a modes sweep's points included
+        sweeps_modes = self.command == "sweep" and self.axis == "modes"
+        counts = [int(x) for x in self.points] if sweeps_modes else [self.modes]
+        for n in counts:
+            if n < 1:
+                raise ValidationError(f"modes must be >= 1, got {n}")
+            if (self.command != "verify-bounds" and self.scheme == "commuting"
+                    and n > sampling.MAX_SAMPLING_MODES):
+                raise ValidationError(
+                    f"mode count {n} exceeds sampling cap {sampling.MAX_SAMPLING_MODES}")
         _parse_state_spec(self.state_spec)  # raises on malformed specs
 
 
@@ -308,17 +322,23 @@ _TRIAL_WORKERS: dict = {
 }
 
 
-def _aggregate(cfg: ExperimentConfig, results: List[dict]) -> dict:
+def _aggregate(cfg: ExperimentConfig, results: List[dict], errors: Dict[int, str]) -> dict:
+    """Summary of a run; ``errors`` maps each failed trial to its error class.
+
+    Success fraction and violations count the trials that completed; the
+    failed ones are counted by class under ``errors``.
+    """
+    done = [r for r in results if r["trial"] not in errors]
     agg: dict = {"trials": len(results)}
     agg["shot_total"] = int(sum(r.get("shots", 0) for r in results))
-    oks = [r["ok"] for r in results if "ok" in r]
+    oks = [r["ok"] for r in done if "ok" in r]
     if oks:
         agg["success_fraction"] = float(np.mean(oks))
     errs = [r[k] for r in results for k in ("error_inf", "dense_error") if k in r]
     if errs:
         agg["median_error"] = float(np.median(errs))
     if cfg.command == "verify-bounds":
-        agg["violations"] = int(sum(not r["ok"] for r in results))
+        agg["violations"] = int(sum(not r["ok"] for r in done))
     if cfg.command == "estimate" and cfg.shots is None:
         agg["headline_shot_bound"] = shot_budget(cfg.scheme, cfg.modes, cfg.eps, cfg.delta) \
             if cfg.scheme != "exact" else 0
@@ -327,19 +347,32 @@ def _aggregate(cfg: ExperimentConfig, results: List[dict]) -> dict:
             "appendix budget 8 n^3/eps^2 log(4 n^2/delta); the headline statement "
             "carries constant 32"
         )
+    if errors:
+        agg["errors"] = dict(sorted(Counter(errors.values()).items()))
     return agg
+
+
+def _run_trials(cfg: ExperimentConfig) -> dict:
+    worker = _TRIAL_WORKERS[cfg.command]
+    results: List[dict] = []
+    errors: Dict[int, str] = {}
+    for t in range(cfg.trials):
+        try:
+            results.append(worker(cfg, t, RngStream(cfg.seed, (t,))))
+        except (ValidationError, BudgetOverflow):
+            raise
+        except FreeFermError as exc:
+            errors[t] = type(exc).__name__
+            results.append({"trial": t, "ok": False,
+                            "verdict_or_error": f"{errors[t]}: {exc}", "shots": 0})
+    return {"results": results, "aggregate": _aggregate(cfg, results, errors)}
 
 
 def run(cfg: ExperimentConfig) -> dict:
     """Execute an experiment and return the run record."""
     cfg.validate()
     start = time.monotonic()
-    if cfg.command == "sweep":
-        record = _run_sweep(cfg)
-    else:
-        worker = _TRIAL_WORKERS[cfg.command]
-        results = [worker(cfg, t, RngStream(cfg.seed, (t,))) for t in range(cfg.trials)]
-        record = {"results": results, "aggregate": _aggregate(cfg, results)}
+    record = _run_sweep(cfg) if cfg.command == "sweep" else _run_trials(cfg)
     record["config"] = asdict(cfg)
     record["wall_time_s"] = time.monotonic() - start
     record["version"] = __version__
@@ -493,7 +526,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     agg = record.get("aggregate", {})
-    print(f"{cfg.command}: {json.dumps(agg, default=_json_default)} -> {dest}")
+    # with the record on stdout, the summary goes to stderr so stdout stays parseable
+    print(f"{cfg.command}: {json.dumps(agg, default=_json_default)} -> {dest}",
+          file=sys.stderr if dest == "-" else sys.stdout)
     return 0
 
 

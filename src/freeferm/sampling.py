@@ -197,33 +197,44 @@ def _normalize_distribution(d: np.ndarray) -> np.ndarray:
 def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     """Exact computational-basis distribution of the Gaussian state of ``gamma``.
 
-    Sequential mode-by-mode conditional sampling: measuring the first
-    remaining mode gives bit 0 with probability (1 + g_01)/2, and the
-    projective update on the remaining block is
-    g' = g_rest - s (u^T v - v^T u) / (1 + s g_01) with u, v the first two
-    rows.  The full outcome tree is expanded, so the result is exact.
+    Mode-by-mode conditional measurement: measuring the first remaining mode
+    gives bit b (sign s = +1 for b = 0, -1 for b = 1) with probability
+    p_b = (1 + s g_01)/2, and the projective update on the remaining block is
+    g' = g_rest - s (u^T v - v^T u) / (2 p_b) with u, v the first two rows.
+
+    The full outcome tree is expanded, so the result is exact.  It is
+    expanded one depth at a time: the live nodes of depth d are held as one
+    (k, 2(n-d), 2(n-d)) stack with their outcome prefixes and path
+    probabilities, and both branches of every node are computed in one
+    vectorised step.  Branches with p_b <= 1e-16 are dropped; their leaves
+    stay 0.
     """
     g = skew.as_skew_array(gamma, tol=1e-9)
     n = g.shape[0] // 2
     if n > MAX_SAMPLING_MODES:
         raise TooManyModes(f"mode count {n} exceeds sampling cap {MAX_SAMPLING_MODES}")
     out = np.zeros(1 << n)
-    stack = [(g, 0, 1.0)]
-    while stack:
-        sub, idx, p = stack.pop()
-        m = sub.shape[0] // 2
-        g01 = sub[0, 1]
-        for bit, sign in ((0, 1.0), (1, -1.0)):
-            pb = 0.5 * (1.0 + sign * g01)
-            if pb <= 1e-16:
-                continue
-            if m == 1:
-                out[(idx << 1) | bit] = p * pb
-                continue
-            u = sub[0, 2:]
-            v = sub[1, 2:]
-            upd = sub[2:, 2:] - sign * (np.outer(u, v) - np.outer(v, u)) / (2.0 * pb)
-            stack.append((upd, (idx << 1) | bit, p * pb))
+    subs = g[None]
+    idx = np.zeros(1, dtype=np.int64)
+    p = np.ones(1)
+    signs = np.array([1.0, -1.0])
+    for m in range(n, 0, -1):
+        # pb[node, b] is the probability of reading bit b at that node
+        pb = 0.5 * (1.0 + signs * subs[:, 0, 1, None])
+        parent, bit = np.nonzero(~(pb <= 1e-16))  # a NaN branch is kept, not dropped
+        pb = pb[parent, bit]
+        child_idx = (idx[parent] << 1) | bit
+        child_p = p[parent] * pb
+        if m == 1:
+            out[child_idx] = child_p
+            break
+        u = subs[:, 0, 2:]
+        v = subs[:, 1, 2:]
+        uv = u[:, :, None] * v[:, None, :]
+        diff = uv - uv.transpose(0, 2, 1)  # v_i u_j is u_j v_i, bit for bit
+        sign = signs[bit][:, None, None]
+        subs = subs[parent, 2:, 2:] - sign * diff[parent] / (2.0 * pb)[:, None, None]
+        idx, p = child_idx, child_p
     return _normalize_distribution(out)
 
 

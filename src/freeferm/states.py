@@ -60,6 +60,11 @@ PURITY_TOL = 1e-6
 GammaLike = Union[SkewMatrix, np.ndarray, "GaussianState"]
 
 
+def _pure_lambdas(lambdas: np.ndarray, tol: float = PURITY_TOL) -> bool:
+    """The purity predicate: every normal eigenvalue within ``tol`` of 1."""
+    return bool(np.all(lambdas >= 1.0 - tol))
+
+
 def _gamma_of(g: GammaLike) -> np.ndarray:
     if isinstance(g, GaussianState):
         return g.corr.mat
@@ -82,7 +87,7 @@ class GaussianState:
         return self.nf.lambdas
 
     def is_pure(self, tol: float = PURITY_TOL) -> bool:
-        return bool(np.all(self.nf.lambdas >= 1.0 - tol))
+        return _pure_lambdas(self.lambdas, tol)
 
     def __repr__(self) -> str:
         return f"GaussianState(n={self.n}, lambdas={np.round(self.lambdas, 6)})"
@@ -200,10 +205,6 @@ class BoundsReport:
     fid_lb_frobenius: float
 
 
-def _is_pure_gamma(m: np.ndarray) -> bool:
-    return bool(skew.normal_eigenvalues(m)[0] >= 1.0 - PURITY_TOL)
-
-
 def distance_bounds(g1: GammaLike, g2: GammaLike, mode: str = "mixed_mixed") -> BoundsReport:
     """Evaluate every bound for the pair of correlation matrices.
 
@@ -222,13 +223,13 @@ def distance_bounds(g1: GammaLike, g2: GammaLike, mode: str = "mixed_mixed") -> 
 
     ub_pure = None
     if mode == "pure_pure":
-        if not (_is_pure_gamma(m1) and _is_pure_gamma(m2)):
+        if not all(_pure_lambdas(skew.normal_eigenvalues(m)) for m in (m1, m2)):
             raise NotPure("pure_pure mode requires two pure correlation matrices")
         ub_pure = 2.0 if d_inf >= 2.0 - 1e-9 else min(2.0, 0.5 * d_2)
 
     ub_pure_vs_any = None
     if mode == "pure_vs_any":
-        if not _is_pure_gamma(m1):
+        if not _pure_lambdas(skew.normal_eigenvalues(m1)):
             raise NotPure("pure_vs_any mode requires a pure first argument")
         ub_pure_vs_any = min(2.0, math.sqrt(d_1))
 

@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from freeferm import cli
-from freeferm.errors import ValidationError
+from freeferm import cli, sampling
+from freeferm.errors import TooManyModes, ValidationError
 
 
 def run_cfg(**kw):
@@ -36,6 +36,7 @@ def test_records_depend_only_on_seed_and_trial():
 def test_verify_bounds_no_violations():
     rec = run_cfg(command="verify-bounds", modes=3, trials=12, seed=1)
     assert rec["aggregate"]["violations"] == 0
+    assert "errors" not in rec["aggregate"]  # only runs with a failed trial carry it
 
 
 def test_test_pure_command():
@@ -109,6 +110,76 @@ def test_config_validation_errors():
         run_cfg(command="estimate", state_spec="widget:4")
     with pytest.raises(ValidationError):
         run_cfg(command="sweep", axis="shots", points=[], sub_command="estimate")
+
+
+def test_sampling_cap_checked_at_validation(monkeypatch, capsys, tmp_path):
+    cap = sampling.MAX_SAMPLING_MODES
+    message = f"mode count {cap + 2} exceeds sampling cap {cap}"
+    for kw in (
+        dict(command="estimate", modes=cap + 2),
+        dict(command="tomo-mixed", modes=cap + 2),
+        dict(command="sweep", axis="modes", points=[4.0, float(cap + 2)],
+             sub_command="estimate"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            cli.ExperimentConfig(**kw).validate()
+    # the cap is the commuting sampler's: other schemes and commands pass
+    cli.ExperimentConfig(command="estimate", modes=cap + 2, scheme="pauli_pairs").validate()
+    cli.ExperimentConfig(command="verify-bounds", modes=cap + 2).validate()
+    cli.ExperimentConfig(command="estimate", modes=cap).validate()
+    # rejected before any trial runs, with the sampler's message
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setitem(cli._TRIAL_WORKERS, "estimate", no_trial)
+    assert cli.main(["estimate", "--modes", str(cap + 2),
+                     "--out", str(tmp_path / "x.json")]) == 2
+    assert f"invalid configuration: {message}" in capsys.readouterr().err
+
+
+def test_failed_trial_is_recorded_not_fatal(tmp_path):
+    # trial 9 of this run breaks the robustness promise
+    out = tmp_path / "r.json"
+    assert cli.main(["robustness", "--modes", "3", "--noise-strength", "0.02",
+                     "--seed", "1", "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert [r["trial"] for r in rec["results"]] == list(range(10))
+    failed = [r for r in rec["results"]
+              if r["verdict_or_error"].startswith("PromiseNotCertified: ")]
+    assert failed and all(r["ok"] is False and r["shots"] == 0 for r in failed)
+    assert rec["aggregate"]["errors"] == {"PromiseNotCertified": len(failed)}
+
+
+def test_failed_trials_are_not_violations(monkeypatch):
+    real = cli._TRIAL_WORKERS["verify-bounds"]
+
+    def flaky(cfg, trial, stream):
+        if trial % 2:
+            raise TooManyModes("injected")
+        return real(cfg, trial, stream)
+
+    def invalid(cfg, trial, stream):
+        raise ValidationError("bad")
+
+    monkeypatch.setitem(cli._TRIAL_WORKERS, "verify-bounds", flaky)
+    rec = run_cfg(command="verify-bounds", modes=3, trials=4, seed=1)
+    agg = rec["aggregate"]
+    assert agg["violations"] == 0 and agg["success_fraction"] == 1.0
+    assert agg["errors"] == {"TooManyModes": 2}
+    assert rec["results"][1] == {"trial": 1, "ok": False,
+                                 "verdict_or_error": "TooManyModes: injected", "shots": 0}
+    # a validation error inside a trial still aborts the run
+    monkeypatch.setitem(cli._TRIAL_WORKERS, "verify-bounds", invalid)
+    with pytest.raises(ValidationError):
+        run_cfg(command="verify-bounds", modes=3, trials=2, seed=1)
+
+
+def test_stdout_record_is_pure_json(capsys):
+    assert cli.main(["estimate", "--modes", "2", "--eps", "0.4", "--delta", "0.2",
+                     "--trials", "2", "--seed", "1", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    rec = json.loads(captured.out)
+    assert len(rec["results"]) == 2
+    assert captured.err.startswith("estimate: ") and captured.err.rstrip().endswith("-> -")
 
 
 def test_csv_output(tmp_path):

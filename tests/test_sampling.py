@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeferm import dense, sampling, skew, states
 from freeferm.errors import BudgetOverflow, InvalidMatching
@@ -77,6 +79,87 @@ def test_z_distribution_matches_dense_diagonal(n, rng):
     dist = z_basis_distribution(s.corr.mat)
     diag = np.diag(dense.gaussian_to_dense(s).rho).real
     assert np.abs(dist - diag).max() < 1e-12
+
+
+def _per_node_z_distribution(gamma):
+    """The depth-first, one-node-at-a-time expansion the sampler replaced."""
+    g = skew.as_skew_array(gamma, tol=1e-9)
+    n = g.shape[0] // 2
+    out = np.zeros(1 << n)
+    stack = [(g, 0, 1.0)]
+    while stack:
+        sub, idx, p = stack.pop()
+        m = sub.shape[0] // 2
+        g01 = sub[0, 1]
+        for bit, sign in ((0, 1.0), (1, -1.0)):
+            pb = 0.5 * (1.0 + sign * g01)
+            if pb <= 1e-16:
+                continue
+            if m == 1:
+                out[(idx << 1) | bit] = p * pb
+                continue
+            u = sub[0, 2:]
+            v = sub[1, 2:]
+            upd = sub[2:, 2:] - sign * (np.outer(u, v) - np.outer(v, u)) / (2.0 * pb)
+            stack.append((upd, (idx << 1) | bit, p * pb))
+    return sampling._normalize_distribution(out)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_z_distribution_matches_per_node_reference(n, rng):
+    cases = [
+        states.random_gaussian_state(n, "mixed", rng),
+        states.random_gaussian_state(n, "pure", rng),
+        states.vacuum(n),
+        # lambda = +-1 on every mode: one branch of each node has probability 0
+        states.product_state(rng.choice([-1.0, 1.0], size=n)),
+    ]
+    plan = matchings(n).matchings
+    picks = sorted({0, len(plan) // 2, len(plan) - 1})
+    rotations = [None] + [matching_rotation(plan[i], n) for i in picks]
+    for s in cases:
+        for q in rotations:
+            g = s.corr.mat if q is None else q @ s.corr.mat @ q.T
+            assert np.array_equal(z_basis_distribution(g), _per_node_z_distribution(g))
+
+
+def test_z_distribution_keeps_nan_branches_like_reference(rng):
+    g = states.random_gaussian_state(3, "mixed", rng).corr.mat.copy()
+    g[0, 3], g[3, 0] = np.nan, np.nan
+    for sampler in (z_basis_distribution, _per_node_z_distribution):
+        with pytest.raises(ValueError, match="diagonal mass nan"):
+            sampler(g)
+
+
+@st.composite
+def _rotated_gammas(draw):
+    n = draw(st.integers(1, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["pure", "mixed", "product"]))
+    if kind == "product":
+        s = states.product_state(gen.choice([-1.0, -0.4, 0.0, 0.7, 1.0], size=n))
+    else:
+        s = states.random_gaussian_state(n, kind, gen)
+    plan = matchings(n).matchings
+    q = matching_rotation(plan[draw(st.integers(0, len(plan) - 1))], n)
+    return q @ s.corr.mat @ q.T
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_rotated_gammas())
+def test_z_distribution_laws(g):
+    n = g.shape[0] // 2
+    dist = z_basis_distribution(g)
+    assert np.all(dist >= 0.0)
+    assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+    # z[i, x] is the +-1 value of Z_i on outcome x (qubit 0 = MSB)
+    z = 1 - 2 * ((np.arange(1 << n)[None, :] >> (n - 1 - np.arange(n))[:, None]) & 1)
+    for i in range(n):
+        assert dist[z[i] == 1].sum() == pytest.approx(0.5 * (1.0 + g[2 * i, 2 * i + 1]), abs=1e-10)
+        for j in range(i + 1, n):
+            a, b, c, d = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+            wick = g[a, b] * g[c, d] - g[a, c] * g[b, d] + g[a, d] * g[b, c]
+            assert dist @ (z[i] * z[j]) == pytest.approx(wick, abs=1e-10)
 
 
 def test_z_distribution_rotated_agreement(rng):
