@@ -103,6 +103,9 @@ class ExperimentConfig:
                 raise ValidationError("sweep needs at least one point")
             if self.sub_command not in ("estimate", "tomo-pure", "tomo-mixed"):
                 raise ValidationError(f"sweep sub-command {self.sub_command!r} unsupported")
+        kind, arg = _parse_state_spec(self.state_spec)  # raises on malformed specs
+        # verify-bounds and robustness draw their own states and ignore the spec
+        uses_spec = self.command not in ("verify-bounds", "robustness")
         # every mode count the run will use, a modes sweep's points included
         sweeps_modes = self.command == "sweep" and self.axis == "modes"
         counts = [int(x) for x in self.points] if sweeps_modes else [self.modes]
@@ -113,7 +116,22 @@ class ExperimentConfig:
                     and n > sampling.MAX_SAMPLING_MODES):
                 raise ValidationError(
                     f"mode count {n} exceeds sampling cap {sampling.MAX_SAMPLING_MODES}")
-        _parse_state_spec(self.state_spec)  # raises on malformed specs
+            if self.command == "verify-bounds" and n > dense_mod.MAX_DENSE_MODES:
+                raise ValidationError(
+                    f"mode count {n} exceeds dense cap {dense_mod.MAX_DENSE_MODES}")
+            if self.command == "robustness" and n > learning.MAX_ROBUSTNESS_MODES:
+                raise ValidationError(f"promise certification needs "
+                                      f"n <= {learning.MAX_ROBUSTNESS_MODES}, got {n}")
+            if uses_spec and kind == "ghz3" and n != 3:
+                raise ValidationError("ghz3 requires modes=3")
+            if uses_spec and kind == "product" and len(arg) != n:
+                raise ValidationError(f"product spec has {len(arg)} lambdas but modes={n}")
+        # reduce-id tomographs all n modes, test-rank the leading rank_exponent
+        local = {"reduce-id": self.modes, "test-rank": self.rank_exponent or 0}
+        r = local.get(self.command, 0)
+        if r > learning.MAX_LOCAL_MODES:
+            raise ValidationError(
+                f"local tomography supports 1..{learning.MAX_LOCAL_MODES} modes, got {r}")
 
 
 def _parse_state_spec(spec: str):
@@ -146,8 +164,6 @@ def _make_source(cfg: ExperimentConfig, stream: RngStream) -> StateSource:
     if kind == "vacuum":
         return ExactGaussianSource(states.vacuum(cfg.modes))
     if kind == "product":
-        if len(arg) != cfg.modes:
-            raise ValidationError(f"product spec has {len(arg)} lambdas but modes={cfg.modes}")
         return ExactGaussianSource(states.product_state(arg))
     if kind == "random_gaussian":
         gen = stream.child(999).generator()
@@ -159,8 +175,6 @@ def _make_source(cfg: ExperimentConfig, stream: RngStream) -> StateSource:
             raise ValidationError(f"fixture has n={rho.n}, expected modes={cfg.modes}")
         return DenseSource(rho)
     if kind == "ghz3":
-        if cfg.modes != 3:
-            raise ValidationError("ghz3 requires modes=3")
         return DenseSource(dense_mod.ghz3())
     raise ValidationError(f"unknown state spec {cfg.state_spec!r}")
 

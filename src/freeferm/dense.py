@@ -1,7 +1,7 @@
 """Brute-force Jordan-Wigner oracle.
 
 Exact density matrices at desk scale: Majorana operators as signed
-permutations, Gaussian-unitary synthesis from an orthogonal matrix, exact
+permutations, Gaussian-unitary synthesis from Givens plane rotations, exact
 trace distance / fidelity / relative entropy, Gaussianification, and the
 analytic derivative of a Gaussian state in its correlation matrix.  Ground
 truth for every other module at n <= ~10.
@@ -18,17 +18,15 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
-import scipy.linalg
 
 from . import skew, states
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     NonNegligibleImaginaryPart,
-    NotOrthogonal,
     TooManyModes,
 )
-from .skew import SkewMatrix, as_skew_array, schatten_norm
+from .skew import SkewMatrix, as_skew_array
 from .states import GaussianState
 
 __all__ = [
@@ -133,11 +131,6 @@ class MajoranaSet:
             perm = self.perms[mu][perm]
         return perm, coef
 
-    def pair_trace(self, mu: int, nu: int, rho: np.ndarray) -> complex:
-        """Tr(gamma_mu gamma_nu rho) in O(4^n / 2^n) = O(2^n) time."""
-        perm, coef = self.compose((mu, nu))
-        return complex(np.sum(coef * rho[np.arange(rho.shape[0]), perm]))
-
 
 @lru_cache(maxsize=None)
 def majoranas(n: int) -> MajoranaSet:
@@ -163,7 +156,8 @@ def majoranas(n: int) -> MajoranaSet:
 
 
 def majorana_product_expectation(rho: DenseState, subset: Sequence[int]) -> complex:
-    """Tr(gamma_S rho) for an ordered index set S (the dense Wick oracle)."""
+    """Tr(gamma_S rho) for an ordered index set S (the dense Wick oracle),
+    in O(2^n) time from the signed permutation of gamma_S."""
     ms = majoranas(rho.n)
     perm, coef = ms.compose(subset)
     return complex(np.sum(coef * rho.rho[np.arange(rho.rho.shape[0]), perm]))
@@ -171,13 +165,12 @@ def majorana_product_expectation(rho: DenseState, subset: Sequence[int]) -> comp
 
 def correlation_matrix(rho: DenseState) -> SkewMatrix:
     """Gamma_{jk} = -(i/2) Tr([gamma_j, gamma_k] rho), exactly."""
-    ms = majoranas(rho.n)
     dim = 2 * rho.n
     g = np.zeros((dim, dim))
     worst = 0.0
     for j in range(dim):
         for k in range(j + 1, dim):
-            val = -1j * ms.pair_trace(j, k, rho.rho)
+            val = -1j * majorana_product_expectation(rho, (j, k))
             worst = max(worst, abs(val.imag))
             g[j, k] = val.real
     if worst > 1e-10:
@@ -189,44 +182,16 @@ def correlation_matrix(rho: DenseState) -> SkewMatrix:
 
 # -- Gaussian unitary synthesis ----------------------------------------------
 
-def _so_log(q: np.ndarray) -> np.ndarray:
-    """Principal real antisymmetric logarithm of a special-orthogonal matrix.
-
-    Real Schur form gives the rotation planes; -1 eigenvalue pairs are exact
-    pi-rotations, so no branch-cut perturbation is needed.
-    """
-    try:
-        t, z = scipy.linalg.schur(q, output="real")
-    except Exception as exc:  # pragma: no cover
-        raise ConvergenceFailure(f"real Schur factorization failed: {exc}") from exc
-    d = q.shape[0]
-    tc = z.T @ q @ z
-    h = np.zeros((d, d))
-    minus_ones = []
-    i = 0
-    while i < d:
-        if i + 1 < d and abs(t[i + 1, i]) > 1e-12:
-            theta = math.atan2(tc[i, i + 1], tc[i, i])
-            h[i, i + 1] = theta
-            h[i + 1, i] = -theta
-            i += 2
-        else:
-            if tc[i, i] < 0:
-                minus_ones.append(i)
-            i += 1
-    if len(minus_ones) % 2 != 0:
-        raise NotOrthogonal("odd count of -1 eigenvalues: determinant is not +1")
-    for a, b in zip(minus_ones[0::2], minus_ones[1::2]):
-        h[a, b] = math.pi
-        h[b, a] = -math.pi
-    return z @ h @ z.T
-
-
 def gaussian_unitary(q: np.ndarray, *, check_tol: float = 1e-8) -> np.ndarray:
     """Unitary U with U^dag gamma_mu U = sum_nu q_{mu,nu} gamma_nu.
 
-    For det(q) = +1, U = exp((1/4) sum h_{mu nu} gamma_mu gamma_nu) with
-    q = exp(h); for det(q) = -1 the construction right-composes the
+    For det(q) = +1, Givens rotations of rows (a, b) by theta = atan2(r_ba,
+    r_aa), column by column, reduce q to the identity, so q is the product of
+    the transposed plane rotations in order.  The rotation by theta in plane
+    (a, b) is the adjoint action of cos(theta/2) - sin(theta/2) gamma_a gamma_b,
+    a signed permutation plus a multiple of the identity, and U is the
+    product of these factors in the same order (Jiang et al.,
+    arXiv:1711.05395).  For det(q) = -1 the construction right-composes the
     reflection unitary gamma_{2n-1} (adjoint action flips the sign of every
     Majorana except the last).  The defining relation is verified at runtime
     in Frobenius norm, which upper bounds the operator norm.
@@ -238,24 +203,31 @@ def gaussian_unitary(q: np.ndarray, *, check_tol: float = 1e-8) -> np.ndarray:
     n = dim // 2
     if n > MAX_DENSE_MODES:
         raise TooManyModes(f"mode count {n} exceeds dense cap {MAX_DENSE_MODES}")
-    resid = schatten_norm(q.T @ q - np.eye(dim), np.inf)
-    if resid > 1e-10:
-        raise NotOrthogonal(f"orthogonality violated by {resid:.3e}")
+    states._check_orthogonal(q)
     ms = majoranas(n)
 
     det_neg = np.linalg.det(q) < 0
-    q_rot = q.copy()
+    r = q.copy()
     if det_neg:
         # q = q' @ diag(-1, ..., -1, +1); the reflection is gamma_{2n-1}
-        q_rot[:, :-1] *= -1.0
-    h = _so_log(q_rot)
+        r[:, :-1] *= -1.0
+    rotations = []
+    for a in range(dim - 1):
+        for b in range(a + 1, dim):
+            theta = math.atan2(r[b, a], r[a, a])
+            if theta == 0.0:
+                continue
+            c, s = math.cos(theta), math.sin(theta)
+            r[a], r[b] = c * r[a] + s * r[b], c * r[b] - s * r[a]
+            rotations.append((a, b, theta))
 
-    gen = np.zeros((1 << n, 1 << n), dtype=complex)
-    for mu in range(dim):
-        for nu in range(mu + 1, dim):
-            if h[mu, nu] != 0.0:
-                gen += 0.5 * h[mu, nu] * ms.left_apply(mu, ms.matrix(nu))
-    u = scipy.linalg.expm(gen)
+    u = np.eye(1 << n, dtype=complex)
+    for a, b, theta in reversed(rotations):
+        perm, coef = ms.compose((a, b))
+        pair_u = np.empty_like(u)
+        pair_u[perm] = (-math.sin(0.5 * theta) * coef)[:, None] * u
+        u *= math.cos(0.5 * theta)
+        u += pair_u
     if det_neg:
         u = ms.right_apply(u, dim - 1)
 
@@ -385,12 +357,11 @@ def gaussian_derivative(gamma, x) -> np.ndarray:
 
 def pnp_correlation(rho: DenseState) -> states.PnpCorrelation:
     """C_{jk} = Tr(a_j^dag a_k rho) with a_j = (gamma_{2j} + i gamma_{2j+1})/2."""
-    ms = majoranas(rho.n)
     n = rho.n
     pair = np.empty((2 * n, 2 * n), dtype=complex)
     for mu in range(2 * n):
         for nu in range(2 * n):
-            pair[mu, nu] = ms.pair_trace(mu, nu, rho.rho) if mu != nu else 1.0
+            pair[mu, nu] = majorana_product_expectation(rho, (mu, nu)) if mu != nu else 1.0
     c = np.empty((n, n), dtype=complex)
     for j in range(n):
         for k in range(n):

@@ -40,6 +40,7 @@ from .sampling import (
     RngStream,
     StateSource,
     estimate_gamma,
+    hoeffding_shots,
     shot_budget,
 )
 from .skew import SkewMatrix
@@ -76,6 +77,8 @@ FAR_FROM_MAXIMALLY_MIXED = "FarFromMaximallyMixed"
 SLACK = 0.9
 #: cap for full tomography of the leading modes
 MAX_LOCAL_MODES = 6
+#: cap for robustness experiments, whose promise the dense oracle certifies
+MAX_ROBUSTNESS_MODES = dense_mod.MAX_DENSE_MODES // 2
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,7 @@ def local_full_tomography(
     d = 1 << r
     n_paulis = 4 ** r - 1
     eps_p = eps_tom / (2.0 * d)
-    per_pauli = math.ceil(2.0 / eps_p ** 2 * math.log(2.0 * n_paulis / delta))
+    per_pauli = hoeffding_shots(eps_p, delta, n_paulis)
     perms, coefs = _pauli_strings(r)
     cols = np.arange(d)
     expectations = np.sum(coefs * truth.rho[cols, perms], axis=1).real  # Tr(P rho)
@@ -445,8 +448,9 @@ def robustness_experiment(
     run out-of-contract rather than an algorithm failure.
     """
     n = base.n
-    if n > dense_mod.MAX_DENSE_MODES // 2:
-        raise TooManyLocalModes(f"promise certification needs n <= 5, got {n}")
+    if n > MAX_ROBUSTNESS_MODES:
+        raise TooManyLocalModes(
+            f"promise certification needs n <= {MAX_ROBUSTNESS_MODES}, got {n}")
     kind, strength = noise
     rho_base = dense_mod.gaussian_to_dense(base)
     if kind == "depolarizing":

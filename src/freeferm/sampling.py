@@ -47,6 +47,7 @@ __all__ = [
     "estimate_gamma",
     "SHOT_BUDGETS",
     "shot_budget",
+    "hoeffding_shots",
     "write_shot_records",
     "write_estimate",
     "read_estimate",
@@ -322,8 +323,9 @@ class GammaEstimate:
     delta: float
 
 
-def _hoeffding_shots(eps_entry: float, fail: float, union_terms: int) -> int:
-    """Per-round copies so each +-1 empirical mean is eps_entry-accurate."""
+def hoeffding_shots(eps_entry: float, fail: float, union_terms: int) -> int:
+    """Copies per setting so each of ``union_terms`` +-1 empirical means is
+    eps_entry-accurate, all of them at once with probability 1 - fail."""
     return math.ceil(2.0 / eps_entry ** 2 * math.log(2.0 * union_terms / fail))
 
 
@@ -355,9 +357,13 @@ def estimate_gamma(
     "pauli_pairs" measures each -i gamma_j gamma_k observable separately;
     "commuting" measures one matching round per Clifford-Gaussian rotation.
     Default budgets follow the per-entry Hoeffding accounting with
-    eps_entry = eps_stat / (2n) and a union bound over all n(2n-1) entries;
-    ``total_shots`` overrides the budget and is split evenly across rounds.
-    Entries are clipped to [-1, 1] before assembly.
+    eps_entry = eps_stat / (2n) and a union bound over all n(2n-1) entries,
+    the same count for each measurement setting (pair or matching round).
+    This is looser than the scheme's headline bound :func:`shot_budget`: at
+    n = 4, eps 0.2, delta 0.1 it spends 141,750 copies under "commuting"
+    against a headline 82,707, and 567,000 against 519,698 under
+    "pauli_pairs".  ``total_shots`` overrides the budget and is split evenly
+    across settings.  Entries are clipped to [-1, 1] before assembly.
     """
     n = src.n
     dim = 2 * n
@@ -372,41 +378,34 @@ def estimate_gamma(
         raise ValidationError(f"delta {delta} outside (0, 1)")
 
     pair_count = n * (2 * n - 1)
+    settings = pair_count if scheme == "pauli_pairs" else 2 * n - 1  # matching rounds
+    if total_shots is None:
+        per_setting = [hoeffding_shots(eps_stat / dim, delta, pair_count)] * settings
+    else:
+        per_setting = _split_budget(total_shots, settings)
+    used = sum(per_setting)
+    if used > shot_cap:
+        raise BudgetOverflow(f"{used} shots exceed the cap {shot_cap}")
     g = np.zeros((dim, dim))
 
     if scheme == "pauli_pairs":
-        if total_shots is None:
-            per_pair = [_hoeffding_shots(eps_stat / dim, delta, pair_count)] * pair_count
-        else:
-            per_pair = _split_budget(total_shots, pair_count)
-        used = sum(per_pair)
-        if used > shot_cap:
-            raise BudgetOverflow(f"{used} shots exceed the cap {shot_cap}")
         truth = src.gamma()
         i = 0
         for j in range(dim):
             for k in range(j + 1, dim):
-                shots = per_pair[i]
+                shots = per_setting[i]
                 gen = rng_stream.child(i).generator()
                 ones = gen.binomial(shots, 0.5 * (1.0 + truth[j, k])) if shots else 0
                 g[j, k] = (2.0 * ones - shots) / shots if shots else 0.0
                 i += 1
     else:
         plan = matchings(n)
-        rounds = len(plan)
-        if total_shots is None:
-            per_round = [_hoeffding_shots(eps_stat / dim, delta, pair_count)] * rounds
-        else:
-            per_round = _split_budget(total_shots, rounds)
-        used = sum(per_round)
-        if used > shot_cap:
-            raise BudgetOverflow(f"{used} shots exceed the cap {shot_cap}")
         outcomes = np.arange(1 << n)
         bit_signs = np.empty((n, 1 << n))
         for i in range(n):
             bit_signs[i] = 1.0 - 2.0 * ((outcomes >> (n - 1 - i)) & 1)
         for mi, pairs in enumerate(plan.matchings):
-            shots = per_round[mi]
+            shots = per_setting[mi]
             if shots == 0:
                 continue
             q = matching_rotation(pairs, n)

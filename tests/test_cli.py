@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from freeferm import cli, sampling
+from freeferm import cli, dense, learning, sampling
 from freeferm.errors import TooManyModes, ValidationError
 
 
@@ -123,9 +123,11 @@ def test_sampling_cap_checked_at_validation(monkeypatch, capsys, tmp_path):
     ):
         with pytest.raises(ValidationError, match=message):
             cli.ExperimentConfig(**kw).validate()
-    # the cap is the commuting sampler's: other schemes and commands pass
+    # the cap is the commuting sampler's: other schemes pass, and verify-bounds
+    # meets the smaller dense cap instead
     cli.ExperimentConfig(command="estimate", modes=cap + 2, scheme="pauli_pairs").validate()
-    cli.ExperimentConfig(command="verify-bounds", modes=cap + 2).validate()
+    with pytest.raises(ValidationError, match="exceeds dense cap"):
+        cli.ExperimentConfig(command="verify-bounds", modes=cap + 2).validate()
     cli.ExperimentConfig(command="estimate", modes=cap).validate()
     # rejected before any trial runs, with the sampler's message
     def no_trial(*args):
@@ -250,3 +252,131 @@ def test_flag_overrides_config_file(tmp_path):
     assert cli.main(["estimate", "--config", str(cfg_path), "--seed", "9",
                      "--out", out]) == 0
     assert json.loads(open(out).read())["config"]["seed"] == 9
+
+
+def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
+    dense_cap = dense.MAX_DENSE_MODES
+    robust_cap = learning.MAX_ROBUSTNESS_MODES
+    local_cap = learning.MAX_LOCAL_MODES
+    zeros = lambda n: "product:" + ",".join(["0"] * n)  # noqa: E731
+    # (rejected argv, argv exactly at the cap)
+    cases = (
+        (["verify-bounds", "--modes", str(dense_cap + 1)],
+         ["verify-bounds", "--modes", str(dense_cap)]),
+        (["robustness", "--modes", str(robust_cap + 1)],
+         ["robustness", "--modes", str(robust_cap)]),
+        (["reduce-id", "--modes", str(local_cap + 1), "--state-spec", zeros(local_cap + 1)],
+         ["reduce-id", "--modes", str(local_cap), "--state-spec", zeros(local_cap)]),
+        (["test-rank", "--modes", "8", "--rank-exponent", str(local_cap + 1)],
+         ["test-rank", "--modes", "8", "--rank-exponent", str(local_cap)]),
+        (["estimate", "--modes", "4", "--state-spec", "ghz3"],
+         ["estimate", "--modes", "3", "--state-spec", "ghz3"]),
+        (["estimate", "--modes", "3", "--state-spec", zeros(2)],
+         ["estimate", "--modes", "3", "--state-spec", zeros(3)]),
+    )
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    for name in cli._TRIAL_WORKERS:
+        monkeypatch.setitem(cli._TRIAL_WORKERS, name, no_trial)
+    parser = cli.build_parser()
+    for rejected, at_cap in cases:
+        assert cli.main([*rejected, "--trials", "2", "--out", str(tmp_path / "x.json")]) == 2
+        assert "invalid configuration:" in capsys.readouterr().err
+        cli.config_from_args(parser.parse_args(at_cap)).validate()
+    # the spec checks apply to the commands that build a source from the spec
+    cli.ExperimentConfig(command="robustness", modes=4, state_spec="ghz3").validate()
+
+
+# Seed 0, first three trials (a trial's record depends only on the seed and its
+# index), recorded with numpy 2.4.6 and scipy 1.17.1: argv, exit code, results,
+# aggregate.
+SEEDED_RECORDS = (
+    ("verify-bounds --modes 4", 0, [
+        {"trial": 0, "mode": "mixed_mixed", "trace_dist": 1.5680731173525544,
+         "lb_infty": 1.5024534230024766, "ub_mixed": 2.0, "ub_pure": None,
+         "ub_pure_vs_any": None, "ok": True, "verdict_or_error": "ok", "shots": 0},
+        {"trial": 1, "mode": "pure_pure", "trace_dist": 1.9575388903144353,
+         "lb_infty": 1.949813812975413, "ub_mixed": 2.0, "ub_pure": 2.0,
+         "ub_pure_vs_any": None, "ok": True, "verdict_or_error": "ok", "shots": 0},
+        {"trial": 2, "mode": "pure_vs_any", "trace_dist": 1.9131443096264182,
+         "lb_infty": 1.2610132433273114, "ub_mixed": 2.0, "ub_pure": None,
+         "ub_pure_vs_any": 2.0, "ok": True, "verdict_or_error": "ok", "shots": 0},
+    ], {"trials": 3, "shot_total": 0, "success_fraction": 1.0, "violations": 0}),
+    ("test-rank --modes 6 --rank-exponent 4 --eps-a 0 --eps-b 0.5 --scheme commuting "
+     "--state-spec product:0.3,0.5,0.7,0.9,1,1 --expected CaseA", 0, [
+        {"trial": 0, "verdict_or_error": "CaseA", "shots": 10548530440,
+         "lambda_hat": 0.9999477911460677, "threshold": 0.21875,
+         "stage": "tomography_stage", "ok": True},
+        {"trial": 1, "verdict_or_error": "CaseA", "shots": 10548530440,
+         "lambda_hat": 0.9999970319118338, "threshold": 0.21875,
+         "stage": "tomography_stage", "ok": True},
+        {"trial": 2, "verdict_or_error": "CaseA", "shots": 10548530440,
+         "lambda_hat": 0.9999941555909724, "threshold": 0.21875,
+         "stage": "tomography_stage", "ok": True},
+    ], {"trials": 3, "shot_total": 31645591320, "success_fraction": 1.0}),
+    ("robustness --modes 3 --noise-strength 0.02", 0, [
+        {"trial": 0, "dense_error": 0.02813605546562884, "promise_value": 0.02099055654515794,
+         "ok": True, "verdict_or_error": "0.028136", "shots": 190710},
+        {"trial": 1, "dense_error": 0.03315197213019479, "promise_value": 0.015113463436746289,
+         "ok": True, "verdict_or_error": "0.033152", "shots": 190710},
+        {"trial": 2, "dense_error": 0.016385264762255436, "promise_value": 0.0037134938933928285,
+         "ok": True, "verdict_or_error": "0.016385", "shots": 190710},
+    ], {"trials": 3, "shot_total": 572130, "success_fraction": 1.0,
+        "median_error": 0.02813605546562884}),
+    ("tomo-mixed --modes 4", 0, [
+        {"trial": 0, "shots": 661655, "dense_error": 0.01603175857635116, "ok": True,
+         "verdict_or_error": "0.016032"},
+        {"trial": 1, "shots": 661655, "dense_error": 0.016037424334775813, "ok": True,
+         "verdict_or_error": "0.016037"},
+        {"trial": 2, "shots": 661655, "dense_error": 0.017390698012724908, "ok": True,
+         "verdict_or_error": "0.017391"},
+    ], {"trials": 3, "shot_total": 1984965, "success_fraction": 1.0,
+        "median_error": 0.016037424334775813}),
+    ("estimate --modes 4 --scheme commuting", 0, [
+        {"trial": 0, "error_inf": 0.03670235609981683, "ok": True,
+         "verdict_or_error": "0.036702", "shots": 141750},
+        {"trial": 1, "error_inf": 0.03133545837769971, "ok": True,
+         "verdict_or_error": "0.031335", "shots": 141750},
+        {"trial": 2, "error_inf": 0.02622732269127875, "ok": True,
+         "verdict_or_error": "0.026227", "shots": 141750},
+    ], {"trials": 3, "shot_total": 425250, "success_fraction": 1.0,
+        "median_error": 0.03133545837769971, "headline_shot_bound": 82707}),
+    ("estimate --modes 4 --scheme pauli_pairs", 0, [
+        {"trial": 0, "error_inf": 0.029949593024414245, "ok": True,
+         "verdict_or_error": "0.029950", "shots": 567000},
+        {"trial": 1, "error_inf": 0.027166471706237014, "ok": True,
+         "verdict_or_error": "0.027166", "shots": 567000},
+        {"trial": 2, "error_inf": 0.024782920869429598, "ok": True,
+         "verdict_or_error": "0.024783", "shots": 567000},
+    ], {"trials": 3, "shot_total": 1701000, "success_fraction": 1.0,
+        "median_error": 0.027166471706237014, "headline_shot_bound": 519698}),
+)
+
+
+def _assert_record_matches(got, want, path):
+    """Floats to 1e-9; exit codes, verdicts, ok flags and shot counts exactly."""
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=0.0, abs=1e-9), path
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for k in want:
+            _assert_record_matches(got[k], want[k], f"{path}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_record_matches(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
+@pytest.mark.parametrize("argv,code,results,aggregate", SEEDED_RECORDS,
+                         ids=["verify-bounds", "test-rank", "robustness", "tomo-mixed",
+                              "estimate-commuting", "estimate-pauli_pairs"])
+def test_seeded_records(tmp_path, argv, code, results, aggregate):
+    out = tmp_path / "r.json"
+    assert cli.main([*argv.split(), "--seed", "0", "--trials", "3", "--out", str(out)]) == code
+    rec = json.loads(out.read_text())
+    _assert_record_matches(rec["results"], results, "results")
+    _assert_record_matches(rec["aggregate"], aggregate, "aggregate")

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeferm import dense, skew, states
+from freeferm.sampling import matching_rotation, matchings
 from freeferm.errors import (
     ConvergenceFailure,
     NonNegligibleImaginaryPart,
@@ -97,10 +100,50 @@ def test_gaussian_unitary_reflection(rng):
 
 
 def test_gaussian_unitary_minus_one_pairs():
-    # rotation by pi in two planes: branch point of the matrix logarithm
+    # rotation by pi in two planes: each is one Givens rotation with theta = pi
     q = -np.eye(4)
     u = dense.gaussian_unitary(q)
     assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-10)
+
+
+def _check_synthesis(q, gen):
+    """gaussian_unitary(q) passes its own defining-relation check, is unitary,
+    and carries a mixed state with normal-form rotation q to q Lambda q^T."""
+    n = q.shape[0] // 2
+    u = dense.gaussian_unitary(q)
+    assert np.abs(u.conj().T @ u - np.eye(1 << n)).max() < 1e-10
+    lams = np.sort(gen.uniform(0.0, 1.0, size=n))
+    nf = skew.NormalForm(q=q, lambdas=lams, det_sign=1 if np.linalg.det(q) > 0 else -1)
+    s = states.GaussianState(corr=skew.SkewMatrix(nf.reconstruct(), tol=1e-9), nf=nf)
+    back = dense.correlation_matrix(dense.gaussian_to_dense(s))
+    assert np.abs(back.mat - s.corr.mat).max() < 1e-10
+
+
+@st.composite
+def _orthogonal_matrices(draw):
+    n = draw(st.integers(1, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        q = skew.random_orthogonal(2 * n, gen)
+        if draw(st.booleans()) != (np.linalg.det(q) < 0):
+            q[:, 0] = -q[:, 0]  # the drawn determinant
+    else:
+        q = np.diag(gen.choice([-1.0, 1.0], size=2 * n))
+    return q, gen
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_orthogonal_matrices())
+def test_gaussian_unitary_synthesis(case):
+    _check_synthesis(*case)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_gaussian_unitary_signed_permutations(n):
+    gen = np.random.default_rng(n)
+    for pairs in matchings(n).matchings:
+        _check_synthesis(matching_rotation(pairs, n), gen)
+    _check_synthesis(-np.eye(2 * n), gen)
 
 
 def test_gaussian_to_dense_examples():
