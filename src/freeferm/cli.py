@@ -6,6 +6,10 @@ counter-based streams keyed by (seed, trial), so each trial's record depends
 only on the seed and the trial index, and a record re-runs byte-identically
 from its config echo.
 
+Each command reads the config fields of its row in :data:`COMMAND_FIELDS`:
+the parser gives it only those flags, a config file may set only those keys,
+and validation rejects any other field set away from its default.
+
 A trial that raises a toolkit error other than a validation error or a
 budget overflow is recorded as that trial's outcome (``ok`` false, the error
 class and message in ``verdict_or_error``) and counted by class in the
@@ -25,15 +29,15 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from . import dense as dense_mod
 from . import learning, sampling, skew, states
-from .errors import BudgetOverflow, FreeFermError, ValidationError
+from .errors import BudgetOverflow, FreeFermError, InfeasibleThresholds, ValidationError
 from .learning import TestConfig
 from .sampling import (
     DenseSource,
@@ -44,19 +48,53 @@ from .sampling import (
     shot_budget,
 )
 
-COMMANDS = (
-    "verify-bounds",
-    "estimate",
-    "test-pure",
-    "test-rank",
-    "reduce-id",
-    "tomo-pure",
-    "tomo-mixed",
-    "robustness",
-    "sweep",
-)
-
 DENSE_VERIFY_MODES = 5  # dense cross-checks only run at or below this n
+
+#: flag and argparse options of each config field a command can read
+_FLAGS: Dict[str, Tuple[str, dict]] = {
+    "modes": ("--modes", {"type": int}),
+    "rank_exponent": ("--rank-exponent", {"type": int}),
+    "eps_a": ("--eps-a", {"type": float}),
+    "eps_b": ("--eps-b", {"type": float}),
+    "eps": ("--eps", {"type": float}),
+    "delta": ("--delta", {"type": float}),
+    "trials": ("--trials", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "scheme": ("--scheme", {"choices": ("pauli_pairs", "commuting", "exact")}),
+    "state_spec": ("--state-spec", {}),
+    "out_path": ("--out", {}),
+    "format": ("--format", {"choices": ("json", "csv")}),
+    "shots": ("--shots", {"type": int}),
+    "expected": ("--expected", {}),
+    "noise_kind": ("--noise-kind", {"choices": ("depolarizing", "trace_perturbation")}),
+    "noise_strength": ("--noise-strength", {"type": float}),
+    "promise": ("--promise", {"choices": ("trace", "relative_entropy")}),
+    "gaussian_set": ("--gaussian-set", {"choices": ("pure_set", "mixed_set", "rank_set")}),
+    "axis": ("--axis", {"choices": ("shots", "eps", "modes")}),
+    "points": ("--points", {"help": "comma-separated sweep points"}),
+    "sub_command": ("--sub-command", {"choices": ("estimate", "tomo-pure", "tomo-mixed")}),
+    "shot_cap": ("--shot-cap", {"type": int}),
+}
+
+_SAMPLED = ("modes", "state_spec", "delta", "scheme", "shot_cap")
+_RUN = ("trials", "seed", "out_path")
+#: the config fields each command reads: its flags and config-file keys are
+#: these, and every other field must keep its default
+COMMAND_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "verify-bounds": ("modes", *_RUN, "format"),
+    "estimate": (*_SAMPLED, "eps", "shots", *_RUN, "format"),
+    "test-pure": (*_SAMPLED, "eps_a", "eps_b", "gaussian_set", "expected", *_RUN, "format"),
+    "test-rank": (*_SAMPLED, "rank_exponent", "eps_a", "eps_b", "gaussian_set", "expected",
+                  *_RUN, "format"),
+    "reduce-id": (*_SAMPLED, "eps", "expected", *_RUN, "format"),
+    "tomo-pure": (*_SAMPLED, "eps", *_RUN, "format"),
+    "tomo-mixed": (*_SAMPLED, "eps", *_RUN, "format"),
+    "robustness": ("modes", "delta", "scheme", "shot_cap", "eps", "noise_kind", "noise_strength",
+                   "promise", *_RUN, "format"),
+    # each point runs the sub-command; a sweep record holds only sub-records,
+    # which the csv format drops
+    "sweep": ("axis", "points", "sub_command", *_SAMPLED, "eps", "shots", *_RUN),
+}
 
 
 @dataclass
@@ -86,52 +124,73 @@ class ExperimentConfig:
     shot_cap: int = sampling.DEFAULT_SHOT_CAP
 
     def validate(self) -> None:
-        if self.command not in COMMANDS:
+        row = COMMAND_FIELDS.get(self.command)
+        if row is None:
             raise ValidationError(f"unknown command {self.command!r}")
+        default = ExperimentConfig(self.command)
+        unread = [f.name for f in fields(self) if f.name != "command" and f.name not in row
+                  and getattr(self, f.name) != getattr(default, f.name)]
+        if unread:
+            raise ValidationError(f"{self.command} does not take {unread}")
+        for name in row:
+            choices = _FLAGS[name][1].get("choices")
+            if choices and getattr(self, name) not in choices:
+                raise ValidationError(
+                    f"{name} must be one of {', '.join(choices)}, got {getattr(self, name)!r}")
+        if self.command == "sweep":
+            if not self.points:
+                raise ValidationError("sweep needs at least one point")
+            if getattr(self, self.axis) != getattr(default, self.axis):
+                raise ValidationError(f"a sweep along {self.axis} sets {self.axis} at each point")
+            for point in self.points:
+                _sweep_point(self, point).validate()
+            return
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta {self.delta} outside (0, 1)")
-        if self.scheme not in ("pauli_pairs", "commuting", "exact"):
-            raise ValidationError(f"unknown scheme {self.scheme!r}")
-        if self.format not in ("json", "csv"):
-            raise ValidationError(f"unknown format {self.format!r}")
-        if self.command == "sweep":
-            if self.axis not in ("shots", "eps", "modes"):
-                raise ValidationError(f"sweep axis must be shots/eps/modes, got {self.axis!r}")
-            if not self.points:
-                raise ValidationError("sweep needs at least one point")
-            if self.sub_command not in ("estimate", "tomo-pure", "tomo-mixed"):
-                raise ValidationError(f"sweep sub-command {self.sub_command!r} unsupported")
         kind, arg = _parse_state_spec(self.state_spec)  # raises on malformed specs
-        # verify-bounds and robustness draw their own states and ignore the spec
-        uses_spec = self.command not in ("verify-bounds", "robustness")
-        # every mode count the run will use, a modes sweep's points included
-        sweeps_modes = self.command == "sweep" and self.axis == "modes"
-        counts = [int(x) for x in self.points] if sweeps_modes else [self.modes]
-        for n in counts:
-            if n < 1:
-                raise ValidationError(f"modes must be >= 1, got {n}")
-            if (self.command != "verify-bounds" and self.scheme == "commuting"
-                    and n > sampling.MAX_SAMPLING_MODES):
-                raise ValidationError(
-                    f"mode count {n} exceeds sampling cap {sampling.MAX_SAMPLING_MODES}")
-            if self.command == "verify-bounds" and n > dense_mod.MAX_DENSE_MODES:
-                raise ValidationError(
-                    f"mode count {n} exceeds dense cap {dense_mod.MAX_DENSE_MODES}")
-            if self.command == "robustness" and n > learning.MAX_ROBUSTNESS_MODES:
-                raise ValidationError(f"promise certification needs "
-                                      f"n <= {learning.MAX_ROBUSTNESS_MODES}, got {n}")
-            if uses_spec and kind == "ghz3" and n != 3:
-                raise ValidationError("ghz3 requires modes=3")
-            if uses_spec and kind == "product" and len(arg) != n:
-                raise ValidationError(f"product spec has {len(arg)} lambdas but modes={n}")
+        n = self.modes
+        if n < 1:
+            raise ValidationError(f"modes must be >= 1, got {n}")
+        # every command that samples reads a scheme
+        if "scheme" in row and self.scheme == "commuting" and n > sampling.MAX_SAMPLING_MODES:
+            raise ValidationError(
+                f"mode count {n} exceeds sampling cap {sampling.MAX_SAMPLING_MODES}")
+        if self.command == "verify-bounds" and n > dense_mod.MAX_DENSE_MODES:
+            raise ValidationError(f"mode count {n} exceeds dense cap {dense_mod.MAX_DENSE_MODES}")
+        if self.command == "robustness" and n > learning.MAX_ROBUSTNESS_MODES:
+            raise ValidationError(f"promise certification needs "
+                                  f"n <= {learning.MAX_ROBUSTNESS_MODES}, got {n}")
+        if kind == "ghz3" and n != 3:
+            raise ValidationError("ghz3 requires modes=3")
+        if kind == "product" and len(arg) != n:
+            raise ValidationError(f"product spec has {len(arg)} lambdas but modes={n}")
         # reduce-id tomographs all n modes, test-rank the leading rank_exponent
-        local = {"reduce-id": self.modes, "test-rank": self.rank_exponent or 0}
+        local = {"reduce-id": n, "test-rank": self.rank_exponent or 0}
         r = local.get(self.command, 0)
         if r > learning.MAX_LOCAL_MODES:
             raise ValidationError(
                 f"local tomography supports 1..{learning.MAX_LOCAL_MODES} modes, got {r}")
+        thresholds = {"test-pure": learning.pure_test_thresholds,
+                      "test-rank": learning.rank_test_thresholds}.get(self.command)
+        if thresholds is not None:
+            try:
+                thresholds(self.test_config(), n)
+            except InfeasibleThresholds as exc:
+                raise ValidationError(str(exc)) from exc
+
+    def test_config(self) -> TestConfig:
+        """Thresholds and target set of a ``test-pure`` or ``test-rank`` run."""
+        return TestConfig(eps_a=self.eps_a, eps_b=self.eps_b, delta=self.delta,
+                          r=self.rank_exponent or 0, gaussian_set=self.gaussian_set)
+
+
+def _sweep_point(cfg: ExperimentConfig, point: float) -> ExperimentConfig:
+    """The sub-command config that a sweep runs at one point of its axis."""
+    value = float(point) if cfg.axis == "eps" else int(point)
+    return replace(cfg, command=cfg.sub_command, axis=None, points=[], sub_command=None,
+                   **{cfg.axis: value})
 
 
 def _parse_state_spec(spec: str):
@@ -251,10 +310,7 @@ def _trial_estimate(cfg: ExperimentConfig, trial: int, stream: RngStream) -> dic
 
 def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream) -> dict:
     src = _make_source(cfg, stream)
-    tc = TestConfig(
-        eps_a=cfg.eps_a, eps_b=cfg.eps_b, delta=cfg.delta,
-        r=cfg.rank_exponent or 0, gaussian_set=cfg.gaussian_set,
-    )
+    tc = cfg.test_config()
     if cfg.command == "test-pure":
         verdict = learning.test_pure(src, tc, stream.child(1), scheme=cfg.scheme,
                                      shot_cap=cfg.shot_cap)
@@ -312,7 +368,7 @@ def _trial_robustness(cfg: ExperimentConfig, trial: int, stream: RngStream) -> d
     base = states.random_gaussian_state(cfg.modes, "mixed", gen)
     result = learning.robustness_experiment(
         base, (cfg.noise_kind, cfg.noise_strength), cfg.eps, cfg.delta,
-        stream.child(1), promise=cfg.promise, scheme=cfg.scheme,
+        stream.child(1), promise=cfg.promise, scheme=cfg.scheme, shot_cap=cfg.shot_cap,
     )
     return {
         "trial": trial,
@@ -398,15 +454,7 @@ def _run_sweep(cfg: ExperimentConfig) -> dict:
     medians = []
     xs = []
     for point in cfg.points:
-        sub = ExperimentConfig(**{**asdict(cfg), "command": cfg.sub_command,
-                                  "axis": None, "points": [], "sub_command": None})
-        if cfg.axis == "shots":
-            sub.shots = int(point)
-        elif cfg.axis == "eps":
-            sub.eps = float(point)
-        else:
-            sub.modes = int(point)
-        sub_record = run(sub)
+        sub_record = run(_sweep_point(cfg, point))
         sub_records.append(sub_record)
         med = sub_record["aggregate"].get("median_error")
         if med is not None and med > 0:
@@ -474,50 +522,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Seeded free-fermionic estimation/testing/tomography experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, row in COMMAND_FIELDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON file with config fields (snake_case)")
-        p.add_argument("--modes", type=int)
-        p.add_argument("--rank-exponent", type=int, dest="rank_exponent")
-        p.add_argument("--eps-a", type=float, dest="eps_a")
-        p.add_argument("--eps-b", type=float, dest="eps_b")
-        p.add_argument("--eps", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--scheme", choices=("pauli_pairs", "commuting", "exact"))
-        p.add_argument("--state-spec", dest="state_spec")
-        p.add_argument("--out", dest="out_path")
-        p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--shots", type=int)
-        p.add_argument("--expected")
-        p.add_argument("--noise-kind", dest="noise_kind",
-                       choices=("depolarizing", "trace_perturbation"))
-        p.add_argument("--noise-strength", type=float, dest="noise_strength")
-        p.add_argument("--promise", choices=("trace", "relative_entropy"))
-        p.add_argument("--gaussian-set", dest="gaussian_set",
-                       choices=("pure_set", "mixed_set", "rank_set"))
-        p.add_argument("--axis", choices=("shots", "eps", "modes"))
-        p.add_argument("--points", help="comma-separated sweep points")
-        p.add_argument("--sub-command", dest="sub_command")
-        p.add_argument("--shot-cap", type=int, dest="shot_cap")
+        for field_name in row:
+            flag, options = _FLAGS[field_name]
+            p.add_argument(flag, dest=field_name, **options)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    row = COMMAND_FIELDS[args.command]
     values = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as f:
             values.update(json.load(f))
-    names = {f.name for f in fields(ExperimentConfig)}
-    for name in names:
-        v = getattr(args, name, None)
+    for name in row:
+        v = getattr(args, name)
         if v is not None:
             values[name] = v
     values["command"] = args.command
     if isinstance(values.get("points"), str):
         values["points"] = [float(x) for x in values["points"].split(",") if x]
-    unknown = set(values) - names
+    unknown = set(values) - {"command", *row}
     if unknown:
         raise ValidationError(f"unknown config fields {sorted(unknown)}")
     return ExperimentConfig(**values)

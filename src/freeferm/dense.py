@@ -55,6 +55,8 @@ __all__ = [
 
 MAX_DENSE_MODES = 10
 MAX_SPARSE_MODES = 12
+#: Frobenius-norm tolerance of the runtime check of a synthesised Gaussian unitary
+UNITARY_CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,7 @@ def correlation_matrix(rho: DenseState) -> SkewMatrix:
 
 # -- Gaussian unitary synthesis ----------------------------------------------
 
-def gaussian_unitary(q: np.ndarray, *, check_tol: float = 1e-8) -> np.ndarray:
+def gaussian_unitary(q: np.ndarray) -> np.ndarray:
     """Unitary U with U^dag gamma_mu U = sum_nu q_{mu,nu} gamma_nu.
 
     For det(q) = +1, Givens rotations of rows (a, b) by theta = atan2(r_ba,
@@ -240,9 +242,9 @@ def gaussian_unitary(q: np.ndarray, *, check_tol: float = 1e-8) -> np.ndarray:
                 target[ms.perms[nu], idx] += q[mu, nu] * ms.coefs[nu]
         lhs = u.conj().T @ ms.left_apply(mu, u)
         worst = max(worst, float(np.linalg.norm(lhs - target)))
-    if worst > check_tol:
+    if worst > UNITARY_CHECK_TOL:
         raise ConvergenceFailure(
-            f"defining relation violated by {worst:.3e} (tol {check_tol:.1e})"
+            f"defining relation violated by {worst:.3e} (tol {UNITARY_CHECK_TOL:.1e})"
         )
     return u
 

@@ -75,6 +75,8 @@ FAR_FROM_MAXIMALLY_MIXED = "FarFromMaximallyMixed"
 
 #: strict-inequality parameters are set at this fraction of the open bound
 SLACK = 0.9
+#: eps_T of the bounded-rank test against mixed_set is this multiple of eps_stat + gap
+MIX2_THRESHOLD_FACTOR = 1.1
 #: cap for full tomography of the leading modes
 MAX_LOCAL_MODES = 6
 #: cap for robustness experiments, whose promise the dense oracle certifies
@@ -90,7 +92,6 @@ class TestConfig:
     delta: float
     r: int = 0
     gaussian_set: str = "mixed_set"  # pure_set | mixed_set | rank_set
-    mix2_threshold_factor: float = 1.1
 
     def __post_init__(self):
         if not (self.eps_b > self.eps_a >= 0.0):
@@ -179,7 +180,7 @@ def rank_test_thresholds(cfg: TestConfig, n: int) -> Tuple[float, float, float, 
     if cfg.gaussian_set == "rank_set":
         eps_t = eb ** 2 / (2 ** 6 * (n - r)) + 0.5 * ea
     else:
-        eps_t = cfg.mix2_threshold_factor * (eps_stat + gap)
+        eps_t = MIX2_THRESHOLD_FACTOR * (eps_stat + gap)
     eps_tom = SLACK * (1.0 / (n + 2)) * (0.5 * eb - (n + 1) * ea)
     eps_t2 = (n + 1) / (n + 2) * (0.5 * eb + ea)
     return eps_t, eps_stat, eps_tom, eps_t2
@@ -437,6 +438,7 @@ def robustness_experiment(
     rng_stream: RngStream,
     promise: str = "trace",
     scheme: str = "commuting",
+    shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> RobustnessResult:
     """Run mixed tomography on a noisy preparation of ``base``.
 
@@ -480,7 +482,7 @@ def robustness_experiment(
             f"promise value {promise_value:.6f} exceeds the bound {bound:.6f}"
         )
 
-    report = tomograph_mixed(src, eps, delta, rng_stream, scheme=scheme)
+    report = tomograph_mixed(src, eps, delta, rng_stream, scheme=scheme, shot_cap=shot_cap)
     rho_learned = dense_mod.gaussian_to_dense(report.learned)
     err = dense_mod.state_metrics(rho_learned, rho_noisy).trace_dist
     return RobustnessResult(

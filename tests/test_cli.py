@@ -1,11 +1,18 @@
+import argparse
 import copy
+import dataclasses
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from freeferm import cli, dense, learning, sampling
 from freeferm.errors import TooManyModes, ValidationError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cfg(**kw):
@@ -205,6 +212,8 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["estimate", "--modes", "4", "--eps", "0.001", "--delta", "0.01",
                      "--trials", "1", "--seed", "1", "--shot-cap", "1000",
                      "--out", out]) == 3
+    assert cli.main(["robustness", "--modes", "3", "--noise-strength", "0", "--trials", "1",
+                     "--shot-cap", "10", "--out", out]) == 3
     # validation error -> 2
     assert cli.main(["estimate", "--modes", "0", "--out", out]) == 2
     # unwritable output -> 2
@@ -254,12 +263,21 @@ def test_flag_overrides_config_file(tmp_path):
     assert json.loads(open(out).read())["config"]["seed"] == 9
 
 
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # the parser refuses a flag the command does not take
+        return exc.code
+
+
 def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
     dense_cap = dense.MAX_DENSE_MODES
     robust_cap = learning.MAX_ROBUSTNESS_MODES
     local_cap = learning.MAX_LOCAL_MODES
     zeros = lambda n: "product:" + ",".join(["0"] * n)  # noqa: E731
-    # (rejected argv, argv exactly at the cap)
+    noise_kind = tmp_path / "noise_kind.json"  # a key outside the row, even at its default
+    noise_kind.write_text(json.dumps({"noise_kind": "depolarizing"}))
+    # (rejected argv, a valid twin: at the cap, or the field where it is read)
     cases = (
         (["verify-bounds", "--modes", str(dense_cap + 1)],
          ["verify-bounds", "--modes", str(dense_cap)]),
@@ -273,6 +291,27 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
          ["estimate", "--modes", "3", "--state-spec", "ghz3"]),
         (["estimate", "--modes", "3", "--state-spec", zeros(2)],
          ["estimate", "--modes", "3", "--state-spec", zeros(3)]),
+        # infeasible thresholds
+        (["test-rank", "--modes", "3", "--rank-exponent", "3", "--eps-a", "0", "--eps-b", "0.8"],
+         ["test-rank", "--modes", "3", "--rank-exponent", "2", "--eps-a", "0", "--eps-b", "0.8"]),
+        (["test-pure", "--modes", "3", "--eps-a", "0.3", "--eps-b", "0.5"],
+         ["test-pure", "--modes", "3", "--eps-a", "0.01", "--eps-b", "0.5"]),
+        # a field the command does not read
+        (["robustness", "--modes", "3", "--state-spec", "ghz3"],
+         ["tomo-mixed", "--modes", "3", "--state-spec", "ghz3"]),
+        (["verify-bounds", "--scheme", "exact"], ["estimate", "--scheme", "exact"]),
+        (["estimate", "--noise-kind", "trace_perturbation"],
+         ["robustness", "--noise-kind", "trace_perturbation"]),
+        (["sweep", "--axis", "shots", "--points", "1000,4000", "--sub-command", "tomo-mixed"],
+         ["sweep", "--axis", "shots", "--points", "1000,4000", "--sub-command", "estimate"]),
+        (["sweep", "--axis", "modes", "--points", "2,3", "--modes", "5", "--sub-command",
+          "estimate"],
+         ["sweep", "--axis", "shots", "--points", "1000", "--modes", "5", "--sub-command",
+          "estimate"]),
+        (["sweep", "--axis", "eps", "--points", "0.3", "--sub-command", "tomo-mixed",
+          "--format", "csv"],
+         ["tomo-mixed", "--format", "csv"]),
+        (["estimate", "--config", str(noise_kind)], ["robustness", "--config", str(noise_kind)]),
     )
 
     def no_trial(*args):
@@ -281,12 +320,46 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
     for name in cli._TRIAL_WORKERS:
         monkeypatch.setitem(cli._TRIAL_WORKERS, name, no_trial)
     parser = cli.build_parser()
-    for rejected, at_cap in cases:
-        assert cli.main([*rejected, "--trials", "2", "--out", str(tmp_path / "x.json")]) == 2
-        assert "invalid configuration:" in capsys.readouterr().err
-        cli.config_from_args(parser.parse_args(at_cap)).validate()
-    # the spec checks apply to the commands that build a source from the spec
-    cli.ExperimentConfig(command="robustness", modes=4, state_spec="ghz3").validate()
+    for rejected, twin in cases:
+        assert _exit_code([*rejected, "--trials", "2", "--out", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration:" in err or "unrecognized arguments:" in err
+        cli.config_from_args(parser.parse_args(twin)).validate()
+    # a command that ignores the spec rejects one set away from its default
+    with pytest.raises(ValidationError, match=r"robustness does not take \['state_spec'\]"):
+        cli.ExperimentConfig(command="robustness", modes=4, state_spec="ghz3").validate()
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_command_takes_only_the_fields_it_reads():
+    names = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+    commands = _subparsers(cli.build_parser())
+    assert set(commands) == set(cli.COMMAND_FIELDS)
+    for name, sub in commands.items():
+        row = cli.COMMAND_FIELDS[name]
+        assert set(row) <= names - {"command"}
+        assert {a.dest for a in sub._actions} - {"help"} == {*row, "config"}, name
+
+
+def test_readme_examples_parse_and_validate():
+    # every example command validates, and the flag table lists each parser's flags
+    common = {"--config", "--trials", "--seed", "--out"}
+    text = README.read_text()
+    examples = [shlex.split(line)[1:] for line in text.replace("\\\n", " ").splitlines()
+                if line.startswith("freeferm ")]
+    assert len(examples) >= 4
+    parser = cli.build_parser()
+    for argv in examples:
+        cli.config_from_args(parser.parse_args(argv)).validate()
+    table = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, re.MULTILINE))
+    commands = _subparsers(parser)
+    assert set(table) == set(commands)
+    for name, sub in commands.items():
+        flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"`(--[a-z-]+)`", table[name])) | common == flags, name
 
 
 # Seed 0, first three trials (a trial's record depends only on the seed and its
