@@ -256,18 +256,18 @@ def _trial_verify_bounds(cfg: ExperimentConfig, trial: int, stream: RngStream) -
         s1 = states.random_gaussian_state(n, "pure", gen)
         s2 = states.random_gaussian_state(n, "pure", gen)
         rho1, rho2 = dense_mod.gaussian_to_dense(s1), dense_mod.gaussian_to_dense(s2)
-        g2 = s2.corr.mat
+        g2 = s2
     elif mode == "mixed_mixed":
         s1 = states.random_gaussian_state(n, "mixed", gen)
         s2 = states.random_gaussian_state(n, "mixed", gen)
         rho1, rho2 = dense_mod.gaussian_to_dense(s1), dense_mod.gaussian_to_dense(s2)
-        g2 = s2.corr.mat
+        g2 = s2
     else:
         s1 = states.random_gaussian_state(n, "pure", gen)
         rho1 = dense_mod.gaussian_to_dense(s1)
         rho2 = dense_mod.random_density_matrix(n, gen)
         g2 = dense_mod.correlation_matrix(rho2).mat
-    report = states.distance_bounds(s1.corr.mat, g2, mode)
+    report = states.distance_bounds(s1, g2, mode)  # states carry their lambdas
     td = dense_mod.state_metrics(rho1, rho2).trace_dist
     tol = 1e-9
     ok = report.lb_infty <= td + tol
@@ -551,8 +551,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns the exit code (argparse's own, 2 or 0, included)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # malformed argv (2) or --help (0)
+        return exc.code
     try:
         cfg = config_from_args(args)
         record = run(cfg)

@@ -24,7 +24,7 @@ class IndexOutOfRange(FreeFermError):
 
 
 class ConvergenceFailure(FreeFermError):
-    """Underlying eigensolver/Schur factorization did not converge."""
+    """A LAPACK factorization (eigensolver, Hessenberg reduction or SVD) failed."""
 
 
 class UnsupportedP(FreeFermError):

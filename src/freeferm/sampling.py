@@ -5,9 +5,10 @@ sampling after Gaussian rotations, the round-robin matching plan that groups
 the quadratic observables -i gamma_j gamma_k into 2n-1 commuting rounds, and
 the two estimation schemes with their shot budgets.
 
-Randomness comes from counter-based Philox streams keyed by
-(master seed, trial id, matching id); there is no global RNG state, so each
-trial's draws depend only on the seed and the trial index.
+Randomness comes from counter-based Philox streams keyed by (master seed,
+trial id, ...): one stream per pauli_pairs estimate and one per commuting
+round.  There is no global RNG state, so each trial's draws depend only on
+the seed and the trial index.
 """
 
 from __future__ import annotations
@@ -356,6 +357,9 @@ def estimate_gamma(
     scheme "exact" reads analytic expectations (eps recorded as 0);
     "pauli_pairs" measures each -i gamma_j gamma_k observable separately;
     "commuting" measures one matching round per Clifford-Gaussian rotation.
+    Under "pauli_pairs" every entry is an independent Binomial(shots, (1+g)/2)
+    count from one draw on ``rng_stream``; a pair given no shots reads 0.
+    Round i of "commuting" draws from ``rng_stream.child(i)``.
     Default budgets follow the per-entry Hoeffding accounting with
     eps_entry = eps_stat / (2n) and a union bound over all n(2n-1) entries,
     the same count for each measurement setting (pair or matching round).
@@ -389,15 +393,10 @@ def estimate_gamma(
     g = np.zeros((dim, dim))
 
     if scheme == "pauli_pairs":
-        truth = src.gamma()
-        i = 0
-        for j in range(dim):
-            for k in range(j + 1, dim):
-                shots = per_setting[i]
-                gen = rng_stream.child(i).generator()
-                ones = gen.binomial(shots, 0.5 * (1.0 + truth[j, k])) if shots else 0
-                g[j, k] = (2.0 * ones - shots) / shots if shots else 0.0
-                i += 1
+        iu = np.triu_indices(dim, 1)
+        shots = np.asarray(per_setting)
+        ones = rng_stream.generator().binomial(shots, 0.5 * (1.0 + src.gamma()[iu]))
+        g[iu] = np.divide(2.0 * ones - shots, shots, out=np.zeros(pair_count), where=shots > 0)
     else:
         plan = matchings(n)
         outcomes = np.arange(1 << n)

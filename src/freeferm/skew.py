@@ -1,8 +1,9 @@
 """Real antisymmetric (skew-symmetric) matrix algebra.
 
 Pfaffians via Parlett-Reid elimination, the orthogonal normal (Youla) form
-with non-negative block parameters, Schatten and Ky Fan norms, and the Weyl
-bound on normal-eigenvalue perturbations.  All indices are 0-based.
+with non-negative block parameters (Householder tridiagonalisation plus the
+SVD of a bidiagonal half-size matrix), Schatten and Ky Fan norms, and the
+Weyl bound on normal-eigenvalue perturbations.  All indices are 0-based.
 """
 
 from __future__ import annotations
@@ -188,59 +189,30 @@ class NormalForm:
         return NormalForm(self.q, lams, self.det_sign)
 
 
-def _schur_blocks(a: np.ndarray, block_tol: float):
-    """Real Schur factorization of an antisymmetric matrix, as 2x2 plane data.
-
-    Returns (z, blocks) with a = z t z^T and ``blocks`` a list of
-    (value, i, j): value >= 0 is the rotation parameter of the plane spanned
-    by columns i, j of z, oriented so that t[i, j] = +value.
-    """
-    try:
-        t, z = scipy.linalg.schur(a, output="real")
-    except Exception as exc:  # pragma: no cover - scipy signals pathology
-        raise ConvergenceFailure(f"real Schur factorization failed: {exc}") from exc
-    # structure from the LAPACK subdiagonal, values from the exact congruence
-    tc = z.T @ a @ z
-    d = a.shape[0]
-    blocks = []
-    singles = []
-    i = 0
-    while i < d:
-        if i + 1 < d and abs(t[i + 1, i]) > block_tol:
-            val = 0.5 * (tc[i, i + 1] - tc[i + 1, i])
-            if val >= 0:
-                blocks.append((val, i, i + 1))
-            else:
-                blocks.append((-val, i + 1, i))
-            i += 2
-        else:
-            singles.append(i)
-            i += 1
-    # 1x1 blocks of an antisymmetric matrix carry eigenvalue 0; pair them up
-    for a_, b_ in zip(singles[0::2], singles[1::2]):
-        blocks.append((0.0, a_, b_))
-    return z, blocks
-
-
 def normal_form(a: SkewLike) -> NormalForm:
     """Normal (Youla) form with all block parameters non-negative.
 
-    Blocks are sorted ascending by lambda; ties keep the original block
-    order.  Values within ZERO_CLAMP of zero are clamped to exactly 0.
+    Householder reduction a = z t z^T makes t tridiagonal (the Hessenberg
+    form of an antisymmetric matrix).  Ordering t's indices evens first
+    turns it into [[0, B], [-B^T, 0]] with B lower bidiagonal, so the SVD
+    B = U S V^T gives block j the plane (z_even U_j, z_odd V_j) and the
+    parameter S_j.  Blocks are sorted ascending by lambda; ties keep the
+    SVD order.  Values within ZERO_CLAMP of zero are clamped to exactly 0.
     """
     m = as_skew_array(a)
-    scale = max(1.0, float(np.abs(m).max()))
-    z, blocks = _schur_blocks(m, block_tol=1e-12 * scale)
-    order = sorted(range(len(blocks)), key=lambda b: (blocks[b][0], b))
-    cols = []
-    lams = []
-    for b in order:
-        val, i, j = blocks[b]
-        lams.append(0.0 if val < ZERO_CLAMP else val)
-        cols.extend((i, j))
-    q = z[:, cols]
+    try:
+        t, z = scipy.linalg.hessenberg(m, calc_q=True)
+        e = 0.5 * (np.diag(t, 1) - np.diag(t, -1))
+        u, s, vt = scipy.linalg.svd(np.diag(e[0::2]) - np.diag(e[1::2], -1))
+    except ValueError as exc:  # non-finite input or no LAPACK convergence
+        raise ConvergenceFailure(f"skew normal form failed: {exc}") from exc
+    order = np.argsort(s, kind="stable")
+    q = np.empty_like(z)
+    q[:, 0::2] = z[:, 0::2] @ u[:, order]
+    q[:, 1::2] = z[:, 1::2] @ vt.T[:, order]
+    lams = np.where(s[order] < ZERO_CLAMP, 0.0, s[order])
     det_sign = 1 if np.linalg.det(q) > 0 else -1
-    return NormalForm(q=q, lambdas=np.asarray(lams), det_sign=det_sign)
+    return NormalForm(q=q, lambdas=lams, det_sign=det_sign)
 
 
 def normal_eigenvalues(a: SkewLike) -> np.ndarray:

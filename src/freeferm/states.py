@@ -71,6 +71,13 @@ def _gamma_of(g: GammaLike) -> np.ndarray:
     return as_skew_array(g)
 
 
+def _lambdas_of(g: GammaLike) -> np.ndarray:
+    """Normal eigenvalues, ascending: a state's cached ones, else computed."""
+    if isinstance(g, GaussianState):
+        return g.lambdas
+    return skew.normal_eigenvalues(as_skew_array(g))
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """A free-fermionic state: correlation matrix plus cached normal form."""
@@ -217,19 +224,20 @@ def distance_bounds(g1: GammaLike, g2: GammaLike, mode: str = "mixed_mixed") -> 
     if mode not in ("pure_pure", "mixed_mixed", "pure_vs_any"):
         raise ValueError(f"unknown mode {mode!r}")
     delta = m1 - m2
-    d_inf = schatten_norm(delta, np.inf)
-    d_1 = schatten_norm(delta, 1)
+    sv = np.linalg.svd(delta, compute_uv=False)  # Schatten-inf and -1 norms from one SVD
+    d_inf = float(sv[0])
+    d_1 = float(sv.sum())
     d_2 = schatten_norm(delta, 2)
 
     ub_pure = None
     if mode == "pure_pure":
-        if not all(_pure_lambdas(skew.normal_eigenvalues(m)) for m in (m1, m2)):
+        if not all(_pure_lambdas(_lambdas_of(g)) for g in (g1, g2)):
             raise NotPure("pure_pure mode requires two pure correlation matrices")
         ub_pure = 2.0 if d_inf >= 2.0 - 1e-9 else min(2.0, 0.5 * d_2)
 
     ub_pure_vs_any = None
     if mode == "pure_vs_any":
-        if not _pure_lambdas(skew.normal_eigenvalues(m1)):
+        if not _pure_lambdas(_lambdas_of(g1)):
             raise NotPure("pure_vs_any mode requires a pure first argument")
         ub_pure_vs_any = min(2.0, math.sqrt(d_1))
 
@@ -256,11 +264,10 @@ class NonGaussReport:
 
 
 def nongaussianity_bounds(g: GammaLike, r: int) -> NonGaussReport:
-    m = _gamma_of(g)
-    n = m.shape[0] // 2
+    n = _gamma_of(g).shape[0] // 2
     if not 0 <= r <= n - 1:
         raise RankExponentOutOfRange(f"r={r} outside [0, {n - 1}]")
-    lam = np.minimum(skew.normal_eigenvalues(m), 1.0)
+    lam = np.minimum(_lambdas_of(g), 1.0)
     gap = float(1.0 - lam[r])
     lb_rank = gap
     lb_all = gap ** (r + 1) / (1.0 + (r + 1) * gap ** r)

@@ -216,6 +216,10 @@ def test_main_exit_codes(tmp_path):
                      "--shot-cap", "10", "--out", out]) == 3
     # validation error -> 2
     assert cli.main(["estimate", "--modes", "0", "--out", out]) == 2
+    # malformed argv -> 2 and --help -> 0, returned rather than raised
+    assert cli.main(["estimate", "--modes", "two"]) == 2
+    assert cli.main(["no-such-command"]) == 2
+    assert cli.main(["estimate", "--help"]) == 0
     # unwritable output -> 2
     assert cli.main(["estimate", "--modes", "2", "--eps", "0.4", "--delta", "0.2",
                      "--trials", "1", "--seed", "1",
@@ -261,13 +265,6 @@ def test_flag_overrides_config_file(tmp_path):
     assert cli.main(["estimate", "--config", str(cfg_path), "--seed", "9",
                      "--out", out]) == 0
     assert json.loads(open(out).read())["config"]["seed"] == 9
-
-
-def _exit_code(argv):
-    try:
-        return cli.main(argv)
-    except SystemExit as exc:  # the parser refuses a flag the command does not take
-        return exc.code
 
 
 def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
@@ -321,7 +318,7 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
         monkeypatch.setitem(cli._TRIAL_WORKERS, name, no_trial)
     parser = cli.build_parser()
     for rejected, twin in cases:
-        assert _exit_code([*rejected, "--trials", "2", "--out", str(tmp_path / "x.json")]) == 2
+        assert cli.main([*rejected, "--trials", "2", "--out", str(tmp_path / "x.json")]) == 2
         err = capsys.readouterr().err
         assert "invalid configuration:" in err or "unrecognized arguments:" in err
         cli.config_from_args(parser.parse_args(twin)).validate()
@@ -417,14 +414,14 @@ SEEDED_RECORDS = (
     ], {"trials": 3, "shot_total": 425250, "success_fraction": 1.0,
         "median_error": 0.03133545837769971, "headline_shot_bound": 82707}),
     ("estimate --modes 4 --scheme pauli_pairs", 0, [
-        {"trial": 0, "error_inf": 0.029949593024414245, "ok": True,
-         "verdict_or_error": "0.029950", "shots": 567000},
-        {"trial": 1, "error_inf": 0.027166471706237014, "ok": True,
-         "verdict_or_error": "0.027166", "shots": 567000},
-        {"trial": 2, "error_inf": 0.024782920869429598, "ok": True,
-         "verdict_or_error": "0.024783", "shots": 567000},
+        {"trial": 0, "error_inf": 0.026031665950270816, "ok": True,
+         "verdict_or_error": "0.026032", "shots": 567000},
+        {"trial": 1, "error_inf": 0.036513834403958834, "ok": True,
+         "verdict_or_error": "0.036514", "shots": 567000},
+        {"trial": 2, "error_inf": 0.025740991848665074, "ok": True,
+         "verdict_or_error": "0.025741", "shots": 567000},
     ], {"trials": 3, "shot_total": 1701000, "success_fraction": 1.0,
-        "median_error": 0.027166471706237014, "headline_shot_bound": 519698}),
+        "median_error": 0.026031665950270816, "headline_shot_bound": 519698}),
 )
 
 

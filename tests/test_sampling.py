@@ -260,6 +260,32 @@ def test_estimator_unbiased():
     assert np.abs(mean - s.corr.mat).max() < 3.0 * sigma
 
 
+def test_pauli_pairs_entry_means(rng):
+    # each entry is an independent Binomial(shots, (1 + g)/2) mean
+    s = states.random_gaussian_state(3, "mixed", rng)
+    src = ExactGaussianSource(s)
+    runs, per_pair = 2000, 20
+    total = np.zeros((6, 6))
+    for t in range(runs):
+        est = estimate_gamma(src, 0.0, 0.5, "pauli_pairs", RngStream(13, (t,)),
+                             total_shots=15 * per_pair)
+        total += est.gamma_hat.mat
+    iu = np.triu_indices(6, 1)
+    truth = s.corr.mat[iu]
+    sigma = np.sqrt((1.0 - truth ** 2) / (per_pair * runs))
+    assert np.all(np.abs(total[iu] / runs - truth) <= 4.0 * sigma)
+
+
+def test_pauli_pairs_unmeasured_pairs_read_zero(rng):
+    s = states.random_gaussian_state(3, "mixed", rng)
+    est = estimate_gamma(ExactGaussianSource(s), 0.1, 0.1, "pauli_pairs", RngStream(14),
+                         total_shots=7)  # fewer shots than the 15 pairs
+    entries = est.gamma_hat.mat[np.triu_indices(6, 1)]
+    assert est.shots_used == 7
+    assert np.all(np.abs(entries[:7]) == 1.0)  # one shot reads +-1
+    assert np.all(entries[7:] == 0.0)
+
+
 def test_estimate_total_shots_split(rng):
     s = states.random_gaussian_state(2, "mixed", rng)
     est = estimate_gamma(ExactGaussianSource(s), 0.1, 0.1, "commuting", RngStream(8),
@@ -272,9 +298,12 @@ def test_estimate_total_shots_split(rng):
 
 def test_estimate_determinism(rng):
     s = states.random_gaussian_state(3, "mixed", rng)
-    a = estimate_gamma(ExactGaussianSource(s), 0.3, 0.1, "commuting", RngStream(9, (1,)))
-    b = estimate_gamma(ExactGaussianSource(s), 0.3, 0.1, "commuting", RngStream(9, (1,)))
-    assert np.array_equal(a.gamma_hat.mat, b.gamma_hat.mat)
+    for scheme in ("commuting", "pauli_pairs"):
+        a = estimate_gamma(ExactGaussianSource(s), 0.3, 0.1, scheme, RngStream(9, (1,)))
+        b = estimate_gamma(ExactGaussianSource(s), 0.3, 0.1, scheme, RngStream(9, (1,)))
+        c = estimate_gamma(ExactGaussianSource(s), 0.3, 0.1, scheme, RngStream(9, (2,)))
+        assert np.array_equal(a.gamma_hat.mat, b.gamma_hat.mat)
+        assert not np.array_equal(a.gamma_hat.mat, c.gamma_hat.mat)
 
 
 def test_error_scaling_slope():

@@ -2,9 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeferm import skew
 from freeferm.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     IndexOutOfRange,
     NotAntisymmetric,
@@ -109,6 +112,45 @@ def test_normal_form_sorted_ascending(rng):
         lams = skew.normal_form(a).lambdas
         assert np.all(np.diff(lams) >= 0.0)
         assert np.all(lams >= 0.0)
+
+
+@st.composite
+def _skew_inputs(draw):
+    n = draw(st.integers(1, 32))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "pure", "repeated", "zero_blocks", "zero"]))
+    if kind == "random":
+        return skew.random_skew(2 * n, gen, scale=draw(st.sampled_from([1e-3, 1.0, 1e3])))
+    if kind == "zero":
+        return np.zeros((2 * n, 2 * n))
+    lams = {
+        "pure": np.ones(n),
+        "repeated": gen.choice(gen.uniform(0.0, 1.0, size=2), size=n),
+        "zero_blocks": gen.uniform(0.0, 1.0, size=n) * (gen.uniform(size=n) < 0.5),
+    }[kind]
+    o = skew.random_orthogonal(2 * n, gen)
+    return o @ skew.lambda_blocks(lams) @ o.T
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_skew_inputs())
+def test_normal_form_properties(a):
+    a = skew.as_skew_array(a, tol=1e-9)
+    tol = 1e-12 * max(1.0, skew.schatten_norm(a, np.inf))
+    nf = skew.normal_form(a)
+    assert np.abs(nf.reconstruct() - a).max() <= tol
+    assert np.abs(nf.q.T @ nf.q - np.eye(a.shape[0])).max() <= 1e-12
+    assert np.all(np.diff(nf.lambdas) >= 0.0) and np.all(nf.lambdas >= 0.0)
+    assert np.all((nf.lambdas == 0.0) | (nf.lambdas >= skew.ZERO_CLAMP))
+    assert np.abs(nf.lambdas - skew.normal_eigenvalues(a)).max() <= tol
+    assert nf.det_sign == np.sign(np.linalg.det(nf.q))
+
+
+def test_normal_form_non_finite_input():
+    a = skew.canonical_lambda(2)
+    a[0, 3], a[3, 0] = np.nan, np.nan
+    with pytest.raises(ConvergenceFailure):
+        skew.normal_form(a)
 
 
 def test_schatten_norms():
