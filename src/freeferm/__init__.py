@@ -57,7 +57,6 @@ from .sampling import (  # noqa: F401
     estimate_gamma,
     matching_rotation,
     matchings,
-    sample_z_basis,
 )
 from .learning import (  # noqa: F401
     TomographyReport,

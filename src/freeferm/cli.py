@@ -45,7 +45,6 @@ from .sampling import (
     RngStream,
     StateSource,
     estimate_gamma,
-    shot_budget,
 )
 
 DENSE_VERIFY_MODES = 5  # dense cross-checks only run at or below this n
@@ -147,6 +146,8 @@ class ExperimentConfig:
             return
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if self.shots is not None and self.shots < 1:
+            raise ValidationError(f"shots must be >= 1, got {self.shots}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta {self.delta} outside (0, 1)")
         kind, arg = _parse_state_spec(self.state_spec)  # raises on malformed specs
@@ -409,9 +410,6 @@ def _aggregate(cfg: ExperimentConfig, results: List[dict], errors: Dict[int, str
         agg["median_error"] = float(np.median(errs))
     if cfg.command == "verify-bounds":
         agg["violations"] = int(sum(not r["ok"] for r in done))
-    if cfg.command == "estimate" and cfg.shots is None:
-        agg["headline_shot_bound"] = shot_budget(cfg.scheme, cfg.modes, cfg.eps, cfg.delta) \
-            if cfg.scheme != "exact" else 0
     if cfg.command == "tomo-pure":
         agg["budget_note"] = (
             "appendix budget 8 n^3/eps^2 log(4 n^2/delta); the headline statement "

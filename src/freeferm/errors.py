@@ -12,7 +12,7 @@ class FreeFermError(ValueError):
 # -- skew-symmetric linear algebra ------------------------------------------
 
 class NotAntisymmetric(FreeFermError):
-    """Input matrix is not antisymmetric within tolerance."""
+    """Input matrix is not antisymmetric within tolerance, or not finite."""
 
 
 class OddRestriction(FreeFermError):

@@ -9,7 +9,10 @@ from the configuration.
 Shot budgets follow the algorithm boxes and are rows of
 :data:`freeferm.sampling.SHOT_BUDGETS`: the pure test and pure tomography
 take the "commuting" row, the bounded-rank test the "rank_test" row plus its
-local tomography, and mixed tomography the "mixed_tomography" row.
+local tomography, mixed tomography the "mixed_tomography" row, and the
+identity-testing reduction its scheme's own row ("commuting" or
+"pauli_pairs", the default of ``estimate_gamma``) at eps/(6n) and delta/2
+plus its full-register tomography.
 
 Strict-inequality accuracy parameters ("eps_stat < ...") are instantiated
 at 0.9x the open bound.
@@ -202,10 +205,9 @@ def test_pure(
     """Accept (CaseA) iff every estimated normal eigenvalue is near 1."""
     n = src.n
     eps_t, eps_stat = pure_test_thresholds(cfg, n)
-    total = None if scheme == "exact" else shot_budget("commuting", n, eps_stat, cfg.delta)
     est = estimate_gamma(
         src, eps_stat, cfg.delta, scheme, rng_stream.child(0),
-        total_shots=total, shot_cap=shot_cap,
+        total_shots=shot_budget("commuting", n, eps_stat, cfg.delta), shot_cap=shot_cap,
     )
     lam_min = float(skew.normal_eigenvalues(est.gamma_hat)[0])
     verdict = CASE_A if lam_min >= 1.0 - eps_t else CASE_B
@@ -230,10 +232,9 @@ def test_bounded_rank(
     n = src.n
     eps_t, eps_stat, eps_tom, eps_t2 = rank_test_thresholds(cfg, n)
     r = cfg.r
-    total = None if scheme == "exact" else shot_budget("rank_test", n, eps_stat, cfg.delta)
     est = estimate_gamma(
         src, eps_stat, cfg.delta / 2.0, scheme, rng_stream.child(0),
-        total_shots=total, shot_cap=shot_cap,
+        total_shots=shot_budget("rank_test", n, eps_stat, cfg.delta), shot_cap=shot_cap,
     )
     nf = skew.normal_form(est.gamma_hat)
     lam_next = float(nf.lambdas[r])
@@ -343,9 +344,10 @@ def reduce_identity_testing(
 ) -> Tuple[str, int]:
     """Identity testing through the free-fermionic lens.
 
-    Step 1 estimates the correlation matrix at eps/(6n); step 2 flags the
-    state as far whenever its operator norm exceeds eps/(3n) (the maximally
-    mixed state has a vanishing correlation matrix); step 3 hands the
+    Step 1 estimates the correlation matrix at eps/(6n), spending the
+    scheme's headline budget at delta/2; step 2 flags the state as far
+    whenever its operator norm exceeds eps/(3n) (the maximally mixed state
+    has a vanishing correlation matrix); step 3 hands the
     remaining states to a Gaussianity check over the whole register: full
     tomography plus the distance to the learned state's Gaussianification,
     thresholded like the bounded-rank test with every mode examined.
@@ -386,9 +388,9 @@ def tomograph_pure(
     every eigenvalue to 1."""
     _check_eps_delta(eps, delta)
     n = src.n
-    total = None if scheme == "exact" else shot_budget("commuting", n, eps, delta)
     est = estimate_gamma(
-        src, eps, delta, scheme, rng_stream.child(0), total_shots=total, shot_cap=shot_cap,
+        src, eps, delta, scheme, rng_stream.child(0),
+        total_shots=shot_budget("commuting", n, eps, delta), shot_cap=shot_cap,
     )
     nf = skew.normal_form(est.gamma_hat).with_lambdas(np.ones(n))
     learned = GaussianState(corr=SkewMatrix(nf.reconstruct(), tol=1e-9), nf=nf)
@@ -407,9 +409,9 @@ def tomograph_mixed(
     _check_eps_delta(eps, delta)
     n = src.n
     eps_stat = eps / math.sqrt(2.0 * n)
-    total = None if scheme == "exact" else mixed_tomography_shots(n, eps, delta)
     est = estimate_gamma(
-        src, eps_stat, delta, scheme, rng_stream.child(0), total_shots=total, shot_cap=shot_cap,
+        src, eps_stat, delta, scheme, rng_stream.child(0),
+        total_shots=mixed_tomography_shots(n, eps, delta), shot_cap=shot_cap,
     )
     learned = states.clip_to_valid(est.gamma_hat)
     return TomographyReport(learned, est.shots_used, eps, delta)

@@ -13,10 +13,9 @@ the seed and the trial index.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, TextIO, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,14 +43,10 @@ __all__ = [
     "matchings",
     "matching_rotation",
     "z_basis_distribution",
-    "sample_z_basis",
     "estimate_gamma",
     "SHOT_BUDGETS",
     "shot_budget",
     "hoeffding_shots",
-    "write_shot_records",
-    "write_estimate",
-    "read_estimate",
 ]
 
 #: largest mode count for the exact conditional-sampling path (2^n branches)
@@ -234,8 +229,13 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
         v = subs[:, 1, 2:]
         uv = u[:, :, None] * v[:, None, :]
         diff = uv - uv.transpose(0, 2, 1)  # v_i u_j is u_j v_i, bit for bit
-        sign = signs[bit][:, None, None]
-        subs = subs[parent, 2:, 2:] - sign * diff[parent] / (2.0 * pb)[:, None, None]
+        # s (diff / 2 p_b) rounds like (s diff) / (2 p_b), since s is exactly
+        # +-1; updating in place saves three temporaries the size of the stack
+        upd = diff[parent]
+        upd /= (2.0 * pb)[:, None, None]
+        upd *= signs[bit][:, None, None]
+        subs = subs[parent, 2:, 2:]
+        subs -= upd
         idx, p = child_idx, child_p
     return _normalize_distribution(out)
 
@@ -299,20 +299,6 @@ def _pair_signs(q: np.ndarray, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
 
 # -- sampling and estimation ---------------------------------------------------
 
-def sample_z_basis(
-    src: StateSource,
-    shots: int,
-    rng_stream: RngStream,
-    q: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """i.i.d. computational-basis outcomes (integers, qubit 0 = MSB)."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    dist = src.z_distribution(q)
-    gen = rng_stream.generator()
-    return gen.choice(dist.size, size=shots, p=dist)
-
-
 @dataclass(frozen=True)
 class GammaEstimate:
     """An estimated correlation matrix and its provenance."""
@@ -334,7 +320,10 @@ def shot_budget(row: str, n: int, eps: float, delta: float) -> int:
     """Copy budget of a :data:`SHOT_BUDGETS` row; the two estimation schemes'
     rows are the headline bounds of their guarantees."""
     c, p, k = SHOT_BUDGETS[row]
-    return math.ceil(c * n ** p / eps ** 2 * math.log(k * n ** 2 / delta))
+    try:
+        return math.ceil(c * n ** p / eps ** 2 * math.log(k * n ** 2 / delta))
+    except (ZeroDivisionError, OverflowError) as exc:  # eps ** 2 underflows to 0
+        raise BudgetOverflow(f"the {row} budget at eps {eps} exceeds every float") from exc
 
 
 def _split_budget(total: int, rounds: int) -> List[int]:
@@ -360,14 +349,10 @@ def estimate_gamma(
     Under "pauli_pairs" every entry is an independent Binomial(shots, (1+g)/2)
     count from one draw on ``rng_stream``; a pair given no shots reads 0.
     Round i of "commuting" draws from ``rng_stream.child(i)``.
-    Default budgets follow the per-entry Hoeffding accounting with
-    eps_entry = eps_stat / (2n) and a union bound over all n(2n-1) entries,
-    the same count for each measurement setting (pair or matching round).
-    This is looser than the scheme's headline bound :func:`shot_budget`: at
-    n = 4, eps 0.2, delta 0.1 it spends 141,750 copies under "commuting"
-    against a headline 82,707, and 567,000 against 519,698 under
-    "pauli_pairs".  ``total_shots`` overrides the budget and is split evenly
-    across settings.  Entries are clipped to [-1, 1] before assembly.
+    The default budget is the scheme's headline bound
+    ``shot_budget(scheme, n, eps_stat, delta)``; ``total_shots`` overrides
+    it.  Either total is split evenly across the measurement settings (pairs
+    or matching rounds).  Entries are clipped to [-1, 1] before assembly.
     """
     n = src.n
     dim = 2 * n
@@ -376,20 +361,20 @@ def estimate_gamma(
         return GammaEstimate(SkewMatrix(g, tol=1e-9), 0, "exact", 0.0, delta)
     if scheme not in ("pauli_pairs", "commuting"):
         raise ValidationError(f"unknown scheme {scheme!r}")
-    if not 0.0 < eps_stat <= 2.0 and total_shots is None:
-        raise ValidationError(f"eps_stat {eps_stat} outside (0, 2]")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta {delta} outside (0, 1)")
+    if total_shots is None:
+        if not 0.0 < eps_stat <= 2.0:
+            raise ValidationError(f"eps_stat {eps_stat} outside (0, 2]")
+        total_shots = shot_budget(scheme, n, eps_stat, delta)
+    if total_shots < 1:
+        raise ValidationError(f"total_shots must be >= 1, got {total_shots}")
+    if total_shots > shot_cap:
+        raise BudgetOverflow(f"{total_shots} shots exceed the cap {shot_cap}")
 
     pair_count = n * (2 * n - 1)
     settings = pair_count if scheme == "pauli_pairs" else 2 * n - 1  # matching rounds
-    if total_shots is None:
-        per_setting = [hoeffding_shots(eps_stat / dim, delta, pair_count)] * settings
-    else:
-        per_setting = _split_budget(total_shots, settings)
-    used = sum(per_setting)
-    if used > shot_cap:
-        raise BudgetOverflow(f"{used} shots exceed the cap {shot_cap}")
+    per_setting = _split_budget(total_shots, settings)
     g = np.zeros((dim, dim))
 
     if scheme == "pauli_pairs":
@@ -417,40 +402,4 @@ def estimate_gamma(
                 g[j, k] = signs[i] * means[i]
 
     g = np.clip(np.triu(g, 1), -1.0, 1.0)
-    return GammaEstimate(SkewMatrix(g - g.T), used, scheme, eps_stat, delta)
-
-
-# -- export formats -------------------------------------------------------------
-
-def write_shot_records(
-    f: TextIO, trial: int, matching_index: int, outcomes: np.ndarray, n: int
-) -> None:
-    """One JSON line per shot: {trial, matching_index, bitstring}."""
-    for x in outcomes:
-        rec = {"trial": trial, "matching_index": matching_index, "bitstring": format(int(x), f"0{n}b")}
-        f.write(json.dumps(rec) + "\n")
-
-
-def write_estimate(f: TextIO, est: GammaEstimate, seed: Optional[int] = None) -> None:
-    """Metadata header (JSON line) followed by the matrix text format."""
-    header = {
-        "scheme": est.scheme,
-        "shots": est.shots_used,
-        "eps": est.eps_stat,
-        "delta": est.delta,
-        "seed": seed,
-    }
-    f.write(json.dumps(header) + "\n")
-    skew.write_matrix(f, est.gamma_hat)
-
-
-def read_estimate(f: TextIO) -> GammaEstimate:
-    header = json.loads(f.readline())
-    gamma = skew.read_matrix(f)
-    return GammaEstimate(
-        gamma_hat=gamma,
-        shots_used=int(header["shots"]),
-        scheme=str(header["scheme"]),
-        eps_stat=float(header["eps"]),
-        delta=float(header["delta"]),
-    )
+    return GammaEstimate(SkewMatrix(g - g.T), total_shots, scheme, eps_stat, delta)

@@ -9,7 +9,7 @@ Weyl bound on normal-eigenvalue perturbations.  All indices are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -39,8 +39,6 @@ __all__ = [
     "normal_eigenvalue_gap",
     "random_skew",
     "random_orthogonal",
-    "write_matrix",
-    "read_matrix",
 ]
 
 #: entries this close to zero are treated as exact zeros when clamping lambdas
@@ -67,6 +65,8 @@ class SkewMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] % 2 != 0 or m.shape[0] == 0:
             raise DimensionMismatch(f"dimension must be even and positive, got {m.shape[0]}")
+        if not np.isfinite(m).all():
+            raise NotAntisymmetric("entries must be finite")
         resid = np.abs(m + m.T).max()
         if resid > tol:
             raise NotAntisymmetric(f"antisymmetry violated by {resid:.3e} (tol {tol:.1e})")
@@ -204,7 +204,7 @@ def normal_form(a: SkewLike) -> NormalForm:
         t, z = scipy.linalg.hessenberg(m, calc_q=True)
         e = 0.5 * (np.diag(t, 1) - np.diag(t, -1))
         u, s, vt = scipy.linalg.svd(np.diag(e[0::2]) - np.diag(e[1::2], -1))
-    except ValueError as exc:  # non-finite input or no LAPACK convergence
+    except ValueError as exc:  # no LAPACK convergence
         raise ConvergenceFailure(f"skew normal form failed: {exc}") from exc
     order = np.argsort(s, kind="stable")
     q = np.empty_like(z)
@@ -263,23 +263,3 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish orthogonal matrix from the QR of a Gaussian matrix."""
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
     return q * np.sign(np.diag(r))
-
-
-# -- matrix text fixtures ----------------------------------------------------
-
-def write_matrix(f: TextIO, a: SkewLike) -> None:
-    """Plain-text fixture: first line the dimension, then the rows."""
-    m = as_skew_array(a)
-    f.write(f"{m.shape[0]}\n")
-    for row in m:
-        f.write(" ".join(repr(float(x)) for x in row) + "\n")
-
-
-def read_matrix(f: TextIO) -> SkewMatrix:
-    """Read the plain-text fixture; rejects non-antisymmetric input beyond 1e-12."""
-    dim = int(f.readline().split()[0])
-    rows = [np.array(f.readline().split(), dtype=float) for _ in range(dim)]
-    m = np.vstack(rows)
-    if m.shape != (dim, dim):
-        raise DimensionMismatch(f"expected {dim}x{dim} entries")
-    return SkewMatrix(m, tol=1e-12)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,8 +48,6 @@ __all__ = [
     "pnp_to_gamma",
     "pnp_norm_transfer",
     "random_gaussian_state",
-    "write_state",
-    "read_state",
 ]
 
 #: input normal eigenvalues may overshoot 1 by at most this much
@@ -343,7 +341,7 @@ def pnp_norm_transfer(c_delta: np.ndarray, p) -> float:
     return 4.0 * factor * schatten_norm(np.asarray(c_delta), p)
 
 
-# -- generators and serialization --------------------------------------------
+# -- generators --------------------------------------------------------------
 
 def random_gaussian_state(n: int, kind: str, rng: np.random.Generator) -> GaussianState:
     """Random state: Haar-ish orthogonal rotation of a diagonal state.
@@ -358,23 +356,3 @@ def random_gaussian_state(n: int, kind: str, rng: np.random.Generator) -> Gaussi
         raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
     q = skew.random_orthogonal(2 * n, rng)
     return from_correlation(q @ lambda_blocks(lams) @ q.T)
-
-
-def write_state(f: TextIO, s: GaussianState) -> None:
-    """Text record: mode count, then the strict upper triangle row-major."""
-    m = s.corr.mat
-    iu = np.triu_indices(m.shape[0], k=1)
-    f.write(f"{s.n}\n")
-    f.write(" ".join(repr(float(x)) for x in m[iu]) + "\n")
-
-
-def read_state(f: TextIO) -> GaussianState:
-    n = int(f.readline().split()[0])
-    vals = np.array(f.readline().split(), dtype=float)
-    dim = 2 * n
-    iu = np.triu_indices(dim, k=1)
-    if vals.size != iu[0].size:
-        raise DimensionMismatch(f"expected {iu[0].size} upper-triangle entries, got {vals.size}")
-    m = np.zeros((dim, dim))
-    m[iu] = vals
-    return from_correlation(m - m.T)

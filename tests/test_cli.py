@@ -309,6 +309,13 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
           "--format", "csv"],
          ["tomo-mixed", "--format", "csv"]),
         (["estimate", "--config", str(noise_kind)], ["robustness", "--config", str(noise_kind)]),
+        # shot counts below 1, for a command and at a sweep point
+        (["estimate", "--modes", "3", "--shots", "-5"],
+         ["estimate", "--modes", "3", "--shots", "1"]),
+        (["estimate", "--modes", "3", "--shots", "0"],
+         ["estimate", "--modes", "3", "--shots", "1"]),
+        (["sweep", "--axis", "shots", "--points", "1000,-3", "--sub-command", "estimate"],
+         ["sweep", "--axis", "shots", "--points", "1000,1", "--sub-command", "estimate"]),
     )
 
     def no_trial(*args):
@@ -405,23 +412,23 @@ SEEDED_RECORDS = (
     ], {"trials": 3, "shot_total": 1984965, "success_fraction": 1.0,
         "median_error": 0.016037424334775813}),
     ("estimate --modes 4 --scheme commuting", 0, [
-        {"trial": 0, "error_inf": 0.03670235609981683, "ok": True,
-         "verdict_or_error": "0.036702", "shots": 141750},
-        {"trial": 1, "error_inf": 0.03133545837769971, "ok": True,
-         "verdict_or_error": "0.031335", "shots": 141750},
-        {"trial": 2, "error_inf": 0.02622732269127875, "ok": True,
-         "verdict_or_error": "0.026227", "shots": 141750},
-    ], {"trials": 3, "shot_total": 425250, "success_fraction": 1.0,
-        "median_error": 0.03133545837769971, "headline_shot_bound": 82707}),
+        {"trial": 0, "error_inf": 0.038752255721033364, "ok": True,
+         "verdict_or_error": "0.038752", "shots": 82707},
+        {"trial": 1, "error_inf": 0.03240156744102941, "ok": True,
+         "verdict_or_error": "0.032402", "shots": 82707},
+        {"trial": 2, "error_inf": 0.04299562908487101, "ok": True,
+         "verdict_or_error": "0.042996", "shots": 82707},
+    ], {"trials": 3, "shot_total": 248121, "success_fraction": 1.0,
+        "median_error": 0.038752255721033364}),
     ("estimate --modes 4 --scheme pauli_pairs", 0, [
-        {"trial": 0, "error_inf": 0.026031665950270816, "ok": True,
-         "verdict_or_error": "0.026032", "shots": 567000},
-        {"trial": 1, "error_inf": 0.036513834403958834, "ok": True,
-         "verdict_or_error": "0.036514", "shots": 567000},
-        {"trial": 2, "error_inf": 0.025740991848665074, "ok": True,
-         "verdict_or_error": "0.025741", "shots": 567000},
-    ], {"trials": 3, "shot_total": 1701000, "success_fraction": 1.0,
-        "median_error": 0.026031665950270816, "headline_shot_bound": 519698}),
+        {"trial": 0, "error_inf": 0.025254858152206124, "ok": True,
+         "verdict_or_error": "0.025255", "shots": 519698},
+        {"trial": 1, "error_inf": 0.03816518794294091, "ok": True,
+         "verdict_or_error": "0.038165", "shots": 519698},
+        {"trial": 2, "error_inf": 0.026854416598048568, "ok": True,
+         "verdict_or_error": "0.026854", "shots": 519698},
+    ], {"trials": 3, "shot_total": 1559094, "success_fraction": 1.0,
+        "median_error": 0.026854416598048568}),
 )
 
 

@@ -269,6 +269,18 @@ def test_reduce_identity_testing():
     assert verdict2 == learning.FAR_FROM_MAXIMALLY_MIXED
 
 
+@pytest.mark.parametrize("scheme", ["commuting", "pauli_pairs"])
+def test_reduce_identity_spends_its_scheme_row(scheme):
+    # the vacuum is far from maximally mixed, so only the estimation stage runs
+    eps, delta = 0.5, 0.1
+    for n in (1, 2, 3):
+        vac = ExactGaussianSource(states.vacuum(n))
+        verdict, shots = learning.reduce_identity_testing(vac, eps, delta, RngStream(17, (n,)),
+                                                          scheme=scheme)
+        assert verdict == learning.FAR_FROM_MAXIMALLY_MIXED
+        assert shots == sampling.shot_budget(scheme, n, eps / (6 * n), delta / 2), n
+
+
 def test_reduce_identity_budget_overflow():
     from freeferm.errors import BudgetOverflow
 

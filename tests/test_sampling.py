@@ -1,6 +1,4 @@
-import io
 import itertools
-import json
 import math
 
 import numpy as np
@@ -9,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeferm import dense, sampling, skew, states
-from freeferm.errors import BudgetOverflow, InvalidMatching
+from freeferm.errors import BudgetOverflow, InvalidMatching, NotAntisymmetric, ValidationError
 from freeferm.sampling import (
     DenseSource,
     ExactGaussianSource,
@@ -18,7 +16,6 @@ from freeferm.sampling import (
     estimate_gamma,
     matching_rotation,
     matchings,
-    sample_z_basis,
     z_basis_distribution,
 )
 
@@ -124,10 +121,12 @@ def test_z_distribution_matches_per_node_reference(n, rng):
 
 
 def test_z_distribution_keeps_nan_branches_like_reference(rng):
+    # no NaN branch is dropped silently: both samplers refuse a NaN input
+    # before the tree is expanded
     g = states.random_gaussian_state(3, "mixed", rng).corr.mat.copy()
     g[0, 3], g[3, 0] = np.nan, np.nan
     for sampler in (z_basis_distribution, _per_node_z_distribution):
-        with pytest.raises(ValueError, match="diagonal mass nan"):
+        with pytest.raises(NotAntisymmetric, match="finite"):
             sampler(g)
 
 
@@ -163,33 +162,27 @@ def test_z_distribution_laws(g):
 
 
 def test_z_distribution_rotated_agreement(rng):
-    s = states.random_gaussian_state(3, "mixed", rng)
-    q = matching_rotation(matchings(3).matchings[1], 3)
-    a = ExactGaussianSource(s).z_distribution(q)
-    b = DenseSource(dense.gaussian_to_dense(s)).z_distribution(q)
-    assert np.abs(a - b).max() < 1e-12
+    # the analytic tree against the dense diagonal: a rotated n = 3 state
+    # and an unrotated n = 4 one
+    cases = [
+        (states.random_gaussian_state(3, "mixed", rng),
+         matching_rotation(matchings(3).matchings[1], 3)),
+        (states.random_gaussian_state(4, "mixed", rng), None),
+    ]
+    for s, q in cases:
+        a = ExactGaussianSource(s).z_distribution(q)
+        b = DenseSource(dense.gaussian_to_dense(s)).z_distribution(q)
+        assert np.abs(a - b).max() < 1e-12
 
 
 def test_sample_vacuum_all_zero():
-    out = sample_z_basis(ExactGaussianSource(states.vacuum(3)), 100, RngStream(1))
-    assert np.all(out == 0)
+    dist = ExactGaussianSource(states.vacuum(3)).z_distribution()
+    assert np.array_equal(dist, np.eye(8)[0])
 
 
 def test_sample_unbiased_marginals():
-    src = ExactGaussianSource(states.product_state([0.0, 0.0]))
-    out = sample_z_basis(src, 10_000, RngStream(2))
-    for qubit in range(2):
-        bit = (out >> (1 - qubit)) & 1
-        # 3 sigma binomial band around 1/2
-        assert abs(bit.mean() - 0.5) < 3.0 * 0.5 / np.sqrt(10_000)
-
-
-def test_sampling_tv_distance(rng):
-    s = states.random_gaussian_state(4, "mixed", rng)
-    out = sample_z_basis(ExactGaussianSource(s), 100_000, RngStream(3))
-    emp = np.bincount(out, minlength=16) / out.size
-    exact = np.diag(dense.gaussian_to_dense(s).rho).real
-    assert 0.5 * np.abs(emp - exact / exact.sum()).sum() <= 0.02
+    dist = ExactGaussianSource(states.product_state([0.0, 0.0])).z_distribution()
+    assert np.array_equal(dist, np.full(4, 0.25))
 
 
 def test_noisy_source_mixes_uniform(rng):
@@ -326,6 +319,24 @@ def test_budget_overflow():
     src = ExactGaussianSource(states.vacuum(3))
     with pytest.raises(BudgetOverflow):
         estimate_gamma(src, 1e-4, 0.01, "commuting", RngStream(11), shot_cap=10_000)
+    # eps ** 2 underflows to 0: a budget beyond every float
+    with pytest.raises(BudgetOverflow):
+        sampling.shot_budget("commuting", 3, 1e-200, 0.1)
+
+
+@pytest.mark.parametrize("scheme", ["commuting", "pauli_pairs"])
+def test_default_budget_is_the_headline_row(scheme, rng):
+    for n in range(1, 7):
+        src = ExactGaussianSource(states.random_gaussian_state(n, "mixed", rng))
+        est = estimate_gamma(src, 0.2, 0.1, scheme, RngStream(15, (n,)))
+        assert est.shots_used == sampling.shot_budget(scheme, n, 0.2, 0.1), n
+
+
+def test_estimate_rejects_non_positive_total():
+    src = ExactGaussianSource(states.vacuum(2))
+    for total in (0, -5):
+        with pytest.raises(ValidationError, match="total_shots"):
+            estimate_gamma(src, 0.2, 0.1, "commuting", RngStream(16), total_shots=total)
 
 
 def test_headline_shot_bounds():
@@ -350,25 +361,3 @@ def test_headline_shot_bounds():
             assert sampling.shot_budget(row, n, eps, delta) == formula(n, eps, delta), \
                 (row, n, eps, delta)
 
-
-def test_shot_record_export():
-    buf = io.StringIO()
-    sampling.write_shot_records(buf, trial=2, matching_index=1,
-                                outcomes=np.array([0, 5]), n=3)
-    lines = [json.loads(l) for l in buf.getvalue().splitlines()]
-    assert lines == [
-        {"trial": 2, "matching_index": 1, "bitstring": "000"},
-        {"trial": 2, "matching_index": 1, "bitstring": "101"},
-    ]
-
-
-def test_estimate_export_round_trip(rng):
-    s = states.random_gaussian_state(2, "mixed", rng)
-    est = estimate_gamma(ExactGaussianSource(s), 0.3, 0.2, "commuting", RngStream(12))
-    buf = io.StringIO()
-    sampling.write_estimate(buf, est, seed=12)
-    buf.seek(0)
-    back = sampling.read_estimate(buf)
-    assert np.array_equal(back.gamma_hat.mat, est.gamma_hat.mat)
-    assert back.shots_used == est.shots_used
-    assert back.scheme == est.scheme

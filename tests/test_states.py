@@ -1,4 +1,3 @@
-import io
 import itertools
 
 import numpy as np
@@ -262,15 +261,6 @@ def test_pnp_norm_transfer(rng):
             states.pnp_to_gamma(c1).mat - states.pnp_to_gamma(c2).mat, p
         )
         assert lhs <= states.pnp_norm_transfer(np.diag(d1 - d2), p) + 1e-9
-
-
-def test_state_serialization_round_trip(rng):
-    s = states.random_gaussian_state(3, "mixed", rng)
-    buf = io.StringIO()
-    states.write_state(buf, s)
-    buf.seek(0)
-    back = states.read_state(buf)
-    assert np.abs(back.corr.mat - s.corr.mat).max() < 1e-15
 
 
 def test_validation_round_trip(rng):
