@@ -175,6 +175,17 @@ def test_z_distribution_rotated_agreement(rng):
         assert np.abs(a - b).max() < 1e-12
 
 
+def test_sampling_tv_distance(rng):
+    # shots drawn the way a commuting round draws them: one multinomial over
+    # the source's z distribution, compared with the dense diagonal
+    s = states.random_gaussian_state(4, "mixed", rng)
+    dist = ExactGaussianSource(s).z_distribution()
+    counts = RngStream(3).generator().multinomial(100_000, dist)
+    emp = counts / counts.sum()
+    exact = np.diag(dense.gaussian_to_dense(s).rho).real
+    assert 0.5 * np.abs(emp - exact / exact.sum()).sum() <= 0.02
+
+
 def test_sample_vacuum_all_zero():
     dist = ExactGaussianSource(states.vacuum(3)).z_distribution()
     assert np.array_equal(dist, np.eye(8)[0])
