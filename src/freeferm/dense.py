@@ -1,7 +1,9 @@
 """Brute-force Jordan-Wigner oracle.
 
-Exact density matrices at desk scale: Majorana operators as signed
-permutations, Gaussian-unitary synthesis from Givens plane rotations, exact
+Exact density matrices at desk scale: one Pauli-row table (``pauli_rows``,
+signed permutations from X/Z masks) and its expectation kernel behind the
+Majoranas, correlation matrices and local tomography, Gaussian-unitary
+synthesis from Givens plane rotations, exact
 trace distance / fidelity / relative entropy, Gaussianification, and the
 analytic derivative of a Gaussian state in its correlation matrix.  Ground
 truth for every other module at n <= ~10.
@@ -19,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
-from . import skew, states
+from . import states
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -35,6 +37,8 @@ __all__ = [
     "StateMetrics",
     "Gaussianification",
     "majoranas",
+    "pauli_rows",
+    "pauli_expectations",
     "correlation_matrix",
     "gaussian_unitary",
     "gaussian_to_dense",
@@ -120,6 +124,12 @@ class MajoranaSet:
         """m @ gamma_mu without forming the operator."""
         return m[:, self.perms[mu]] * self.coefs[mu][None, :]
 
+    def pairs(self, a: np.ndarray, b: np.ndarray):
+        """Signed permutations of the products gamma_{a[i]} gamma_{b[i]}, one row each."""
+        perm_b = self.perms[b]
+        return (np.take_along_axis(self.perms[a], perm_b, axis=1),
+                np.take_along_axis(self.coefs[a], perm_b, axis=1) * self.coefs[b])
+
     def compose(self, subset: Sequence[int]):
         """Signed permutation of the ordered product gamma_{s1} gamma_{s2} ...
 
@@ -134,24 +144,32 @@ class MajoranaSet:
         return perm, coef
 
 
+def pauli_rows(n: int, x: np.ndarray, z: np.ndarray):
+    """Pauli strings with X-type (X, Y) factors on the bits of x[i] and Z-type
+    (Y, Z) factors on the bits of z[i], as signed permutations (perms, coefs):
+    P_i|b> = coefs[i, b] |perms[i, b]> = i^{|x & z|} (-1)^{|b & z|} |b ^ x>."""
+    shifts = n - 1 - np.arange(n)
+    b = np.arange(1 << n)
+    bits = (b[:, None] >> shifts) & 1  # [b, qubit]
+    x_bits, z_bits = (x[:, None] >> shifts) & 1, (z[:, None] >> shifts) & 1  # [row, qubit]
+    phase = np.array([1, 1j, -1, -1j])[(x_bits * z_bits).sum(axis=1) % 4]
+    return b[None, :] ^ x[:, None], phase[:, None] * (1 - 2 * ((z_bits @ bits.T) & 1))
+
+
+def pauli_expectations(rho: np.ndarray, perms: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Tr(P rho) = sum_b coefs[b] rho[b, perms[b]] for each row P of (perms, coefs)."""
+    return np.sum(coefs * rho[np.arange(rho.shape[0]), perms], axis=-1)
+
+
 @lru_cache(maxsize=None)
 def majoranas(n: int) -> MajoranaSet:
     """gamma_{2k} = (prod_{j<k} Z_j) X_k, gamma_{2k+1} = (prod_{j<k} Z_j) Y_k."""
     if not 1 <= n <= MAX_SPARSE_MODES:
         raise TooManyModes(f"mode count {n} outside [1, {MAX_SPARSE_MODES}]")
-    d = 1 << n
-    x = np.arange(d)
-    bits = (x[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1  # bits[x, j]
-    perms = np.empty((2 * n, d), dtype=np.int64)
-    coefs = np.empty((2 * n, d), dtype=complex)
-    for k in range(n):
-        zstring = (-1.0) ** bits[:, :k].sum(axis=1)
-        flip = x ^ (1 << (n - 1 - k))
-        perms[2 * k] = flip
-        coefs[2 * k] = zstring
-        perms[2 * k + 1] = flip
-        # Y|0> = i|1>, Y|1> = -i|0>
-        coefs[2 * k + 1] = zstring * 1j * (-1.0) ** bits[:, k]
+    bit_k = 1 << (n - 1 - np.arange(n))  # qubit 0 is the most significant bit
+    below_k = (1 << n) - 2 * bit_k  # the bits of the qubits j < k
+    perms, coefs = pauli_rows(n, np.repeat(bit_k, 2),
+                              np.stack([below_k, below_k | bit_k], axis=1).ravel())
     perms.setflags(write=False)
     coefs.setflags(write=False)
     return MajoranaSet(n=n, perms=perms, coefs=coefs)
@@ -160,25 +178,22 @@ def majoranas(n: int) -> MajoranaSet:
 def majorana_product_expectation(rho: DenseState, subset: Sequence[int]) -> complex:
     """Tr(gamma_S rho) for an ordered index set S (the dense Wick oracle),
     in O(2^n) time from the signed permutation of gamma_S."""
-    ms = majoranas(rho.n)
-    perm, coef = ms.compose(subset)
-    return complex(np.sum(coef * rho.rho[np.arange(rho.rho.shape[0]), perm]))
+    perm, coef = majoranas(rho.n).compose(subset)
+    return complex(pauli_expectations(rho.rho, perm, coef))
 
 
 def correlation_matrix(rho: DenseState) -> SkewMatrix:
     """Gamma_{jk} = -(i/2) Tr([gamma_j, gamma_k] rho), exactly."""
     dim = 2 * rho.n
-    g = np.zeros((dim, dim))
-    worst = 0.0
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            val = -1j * majorana_product_expectation(rho, (j, k))
-            worst = max(worst, abs(val.imag))
-            g[j, k] = val.real
+    j, k = np.triu_indices(dim, 1)
+    vals = -1j * pauli_expectations(rho.rho, *majoranas(rho.n).pairs(j, k))
+    worst = float(np.abs(vals.imag).max())
     if worst > 1e-10:
         raise NonNegligibleImaginaryPart(
             f"imaginary residue {worst:.3e} in correlation entries; corrupted state?"
         )
+    g = np.zeros((dim, dim))
+    g[j, k] = vals.real
     return SkewMatrix(g - g.T)
 
 
@@ -213,7 +228,7 @@ def gaussian_unitary(q: np.ndarray) -> np.ndarray:
     if det_neg:
         # q = q' @ diag(-1, ..., -1, +1); the reflection is gamma_{2n-1}
         r[:, :-1] *= -1.0
-    rotations = []
+    planes, thetas = [], []
     for a in range(dim - 1):
         for b in range(a + 1, dim):
             theta = math.atan2(r[b, a], r[a, a])
@@ -221,11 +236,12 @@ def gaussian_unitary(q: np.ndarray) -> np.ndarray:
                 continue
             c, s = math.cos(theta), math.sin(theta)
             r[a], r[b] = c * r[a] + s * r[b], c * r[b] - s * r[a]
-            rotations.append((a, b, theta))
+            planes.append((a, b))
+            thetas.append(theta)
 
     u = np.eye(1 << n, dtype=complex)
-    for a, b, theta in reversed(rotations):
-        perm, coef = ms.compose((a, b))
+    a, b = np.array(planes, dtype=np.int64).reshape(-1, 2).T
+    for perm, coef, theta in reversed(list(zip(*ms.pairs(a, b), thetas))):
         pair_u = np.empty_like(u)
         pair_u[perm] = (-math.sin(0.5 * theta) * coef)[:, None] * u
         u *= math.cos(0.5 * theta)
@@ -358,23 +374,14 @@ def gaussian_derivative(gamma, x) -> np.ndarray:
 
 
 def pnp_correlation(rho: DenseState) -> states.PnpCorrelation:
-    """C_{jk} = Tr(a_j^dag a_k rho) with a_j = (gamma_{2j} + i gamma_{2j+1})/2."""
-    n = rho.n
-    pair = np.empty((2 * n, 2 * n), dtype=complex)
-    for mu in range(2 * n):
-        for nu in range(2 * n):
-            pair[mu, nu] = majorana_product_expectation(rho, (mu, nu)) if mu != nu else 1.0
-    c = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            c[j, k] = 0.25 * (
-                pair[2 * j, 2 * k]
-                + 1j * pair[2 * j, 2 * k + 1]
-                - 1j * pair[2 * j + 1, 2 * k]
-                + pair[2 * j + 1, 2 * k + 1]
-            )
-    c = 0.5 * (c + c.conj().T)  # remove round-off asymmetry
-    return states.PnpCorrelation(n=n, c=c)
+    """C_{jk} = Tr(a_j^dag a_k rho) with a_j = (gamma_{2j} + i gamma_{2j+1})/2, i.e.
+    (2 delta_jk + i (G_{2j,2k} + G_{2j+1,2k+1}) - G_{2j,2k+1} + G_{2j+1,2k}) / 4
+    in the correlation matrix G (exactly Hermitian)."""
+    g = correlation_matrix(rho).mat
+    even, odd = g[0::2], g[1::2]
+    c = 0.25 * (2.0 * np.eye(rho.n) + 1j * (even[:, 0::2] + odd[:, 1::2])
+                - even[:, 1::2] + odd[:, 0::2])
+    return states.PnpCorrelation(n=rho.n, c=c)
 
 
 # -- assorted dense helpers ----------------------------------------------------

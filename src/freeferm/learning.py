@@ -271,7 +271,7 @@ def local_full_tomography(
     delta: float,
     rng_stream: RngStream,
     rotation: Optional[np.ndarray] = None,
-    scheme: str = "sampled",
+    scheme: str = "commuting",
 ) -> Tuple[DenseState, int]:
     """Single-copy Pauli tomography of the leading ``modes`` qubits.
 
@@ -279,7 +279,8 @@ def local_full_tomography(
     estimated to accuracy eps_tom / (2 * 2^r); linear inversion is projected
     to the PSD unit-trace cone by eigenvalue clipping.  With probability at
     least 1 - delta the output is within eps_tom in trace norm.  Returns the
-    estimate and the number of copies used.
+    estimate and the number of copies used.  Only ``scheme="exact"`` is read:
+    it returns the exact reduced state and 0 copies; every other scheme samples.
     """
     r = modes
     if not 1 <= r <= MAX_LOCAL_MODES:
@@ -295,8 +296,8 @@ def local_full_tomography(
     eps_p = eps_tom / (2.0 * d)
     per_pauli = hoeffding_shots(eps_p, delta, n_paulis)
     perms, coefs = _pauli_strings(r)
+    expectations = dense_mod.pauli_expectations(truth.rho, perms, coefs).real  # Tr(P rho)
     cols = np.arange(d)
-    expectations = np.sum(coefs * truth.rho[cols, perms], axis=1).real  # Tr(P rho)
     acc = np.eye(d, dtype=complex)  # identity expectation is exactly 1
     for code in range(1, 4 ** r):
         t = float(expectations[code])
@@ -312,24 +313,12 @@ def local_full_tomography(
 
 
 def _pauli_strings(r: int) -> Tuple[np.ndarray, np.ndarray]:
-    """All 4^r Pauli strings on r qubits as signed permutations.
-
-    Row ``code`` is the string whose base-4 digits (0, 1, 2, 3 for I, X, Y, Z)
-    name the factors, qubit 0 as the leading factor and most significant
-    digit.  With x and z the masks of the X-type (X, Y) and Z-type (Y, Z)
-    factors, P|b> = i^{|x & z|} (-1)^{|b & z|} |b ^ x>; returns (perms, coefs)
-    with P|b> = coefs[code, b] |perms[code, b]>, as in ``dense.MajoranaSet``.
-    """
-    shifts = r - 1 - np.arange(r)
-    digits = (np.arange(4 ** r)[:, None] >> (2 * shifts)) & 3  # [code, qubit]
-    x_type = ((digits == 1) | (digits == 2)).astype(np.int64)
-    z_type = (digits >= 2).astype(np.int64)
-    b = np.arange(1 << r)
-    bits = (b[:, None] >> shifts) & 1  # [b, qubit]
-    phase = np.array([1, 1j, -1, -1j])[(x_type * z_type).sum(axis=1) % 4]
-    coefs = phase[:, None] * (1 - 2 * ((z_type @ bits.T) & 1))
-    perms = b[None, :] ^ (x_type @ (1 << shifts))[:, None]
-    return perms, coefs
+    """All 4^r Pauli strings on r qubits as ``dense.pauli_rows``: the base-4
+    digits of row ``code`` (0, 1, 2, 3 for I, X, Y, Z) name its factors, qubit
+    0 as the most significant digit, and set its X-type and Z-type masks."""
+    place = 1 << (r - 1 - np.arange(r))
+    digits = (np.arange(4 ** r)[:, None] // place ** 2) % 4  # [code, qubit]
+    return dense_mod.pauli_rows(r, ((digits == 1) | (digits == 2)) @ place, (digits >= 2) @ place)
 
 
 # -- identity-testing reduction --------------------------------------------------
@@ -468,14 +457,11 @@ def robustness_experiment(
     else:
         raise ValidationError(f"unknown noise kind {kind!r}")
 
-    gaussification = dense_mod.gaussianification(rho_noisy)
     if promise == "trace":
-        promise_value = dense_mod.state_metrics(
-            rho_noisy, dense_mod.gaussian_to_dense(gaussification.g)
-        ).trace_dist
+        promise_value = _distance_to_own_gaussianification(rho_noisy)
         bound = eps / (3.0 * n)
     elif promise == "relative_entropy":
-        promise_value = gaussification.d_nongauss
+        promise_value = dense_mod.gaussianification(rho_noisy).d_nongauss
         bound = eps ** 2
     else:
         raise ValidationError(f"unknown promise {promise!r}")

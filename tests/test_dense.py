@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 
@@ -22,12 +23,13 @@ I2 = np.eye(2, dtype=complex)
 
 
 def test_majorana_definitions():
-    ms1 = dense.majoranas(1)
-    assert np.allclose(ms1.matrix(0), X)
-    assert np.allclose(ms1.matrix(1), Y)
-    ms2 = dense.majoranas(2)
-    assert np.allclose(ms2.matrix(2), np.kron(Z, X))
-    assert np.allclose(ms2.matrix(3), np.kron(Z, Y))
+    # gamma_{2k} = Z^(x)k (x) X (x) I^(x)(n-k-1), and gamma_{2k+1} the same with Y
+    for n in range(1, 5):
+        ms = dense.majoranas(n)
+        for k in range(n):
+            for mu, pauli in ((2 * k, X), (2 * k + 1, Y)):
+                want = functools.reduce(np.kron, [Z] * k + [pauli] + [I2] * (n - k - 1))
+                assert np.array_equal(ms.matrix(mu), want)
     with pytest.raises(TooManyModes):
         dense.majoranas(13)
 
@@ -279,6 +281,32 @@ def test_pnp_correlation(rng):
     ds = dense.DenseState(3, rho)
     rebuilt = states.pnp_to_gamma(dense.pnp_correlation(ds))
     assert np.abs(rebuilt.mat - dense.correlation_matrix(ds).mat).max() < 1e-9
+
+
+def _pnp_correlation_reference(rho):
+    """C_{jk} from its four Majorana-pair expectations, one pair at a time."""
+    def pair(mu, nu):
+        return 1.0 if mu == nu else dense.majorana_product_expectation(rho, (mu, nu))
+
+    c = np.empty((rho.n, rho.n), dtype=complex)
+    for j in range(rho.n):
+        for k in range(rho.n):
+            c[j, k] = 0.25 * (
+                pair(2 * j, 2 * k)
+                + 1j * pair(2 * j, 2 * k + 1)
+                - 1j * pair(2 * j + 1, 2 * k)
+                + pair(2 * j + 1, 2 * k + 1)
+            )
+    return c
+
+
+def test_pnp_correlation_matches_pair_reference(rng):
+    # Wishart states do not conserve particle number
+    for n in range(1, 5):
+        for _ in range(3):
+            rho = dense.random_density_matrix(n, rng)
+            got = dense.pnp_correlation(rho).c
+            assert np.abs(got - _pnp_correlation_reference(rho)).max() < 1e-12
 
 
 def test_partial_trace(rng):
