@@ -167,6 +167,8 @@ class ExperimentConfig:
             raise ValidationError("ghz3 requires modes=3")
         if kind == "product" and len(arg) != n:
             raise ValidationError(f"product spec has {len(arg)} lambdas but modes={n}")
+        if kind == "dense_fixture":
+            _check_fixture(arg, n)
         # reduce-id tomographs all n modes, test-rank the leading rank_exponent
         local = {"reduce-id": n, "test-rank": self.rank_exponent or 0}
         r = local.get(self.command, 0)
@@ -219,6 +221,21 @@ def _parse_state_spec(spec: str):
     raise ValidationError(f"unknown state spec {spec!r}")
 
 
+def _check_fixture(path: str, modes: int) -> None:
+    """Raise ValidationError unless ``path`` holds a valid state on ``modes`` modes."""
+    try:
+        with open(path) as f:
+            rho = dense_mod.read_dense(f)
+    except (OSError, ValueError, IndexError) as exc:  # unreadable or malformed
+        raise ValidationError(f"dense fixture {path!r}: {exc}") from exc
+    if rho.n != modes:
+        raise ValidationError(f"fixture has n={rho.n}, expected modes={modes}")
+    try:
+        rho.validate()
+    except ValueError as exc:  # not Hermitian, trace not 1 or not positive
+        raise ValidationError(f"dense fixture {path!r}: {exc}") from exc
+
+
 def _make_source(cfg: ExperimentConfig, stream: RngStream) -> StateSource:
     kind, arg = _parse_state_spec(cfg.state_spec)
     if kind == "vacuum":
@@ -229,11 +246,8 @@ def _make_source(cfg: ExperimentConfig, stream: RngStream) -> StateSource:
         gen = stream.child(999).generator()
         return ExactGaussianSource(states.random_gaussian_state(cfg.modes, arg, gen))
     if kind == "dense_fixture":
-        with open(arg) as f:
-            rho = dense_mod.read_dense(f)
-        if rho.n != cfg.modes:
-            raise ValidationError(f"fixture has n={rho.n}, expected modes={cfg.modes}")
-        return DenseSource(rho)
+        with open(arg) as f:  # checked by validate()
+            return DenseSource(dense_mod.read_dense(f))
     if kind == "ghz3":
         return DenseSource(dense_mod.ghz3())
     raise ValidationError(f"unknown state spec {cfg.state_spec!r}")

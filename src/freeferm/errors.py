@@ -27,6 +27,10 @@ class ConvergenceFailure(FreeFermError):
     """A LAPACK factorization (eigensolver, Hessenberg reduction or SVD) failed."""
 
 
+class PfaffianOutOfRange(FreeFermError):
+    """A non-zero Pfaffian's magnitude would overflow or underflow a float."""
+
+
 class UnsupportedP(FreeFermError):
     """Schatten norm order outside {1, 2, inf}."""
 

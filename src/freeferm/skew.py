@@ -1,18 +1,21 @@
 """Real antisymmetric (skew-symmetric) matrix algebra.
 
-Pfaffians via Parlett-Reid elimination, the orthogonal normal (Youla) form
-with non-negative block parameters (Householder tridiagonalisation plus the
-SVD of a bidiagonal half-size matrix), Schatten and Ky Fan norms, and the
-Weyl bound on normal-eigenvalue perturbations.  All indices are 0-based.
+One Householder tridiagonalisation (LAPACK ``dgehrd``) serves both the
+Pfaffian, read off the tridiagonal factor, and the orthogonal normal (Youla)
+form with non-negative block parameters (plus the SVD of a bidiagonal
+half-size matrix).  Also Schatten and Ky Fan norms and the Weyl bound on
+normal-eigenvalue perturbations.  All indices are 0-based.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     ConvergenceFailure,
@@ -20,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     NotAntisymmetric,
     OddRestriction,
+    PfaffianOutOfRange,
     RankTooLarge,
     UnsupportedP,
 )
@@ -43,6 +47,8 @@ __all__ = [
 
 #: entries this close to zero are treated as exact zeros when clamping lambdas
 ZERO_CLAMP = 1e-12
+#: log|Pf| range of a Pfaffian returned as a normal float
+_LOG_PF_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
 
 SkewLike = Union["SkewMatrix", np.ndarray]
 
@@ -120,29 +126,39 @@ def canonical_lambda(n: int) -> np.ndarray:
     return lambda_blocks(np.ones(n))
 
 
-def pfaffian(a: SkewLike) -> float:
-    """Pfaffian via skew-symmetric Parlett-Reid elimination with partial pivoting.
+def _householder(m: np.ndarray):
+    """Householder reduction m = z t z^T of an antisymmetric m (LAPACK dgehrd).
 
+    t is tridiagonal (the Hessenberg form of an antisymmetric matrix).
+    Returns dgehrd's packed output (t on and above the subdiagonal, the
+    reflectors below it), the reflector scalars tau, and t's superdiagonal
+    averaged with minus its subdiagonal.
+    """
+    ht, tau, info = lapack.dgehrd(m, lwork=int(lapack.dgehrd_lwork(m.shape[0])[0]))
+    if info != 0:
+        raise ConvergenceFailure(f"Householder reduction failed (dgehrd info {info})")
+    return ht, tau, 0.5 * (np.diag(ht, 1) - np.diag(ht, -1))
+
+
+def pfaffian(a: SkewLike) -> float:
+    """Pfaffian via Householder tridiagonalisation (Wimmer, arXiv:1102.3440).
+
+    With a = z t z^T, Pf(a) = det(z) Pf(t): det(z) is -1 per reflector with
+    tau != 0, and Pf(t) is the product of t's entries (2k, 2k+1).  That
+    product is taken as exp(sum log|e_k|), so no partial product overflows.
+    A zero factor gives exactly 0.0; a non-zero result whose magnitude lies
+    outside the normal float range raises :class:`PfaffianOutOfRange`.
     Satisfies Pf(a)^2 = det(a) and Pf(B a B^T) = det(B) Pf(a); O(dim^3).
     """
-    m = as_skew_array(a).copy()
-    d = m.shape[0]
-    pf = 1.0
-    for k in range(0, d - 2, 2):
-        col = np.abs(m[k + 1:, k])
-        ip = k + 1 + int(np.argmax(col))
-        if m[ip, k] == 0.0:
-            return 0.0
-        if ip != k + 1:
-            m[[k + 1, ip], :] = m[[ip, k + 1], :]
-            m[:, [k + 1, ip]] = m[:, [ip, k + 1]]
-            pf = -pf
-        piv = m[k, k + 1]
-        pf *= piv
-        tau = m[k, k + 2:] / piv
-        w = m[k + 1, k + 2:]
-        m[k + 2:, k + 2:] += np.outer(w, tau) - np.outer(tau, w)
-    return pf * m[d - 2, d - 1]
+    _, tau, e = _householder(as_skew_array(a))
+    factors = e[0::2]
+    if not factors.all():
+        return 0.0
+    log_abs = float(np.log(np.abs(factors)).sum())
+    if not _LOG_PF_RANGE[0] <= log_abs <= _LOG_PF_RANGE[1]:
+        raise PfaffianOutOfRange(f"|Pf| = exp({log_abs:.6g}) is outside the float range")
+    negative = np.count_nonzero(tau) + np.count_nonzero(factors < 0)
+    return (-1.0) ** negative * math.exp(log_abs)
 
 
 def restricted_pfaffian(a: SkewLike, s: Iterable[int]) -> float:
@@ -192,17 +208,19 @@ class NormalForm:
 def normal_form(a: SkewLike) -> NormalForm:
     """Normal (Youla) form with all block parameters non-negative.
 
-    Householder reduction a = z t z^T makes t tridiagonal (the Hessenberg
-    form of an antisymmetric matrix).  Ordering t's indices evens first
-    turns it into [[0, B], [-B^T, 0]] with B lower bidiagonal, so the SVD
-    B = U S V^T gives block j the plane (z_even U_j, z_odd V_j) and the
-    parameter S_j.  Blocks are sorted ascending by lambda; ties keep the
+    The Householder reduction a = z t z^T that :func:`pfaffian` also reads
+    (z formed by LAPACK dorghr) makes t tridiagonal.  Ordering t's indices
+    evens first turns it into [[0, B], [-B^T, 0]] with B lower bidiagonal,
+    so the SVD B = U S V^T gives block j the plane (z_even U_j, z_odd V_j)
+    and the parameter S_j.  Blocks are sorted ascending by lambda; ties keep the
     SVD order.  Values within ZERO_CLAMP of zero are clamped to exactly 0.
     """
     m = as_skew_array(a)
+    ht, tau, e = _householder(m)
+    z, info = lapack.dorghr(ht, tau, lwork=int(lapack.dorghr_lwork(m.shape[0])[0]))
+    if info != 0:
+        raise ConvergenceFailure(f"skew normal form failed (dorghr info {info})")
     try:
-        t, z = scipy.linalg.hessenberg(m, calc_q=True)
-        e = 0.5 * (np.diag(t, 1) - np.diag(t, -1))
         u, s, vt = scipy.linalg.svd(np.diag(e[0::2]) - np.diag(e[1::2], -1))
     except ValueError as exc:  # no LAPACK convergence
         raise ConvergenceFailure(f"skew normal form failed: {exc}") from exc

@@ -176,17 +176,22 @@ def wick_expectation(s: GaussianState, subset: Sequence[int]) -> complex:
 
 
 def parity(s: GaussianState) -> float:
-    """Expectation of Z^(x)n: the Pfaffian of the correlation matrix."""
-    return skew.pfaffian(s.corr)
+    """Expectation of Z^(x)n: Pf(corr) = det(q) prod(lambdas) from the cached normal form."""
+    return s.nf.det_sign * float(np.prod(s.lambdas))
 
 
 def overlap_pure(s1: GaussianState, s2: GaussianState) -> float:
-    """|<psi1|psi2>|^2 = |Pf((G1 + G2)/2)| for pure states."""
+    """|<psi1|psi2>|^2 = |Pf((G1 + G2)/2)| for pure states.
+
+    |Pf(A)| is taken as sqrt|det A| from one LU (``slogdet``), which cannot
+    underflow or overflow on the way.
+    """
     if s1.n != s2.n:
         raise DimensionMismatch("states live on different mode counts")
     if not s1.is_pure() or not s2.is_pure():
         raise NotPure("overlap formula requires pure states")
-    val = abs(skew.pfaffian(0.5 * (s1.corr.mat + s2.corr.mat)))
+    sign, log_det = np.linalg.slogdet(0.5 * (s1.corr.mat + s2.corr.mat))
+    val = math.exp(0.5 * log_det) if sign != 0 else 0.0
     return float(min(1.0, val))
 
 
@@ -276,21 +281,39 @@ def nongaussianity_bounds(g: GammaLike, r: int) -> NonGaussReport:
 def purify(s: GaussianState) -> GaussianState:
     """Pure 2n-mode state whose first-n-modes marginal is ``s``.
 
-    The square root of I + corr^2 (symmetric PSD) is taken by symmetric
-    eigendecomposition with negative round-off clipped at zero.  The
-    top-left block of the result reproduces the input matrix exactly, so
-    the normal form is clamped without re-synthesizing the matrix.
+    Built in closed form from the cached normal form corr = Q (+)lam_j J Q^T
+    (Bravyi, quant-ph/0404180): the result is [[corr, R], [-R, -corr]] with
+    R = Q diag(s_j, s_j) Q^T, s_j = sqrt(1 - lam_j^2), so its top-left block
+    is the input matrix bit for bit.  Per mode, in the basis (Q_2j, 0),
+    (Q_2j+1, 0), (0, Q_2j), (0, Q_2j+1), the normal-form columns are e1,
+    (0, lam, s, 0), e4 and (0, -s, lam, 0): every lambda is 1 and each 4x4
+    block has determinant -1, so det(q) = (-1)^n.  Purity is checked, not
+    assumed: the Frobenius norms of R^2 - corr^2 - I and corr R - R corr must
+    sum to at most LAMBDA_INPUT_SLACK.  Together they make up M M^T - I for
+    the result M, so the check bounds every |lam^2 - 1| of M by the slack.
     """
-    g = s.corr.mat
-    w, v = np.linalg.eigh(np.eye(g.shape[0]) + g @ g)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    top = np.hstack([g, root])
-    bot = np.hstack([-root, -g])
-    m = SkewMatrix(np.vstack([top, bot]), tol=1e-9)
-    nf = skew.normal_form(m)
-    if nf.lambdas[-1] > 1.0 + LAMBDA_INPUT_SLACK:
-        raise NotAValidCorrelationMatrix("purification produced an invalid matrix")
-    return GaussianState(corr=m, nf=nf.with_lambdas(np.minimum(nf.lambdas, 1.0)))
+    g, q, lam = s.corr.mat, s.nf.q, s.lambdas
+    root = np.sqrt(np.maximum(1.0 - lam * lam, 0.0))
+    r = (q * np.repeat(root, 2)) @ q.T
+    r = 0.5 * (r + r.T)
+    # with r symmetric and g antisymmetric, r g = -(g r)^T, so two products give
+    # both conditions: (r - g)(r + g) = r^2 - g^2 - (g r + (g r)^T)
+    gr = g @ r
+    comm = gr + gr.T
+    resid = (np.linalg.norm((r - g) @ (r + g) + comm - np.eye(g.shape[0]))
+             + np.linalg.norm(comm))
+    if resid > LAMBDA_INPUT_SLACK:
+        raise NotAValidCorrelationMatrix(
+            f"purification is not pure: residual {resid:.3e} exceeds {LAMBDA_INPUT_SLACK:.0e}")
+    m = SkewMatrix(np.block([[g, r], [-r, -g]]))
+    n, qe, qo = s.n, q[:, 0::2], q[:, 1::2]
+    q2 = np.zeros((4 * n, 4 * n))
+    top, bot = q2[:2 * n], q2[2 * n:]
+    top[:, 0:2 * n:2] = qe  # e1
+    top[:, 1:2 * n:2], bot[:, 1:2 * n:2] = qo * lam, qe * root  # (0, lam, s, 0)
+    bot[:, 2 * n::2] = qo  # e4
+    top[:, 2 * n + 1::2], bot[:, 2 * n + 1::2] = -qo * root, qe * lam  # (0, -s, lam, 0)
+    return GaussianState(corr=m, nf=NormalForm(q=q2, lambdas=np.ones(2 * n), det_sign=(-1) ** n))
 
 
 def rank_exponent(s: GaussianState, tol: float) -> int:

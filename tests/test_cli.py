@@ -7,6 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freeferm import cli, dense, learning, sampling
@@ -77,6 +78,25 @@ def test_ghz3_and_dense_fixture_specs(tmp_path):
     rec2 = run_cfg(command="tomo-mixed", modes=3, eps=0.3, delta=0.1, trials=1, seed=8,
                    state_spec=f"dense_fixture:{path}")
     assert rec2["results"][0]["dense_error"] == rec["results"][0]["dense_error"]
+
+
+def test_bad_dense_fixture_exits_2(tmp_path, capsys, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran on an invalid fixture")
+
+    monkeypatch.setitem(cli._TRIAL_WORKERS, "estimate", no_trial)
+    skewed = np.eye(4, dtype=complex) / 4
+    skewed[0, 1] = 0.1
+    for name, rho in (("trace2", dense.DenseState(2, np.eye(4) / 2)),
+                      ("nonhermitian", dense.DenseState(2, skewed)),
+                      ("three_modes", dense.ghz3())):
+        path = tmp_path / f"{name}.txt"
+        with open(path, "w") as f:
+            dense.write_dense(f, rho)
+        argv = ["estimate", "--modes", "2", "--trials", "1",
+                "--state-spec", f"dense_fixture:{path}", "--out", str(tmp_path / "x.json")]
+        assert cli.main(argv) == 2, name
+        assert "invalid configuration:" in capsys.readouterr().err
 
 
 def test_sweep_single_point_slope_absent():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from freeferm.errors import (
     IndexOutOfRange,
     NotAntisymmetric,
     OddRestriction,
+    PfaffianOutOfRange,
     RankTooLarge,
     UnsupportedP,
 )
@@ -58,6 +61,85 @@ def test_pfaffian_singular():
     m = np.zeros((4, 4))
     m[0, 1], m[1, 0] = 1.0, -1.0
     assert skew.pfaffian(m) == 0.0
+
+
+def _pfaffian_parlett_reid(a):
+    """Reference: skew Parlett-Reid elimination with partial pivoting."""
+    m = np.array(a, dtype=float)
+    d = m.shape[0]
+    pf = 1.0
+    for k in range(0, d - 2, 2):
+        ip = k + 1 + int(np.argmax(np.abs(m[k + 1:, k])))
+        if m[ip, k] == 0.0:
+            return 0.0
+        if ip != k + 1:
+            m[[k + 1, ip], :] = m[[ip, k + 1], :]
+            m[:, [k + 1, ip]] = m[:, [ip, k + 1]]
+            pf = -pf
+        piv = m[k, k + 1]
+        pf *= piv
+        tau = m[k, k + 2:] / piv
+        w = m[k + 1, k + 2:]
+        m[k + 2:, k + 2:] += np.outer(w, tau) - np.outer(tau, w)
+    return pf * m[d - 2, d - 1]
+
+
+@st.composite
+def _pfaffian_inputs(draw):
+    n = draw(st.integers(1, 20))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    kind = draw(st.sampled_from(["random", "sparse", "blocks", "zero_blocks"]))
+    if kind in ("random", "sparse"):
+        a = skew.random_skew(2 * n, gen, scale=scale)
+        if kind == "sparse":  # exact zeros below the subdiagonal leave some tau = 0
+            keep = np.triu(gen.uniform(size=a.shape) < 0.3)
+            a = a * (keep | keep.T)
+        return a
+    lams = scale * gen.uniform(-1.0, 1.0, size=n)  # negative blocks flip the sign
+    if kind == "zero_blocks":
+        lams *= gen.uniform(size=n) < 0.5
+    blocks = skew.lambda_blocks(lams)
+    layout = draw(st.sampled_from(["plain", "permuted", "rotated"]))
+    if layout == "permuted":
+        perm = gen.permutation(2 * n)
+        return blocks[np.ix_(perm, perm)]
+    if layout == "rotated":
+        o = skew.random_orthogonal(2 * n, gen)
+        return o @ blocks @ o.T
+    return blocks
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(_pfaffian_inputs(), st.integers(0, 2 ** 32 - 1))
+def test_pfaffian_properties(a, seed):
+    a = skew.as_skew_array(a, tol=1e-6)
+    n = a.shape[0] // 2
+    # |Pf| <= sigma_max^n; round-off of either method is a tiny multiple of it
+    size = skew.schatten_norm(a, np.inf) ** n
+    pf = skew.pfaffian(a)
+    assert pf == pytest.approx(_pfaffian_parlett_reid(a), rel=1e-10, abs=1e-12 * size)
+    assert pf ** 2 == pytest.approx(np.linalg.det(a), rel=1e-10, abs=1e-12 * size ** 2)
+    gen = np.random.default_rng(seed)
+    b = skew.random_orthogonal(2 * n, gen) * gen.uniform(0.5, 2.0, size=2 * n)
+    bab = b @ a @ b.T
+    assert skew.pfaffian(0.5 * (bab - bab.T)) == pytest.approx(
+        np.linalg.det(b) * pf, rel=1e-9, abs=1e-12 * (4.0 ** n) * size)
+
+
+def test_pfaffian_range_is_reported():
+    gen = np.random.default_rng(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1.0, 1e-3):  # |Pf| is about exp(+1474) and exp(-1979)
+            with pytest.raises(PfaffianOutOfRange):
+                skew.pfaffian(skew.random_skew(1000, gen, scale=scale))
+        # entries of size 1/sqrt(dim) keep the d = 1000 Pfaffian finite
+        a = skew.random_skew(1000, gen, scale=1000 ** -0.5)
+        pf = skew.pfaffian(a)
+    sign, log_det = np.linalg.slogdet(a)
+    assert sign > 0 and np.isfinite(pf) and pf != 0.0
+    assert 2.0 * np.log(abs(pf)) == pytest.approx(log_det, rel=1e-10, abs=1e-9)
 
 
 def test_restricted_pfaffian_conventions():

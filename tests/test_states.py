@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeferm import dense, skew, states
 from freeferm.errors import (
@@ -218,6 +220,57 @@ def test_purify_marginal_matches_dense(rng):
     reduced = dense.partial_trace(dense.gaussian_to_dense(psi), 3)
     td = dense.state_metrics(reduced, dense.gaussian_to_dense(s)).trace_dist
     assert td < 1e-9
+
+
+@st.composite
+def _mixed_states(draw, max_modes=12):
+    n = draw(st.integers(1, max_modes))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lams = {
+        "pure": np.ones(n),
+        "mixed": gen.uniform(0.0, 1.0, size=n),
+        "zero_lambdas": gen.uniform(0.0, 1.0, size=n) * (gen.uniform(size=n) < 0.5),
+        "maximally_mixed": np.zeros(n),
+    }[draw(st.sampled_from(["pure", "mixed", "zero_lambdas", "maximally_mixed"]))]
+    o = skew.random_orthogonal(2 * n, gen)
+    return states.from_correlation(o @ skew.lambda_blocks(lams) @ o.T)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_mixed_states())
+def test_purify_properties(s):
+    psi = states.purify(s)
+    n = s.n
+    assert np.array_equal(psi.corr.mat[:2 * n, :2 * n], s.corr.mat)  # exact block copy
+    assert np.array_equal(psi.lambdas, np.ones(2 * n))
+    assert np.abs(psi.nf.reconstruct() - psi.corr.mat).max() <= 1e-12
+    assert np.abs(psi.nf.q.T @ psi.nf.q - np.eye(4 * n)).max() <= 1e-12
+    assert psi.nf.det_sign == np.sign(np.linalg.det(psi.nf.q))
+    assert states.parity(psi) == pytest.approx(skew.pfaffian(psi.corr), abs=1e-10)
+    if n <= 4:
+        reduced = dense.partial_trace(dense.gaussian_to_dense(psi), n)
+        td = dense.state_metrics(reduced, dense.gaussian_to_dense(s)).trace_dist
+        assert td < 1e-9
+
+
+@st.composite
+def _states_by_constructor(draw):
+    s = draw(_mixed_states(max_modes=16))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    build = draw(st.sampled_from(["from_correlation", "clip_to_valid", "rotate", "purify"]))
+    if build == "clip_to_valid":  # lambdas up to 1.5 are clipped back to 1
+        return states.clip_to_valid(1.5 * s.corr.mat)
+    if build == "rotate":  # random_orthogonal draws either sign of det
+        return states.rotate(s, skew.random_orthogonal(2 * s.n, gen))
+    if build == "purify":
+        return states.purify(s)
+    return s
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_states_by_constructor())
+def test_parity_matches_pfaffian(s):
+    assert states.parity(s) == pytest.approx(skew.pfaffian(s.corr), abs=1e-10)
 
 
 def test_rank_exponent():
