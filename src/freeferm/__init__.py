@@ -52,7 +52,6 @@ from .sampling import (  # noqa: F401
     DenseSource,
     ExactGaussianSource,
     GammaEstimate,
-    NoisySource,
     RngStream,
     estimate_gamma,
     matching_rotation,

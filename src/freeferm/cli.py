@@ -160,9 +160,11 @@ class ExperimentConfig:
                 f"mode count {n} exceeds sampling cap {sampling.MAX_SAMPLING_MODES}")
         if self.command == "verify-bounds" and n > dense_mod.MAX_DENSE_MODES:
             raise ValidationError(f"mode count {n} exceeds dense cap {dense_mod.MAX_DENSE_MODES}")
-        if self.command == "robustness" and n > learning.MAX_ROBUSTNESS_MODES:
-            raise ValidationError(f"promise certification needs "
-                                  f"n <= {learning.MAX_ROBUSTNESS_MODES}, got {n}")
+        if self.command == "robustness":
+            if n > learning.MAX_ROBUSTNESS_MODES:
+                raise ValidationError(f"promise certification needs "
+                                      f"n <= {learning.MAX_ROBUSTNESS_MODES}, got {n}")
+            learning.check_noise(self.noise_kind, self.noise_strength)
         if kind == "ghz3" and n != 3:
             raise ValidationError("ghz3 requires modes=3")
         if kind == "product" and len(arg) != n:
@@ -226,7 +228,7 @@ def _check_fixture(path: str, modes: int) -> None:
     try:
         with open(path) as f:
             rho = dense_mod.read_dense(f)
-    except (OSError, ValueError, IndexError) as exc:  # unreadable or malformed
+    except (OSError, ValueError) as exc:  # unreadable or malformed
         raise ValidationError(f"dense fixture {path!r}: {exc}") from exc
     if rho.n != modes:
         raise ValidationError(f"fixture has n={rho.n}, expected modes={modes}")
@@ -267,31 +269,21 @@ def _trial_verify_bounds(cfg: ExperimentConfig, trial: int, stream: RngStream) -
     gen = stream.generator()
     n = cfg.modes
     mode = ("mixed_mixed", "pure_pure", "pure_vs_any")[trial % 3]
-    if mode == "pure_pure":
-        s1 = states.random_gaussian_state(n, "pure", gen)
-        s2 = states.random_gaussian_state(n, "pure", gen)
-        rho1, rho2 = dense_mod.gaussian_to_dense(s1), dense_mod.gaussian_to_dense(s2)
-        g2 = s2
-    elif mode == "mixed_mixed":
-        s1 = states.random_gaussian_state(n, "mixed", gen)
-        s2 = states.random_gaussian_state(n, "mixed", gen)
-        rho1, rho2 = dense_mod.gaussian_to_dense(s1), dense_mod.gaussian_to_dense(s2)
-        g2 = s2
-    else:
-        s1 = states.random_gaussian_state(n, "pure", gen)
-        rho1 = dense_mod.gaussian_to_dense(s1)
+    kind = "mixed" if mode == "mixed_mixed" else "pure"
+    s1 = states.random_gaussian_state(n, kind, gen)
+    if mode == "pure_vs_any":
         rho2 = dense_mod.random_density_matrix(n, gen)
         g2 = dense_mod.correlation_matrix(rho2).mat
-    report = states.distance_bounds(s1, g2, mode)  # states carry their lambdas
-    td = dense_mod.state_metrics(rho1, rho2).trace_dist
-    tol = 1e-9
-    ok = report.lb_infty <= td + tol
-    if mode == "pure_vs_any":
-        ok = ok and td <= report.ub_pure_vs_any + tol
     else:
-        ok = ok and td <= report.ub_mixed + tol
-        if mode == "pure_pure":
-            ok = ok and td <= report.ub_pure + tol
+        g2 = states.random_gaussian_state(n, kind, gen)
+        rho2 = dense_mod.gaussian_to_dense(g2)
+    report = states.distance_bounds(s1, g2, mode)  # states carry their lambdas
+    td = dense_mod.state_metrics(dense_mod.gaussian_to_dense(s1), rho2)
+    # ub_pure <= ub_mixed, so each mode's own upper bound is its tightest
+    ub = {"mixed_mixed": report.ub_mixed, "pure_pure": report.ub_pure,
+          "pure_vs_any": report.ub_pure_vs_any}[mode]
+    tol = 1e-9
+    ok = report.lb_infty <= td + tol and td <= ub + tol
     return {
         "trial": trial,
         "mode": mode,
@@ -367,9 +359,7 @@ def _trial_tomo(cfg: ExperimentConfig, trial: int, stream: RngStream) -> dict:
     rec = {"trial": trial, "shots": report.shots_used}
     truth = _dense_of_source(src)
     if truth is not None:
-        err = dense_mod.state_metrics(
-            dense_mod.gaussian_to_dense(report.learned), truth
-        ).trace_dist
+        err = dense_mod.state_metrics(dense_mod.gaussian_to_dense(report.learned), truth)
         rec["dense_error"] = err
         rec["ok"] = err <= cfg.eps
         rec["verdict_or_error"] = f"{err:.6f}"

@@ -3,10 +3,10 @@
 Exact density matrices at desk scale: one Pauli-row table (``pauli_rows``,
 signed permutations from X/Z masks) and its expectation kernel behind the
 Majoranas, correlation matrices and local tomography, Gaussian-unitary
-synthesis from Givens plane rotations, exact
-trace distance / fidelity / relative entropy, Gaussianification, and the
-analytic derivative of a Gaussian state in its correlation matrix.  Ground
-truth for every other module at n <= ~10.
+synthesis from Givens plane rotations, exact trace distance and relative
+entropy, the Gaussian state with a state's correlation matrix
+(``gaussianification``), and the analytic derivative of a Gaussian state in
+its correlation matrix.  Ground truth for every other module at n <= ~10.
 
 Basis convention: computational index x encodes qubit 0 as the most
 significant bit, matching ket notation |x_0 x_1 ... x_{n-1}>.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .states import GaussianState
 __all__ = [
     "DenseState",
     "MajoranaSet",
-    "StateMetrics",
-    "Gaussianification",
     "majoranas",
     "pauli_rows",
     "pauli_expectations",
@@ -43,6 +41,7 @@ __all__ = [
     "gaussian_unitary",
     "gaussian_to_dense",
     "state_metrics",
+    "relative_entropy",
     "gaussianification",
     "gaussian_derivative",
     "pnp_correlation",
@@ -283,41 +282,22 @@ def gaussian_to_dense(s: GaussianState) -> DenseState:
 
 # -- metrics ------------------------------------------------------------------
 
-class StateMetrics(NamedTuple):
-    trace_dist: float
-    fidelity: float
-    relative_entropy: float  # math.inf when supports are incompatible
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def state_metrics(a: DenseState, b: DenseState) -> StateMetrics:
-    """Exact trace distance tr|a-b| (unhalved, so ranging over [0,2]),
-    fidelity, and relative entropy S(a||b) in bits."""
+def state_metrics(a: DenseState, b: DenseState) -> float:
+    """Exact trace distance tr|a-b|, unhalved, so ranging over [0, 2]."""
     if a.n != b.n:
         raise DimensionMismatch(f"mode counts {a.n} and {b.n} differ")
-    diff_eigs = np.linalg.eigvalsh(a.rho - b.rho)
-    trace_dist = float(np.abs(diff_eigs).sum())
-
-    rb = _psd_sqrt(b.rho)
-    fid_eigs = np.linalg.eigvalsh(rb @ a.rho @ rb)
-    fidelity = float(np.sqrt(np.clip(fid_eigs, 0.0, None)).sum() ** 2)
-    fidelity = min(1.0, max(0.0, fidelity))
-
-    relative_entropy = _relative_entropy(a.rho, b.rho)
-    return StateMetrics(trace_dist, fidelity, relative_entropy)
+    return float(np.abs(np.linalg.eigvalsh(a.rho - b.rho)).sum())
 
 
 _SUPPORT_EIG = 1e-12
 
 
-def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """S(rho||sigma) in bits; 0 log 0 = 0, infinite outside sigma's support."""
-    p, u = np.linalg.eigh(rho)
-    q, v = np.linalg.eigh(sigma)
+def relative_entropy(a: DenseState, b: DenseState) -> float:
+    """S(a||b) in bits; 0 log 0 = 0, infinite outside b's support."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"mode counts {a.n} and {b.n} differ")
+    p, u = np.linalg.eigh(a.rho)
+    q, v = np.linalg.eigh(b.rho)
     p = np.clip(p, 0.0, None)
     overlaps = np.abs(u.conj().T @ v) ** 2  # overlaps[i, j] = |<u_i|v_j>|^2
     p_support = p > _SUPPORT_EIG
@@ -332,20 +312,13 @@ def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return max(0.0, ent_rho - cross)
 
 
-class Gaussianification(NamedTuple):
-    g: GaussianState
-    d_nongauss: float
+def gaussianification(rho: DenseState) -> DenseState:
+    """The Gaussian state with rho's correlation matrix.
 
-
-def gaussianification(rho: DenseState) -> Gaussianification:
-    """The Gaussian state with rho's correlation matrix, and S(rho || G(rho)).
-
-    The relative entropy to the Gaussianification is the relative entropy of
-    non-Gaussianity, the minimum over all Gaussian states.
+    Its relative entropy from rho is the relative entropy of non-Gaussianity,
+    the minimum over all Gaussian states.
     """
-    g = states.clip_to_valid(correlation_matrix(rho))
-    d = _relative_entropy(rho.rho, gaussian_to_dense(g).rho)
-    return Gaussianification(g=g, d_nongauss=max(0.0, d))
+    return gaussian_to_dense(states.clip_to_valid(correlation_matrix(rho)))
 
 
 def gaussian_derivative(gamma, x) -> np.ndarray:
@@ -438,7 +411,10 @@ def write_dense(f: TextIO, rho: DenseState) -> None:
 
 
 def read_dense(f: TextIO) -> DenseState:
-    n = int(f.readline().split()[0])
+    header = f.readline().strip()
+    if not header.isdecimal() or int(header) < 1:
+        raise DimensionMismatch(f"header {header!r} must be a mode count >= 1")
+    n = int(header)
     d = 1 << n
     rows = []
     for _ in range(d):

@@ -38,8 +38,6 @@ from .errors import (
 from .sampling import (
     DEFAULT_SHOT_CAP,
     DenseSource,
-    ExactGaussianSource,
-    NoisySource,
     RngStream,
     StateSource,
     estimate_gamma,
@@ -68,6 +66,7 @@ __all__ = [
     "tomograph_pure",
     "tomograph_mixed",
     "robustness_experiment",
+    "check_noise",
     "mixed_tomography_shots",
 ]
 
@@ -84,6 +83,9 @@ MIX2_THRESHOLD_FACTOR = 1.1
 MAX_LOCAL_MODES = 6
 #: cap for robustness experiments, whose promise the dense oracle certifies
 MAX_ROBUSTNESS_MODES = dense_mod.MAX_DENSE_MODES // 2
+#: strength range of each noise kind, the strengths for which the noisy
+#: preparation is a state: (1 - p) rho + p I/2^n and (1 - s/2) rho + (s/2) tau
+NOISE_STRENGTHS = {"depolarizing": (0.0, 1.0), "trace_perturbation": (0.0, 2.0)}
 
 
 @dataclass(frozen=True)
@@ -251,17 +253,11 @@ def test_bounded_rank(
     rho_hat, tomo_shots = local_full_tomography(
         src, r, eps_tom, cfg.delta / 2.0, rng_stream.child(1), rotation=nf.q, scheme=scheme,
     )
-    local_dist = _distance_to_own_gaussianification(rho_hat)
+    local_dist = dense_mod.state_metrics(rho_hat, dense_mod.gaussianification(rho_hat))
     verdict = CASE_B if local_dist > eps_t2 else CASE_A
     ev = TestEvidence(lambda_hat_relevant=lam_next, threshold=eps_t2,
                       stage="tomography_stage", local_distance=local_dist)
     return TestVerdict(verdict=verdict, evidence=ev, shots_used=est.shots_used + tomo_shots)
-
-
-def _distance_to_own_gaussianification(rho: DenseState) -> float:
-    gamma = dense_mod.correlation_matrix(rho)
-    sigma = dense_mod.gaussian_to_dense(states.clip_to_valid(gamma))
-    return dense_mod.state_metrics(rho, sigma).trace_dist
 
 
 def local_full_tomography(
@@ -336,10 +332,10 @@ def reduce_identity_testing(
     Step 1 estimates the correlation matrix at eps/(6n), spending the
     scheme's headline budget at delta/2; step 2 flags the state as far
     whenever its operator norm exceeds eps/(3n) (the maximally mixed state
-    has a vanishing correlation matrix); step 3 hands the
-    remaining states to a Gaussianity check over the whole register: full
-    tomography plus the distance to the learned state's Gaussianification,
-    thresholded like the bounded-rank test with every mode examined.
+    has a vanishing correlation matrix); step 3 hands the remaining states to
+    a Gaussianity check over the whole register: full tomography plus the
+    distance to the Gaussian state with the learned state's correlation
+    matrix, thresholded like the bounded-rank test with every mode examined.
     Returns (verdict, shots_used).
     """
     n = src.n
@@ -358,7 +354,7 @@ def reduce_identity_testing(
     rho_hat, tomo_shots = local_full_tomography(
         src, n, eps_tom, delta / 2.0, rng_stream.child(1), rotation=None, scheme=scheme,
     )
-    dist = _distance_to_own_gaussianification(rho_hat)
+    dist = dense_mod.state_metrics(rho_hat, dense_mod.gaussianification(rho_hat))
     verdict = MAXIMALLY_MIXED if dist <= eps_t2 else FAR_FROM_MAXIMALLY_MIXED
     return verdict, est.shots_used + tomo_shots
 
@@ -421,6 +417,15 @@ class RobustnessResult:
     shots_used: int
 
 
+def check_noise(kind: str, strength: float) -> None:
+    """Raise ValidationError unless ``strength`` is in the range of ``kind``."""
+    if kind not in NOISE_STRENGTHS:
+        raise ValidationError(f"unknown noise kind {kind!r}")
+    lo, hi = NOISE_STRENGTHS[kind]
+    if not lo <= strength <= hi:
+        raise ValidationError(f"{kind} strength {strength} outside [{lo:g}, {hi:g}]")
+
+
 def robustness_experiment(
     base: GaussianState,
     noise: Tuple[str, float],
@@ -434,34 +439,34 @@ def robustness_experiment(
     """Run mixed tomography on a noisy preparation of ``base``.
 
     noise is ("depolarizing", p) or ("trace_perturbation", strength); the
-    latter mixes in the |+>^n projector, a non-Gaussian direction.  The
-    promise ("trace": distance to the Gaussianification <= eps/(3n);
-    "relative_entropy": non-Gaussianity <= eps^2) is certified by the dense
-    oracle before sampling; failure raises PromiseNotCertified, marking the
-    run out-of-contract rather than an algorithm failure.
+    latter mixes in the |+>^n projector, a non-Gaussian direction.  The noisy
+    state is built densely once: the promise is certified on it, tomography
+    samples it and the error is scored against it.  The promise ("trace":
+    distance to the Gaussian state of the same correlation matrix <=
+    eps/(3n); "relative_entropy": non-Gaussianity <= eps^2) is certified
+    before sampling; failure raises PromiseNotCertified, marking the run
+    out-of-contract rather than an algorithm failure.
     """
     n = base.n
     if n > MAX_ROBUSTNESS_MODES:
         raise TooManyLocalModes(
             f"promise certification needs n <= {MAX_ROBUSTNESS_MODES}, got {n}")
     kind, strength = noise
+    check_noise(kind, strength)
     rho_base = dense_mod.gaussian_to_dense(base)
     if kind == "depolarizing":
         rho_noisy = dense_mod.depolarize(rho_base, strength)
-        src: StateSource = NoisySource(ExactGaussianSource(base), strength)
-    elif kind == "trace_perturbation":
+    else:
         plus = np.full(1 << n, (1.0 / math.sqrt(2.0)) ** n, dtype=complex)
         tau = np.outer(plus, plus.conj())
         rho_noisy = DenseState(n, (1.0 - 0.5 * strength) * rho_base.rho + 0.5 * strength * tau)
-        src = DenseSource(rho_noisy)
-    else:
-        raise ValidationError(f"unknown noise kind {kind!r}")
 
+    sigma = dense_mod.gaussianification(rho_noisy)
     if promise == "trace":
-        promise_value = _distance_to_own_gaussianification(rho_noisy)
+        promise_value = dense_mod.state_metrics(rho_noisy, sigma)
         bound = eps / (3.0 * n)
     elif promise == "relative_entropy":
-        promise_value = dense_mod.gaussianification(rho_noisy).d_nongauss
+        promise_value = dense_mod.relative_entropy(rho_noisy, sigma)
         bound = eps ** 2
     else:
         raise ValidationError(f"unknown promise {promise!r}")
@@ -470,9 +475,9 @@ def robustness_experiment(
             f"promise value {promise_value:.6f} exceeds the bound {bound:.6f}"
         )
 
-    report = tomograph_mixed(src, eps, delta, rng_stream, scheme=scheme, shot_cap=shot_cap)
-    rho_learned = dense_mod.gaussian_to_dense(report.learned)
-    err = dense_mod.state_metrics(rho_learned, rho_noisy).trace_dist
+    report = tomograph_mixed(DenseSource(rho_noisy), eps, delta, rng_stream, scheme=scheme,
+                             shot_cap=shot_cap)
+    err = dense_mod.state_metrics(dense_mod.gaussian_to_dense(report.learned), rho_noisy)
     return RobustnessResult(
         learned=report.learned,
         dense_error=err,

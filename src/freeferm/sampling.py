@@ -1,9 +1,9 @@
 """Measurement simulation and correlation-matrix estimation.
 
-State sources (analytic Gaussian, dense, depolarized wrappers), Z-basis
-sampling after Gaussian rotations, the round-robin matching plan that groups
-the quadratic observables -i gamma_j gamma_k into 2n-1 commuting rounds, and
-the two estimation schemes with their shot budgets.
+State sources (analytic Gaussian and dense), Z-basis sampling after Gaussian
+rotations, the round-robin matching plan that groups the quadratic
+observables -i gamma_j gamma_k into 2n-1 commuting rounds, and the two
+estimation schemes with their shot budgets.
 
 Randomness comes from counter-based Philox streams keyed by (master seed,
 trial id, ...): one stream per pauli_pairs estimate and one per commuting
@@ -37,7 +37,6 @@ __all__ = [
     "StateSource",
     "ExactGaussianSource",
     "DenseSource",
-    "NoisySource",
     "MatchingPlan",
     "GammaEstimate",
     "matchings",
@@ -150,37 +149,6 @@ class DenseSource(StateSource):
 
     def reduced_dense(self, q: Optional[np.ndarray], r: int) -> DenseState:
         return dense_mod.partial_trace(DenseState(self.n, self._rotated(q)), r)
-
-
-@dataclass(frozen=True)
-class NoisySource(StateSource):
-    """Depolarizing wrapper: rho -> (1-p) rho + p I/2^n.
-
-    Depolarizing commutes with every unitary, so rotations pass through to
-    the inner source and the uniform component mixes in afterwards.
-    """
-
-    inner: StateSource
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValidationError(f"depolarizing strength {self.p} outside [0, 1]")
-
-    @property
-    def n(self) -> int:  # type: ignore[override]
-        return self.inner.n
-
-    def gamma(self) -> np.ndarray:
-        return (1.0 - self.p) * self.inner.gamma()
-
-    def z_distribution(self, q: Optional[np.ndarray] = None) -> np.ndarray:
-        base = self.inner.z_distribution(q)
-        return (1.0 - self.p) * base + self.p / base.size
-
-    def reduced_dense(self, q: Optional[np.ndarray], r: int) -> DenseState:
-        base = self.inner.reduced_dense(q, r)
-        return dense_mod.depolarize(base, self.p)
 
 
 def _normalize_distribution(d: np.ndarray) -> np.ndarray:

@@ -52,7 +52,7 @@ def test_acceptance_bound_sandwich():
                 rho1, rho2 = dense.gaussian_to_dense(s1), dense.gaussian_to_dense(s2)
                 g2 = s2.corr.mat
             rep = states.distance_bounds(s1.corr.mat, g2, mode)
-            td = dense.state_metrics(rho1, rho2).trace_dist
+            td = dense.state_metrics(rho1, rho2)
             worst = max(worst, rep.lb_infty - td)
             if mode == "pure_vs_any":
                 worst = max(worst, td - rep.ub_pure_vs_any)
@@ -77,9 +77,7 @@ def test_acceptance_saturation():
     for _ in range(200):
         a, b = gen.uniform(-1, 1, size=2)
         sa, sb = states.product_state([a]), states.product_state([b])
-        td = dense.state_metrics(
-            dense.gaussian_to_dense(sa), dense.gaussian_to_dense(sb)
-        ).trace_dist
+        td = dense.state_metrics(dense.gaussian_to_dense(sa), dense.gaussian_to_dense(sb))
         half_one_norm = 0.5 * skew.schatten_norm(sa.corr.mat - sb.corr.mat, 1)
         worst_single = max(worst_single, abs(td - half_one_norm))
 
@@ -88,9 +86,7 @@ def test_acceptance_saturation():
     for _ in range(200):
         s1, s2 = _rand_pure(3, gen), _rand_pure(3, gen)
         delta = s1.corr.mat - s2.corr.mat
-        td = dense.state_metrics(
-            dense.gaussian_to_dense(s1), dense.gaussian_to_dense(s2)
-        ).trace_dist
+        td = dense.state_metrics(dense.gaussian_to_dense(s1), dense.gaussian_to_dense(s2))
         if skew.schatten_norm(delta, np.inf) >= 2.0 - 1e-9:
             worst_pure = max(worst_pure, abs(td - 2.0))
             branch_counts[1] += 1
@@ -242,9 +238,7 @@ def test_acceptance_tomography():
         rep = learning.tomograph_mixed(ExactGaussianSource(s), eps, delta,
                                        RngStream(1070, (trial,)))
         assert rep.shots_used == mixed_budget
-        err = dense.state_metrics(
-            dense.gaussian_to_dense(rep.learned), dense.gaussian_to_dense(s)
-        ).trace_dist
+        err = dense.state_metrics(dense.gaussian_to_dense(rep.learned), dense.gaussian_to_dense(s))
         ok_mixed += err <= eps
 
     pure_budget = sampling.shot_budget("commuting", n, eps, delta)
@@ -255,9 +249,7 @@ def test_acceptance_tomography():
         rep = learning.tomograph_pure(ExactGaussianSource(s), eps, delta,
                                       RngStream(1071, (trial,)))
         assert rep.shots_used == pure_budget
-        err = dense.state_metrics(
-            dense.gaussian_to_dense(rep.learned), dense.gaussian_to_dense(s)
-        ).trace_dist
+        err = dense.state_metrics(dense.gaussian_to_dense(rep.learned), dense.gaussian_to_dense(s))
         ok_pure += err <= eps
 
     need = (0.9 - 3.0 * math.sqrt(0.9 * 0.1 / trials)) * trials

@@ -97,6 +97,13 @@ def test_bad_dense_fixture_exits_2(tmp_path, capsys, monkeypatch):
                 "--state-spec", f"dense_fixture:{path}", "--out", str(tmp_path / "x.json")]
         assert cli.main(argv) == 2, name
         assert "invalid configuration:" in capsys.readouterr().err
+    for name, header in (("empty", ""), ("non_integer", "two\n"), ("negative", "-1\n")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(header)
+        argv = ["estimate", "--modes", "2", "--trials", "1",
+                "--state-spec", f"dense_fixture:{path}", "--out", str(tmp_path / "x.json")]
+        assert cli.main(argv) == 2, name
+        assert "must be a mode count >= 1" in capsys.readouterr().err, name
 
 
 def test_sweep_single_point_slope_absent():
@@ -246,11 +253,19 @@ def test_main_exit_codes(tmp_path):
                      "--out", str(tmp_path / "nodir" / "x.json")]) == 2
 
 
-def test_out_of_range_input_exits_2(tmp_path, capsys):
+def test_out_of_range_input_exits_2(tmp_path, capsys, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a robustness trial ran at an out-of-range noise strength")
+
+    monkeypatch.setitem(cli._TRIAL_WORKERS, "robustness", no_trial)
     out = str(tmp_path / "x.json")
     for argv in (
         ["estimate", "--modes", "2", "--eps", "3", "--trials", "1"],
         ["robustness", "--modes", "2", "--noise-strength", "1.5", "--trials", "1"],
+        ["robustness", "--modes", "2", "--noise-kind", "trace_perturbation",
+         "--noise-strength", "3", "--trials", "1"],
+        ["robustness", "--modes", "2", "--noise-kind", "trace_perturbation",
+         "--noise-strength", "-0.5", "--trials", "1"],
     ):
         assert cli.main([*argv, "--out", out]) == 2
         assert "invalid configuration:" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from freeferm import dense, skew, states
 from freeferm.sampling import matching_rotation, matchings
 from freeferm.errors import (
     ConvergenceFailure,
+    DimensionMismatch,
     NonNegligibleImaginaryPart,
     NotOrthogonal,
     TooManyModes,
@@ -167,49 +168,48 @@ def test_oracle_self_consistency(rng):
         s = states.random_gaussian_state(n, "mixed", rng)
         rho = dense.gaussian_to_dense(s)
         again = dense.gaussian_to_dense(states.from_correlation(dense.correlation_matrix(rho)))
-        assert dense.state_metrics(rho, again).trace_dist < 1e-7
+        assert dense.state_metrics(rho, again) < 1e-7
 
 
 def test_state_metrics_examples():
     a = dense.computational_basis(1, [0])
     b = dense.computational_basis(1, [1])
-    m = dense.state_metrics(a, a)
-    assert m.trace_dist == pytest.approx(0.0, abs=1e-12)
-    assert m.fidelity == pytest.approx(1.0, abs=1e-9)
-    assert m.relative_entropy == pytest.approx(0.0, abs=1e-9)
-    m2 = dense.state_metrics(a, b)
-    assert m2.trace_dist == pytest.approx(2.0)
-    assert m2.fidelity == pytest.approx(0.0, abs=1e-12)
-    assert m2.relative_entropy == math.inf
+    assert dense.state_metrics(a, a) == pytest.approx(0.0, abs=1e-12)
+    assert dense.relative_entropy(a, a) == pytest.approx(0.0, abs=1e-9)
+    assert dense.state_metrics(a, b) == pytest.approx(2.0)
+    assert dense.relative_entropy(a, b) == math.inf
+    for metric in (dense.state_metrics, dense.relative_entropy):
+        with pytest.raises(DimensionMismatch):
+            metric(a, dense.maximally_mixed(2))
 
 
 def test_relative_entropy_support_conventions():
     plus = dense.DenseState.from_statevector(np.array([1.0, 1.0]) / math.sqrt(2))
     mm = dense.maximally_mixed(1)
     # S(plus || I/2) = 1 bit; finite because I/2 has full support
-    assert dense.state_metrics(plus, mm).relative_entropy == pytest.approx(1.0, abs=1e-9)
+    assert dense.relative_entropy(plus, mm) == pytest.approx(1.0, abs=1e-9)
     # reversed direction hits the support of a pure state
-    assert dense.state_metrics(mm, plus).relative_entropy == math.inf
+    assert dense.relative_entropy(mm, plus) == math.inf
 
 
 def test_pinsker_consistency(rng):
     for _ in range(10):
         a = dense.random_density_matrix(2, rng)
         b = dense.random_density_matrix(2, rng)
-        m = dense.state_metrics(a, b)
-        if math.isfinite(m.relative_entropy):
-            assert 0.5 * m.trace_dist <= math.sqrt(0.5 * math.log(2) * m.relative_entropy) + 1e-9
+        rel = dense.relative_entropy(a, b)
+        if math.isfinite(rel):
+            assert 0.5 * dense.state_metrics(a, b) <= math.sqrt(0.5 * math.log(2) * rel) + 1e-9
 
 
 def test_gaussianification():
     rho_g = dense.gaussian_to_dense(states.product_state([0.3, 0.6]))
-    res = dense.gaussianification(rho_g)
-    assert res.d_nongauss < 1e-8
-    res_mm = dense.gaussianification(dense.maximally_mixed(2))
-    assert res_mm.d_nongauss < 1e-10
+    assert dense.state_metrics(rho_g, dense.gaussianification(rho_g)) < 1e-8
+    assert dense.relative_entropy(rho_g, dense.gaussianification(rho_g)) < 1e-8
+    mm = dense.maximally_mixed(2)
+    assert dense.relative_entropy(mm, dense.gaussianification(mm)) < 1e-10
     # frozen regression value for the GHZ fixture
-    res_ghz = dense.gaussianification(dense.ghz3())
-    assert res_ghz.d_nongauss == pytest.approx(3.0, abs=1e-9)
+    ghz = dense.ghz3()
+    assert dense.relative_entropy(ghz, dense.gaussianification(ghz)) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_overlap_formula_fuzz(rng):
@@ -232,7 +232,7 @@ def test_pure_vs_arbitrary_bound(rng):
         n = int(rng.integers(1, 5))
         psi = states.random_gaussian_state(n, "pure", rng)
         rho = dense.random_density_matrix(n, rng)
-        td = dense.state_metrics(dense.gaussian_to_dense(psi), rho).trace_dist
+        td = dense.state_metrics(dense.gaussian_to_dense(psi), rho)
         d1 = skew.schatten_norm(psi.corr.mat - dense.correlation_matrix(rho).mat, 1)
         assert td <= math.sqrt(d1) + 1e-9
 

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is read or re-exported."""
+"""Every module-level import in the package is read or re-exported, and every
+name a module exports in ``__all__`` is defined in that module."""
 
 import ast
 import pathlib
@@ -29,6 +30,18 @@ def _imported(tree: ast.Module):
                 yield alias.asname or alias.name, node.lineno
 
 
+def _defined(tree: ast.Module) -> set:
+    """Names bound at module level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -36,3 +49,10 @@ def test_no_unused_module_imports(path):
     kept = read | _exported(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in kept]
     assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exports_are_defined(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stale = sorted(_exported(tree) - _defined(tree))
+    assert not stale, f"{path.name} exports names it does not define: {stale}"

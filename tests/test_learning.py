@@ -185,11 +185,11 @@ def test_rank_mixed_set_variant(rng):
 def test_local_tomography(rng):
     vac = ExactGaussianSource(states.vacuum(2))
     rho, _ = learning.local_full_tomography(vac, 1, 0.1, 0.1, RngStream(8))
-    assert dense.state_metrics(rho, dense.computational_basis(1, [0])).trace_dist < 0.1
+    assert dense.state_metrics(rho, dense.computational_basis(1, [0])) < 0.1
 
     mm = ExactGaussianSource(states.product_state([0, 0, 0]))
     rho2, _ = learning.local_full_tomography(mm, 2, 0.1, 0.1, RngStream(9))
-    assert dense.state_metrics(rho2, dense.maximally_mixed(2)).trace_dist < 0.1
+    assert dense.state_metrics(rho2, dense.maximally_mixed(2)) < 0.1
 
     with pytest.raises(TooManyLocalModes):
         learning.local_full_tomography(vac, 7, 0.1, 0.1, RngStream(10))
@@ -207,7 +207,7 @@ def test_local_tomography_matches_partial_trace(rng):
         truth = dense.partial_trace(
             dense.gaussian_to_dense(states.rotate(s, q)), 1
         )
-        if dense.state_metrics(rho_hat, truth).trace_dist <= 0.15:
+        if dense.state_metrics(rho_hat, truth) <= 0.15:
             hits += 1
     assert hits >= 18  # 1 - delta with slack
 
@@ -293,16 +293,12 @@ def test_tomograph_pure(rng):
     s = states.random_gaussian_state(3, "pure", rng)
     src = ExactGaussianSource(s)
     exact = learning.tomograph_pure(src, 0.2, 0.1, RngStream(15), scheme="exact")
-    err0 = dense.state_metrics(
-        dense.gaussian_to_dense(exact.learned), dense.gaussian_to_dense(s)
-    ).trace_dist
+    err0 = dense.state_metrics(dense.gaussian_to_dense(exact.learned), dense.gaussian_to_dense(s))
     assert err0 < 1e-8
     assert exact.learned.is_pure(tol=1e-9)
 
     sampled = learning.tomograph_pure(src, 0.25, 0.1, RngStream(16))
-    err = dense.state_metrics(
-        dense.gaussian_to_dense(sampled.learned), dense.gaussian_to_dense(s)
-    ).trace_dist
+    err = dense.state_metrics(dense.gaussian_to_dense(sampled.learned), dense.gaussian_to_dense(s))
     assert err <= 0.25
     assert sampled.shots_used == sampling.shot_budget("commuting", 3, 0.25, 0.1)
 
@@ -311,15 +307,11 @@ def test_tomograph_mixed(rng):
     s = states.random_gaussian_state(3, "mixed", rng)
     src = ExactGaussianSource(s)
     exact = learning.tomograph_mixed(src, 0.2, 0.1, RngStream(17), scheme="exact")
-    err0 = dense.state_metrics(
-        dense.gaussian_to_dense(exact.learned), dense.gaussian_to_dense(s)
-    ).trace_dist
+    err0 = dense.state_metrics(dense.gaussian_to_dense(exact.learned), dense.gaussian_to_dense(s))
     assert err0 < 1e-8
 
     sampled = learning.tomograph_mixed(src, 0.2, 0.1, RngStream(18))
-    err = dense.state_metrics(
-        dense.gaussian_to_dense(sampled.learned), dense.gaussian_to_dense(s)
-    ).trace_dist
+    err = dense.state_metrics(dense.gaussian_to_dense(sampled.learned), dense.gaussian_to_dense(s))
     assert err <= 0.2
     assert sampled.shots_used == learning.mixed_tomography_shots(3, 0.2, 0.1)
 
@@ -338,9 +330,7 @@ def test_tomography_error_scaling(rng):
                                           RngStream(50, (shots, t)), total_shots=shots)
             nf = skew.normal_form(est.gamma_hat).with_lambdas(np.ones(3))
             learned = states.from_correlation(nf.reconstruct())
-            errs.append(dense.state_metrics(
-                dense.gaussian_to_dense(learned), rho_true
-            ).trace_dist)
+            errs.append(dense.state_metrics(dense.gaussian_to_dense(learned), rho_true))
         medians.append(np.median(errs))
     slope = np.polyfit(np.log(grids), np.log(medians), 1)[0]
     assert -0.6 <= slope <= -0.4
@@ -356,10 +346,8 @@ def test_clipping_rule():
 def test_tomography_learns_gaussianification(rng):
     src = DenseSource(dense.ghz3())
     report = learning.tomograph_mixed(src, 0.2, 0.1, RngStream(19))
-    g = dense.gaussianification(dense.ghz3()).g
-    err = dense.state_metrics(
-        dense.gaussian_to_dense(report.learned), dense.gaussian_to_dense(g)
-    ).trace_dist
+    err = dense.state_metrics(dense.gaussian_to_dense(report.learned),
+                              dense.gaussianification(dense.ghz3()))
     assert err <= 0.2
 
 
@@ -385,6 +373,11 @@ def test_robustness_trace_perturbation(rng):
                                          RngStream(22))
     assert res.dense_error <= 0.3
     assert res.promise_value <= 0.3 / 6.0
+    # (1 - s/2) rho + (s/2) tau is a state only for s in [0, 2]
+    for strength in (-0.5, 3.0):
+        with pytest.raises(ValidationError):
+            learning.robustness_experiment(base, ("trace_perturbation", strength), 0.3, 0.1,
+                                           RngStream(22))
 
 
 def test_robustness_promise_not_certified(rng):

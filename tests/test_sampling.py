@@ -11,7 +11,6 @@ from freeferm.errors import BudgetOverflow, InvalidMatching, NotAntisymmetric, V
 from freeferm.sampling import (
     DenseSource,
     ExactGaussianSource,
-    NoisySource,
     RngStream,
     estimate_gamma,
     matching_rotation,
@@ -196,14 +195,12 @@ def test_sample_unbiased_marginals():
     assert np.array_equal(dist, np.full(4, 0.25))
 
 
-def test_noisy_source_mixes_uniform(rng):
+def test_depolarized_dense_source_mixes_uniform(rng):
     s = states.random_gaussian_state(2, "mixed", rng)
-    noisy = NoisySource(ExactGaussianSource(s), 0.3)
+    noisy = DenseSource(dense.depolarize(dense.gaussian_to_dense(s), 0.3))
     base = ExactGaussianSource(s).z_distribution()
     assert np.allclose(noisy.z_distribution(), 0.7 * base + 0.3 / 4.0)
     assert np.allclose(noisy.gamma(), 0.7 * s.corr.mat)
-    with pytest.raises(ValueError):
-        NoisySource(ExactGaussianSource(s), 1.5)
 
 
 def test_estimate_exact_scheme(rng):

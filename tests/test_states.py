@@ -125,7 +125,7 @@ def test_distance_bounds_single_mode_saturation():
     assert rep.lb_infty == pytest.approx(0.5)
     assert rep.ub_mixed == pytest.approx(0.5)
     # exact trace distance of the two diagonal states is |0.3 - 0.8| = 0.5
-    td = dense.state_metrics(dense.gaussian_to_dense(a), dense.gaussian_to_dense(b)).trace_dist
+    td = dense.state_metrics(dense.gaussian_to_dense(a), dense.gaussian_to_dense(b))
     assert td == pytest.approx(0.5, abs=1e-12)
 
 
@@ -143,9 +143,7 @@ def test_distance_bounds_pure_saturation_3_modes(rng):
         s1 = states.random_gaussian_state(3, "pure", rng)
         s2 = states.random_gaussian_state(3, "pure", rng)
         rep = states.distance_bounds(s1, s2, "pure_pure")
-        td = dense.state_metrics(
-            dense.gaussian_to_dense(s1), dense.gaussian_to_dense(s2)
-        ).trace_dist
+        td = dense.state_metrics(dense.gaussian_to_dense(s1), dense.gaussian_to_dense(s2))
         assert td == pytest.approx(rep.ub_pure, abs=1e-8)
         if rep.ub_pure < 2.0 - 1e-6:
             hits += 1
@@ -196,8 +194,7 @@ def test_nongaussianity_ghz_certificate():
     rho = dense.ghz3()
     gamma = dense.correlation_matrix(rho)
     rep = states.nongaussianity_bounds(gamma, 0)
-    g = dense.gaussianification(rho).g
-    exact = dense.state_metrics(rho, dense.gaussian_to_dense(g)).trace_dist
+    exact = dense.state_metrics(rho, dense.gaussianification(rho))
     assert rep.lb_rank_set <= exact + 1e-9
 
 
@@ -218,7 +215,7 @@ def test_purify_marginal_matches_dense(rng):
     assert psi.is_pure(tol=1e-9)
     assert np.array_equal(psi.corr.mat[:6, :6], s.corr.mat)  # exact block copy
     reduced = dense.partial_trace(dense.gaussian_to_dense(psi), 3)
-    td = dense.state_metrics(reduced, dense.gaussian_to_dense(s)).trace_dist
+    td = dense.state_metrics(reduced, dense.gaussian_to_dense(s))
     assert td < 1e-9
 
 
@@ -249,7 +246,7 @@ def test_purify_properties(s):
     assert states.parity(psi) == pytest.approx(skew.pfaffian(psi.corr), abs=1e-10)
     if n <= 4:
         reduced = dense.partial_trace(dense.gaussian_to_dense(psi), n)
-        td = dense.state_metrics(reduced, dense.gaussian_to_dense(s)).trace_dist
+        td = dense.state_metrics(reduced, dense.gaussian_to_dense(s))
         assert td < 1e-9
 
 
