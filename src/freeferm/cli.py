@@ -150,6 +150,10 @@ class ExperimentConfig:
             raise ValidationError(f"shots must be >= 1, got {self.shots}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError(f"delta {self.delta} outside (0, 1)")
+        if self.command == "estimate":
+            sampling.check_eps_stat(self.eps)
+        elif self.command in ("tomo-pure", "tomo-mixed", "robustness"):
+            learning.check_eps_delta(self.eps, self.delta)
         kind, arg = _parse_state_spec(self.state_spec)  # raises on malformed specs
         n = self.modes
         if n < 1:
@@ -250,9 +254,7 @@ def _make_source(cfg: ExperimentConfig, stream: RngStream) -> StateSource:
     if kind == "dense_fixture":
         with open(arg) as f:  # checked by validate()
             return DenseSource(dense_mod.read_dense(f))
-    if kind == "ghz3":
-        return DenseSource(dense_mod.ghz3())
-    raise ValidationError(f"unknown state spec {cfg.state_spec!r}")
+    return DenseSource(dense_mod.ghz3())  # kind == "ghz3"; _parse_state_spec rejects the rest
 
 
 def _dense_of_source(src: StateSource) -> Optional[dense_mod.DenseState]:

@@ -209,8 +209,11 @@ def gaussian_unitary(q: np.ndarray) -> np.ndarray:
     product of these factors in the same order (Jiang et al.,
     arXiv:1711.05395).  For det(q) = -1 the construction right-composes the
     reflection unitary gamma_{2n-1} (adjoint action flips the sign of every
-    Majorana except the last).  The defining relation is verified at runtime
-    in Frobenius norm, which upper bounds the operator norm.
+    Majorana except the last).  The defining relation is checked on the
+    vacuum column: as a product of Gaussian factors, U has U^dag gamma_mu U =
+    sum_nu R_{mu,nu} gamma_nu for an orthogonal R, and gamma_{2k}|0>,
+    gamma_{2k+1}|0> are one basis vector with phases 1 and i, so row mu's
+    residual on |0> is exactly ||R_mu - q_mu||, the Frobenius residual / sqrt(2^n).
     """
     q = np.asarray(q, dtype=float)
     dim = q.shape[0]
@@ -219,7 +222,7 @@ def gaussian_unitary(q: np.ndarray) -> np.ndarray:
     n = dim // 2
     if n > MAX_DENSE_MODES:
         raise TooManyModes(f"mode count {n} exceeds dense cap {MAX_DENSE_MODES}")
-    states._check_orthogonal(q)
+    states.check_orthogonal(q)
     ms = majoranas(n)
 
     det_neg = np.linalg.det(q) < 0
@@ -248,15 +251,7 @@ def gaussian_unitary(q: np.ndarray) -> np.ndarray:
     if det_neg:
         u = ms.right_apply(u, dim - 1)
 
-    worst = 0.0
-    idx = np.arange(1 << n)
-    for mu in range(dim):
-        target = np.zeros_like(u)
-        for nu in range(dim):
-            if q[mu, nu] != 0.0:
-                target[ms.perms[nu], idx] += q[mu, nu] * ms.coefs[nu]
-        lhs = u.conj().T @ ms.left_apply(mu, u)
-        worst = max(worst, float(np.linalg.norm(lhs - target)))
+    worst = math.sqrt(1 << n) * _synthesis_residual(u, q)
     if worst > UNITARY_CHECK_TOL:
         raise ConvergenceFailure(
             f"defining relation violated by {worst:.3e} (tol {UNITARY_CHECK_TOL:.1e})"
@@ -264,20 +259,22 @@ def gaussian_unitary(q: np.ndarray) -> np.ndarray:
     return u
 
 
+def _synthesis_residual(u: np.ndarray, q: np.ndarray) -> float:
+    """max_mu ||gamma_mu U|0> - U sum_nu q_{mu,nu} gamma_nu |0>|| (see gaussian_unitary)."""
+    ms = majoranas(q.shape[0] // 2)
+    lhs = np.zeros(ms.perms.shape, dtype=complex)  # row mu: gamma_mu U|0>
+    np.put_along_axis(lhs, ms.perms, ms.coefs * u[:, 0], axis=1)
+    rhs = (u[:, ms.perms[:, 0]] * ms.coefs[:, 0]) @ q.T  # column mu: U sum_nu q gamma_nu |0>
+    return float(np.linalg.norm(lhs - rhs.T, axis=1).max())
+
+
 def gaussian_to_dense(s: GaussianState) -> DenseState:
     """rho = U_Q (⊗ (I + lam_j Z_j)/2) U_Q^dag from the normal form of s."""
+    u = gaussian_unitary(s.nf.q)  # raises TooManyModes above the dense cap
     n = s.n
-    if n > MAX_DENSE_MODES:
-        raise TooManyModes(f"mode count {n} exceeds dense cap {MAX_DENSE_MODES}")
-    d = 1 << n
-    x = np.arange(d)
-    diag = np.ones(d)
-    for j in range(n):
-        bit = (x >> (n - 1 - j)) & 1
-        diag *= 0.5 * (1.0 + s.nf.lambdas[j] * (1.0 - 2.0 * bit))
-    u = gaussian_unitary(s.nf.q)
-    rho = (u * diag[None, :]) @ u.conj().T
-    return DenseState(n, rho)
+    bits = (np.arange(1 << n) >> (n - 1 - np.arange(n))[:, None]) & 1  # [mode, x]
+    diag = np.prod(0.5 * (1.0 + s.nf.lambdas[:, None] * (1.0 - 2.0 * bits)), axis=0)
+    return DenseState(n, (u * diag[None, :]) @ u.conj().T)
 
 
 # -- metrics ------------------------------------------------------------------

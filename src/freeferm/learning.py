@@ -66,6 +66,7 @@ __all__ = [
     "tomograph_pure",
     "tomograph_mixed",
     "robustness_experiment",
+    "check_eps_delta",
     "check_noise",
     "mixed_tomography_shots",
 ]
@@ -128,8 +129,6 @@ class TestVerdict:
 class TomographyReport:
     learned: GaussianState
     shots_used: int
-    target_eps: float
-    target_delta: float
 
 
 # -- threshold formulas ---------------------------------------------------------
@@ -371,7 +370,7 @@ def tomograph_pure(
 ) -> TomographyReport:
     """Learn a pure Gaussian state: estimate, take the normal form, snap
     every eigenvalue to 1."""
-    _check_eps_delta(eps, delta)
+    check_eps_delta(eps, delta)
     n = src.n
     est = estimate_gamma(
         src, eps, delta, scheme, rng_stream.child(0),
@@ -379,7 +378,7 @@ def tomograph_pure(
     )
     nf = skew.normal_form(est.gamma_hat).with_lambdas(np.ones(n))
     learned = GaussianState(corr=SkewMatrix(nf.reconstruct(), tol=1e-9), nf=nf)
-    return TomographyReport(learned, est.shots_used, eps, delta)
+    return TomographyReport(learned, est.shots_used)
 
 
 def tomograph_mixed(
@@ -391,7 +390,7 @@ def tomograph_mixed(
     shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> TomographyReport:
     """Learn a possibly mixed Gaussian state; eigenvalues above 1 clip to 1."""
-    _check_eps_delta(eps, delta)
+    check_eps_delta(eps, delta)
     n = src.n
     eps_stat = eps / math.sqrt(2.0 * n)
     est = estimate_gamma(
@@ -399,10 +398,11 @@ def tomograph_mixed(
         total_shots=mixed_tomography_shots(n, eps, delta), shot_cap=shot_cap,
     )
     learned = states.clip_to_valid(est.gamma_hat)
-    return TomographyReport(learned, est.shots_used, eps, delta)
+    return TomographyReport(learned, est.shots_used)
 
 
-def _check_eps_delta(eps: float, delta: float) -> None:
+def check_eps_delta(eps: float, delta: float) -> None:
+    """Raise ValidationError unless the tomography targets eps and delta are in (0, 1)."""
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValidationError(f"need eps, delta in (0, 1), got {eps}, {delta}")
 
@@ -453,6 +453,7 @@ def robustness_experiment(
             f"promise certification needs n <= {MAX_ROBUSTNESS_MODES}, got {n}")
     kind, strength = noise
     check_noise(kind, strength)
+    check_eps_delta(eps, delta)
     rho_base = dense_mod.gaussian_to_dense(base)
     if kind == "depolarizing":
         rho_noisy = dense_mod.depolarize(rho_base, strength)

@@ -37,12 +37,12 @@ __all__ = [
     "StateSource",
     "ExactGaussianSource",
     "DenseSource",
-    "MatchingPlan",
     "GammaEstimate",
     "matchings",
     "matching_rotation",
     "z_basis_distribution",
     "estimate_gamma",
+    "check_eps_stat",
     "SHOT_BUDGETS",
     "shot_budget",
     "hoeffding_shots",
@@ -210,19 +210,9 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
 
 # -- matchings -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatchingPlan:
-    """1-factorization of the complete graph on the 2n Majorana indices."""
-
-    n: int
-    matchings: Tuple[Tuple[Tuple[int, int], ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.matchings)
-
-
-def matchings(n: int) -> MatchingPlan:
-    """Round-robin (circle method) 1-factorization: 2n-1 perfect matchings.
+def matchings(n: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Round-robin (circle method) 1-factorization of the complete graph on
+    the 2n Majorana indices: 2n-1 perfect matchings.
 
     Vertex 2n-1 stays fixed; the others rotate, so every unordered pair
     appears in exactly one matching.
@@ -238,7 +228,7 @@ def matchings(n: int) -> MatchingPlan:
             b = (t - i) % v
             pairs.append(tuple(sorted((a, b))))
         rounds.append(tuple(sorted(pairs)))
-    return MatchingPlan(n=n, matchings=tuple(rounds))
+    return tuple(rounds)
 
 
 def matching_rotation(m: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
@@ -294,6 +284,13 @@ def shot_budget(row: str, n: int, eps: float, delta: float) -> int:
         raise BudgetOverflow(f"the {row} budget at eps {eps} exceeds every float") from exc
 
 
+def check_eps_stat(eps_stat: float) -> None:
+    """Raise ValidationError unless eps_stat, a sup-norm accuracy of entries
+    in [-1, 1], is in (0, 2]."""
+    if not 0.0 < eps_stat <= 2.0:
+        raise ValidationError(f"sup-norm accuracy {eps_stat} outside (0, 2]")
+
+
 def _split_budget(total: int, rounds: int) -> List[int]:
     base, rem = divmod(total, rounds)
     return [base + (1 if i < rem else 0) for i in range(rounds)]
@@ -332,8 +329,7 @@ def estimate_gamma(
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta {delta} outside (0, 1)")
     if total_shots is None:
-        if not 0.0 < eps_stat <= 2.0:
-            raise ValidationError(f"eps_stat {eps_stat} outside (0, 2]")
+        check_eps_stat(eps_stat)
         total_shots = shot_budget(scheme, n, eps_stat, delta)
     if total_shots < 1:
         raise ValidationError(f"total_shots must be >= 1, got {total_shots}")
@@ -351,12 +347,11 @@ def estimate_gamma(
         ones = rng_stream.generator().binomial(shots, 0.5 * (1.0 + src.gamma()[iu]))
         g[iu] = np.divide(2.0 * ones - shots, shots, out=np.zeros(pair_count), where=shots > 0)
     else:
-        plan = matchings(n)
         outcomes = np.arange(1 << n)
         bit_signs = np.empty((n, 1 << n))
         for i in range(n):
             bit_signs[i] = 1.0 - 2.0 * ((outcomes >> (n - 1 - i)) & 1)
-        for mi, pairs in enumerate(plan.matchings):
+        for mi, pairs in enumerate(matchings(n)):
             shots = per_setting[mi]
             if shots == 0:
                 continue

@@ -38,6 +38,7 @@ __all__ = [
     "product_state",
     "vacuum",
     "rotate",
+    "check_orthogonal",
     "wick_expectation",
     "parity",
     "overlap_pure",
@@ -150,7 +151,7 @@ def rotate(s: GaussianState, q: np.ndarray) -> GaussianState:
     q = np.asarray(q, dtype=float)
     if q.shape != (2 * s.n, 2 * s.n):
         raise DimensionMismatch(f"rotation shape {q.shape} does not match 2n={2 * s.n}")
-    _check_orthogonal(q)
+    check_orthogonal(q)
     m = q @ s.corr.mat @ q.T
     # spectrum is preserved exactly, so reuse the cached lambdas
     nf = NormalForm(
@@ -161,7 +162,8 @@ def rotate(s: GaussianState, q: np.ndarray) -> GaussianState:
     return GaussianState(corr=SkewMatrix(m, tol=1e-9), nf=nf)
 
 
-def _check_orthogonal(q: np.ndarray, tol: float = 1e-10) -> None:
+def check_orthogonal(q: np.ndarray, tol: float = 1e-10) -> None:
+    """Raise NotOrthogonal unless ||q^T q - I|| <= tol in operator norm."""
     resid = schatten_norm(q.T @ q - np.eye(q.shape[0]), np.inf)
     if resid > tol:
         raise NotOrthogonal(f"orthogonality violated by {resid:.3e}")

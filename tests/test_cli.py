@@ -255,12 +255,20 @@ def test_main_exit_codes(tmp_path):
 
 def test_out_of_range_input_exits_2(tmp_path, capsys, monkeypatch):
     def no_trial(*args):
-        raise AssertionError("a robustness trial ran at an out-of-range noise strength")
+        raise AssertionError("a trial ran on an out-of-range input")
 
-    monkeypatch.setitem(cli._TRIAL_WORKERS, "robustness", no_trial)
+    for command in cli._TRIAL_WORKERS:
+        monkeypatch.setitem(cli._TRIAL_WORKERS, command, no_trial)
     out = str(tmp_path / "x.json")
     for argv in (
         ["estimate", "--modes", "2", "--eps", "3", "--trials", "1"],
+        ["estimate", "--modes", "2", "--eps", "-1", "--shots", "100", "--trials", "1"],
+        ["tomo-mixed", "--modes", "2", "--eps", "1.5", "--trials", "1"],
+        ["tomo-pure", "--modes", "2", "--eps", "1.0", "--trials", "1"],
+        ["robustness", "--modes", "2", "--eps", "1.5", "--trials", "1"],
+        ["sweep", "--axis", "eps", "--points", "0.1,1.5", "--sub-command", "tomo-mixed",
+         "--modes", "2", "--trials", "1"],
+        ["test-pure", "--modes", "2", "--eps-a", "0.6", "--eps-b", "0.5", "--trials", "1"],
         ["robustness", "--modes", "2", "--noise-strength", "1.5", "--trials", "1"],
         ["robustness", "--modes", "2", "--noise-kind", "trace_perturbation",
          "--noise-strength", "3", "--trials", "1"],

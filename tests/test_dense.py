@@ -141,10 +141,42 @@ def test_gaussian_unitary_synthesis(case):
     _check_synthesis(*case)
 
 
+def _frobenius_residual(u, q):
+    """Dense reference: max_mu ||U^dag gamma_mu U - sum_nu q_{mu,nu} gamma_nu||_F."""
+    n = q.shape[0] // 2
+    ms = dense.majoranas(n)
+    idx = np.arange(1 << n)
+    worst = 0.0
+    for mu in range(2 * n):
+        target = np.zeros_like(u)
+        for nu in range(2 * n):
+            if q[mu, nu] != 0.0:
+                target[ms.perms[nu], idx] += q[mu, nu] * ms.coefs[nu]
+        lhs = u.conj().T @ ms.left_apply(mu, u)
+        worst = max(worst, float(np.linalg.norm(lhs - target)))
+    return worst
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_orthogonal_matrices(), st.booleans())
+def test_synthesis_residual_is_the_frobenius_residual(case, flip):
+    # the vacuum-column check measures any wrong adjoint action q1 in place of q2
+    q1, gen = case
+    q2 = skew.random_orthogonal(q1.shape[0], gen)
+    if flip:
+        q2[:, 0] = -q2[:, 0]
+    u = dense.gaussian_unitary(q1)
+    scale = math.sqrt(u.shape[0])
+    for q in (q1, q2):
+        got = scale * dense._synthesis_residual(u, q)
+        assert got == pytest.approx(_frobenius_residual(u, q), abs=1e-10)
+        assert got == pytest.approx(scale * np.linalg.norm(q1 - q, axis=1).max(), abs=1e-10)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_gaussian_unitary_signed_permutations(n):
     gen = np.random.default_rng(n)
-    for pairs in matchings(n).matchings:
+    for pairs in matchings(n):
         _check_synthesis(matching_rotation(pairs, n), gen)
     _check_synthesis(-np.eye(2 * n), gen)
 

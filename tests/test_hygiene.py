@@ -1,5 +1,6 @@
-"""Every module-level import in the package is read or re-exported, and every
-name a module exports in ``__all__`` is defined in that module."""
+"""Every module-level import in the package is read or re-exported, every
+name a module exports in ``__all__`` is defined in that module, and no module
+reads another module's ``_``-prefixed names."""
 
 import ast
 import pathlib
@@ -56,3 +57,31 @@ def test_exports_are_defined(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     stale = sorted(_exported(tree) - _defined(tree))
     assert not stale, f"{path.name} exports names it does not define: {stale}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads(tree: ast.Module, modules: set):
+    """(name, line) of each private name read from a sibling module."""
+    aliases = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in modules:
+                    aliases.add(alias.asname or alias.name)
+                elif node.module in modules and _is_private(alias.name):
+                    yield f"{node.module}.{alias.name}", node.lineno
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _is_private(node.attr)):
+            yield f"{node.value.id}.{node.attr}", node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_across_modules(path):
+    modules = {p.stem for p in SRC.glob("*.py")}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [f"{name} (line {line})" for name, line in _private_reads(tree, modules)]
+    assert not reads, f"{path.name} reads private names of other modules: {reads}"

@@ -22,7 +22,7 @@ from freeferm.sampling import (
 def test_matchings_k4():
     plan = matchings(2)
     assert len(plan) == 3
-    assert set(plan.matchings) == {
+    assert set(plan) == {
         ((0, 1), (2, 3)),
         ((0, 2), (1, 3)),
         ((0, 3), (1, 2)),
@@ -33,9 +33,9 @@ def test_matchings_k4():
 def test_matchings_cover_every_pair_once(n):
     plan = matchings(n)
     assert len(plan) == 2 * n - 1
-    seen = [p for m in plan.matchings for p in m]
+    seen = [p for m in plan for p in m]
     assert sorted(seen) == sorted(itertools.combinations(range(2 * n), 2))
-    for m in plan.matchings:
+    for m in plan:
         assert sorted(x for p in m for x in p) == list(range(2 * n))
 
 
@@ -56,7 +56,7 @@ def test_matching_rotation_conjugation(rng):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_matching_rotation_special_orthogonal(n):
-    for m in matchings(n).matchings:
+    for m in matchings(n):
         q = matching_rotation(m, n)
         assert np.array_equal(q.T @ q, np.eye(2 * n))
         assert np.linalg.det(q) == pytest.approx(1.0)
@@ -110,7 +110,7 @@ def test_z_distribution_matches_per_node_reference(n, rng):
         # lambda = +-1 on every mode: one branch of each node has probability 0
         states.product_state(rng.choice([-1.0, 1.0], size=n)),
     ]
-    plan = matchings(n).matchings
+    plan = matchings(n)
     picks = sorted({0, len(plan) // 2, len(plan) - 1})
     rotations = [None] + [matching_rotation(plan[i], n) for i in picks]
     for s in cases:
@@ -138,7 +138,7 @@ def _rotated_gammas(draw):
         s = states.product_state(gen.choice([-1.0, -0.4, 0.0, 0.7, 1.0], size=n))
     else:
         s = states.random_gaussian_state(n, kind, gen)
-    plan = matchings(n).matchings
+    plan = matchings(n)
     q = matching_rotation(plan[draw(st.integers(0, len(plan) - 1))], n)
     return q @ s.corr.mat @ q.T
 
@@ -165,7 +165,7 @@ def test_z_distribution_rotated_agreement(rng):
     # and an unrotated n = 4 one
     cases = [
         (states.random_gaussian_state(3, "mixed", rng),
-         matching_rotation(matchings(3).matchings[1], 3)),
+         matching_rotation(matchings(3)[1], 3)),
         (states.random_gaussian_state(4, "mixed", rng), None),
     ]
     for s, q in cases:
