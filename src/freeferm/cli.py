@@ -152,6 +152,8 @@ class ExperimentConfig:
             raise ValidationError(f"delta {self.delta} outside (0, 1)")
         if self.command == "estimate":
             sampling.check_eps_stat(self.eps)
+        elif self.command == "reduce-id":
+            learning.check_identity_eps(self.eps)
         elif self.command in ("tomo-pure", "tomo-mixed", "robustness"):
             learning.check_eps_delta(self.eps, self.delta)
         kind, arg = _parse_state_spec(self.state_spec)  # raises on malformed specs
@@ -330,9 +332,9 @@ def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream) -> dict:
         "trial": trial,
         "verdict_or_error": verdict.verdict,
         "shots": verdict.shots_used,
-        "lambda_hat": verdict.evidence.lambda_hat_relevant,
-        "threshold": verdict.evidence.threshold,
-        "stage": verdict.evidence.stage,
+        "lambda_hat": verdict.lambda_hat_relevant,
+        "threshold": verdict.threshold,
+        "stage": verdict.stage,
     }
     if cfg.expected:
         rec["ok"] = verdict.verdict == cfg.expected

@@ -49,7 +49,6 @@ from .states import GaussianState
 
 __all__ = [
     "TestConfig",
-    "TestEvidence",
     "TestVerdict",
     "TomographyReport",
     "RobustnessResult",
@@ -67,6 +66,7 @@ __all__ = [
     "tomograph_mixed",
     "robustness_experiment",
     "check_eps_delta",
+    "check_identity_eps",
     "check_noise",
     "mixed_tomography_shots",
 ]
@@ -111,18 +111,13 @@ class TestConfig:
 
 
 @dataclass(frozen=True)
-class TestEvidence:
+class TestVerdict:
+    verdict: str
     lambda_hat_relevant: float
     threshold: float
     stage: str  # eigenvalue_stage | tomography_stage
-    local_distance: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class TestVerdict:
-    verdict: str
-    evidence: TestEvidence
     shots_used: int
+    local_distance: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -185,9 +180,14 @@ def rank_test_thresholds(cfg: TestConfig, n: int) -> Tuple[float, float, float, 
         eps_t = eb ** 2 / (2 ** 6 * (n - r)) + 0.5 * ea
     else:
         eps_t = MIX2_THRESHOLD_FACTOR * (eps_stat + gap)
+    return (eps_t, eps_stat, *_gaussianity_thresholds(n, ea, eb))
+
+
+def _gaussianity_thresholds(n: int, ea: float, eb: float) -> Tuple[float, float]:
+    """(eps_tom, eps_T2) of the Gaussianity stage on an n-mode register."""
     eps_tom = SLACK * (1.0 / (n + 2)) * (0.5 * eb - (n + 1) * ea)
     eps_t2 = (n + 1) / (n + 2) * (0.5 * eb + ea)
-    return eps_t, eps_stat, eps_tom, eps_t2
+    return eps_tom, eps_t2
 
 
 def mixed_tomography_shots(n: int, eps: float, delta: float) -> int:
@@ -212,8 +212,7 @@ def test_pure(
     )
     lam_min = float(skew.normal_eigenvalues(est.gamma_hat)[0])
     verdict = CASE_A if lam_min >= 1.0 - eps_t else CASE_B
-    ev = TestEvidence(lambda_hat_relevant=lam_min, threshold=eps_t, stage="eigenvalue_stage")
-    return TestVerdict(verdict=verdict, evidence=ev, shots_used=est.shots_used)
+    return TestVerdict(verdict, lam_min, eps_t, "eigenvalue_stage", est.shots_used)
 
 
 def test_bounded_rank(
@@ -240,23 +239,19 @@ def test_bounded_rank(
     nf = skew.normal_form(est.gamma_hat)
     lam_next = float(nf.lambdas[r])
     if lam_next <= 1.0 - eps_t:
-        ev = TestEvidence(lambda_hat_relevant=lam_next, threshold=eps_t, stage="eigenvalue_stage")
-        return TestVerdict(verdict=CASE_B, evidence=ev, shots_used=est.shots_used)
+        return TestVerdict(CASE_B, lam_next, eps_t, "eigenvalue_stage", est.shots_used)
 
     if r == 0:
         # no mixed modes to examine: the eigenvalue stage already certifies
-        ev = TestEvidence(lambda_hat_relevant=lam_next, threshold=eps_t2,
-                          stage="tomography_stage", local_distance=0.0)
-        return TestVerdict(verdict=CASE_A, evidence=ev, shots_used=est.shots_used)
+        return TestVerdict(CASE_A, lam_next, eps_t2, "tomography_stage", est.shots_used, 0.0)
 
     rho_hat, tomo_shots = local_full_tomography(
         src, r, eps_tom, cfg.delta / 2.0, rng_stream.child(1), rotation=nf.q, scheme=scheme,
     )
     local_dist = dense_mod.state_metrics(rho_hat, dense_mod.gaussianification(rho_hat))
     verdict = CASE_B if local_dist > eps_t2 else CASE_A
-    ev = TestEvidence(lambda_hat_relevant=lam_next, threshold=eps_t2,
-                      stage="tomography_stage", local_distance=local_dist)
-    return TestVerdict(verdict=verdict, evidence=ev, shots_used=est.shots_used + tomo_shots)
+    return TestVerdict(verdict, lam_next, eps_t2, "tomography_stage",
+                       est.shots_used + tomo_shots, local_dist)
 
 
 def local_full_tomography(
@@ -271,8 +266,9 @@ def local_full_tomography(
     """Single-copy Pauli tomography of the leading ``modes`` qubits.
 
     Every non-identity Pauli expectation of the rotated-and-reduced state is
-    estimated to accuracy eps_tom / (2 * 2^r); linear inversion is projected
-    to the PSD unit-trace cone by eigenvalue clipping.  With probability at
+    estimated to accuracy eps_tom / (2 * 2^r), all 4^r - 1 counts from one
+    binomial draw on ``rng_stream``; linear inversion is projected to the
+    PSD unit-trace cone by eigenvalue clipping.  With probability at
     least 1 - delta the output is within eps_tom in trace norm.  Returns the
     estimate and the number of copies used.  Only ``scheme="exact"`` is read:
     it returns the exact reduced state and 0 copies; every other scheme samples.
@@ -288,18 +284,15 @@ def local_full_tomography(
 
     d = 1 << r
     n_paulis = 4 ** r - 1
-    eps_p = eps_tom / (2.0 * d)
-    per_pauli = hoeffding_shots(eps_p, delta, n_paulis)
+    per_pauli = hoeffding_shots(eps_tom / (2.0 * d), delta, n_paulis)
     perms, coefs = _pauli_strings(r)
     expectations = dense_mod.pauli_expectations(truth.rho, perms, coefs).real  # Tr(P rho)
-    cols = np.arange(d)
+    t = np.clip(expectations[1:], -1.0, 1.0)
+    ones = rng_stream.generator().binomial(per_pauli, 0.5 * (1.0 + t))
+    t_hat = (2.0 * ones - per_pauli) / per_pauli
     acc = np.eye(d, dtype=complex)  # identity expectation is exactly 1
-    for code in range(1, 4 ** r):
-        t = float(expectations[code])
-        gen = rng_stream.child(code).generator()
-        ones = gen.binomial(per_pauli, 0.5 * (1.0 + max(-1.0, min(1.0, t))))
-        t_hat = (2.0 * ones - per_pauli) / per_pauli
-        acc[perms[code], cols] += t_hat * coefs[code]
+    # unbuffered, in code order: each entry sums its Pauli terms as a loop would
+    np.add.at(acc, (perms[1:], np.arange(d)), t_hat[:, None] * coefs[1:])
     rho_hat = acc / d
     w, v = np.linalg.eigh(rho_hat)
     w = np.clip(w, 0.0, None)
@@ -317,6 +310,13 @@ def _pauli_strings(r: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # -- identity-testing reduction --------------------------------------------------
+
+def check_identity_eps(eps: float) -> None:
+    """Raise ValidationError unless eps, a bound on the unhalved trace
+    distance that identity testing resolves, is in (0, 2]."""
+    if not 0.0 < eps <= 2.0:
+        raise ValidationError(f"trace-distance eps {eps} outside (0, 2]")
+
 
 def reduce_identity_testing(
     src: StateSource,
@@ -337,6 +337,7 @@ def reduce_identity_testing(
     matrix, thresholded like the bounded-rank test with every mode examined.
     Returns (verdict, shots_used).
     """
+    check_identity_eps(eps)
     n = src.n
     eps_stat = eps / (6.0 * n)
     eps_t = eps / (3.0 * n)
@@ -347,9 +348,7 @@ def reduce_identity_testing(
     if sup > eps_t:
         return FAR_FROM_MAXIMALLY_MIXED, est.shots_used
 
-    # full-register Gaussianity solver with eps_B = eps, eps_A = 0
-    eps_tom = SLACK * (1.0 / (n + 2)) * (0.5 * eps)
-    eps_t2 = (n + 1) / (n + 2) * (0.5 * eps)
+    eps_tom, eps_t2 = _gaussianity_thresholds(n, 0.0, eps)  # eps_A = 0, eps_B = eps
     rho_hat, tomo_shots = local_full_tomography(
         src, n, eps_tom, delta / 2.0, rng_stream.child(1), rotation=None, scheme=scheme,
     )

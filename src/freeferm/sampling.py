@@ -259,13 +259,10 @@ def _pair_signs(q: np.ndarray, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GammaEstimate:
-    """An estimated correlation matrix and its provenance."""
+    """An estimated correlation matrix and the copies it used."""
 
     gamma_hat: SkewMatrix
     shots_used: int
-    scheme: str
-    eps_stat: float
-    delta: float
 
 
 def hoeffding_shots(eps_entry: float, fail: float, union_terms: int) -> int:
@@ -308,7 +305,7 @@ def estimate_gamma(
 ) -> GammaEstimate:
     """Estimate the correlation matrix to sup-norm accuracy eps_stat.
 
-    scheme "exact" reads analytic expectations (eps recorded as 0);
+    scheme "exact" reads analytic expectations and uses no copies;
     "pauli_pairs" measures each -i gamma_j gamma_k observable separately;
     "commuting" measures one matching round per Clifford-Gaussian rotation.
     Under "pauli_pairs" every entry is an independent Binomial(shots, (1+g)/2)
@@ -323,7 +320,7 @@ def estimate_gamma(
     dim = 2 * n
     if scheme == "exact":
         g = np.clip(src.gamma(), -1.0, 1.0)
-        return GammaEstimate(SkewMatrix(g, tol=1e-9), 0, "exact", 0.0, delta)
+        return GammaEstimate(SkewMatrix(g, tol=1e-9), 0)
     if scheme not in ("pauli_pairs", "commuting"):
         raise ValidationError(f"unknown scheme {scheme!r}")
     if not 0.0 < delta < 1.0:
@@ -365,4 +362,4 @@ def estimate_gamma(
                 g[j, k] = signs[i] * means[i]
 
     g = np.clip(np.triu(g, 1), -1.0, 1.0)
-    return GammaEstimate(SkewMatrix(g - g.T), total_shots, scheme, eps_stat, delta)
+    return GammaEstimate(SkewMatrix(g - g.T), total_shots)

@@ -97,12 +97,6 @@ class SkewMatrix:
     def __repr__(self) -> str:
         return f"SkewMatrix(dim={self.dim})"
 
-    @staticmethod
-    def zeros(dim: int) -> "SkewMatrix":
-        if dim % 2 != 0 or dim <= 0:
-            raise DimensionMismatch(f"dimension must be even and positive, got {dim}")
-        return SkewMatrix(np.zeros((dim, dim)))
-
 
 def as_skew_array(a: SkewLike, *, tol: float = 1e-12) -> np.ndarray:
     """Coerce to a validated, exactly antisymmetric ndarray."""

@@ -266,6 +266,9 @@ def test_out_of_range_input_exits_2(tmp_path, capsys, monkeypatch):
         ["tomo-mixed", "--modes", "2", "--eps", "1.5", "--trials", "1"],
         ["tomo-pure", "--modes", "2", "--eps", "1.0", "--trials", "1"],
         ["robustness", "--modes", "2", "--eps", "1.5", "--trials", "1"],
+        ["reduce-id", "--modes", "2", "--eps", "-1", "--trials", "1"],
+        ["reduce-id", "--modes", "2", "--eps", "30", "--trials", "1"],
+        ["reduce-id", "--modes", "2", "--eps", "5", "--trials", "1"],
         ["sweep", "--axis", "eps", "--points", "0.1,1.5", "--sub-command", "tomo-mixed",
          "--modes", "2", "--trials", "1"],
         ["test-pure", "--modes", "2", "--eps-a", "0.6", "--eps-b", "0.5", "--trials", "1"],

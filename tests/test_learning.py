@@ -76,7 +76,7 @@ def test_pure_exact_scheme_deterministic(rng):
     v2 = learning.test_pure(ExactGaussianSource(s), cfg, RngStream(99), scheme="exact")
     assert v1.verdict == learning.CASE_A == v2.verdict
     assert v1.shots_used == 0
-    assert v1.evidence.lambda_hat_relevant == v2.evidence.lambda_hat_relevant
+    assert v1.lambda_hat_relevant == v2.lambda_hat_relevant
 
 
 def test_pure_sampled_case_a(rng):
@@ -84,8 +84,8 @@ def test_pure_sampled_case_a(rng):
     cfg = learning.TestConfig(eps_a=0.0, eps_b=0.9, delta=0.05)
     v = learning.test_pure(ExactGaussianSource(s), cfg, RngStream(1))
     assert v.verdict == learning.CASE_A
-    assert v.evidence.stage == "eigenvalue_stage"
-    assert v.evidence.threshold == pytest.approx(
+    assert v.stage == "eigenvalue_stage"
+    assert v.threshold == pytest.approx(
         learning.pure_test_thresholds(cfg, 4)[0]
     )
 
@@ -113,8 +113,8 @@ def test_rank_case_a_reaches_stage_two(rng):
     cfg = learning.TestConfig(eps_a=0.0, eps_b=0.8, delta=0.05, r=1, gaussian_set="rank_set")
     v = learning.test_bounded_rank(ExactGaussianSource(s), cfg, RngStream(4))
     assert v.verdict == learning.CASE_A
-    assert v.evidence.stage == "tomography_stage"
-    assert v.evidence.local_distance < 0.05
+    assert v.stage == "tomography_stage"
+    assert v.local_distance < 0.05
 
 
 def test_rank_case_b_stage_one(rng):
@@ -125,7 +125,7 @@ def test_rank_case_b_stage_one(rng):
     cfg = learning.TestConfig(eps_a=0.0, eps_b=0.8, delta=0.05, r=1, gaussian_set="rank_set")
     v = learning.test_bounded_rank(src, cfg, RngStream(5))
     assert v.verdict == learning.CASE_B
-    assert v.evidence.stage == "eigenvalue_stage"
+    assert v.stage == "eigenvalue_stage"
 
 
 def test_rank_case_b_stage_two(rng):
@@ -139,8 +139,8 @@ def test_rank_case_b_stage_two(rng):
     cfg = learning.TestConfig(eps_a=0.0, eps_b=0.7, delta=0.05, r=1, gaussian_set="rank_set")
     v = learning.test_bounded_rank(src, cfg, RngStream(6))
     assert v.verdict == learning.CASE_B
-    assert v.evidence.stage == "tomography_stage"
-    assert v.evidence.local_distance == pytest.approx(0.8, abs=0.05)
+    assert v.stage == "tomography_stage"
+    assert v.local_distance == pytest.approx(0.8, abs=0.05)
 
 
 def test_rank_exact_scheme_deterministic(rng):
@@ -151,7 +151,7 @@ def test_rank_exact_scheme_deterministic(rng):
     v2 = learning.test_bounded_rank(ExactGaussianSource(s), cfg, RngStream(41), scheme="exact")
     assert v1.verdict == v2.verdict == learning.CASE_A
     assert v1.shots_used == 0
-    assert v1.evidence.local_distance == v2.evidence.local_distance
+    assert v1.local_distance == v2.local_distance
 
 
 def test_reduce_identity_exact_scheme():
@@ -165,13 +165,13 @@ def test_rank_threshold_echo(rng):
     cfg = learning.TestConfig(eps_a=0.0, eps_b=0.8, delta=0.05, r=1, gaussian_set="rank_set")
     eps_t, _, _, eps_t2 = learning.rank_test_thresholds(cfg, 4)
     v = learning.test_bounded_rank(src, cfg, RngStream(43), scheme="exact")
-    assert v.evidence.stage == "eigenvalue_stage"
-    assert v.evidence.threshold == eps_t
+    assert v.stage == "eigenvalue_stage"
+    assert v.threshold == eps_t
     q = skew.random_orthogonal(8, rng)
     s = states.from_correlation(q @ skew.lambda_blocks([0.5, 1, 1, 1]) @ q.T)
     v2 = learning.test_bounded_rank(ExactGaussianSource(s), cfg, RngStream(44), scheme="exact")
-    assert v2.evidence.stage == "tomography_stage"
-    assert v2.evidence.threshold == eps_t2
+    assert v2.stage == "tomography_stage"
+    assert v2.threshold == eps_t2
 
 
 def test_rank_mixed_set_variant(rng):
@@ -227,7 +227,7 @@ def _kron_local_tomography(src, r, eps_tom, delta, rng_stream, rotation):
     n_paulis = 4 ** r - 1
     eps_p = eps_tom / (2.0 * d)
     per_pauli = math.ceil(2.0 / eps_p ** 2 * math.log(2.0 * n_paulis / delta))
-    acc = np.eye(d, dtype=complex)
+    paulis = []
     for code in range(1, 4 ** r):
         digits, rest = [], code
         for _ in range(r):
@@ -236,11 +236,12 @@ def _kron_local_tomography(src, r, eps_tom, delta, rng_stream, rotation):
         p = _PAULI_1Q[digits[-1]]
         for dgt in digits[-2::-1]:
             p = np.kron(p, _PAULI_1Q[dgt])
-        t = float(np.sum(p * truth.rho.T).real)
-        gen = rng_stream.child(code).generator()
-        ones = gen.binomial(per_pauli, 0.5 * (1.0 + max(-1.0, min(1.0, t))))
-        t_hat = (2.0 * ones - per_pauli) / per_pauli
-        acc += t_hat * p
+        paulis.append(p)
+    t = np.array([max(-1.0, min(1.0, float(np.sum(p * truth.rho.T).real))) for p in paulis])
+    ones = rng_stream.generator().binomial(per_pauli, 0.5 * (1.0 + t))
+    acc = np.eye(d, dtype=complex)
+    for p, count in zip(paulis, ones):
+        acc += (2.0 * count - per_pauli) / per_pauli * p
     w, v = np.linalg.eigh(acc / d)
     w = np.clip(w, 0.0, None)
     w /= w.sum()
@@ -248,8 +249,8 @@ def _kron_local_tomography(src, r, eps_tom, delta, rng_stream, rotation):
 
 
 def test_local_tomography_matches_kron_reference(rng):
-    for r in range(1, 5):
-        for seed in range(3):
+    for r in range(1, 7):
+        for seed in range(3 if r <= 5 else 1):
             src = ExactGaussianSource(states.random_gaussian_state(r + 1, "mixed", rng))
             q = skew.random_orthogonal(2 * r + 2, rng)
             stream = RngStream(60 + seed, (r,))
@@ -257,6 +258,25 @@ def test_local_tomography_matches_kron_reference(rng):
             rho_hat, shots = learning.local_full_tomography(src, r, 0.3, 0.1, stream, rotation=q)
             assert np.array_equal(rho_hat.rho, rho_ref)
             assert shots == shots_ref
+
+
+def test_local_tomography_draws_once(monkeypatch):
+    calls = []
+    generator = RngStream.generator
+
+    def spy(stream):
+        calls.append(stream.key)
+        return generator(stream)
+
+    monkeypatch.setattr(RngStream, "generator", spy)
+    src = ExactGaussianSource(states.product_state([0.5, 0, 0]))
+    for r in (1, 2, 3):
+        calls.clear()
+        learning.local_full_tomography(src, r, 0.3, 0.1, RngStream(18, (r,)))
+        assert calls == [(r,)], r
+    calls.clear()
+    learning.local_full_tomography(src, 2, 0.3, 0.1, RngStream(18), scheme="exact")
+    assert calls == []
 
 
 def test_reduce_identity_testing():
@@ -279,6 +299,13 @@ def test_reduce_identity_spends_its_scheme_row(scheme):
                                                           scheme=scheme)
         assert verdict == learning.FAR_FROM_MAXIMALLY_MIXED
         assert shots == sampling.shot_budget(scheme, n, eps / (6 * n), delta / 2), n
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, 2.5, 30.0])
+def test_reduce_identity_rejects_eps_beyond_trace_distance(eps):
+    mm = ExactGaussianSource(states.product_state([0, 0]))
+    with pytest.raises(ValidationError, match=f"trace-distance eps {eps} outside"):
+        learning.reduce_identity_testing(mm, eps, 0.1, RngStream(19), scheme="exact")
 
 
 def test_reduce_identity_budget_overflow():
