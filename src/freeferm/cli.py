@@ -37,7 +37,13 @@ import numpy as np
 from . import __version__
 from . import dense as dense_mod
 from . import learning, sampling, skew, states
-from .errors import BudgetOverflow, FreeFermError, InfeasibleThresholds, ValidationError
+from .errors import (
+    BudgetOverflow,
+    FreeFermError,
+    InfeasibleThresholds,
+    LambdaOutOfRange,
+    ValidationError,
+)
 from .learning import TestConfig
 from .sampling import (
     DenseSource,
@@ -173,8 +179,13 @@ class ExperimentConfig:
             learning.check_noise(self.noise_kind, self.noise_strength)
         if kind == "ghz3" and n != 3:
             raise ValidationError("ghz3 requires modes=3")
-        if kind == "product" and len(arg) != n:
-            raise ValidationError(f"product spec has {len(arg)} lambdas but modes={n}")
+        if kind == "product":
+            if len(arg) != n:
+                raise ValidationError(f"product spec has {len(arg)} lambdas but modes={n}")
+            try:
+                states.product_state(arg)
+            except LambdaOutOfRange as exc:
+                raise ValidationError(f"product spec {self.state_spec!r}: {exc}") from exc
         if kind == "dense_fixture":
             _check_fixture(arg, n)
         # reduce-id tomographs all n modes, test-rank the leading rank_exponent

@@ -167,44 +167,44 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     p_b = (1 + s g_01)/2, and the projective update on the remaining block is
     g' = g_rest - s (u^T v - v^T u) / (2 p_b) with u, v the first two rows.
 
-    The full outcome tree is expanded, so the result is exact.  It is
-    expanded one depth at a time: the live nodes of depth d are held as one
-    (k, 2(n-d), 2(n-d)) stack with their outcome prefixes and path
-    probabilities, and both branches of every node are computed in one
-    vectorised step.  Branches with p_b <= 1e-16 are dropped; their leaves
-    stay 0.
+    The full outcome tree is expanded, so the result is exact, one depth at
+    a time: the k live nodes of depth d are one (2(n-d), 2(n-d), k) stack,
+    node axis last, so each elementwise step is one long loop over nodes.
+    With diff = u^T v - v^T u formed once per parent, both children are
+    written side by side (node-major, bit-minor) as g_rest - diff / (2 p_0)
+    and g_rest + diff / (2 p_1): s x is exact for s = +-1 and a - (-x) is
+    a + x, so each entry is the update above bit for bit.  Branches with
+    p_b <= 1e-16 are dropped; their leaves stay 0.
     """
     g = skew.as_skew_array(gamma, tol=1e-9)
     n = g.shape[0] // 2
     if n > MAX_SAMPLING_MODES:
         raise TooManyModes(f"mode count {n} exceeds sampling cap {MAX_SAMPLING_MODES}")
     out = np.zeros(1 << n)
-    subs = g[None]
-    idx = np.zeros(1, dtype=np.int64)
-    p = np.ones(1)
-    signs = np.array([1.0, -1.0])
+    subs, idx, p = g[:, :, None], np.zeros(1, dtype=np.int64), np.ones(1)
+    signs, bits = np.array([1.0, -1.0]), np.array([0, 1])
     for m in range(n, 0, -1):
         # pb[node, b] is the probability of reading bit b at that node
-        pb = 0.5 * (1.0 + signs * subs[:, 0, 1, None])
-        parent, bit = np.nonzero(~(pb <= 1e-16))  # a NaN branch is kept, not dropped
-        pb = pb[parent, bit]
-        child_idx = (idx[parent] << 1) | bit
-        child_p = p[parent] * pb
+        pb = 0.5 * (1.0 + signs * subs[0, 1, :, None])
+        dropped = pb <= 1e-16  # a NaN branch is kept, not dropped
+        idx = ((idx[:, None] << 1) | bits).ravel()
+        p = (p[:, None] * pb).ravel()
+        div, keep = 2.0 * pb, slice(None)
+        if dropped.any():
+            keep = ~dropped.ravel()
+            idx, p = idx[keep], p[keep]
+            div[dropped] = 1.0  # that child is built, then discarded
         if m == 1:
-            out[child_idx] = child_p
+            out[idx] = p
             break
-        u = subs[:, 0, 2:]
-        v = subs[:, 1, 2:]
-        uv = u[:, :, None] * v[:, None, :]
-        diff = uv - uv.transpose(0, 2, 1)  # v_i u_j is u_j v_i, bit for bit
-        # s (diff / 2 p_b) rounds like (s diff) / (2 p_b), since s is exactly
-        # +-1; updating in place saves three temporaries the size of the stack
-        upd = diff[parent]
-        upd /= (2.0 * pb)[:, None, None]
-        upd *= signs[bit][:, None, None]
-        subs = subs[parent, 2:, 2:]
-        subs -= upd
-        idx, p = child_idx, child_p
+        u, v = subs[0, 2:], subs[1, 2:]
+        uv = u[:, None] * v[None, :]
+        diff = uv - uv.transpose(1, 0, 2)  # v_i u_j is u_j v_i, bit for bit
+        rest = subs[2:, 2:]
+        kids = np.empty((*rest.shape, 2))
+        np.subtract(rest, diff / div[:, 0], out=kids[..., 0])
+        np.add(rest, diff / div[:, 1], out=kids[..., 1])
+        subs = kids.reshape(*rest.shape[:2], -1)[:, :, keep]
     return _normalize_distribution(out)
 
 

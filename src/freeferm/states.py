@@ -136,8 +136,8 @@ def product_state(lambdas: Sequence[float]) -> GaussianState:
     lams = np.asarray(lambdas, dtype=float)
     if lams.ndim != 1 or lams.size == 0:
         raise DimensionMismatch("need a non-empty flat list of lambdas")
-    if np.abs(lams).max() > 1.0:
-        raise LambdaOutOfRange(f"|lambda| must be <= 1, got {lams}")
+    if not np.all(np.abs(lams) <= 1.0):  # NaN fails this comparison too
+        raise LambdaOutOfRange(f"lambdas must be finite and in [-1, 1], got {lams}")
     return from_correlation(lambda_blocks(lams))
 
 

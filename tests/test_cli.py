@@ -286,6 +286,21 @@ def test_out_of_range_input_exits_2(tmp_path, capsys, monkeypatch):
     assert "invalid configuration:" in capsys.readouterr().err
 
 
+def test_product_lambdas_checked_at_validation(tmp_path, capsys, monkeypatch):
+    # out-of-range and non-finite lambdas are refused before any trial runs,
+    # not recorded as one LambdaOutOfRange or NotAntisymmetric per trial
+    def no_trial(*args):
+        raise AssertionError("a trial ran on a bad product spec")
+
+    monkeypatch.setitem(cli._TRIAL_WORKERS, "estimate", no_trial)
+    out = str(tmp_path / "x.json")
+    for spec in ("product:1.5,0.2", "product:nan,0.2", "product:0.2,-inf"):
+        argv = ["estimate", "--modes", "2", "--state-spec", spec, "--trials", "2", "--out", out]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration:" in err and "finite and in [-1, 1]" in err, err
+
+
 def test_config_file_and_env_out(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -475,6 +490,16 @@ SEEDED_RECORDS = (
          "verdict_or_error": "0.026854", "shots": 519698},
     ], {"trials": 3, "shot_total": 1559094, "success_fraction": 1.0,
         "median_error": 0.026854416598048568}),
+    # the benchmark's estimate request: 4096 live leaves per commuting round
+    ("estimate --modes 12 --scheme commuting --state-spec random_gaussian:mixed", 0, [
+        {"trial": 0, "error_inf": 0.024991764633869436, "ok": True,
+         "verdict_or_error": "0.024992", "shots": 2992445},
+        {"trial": 1, "error_inf": 0.021241938824334908, "ok": True,
+         "verdict_or_error": "0.021242", "shots": 2992445},
+        {"trial": 2, "error_inf": 0.023957525155775622, "ok": True,
+         "verdict_or_error": "0.023958", "shots": 2992445},
+    ], {"trials": 3, "shot_total": 8977335, "success_fraction": 1.0,
+        "median_error": 0.023957525155775622}),
 )
 
 
@@ -496,7 +521,8 @@ def _assert_record_matches(got, want, path):
 
 @pytest.mark.parametrize("argv,code,results,aggregate", SEEDED_RECORDS,
                          ids=["verify-bounds", "test-rank", "robustness", "tomo-mixed",
-                              "estimate-commuting", "estimate-pauli_pairs"])
+                              "estimate-commuting", "estimate-pauli_pairs",
+                              "estimate-commuting-n12"])
 def test_seeded_records(tmp_path, argv, code, results, aggregate):
     out = tmp_path / "r.json"
     assert cli.main([*argv.split(), "--seed", "0", "--trials", "3", "--out", str(out)]) == code

@@ -109,6 +109,8 @@ def test_z_distribution_matches_per_node_reference(n, rng):
         states.vacuum(n),
         # lambda = +-1 on every mode: one branch of each node has probability 0
         states.product_state(rng.choice([-1.0, 1.0], size=n)),
+        # +-1 among interior lambdas: some depths drop a branch, others none
+        states.product_state(rng.choice([-1.0, -0.4, 0.0, 0.7, 1.0], size=n)),
     ]
     plan = matchings(n)
     picks = sorted({0, len(plan) // 2, len(plan) - 1})
@@ -117,6 +119,29 @@ def test_z_distribution_matches_per_node_reference(n, rng):
         for q in rotations:
             g = s.corr.mat if q is None else q @ s.corr.mat @ q.T
             assert np.array_equal(z_basis_distribution(g), _per_node_z_distribution(g))
+
+
+def test_z_distribution_matches_per_node_reference_at_n12(rng):
+    # the benchmark's size: a rotated mixed state keeps all 4096 leaves live;
+    # the unrotated product state drops a branch at its two +-1 depths only
+    n = 12
+    q = matching_rotation(matchings(n)[7], n)
+    lams = [0.7, 0.7, 0.0, -1.0, 0.7, 0.7, 0.7, 0.7, 1.0, 0.7, -0.4, 0.0]
+    for g in (q @ states.random_gaussian_state(n, "mixed", rng).corr.mat @ q.T,
+              states.product_state(lams).corr.mat):
+        assert np.array_equal(z_basis_distribution(g), _per_node_z_distribution(g))
+
+
+def test_z_distribution_one_hot_at_the_cap(rng):
+    # every node drops one branch at n = MAX_SAMPLING_MODES; a +-1 product
+    # state reads bit 1 exactly on its lambda = -1 modes (qubit 0 = MSB)
+    n = sampling.MAX_SAMPLING_MODES
+    lams = rng.choice([-1.0, 1.0], size=n)
+    for s, index in ((states.vacuum(n), 0),
+                     (states.product_state(lams), int("".join("1" if x < 0 else "0" for x in lams), 2))):
+        one_hot = np.zeros(1 << n)
+        one_hot[index] = 1.0
+        assert np.array_equal(z_basis_distribution(s.corr.mat), one_hot)
 
 
 def test_z_distribution_keeps_nan_branches_like_reference(rng):

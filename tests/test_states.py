@@ -39,8 +39,9 @@ def test_product_state():
     assert np.abs(c.corr.mat).max() == 0.0
     one = states.product_state([-1.0])
     assert np.array_equal(one.corr.mat, -skew.canonical_lambda(1))
-    with pytest.raises(LambdaOutOfRange):
-        states.product_state([1.2])
+    for bad in ([1.2], [np.nan, 0.2], [0.0, -np.inf]):
+        with pytest.raises(LambdaOutOfRange, match="finite"):
+            states.product_state(bad)
 
 
 def test_rotate(rng):
