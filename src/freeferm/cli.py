@@ -7,8 +7,8 @@ only on the seed and the trial index, and a record re-runs byte-identically
 from its config echo.
 
 Each command reads the config fields of its row in :data:`COMMAND_FIELDS`:
-the parser gives it only those flags, a config file may set only those keys,
-and validation rejects any other field set away from its default.
+a flag or config-file key outside the row, or any other field set away from
+its default, is a validation error.
 
 A trial that raises a toolkit error other than a validation error or a
 budget overflow is recorded as that trial's outcome (``ok`` false, the error
@@ -27,10 +27,11 @@ import io
 import json
 import os
 import sys
+import textwrap
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .errors import (
     BudgetOverflow,
     FreeFermError,
     InfeasibleThresholds,
-    LambdaOutOfRange,
     ValidationError,
 )
 from .learning import TestConfig
@@ -54,6 +54,8 @@ from .sampling import (
 )
 
 DENSE_VERIFY_MODES = 5  # dense cross-checks only run at or below this n
+
+_Source = Callable[[RngStream], StateSource]  # a trial's stream -> the state it measures
 
 #: flag and argparse options of each config field a command can read
 _FLAGS: Dict[str, Tuple[str, dict]] = {
@@ -133,10 +135,8 @@ class ExperimentConfig:
         if row is None:
             raise ValidationError(f"unknown command {self.command!r}")
         default = ExperimentConfig(self.command)
-        unread = [f.name for f in fields(self) if f.name != "command" and f.name not in row
-                  and getattr(self, f.name) != getattr(default, f.name)]
-        if unread:
-            raise ValidationError(f"{self.command} does not take {unread}")
+        _check_row(self.command, [f.name for f in fields(self) if f.name != "command"
+                                  and getattr(self, f.name) != getattr(default, f.name)])
         for name in row:
             choices = _FLAGS[name][1].get("choices")
             if choices and getattr(self, name) not in choices:
@@ -150,8 +150,8 @@ class ExperimentConfig:
             for point in self.points:
                 _sweep_point(self, point).validate()
             return
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if self.trials < 1 or self.seed < 0:
+            raise ValidationError(f"need trials >= 1, seed >= 0; got {self.trials}, {self.seed}")
         if self.shots is not None and self.shots < 1:
             raise ValidationError(f"shots must be >= 1, got {self.shots}")
         if not 0.0 < self.delta < 1.0:
@@ -162,7 +162,6 @@ class ExperimentConfig:
             learning.check_identity_eps(self.eps)
         elif self.command in ("tomo-pure", "tomo-mixed", "robustness"):
             learning.check_eps_delta(self.eps, self.delta)
-        kind, arg = _parse_state_spec(self.state_spec)  # raises on malformed specs
         n = self.modes
         if n < 1:
             raise ValidationError(f"modes must be >= 1, got {n}")
@@ -177,17 +176,7 @@ class ExperimentConfig:
                 raise ValidationError(f"promise certification needs "
                                       f"n <= {learning.MAX_ROBUSTNESS_MODES}, got {n}")
             learning.check_noise(self.noise_kind, self.noise_strength)
-        if kind == "ghz3" and n != 3:
-            raise ValidationError("ghz3 requires modes=3")
-        if kind == "product":
-            if len(arg) != n:
-                raise ValidationError(f"product spec has {len(arg)} lambdas but modes={n}")
-            try:
-                states.product_state(arg)
-            except LambdaOutOfRange as exc:
-                raise ValidationError(f"product spec {self.state_spec!r}: {exc}") from exc
-        if kind == "dense_fixture":
-            _check_fixture(arg, n)
+        _state_source(self)  # raises on a spec that is malformed or does not fit
         # reduce-id tomographs all n modes, test-rank the leading rank_exponent
         local = {"reduce-id": n, "test-rank": self.rank_exponent or 0}
         r = local.get(self.command, 0)
@@ -208,66 +197,52 @@ class ExperimentConfig:
                           r=self.rank_exponent or 0, gaussian_set=self.gaussian_set)
 
 
+def _check_row(command: str, names: Sequence[str]) -> None:
+    """Raise ValidationError unless every field in ``names`` is in the command's row."""
+    unread = [name for name in names if name not in COMMAND_FIELDS[command]]
+    if unread:
+        raise ValidationError(f"{command} does not take {unread}")
+
+
 def _sweep_point(cfg: ExperimentConfig, point: float) -> ExperimentConfig:
     """The sub-command config that a sweep runs at one point of its axis."""
+    if cfg.axis != "eps" and not float(point).is_integer():
+        raise ValidationError(f"points on the {cfg.axis} axis must be integers, got {point}")
     value = float(point) if cfg.axis == "eps" else int(point)
     return replace(cfg, command=cfg.sub_command, axis=None, points=[], sub_command=None,
                    **{cfg.axis: value})
 
 
-def _parse_state_spec(spec: str):
+def _state_source(cfg: ExperimentConfig) -> _Source:
+    """Parse, check and build ``cfg.state_spec``: ValidationError unless it
+    gives a valid state on ``cfg.modes`` modes. ``random_gaussian`` draws each
+    trial's state from its stream's child 999; every other spec is built once."""
+    spec, n = cfg.state_spec, cfg.modes
     head, _, arg = spec.partition(":")
-    if head == "vacuum":
-        return ("vacuum", None)
-    if head == "product":
-        try:
-            lams = [float(x) for x in arg.split(",") if x != ""]
-        except ValueError as exc:
-            raise ValidationError(f"bad product spec {spec!r}") from exc
-        if not lams:
-            raise ValidationError(f"product spec {spec!r} has no lambdas")
-        return ("product", lams)
     if head == "random_gaussian":
         if arg not in ("pure", "mixed"):
             raise ValidationError(f"random_gaussian needs :pure or :mixed, got {spec!r}")
-        return ("random_gaussian", arg)
-    if head == "dense_fixture":
-        if not arg:
-            raise ValidationError("dense_fixture needs a path")
-        return ("dense_fixture", arg)
-    if head == "ghz3":
-        return ("ghz3", None)
-    raise ValidationError(f"unknown state spec {spec!r}")
-
-
-def _check_fixture(path: str, modes: int) -> None:
-    """Raise ValidationError unless ``path`` holds a valid state on ``modes`` modes."""
+        return lambda stream: ExactGaussianSource(
+            states.random_gaussian_state(n, arg, stream.child(999).generator()))
     try:
-        with open(path) as f:
-            rho = dense_mod.read_dense(f)
-    except (OSError, ValueError) as exc:  # unreadable or malformed
-        raise ValidationError(f"dense fixture {path!r}: {exc}") from exc
-    if rho.n != modes:
-        raise ValidationError(f"fixture has n={rho.n}, expected modes={modes}")
-    try:
-        rho.validate()
-    except ValueError as exc:  # not Hermitian, trace not 1 or not positive
-        raise ValidationError(f"dense fixture {path!r}: {exc}") from exc
-
-
-def _make_source(cfg: ExperimentConfig, stream: RngStream) -> StateSource:
-    kind, arg = _parse_state_spec(cfg.state_spec)
-    if kind == "vacuum":
-        return ExactGaussianSource(states.vacuum(cfg.modes))
-    if kind == "product":
-        return ExactGaussianSource(states.product_state(arg))
-    if kind == "random_gaussian":
-        gen = stream.child(999).generator()
-        return ExactGaussianSource(states.random_gaussian_state(cfg.modes, arg, gen))
-    if kind == "dense_fixture":
-        with open(arg) as f:  # checked by validate()
-            return DenseSource(dense_mod.read_dense(f))
-    return DenseSource(dense_mod.ghz3())  # kind == "ghz3"; _parse_state_spec rejects the rest
+        if head == "vacuum":
+            src: StateSource = ExactGaussianSource(states.vacuum(n))
+        elif head == "product":
+            lams = [float(x) for x in arg.split(",") if x]
+            src = ExactGaussianSource(states.product_state(lams))
+        elif head == "ghz3":
+            src = DenseSource(dense_mod.ghz3())
+        elif head == "dense_fixture":
+            with open(arg) as f:
+                src = DenseSource(dense_mod.read_dense(f))
+            src.state.validate()  # Hermitian, trace 1 and positive
+        else:
+            raise ValidationError(f"unknown kind {head!r}")
+    except (OSError, ValueError) as exc:  # toolkit errors are ValueErrors
+        raise ValidationError(f"state spec {spec!r}: {exc}") from exc
+    if src.n != n:
+        raise ValidationError(f"state spec {spec!r} has {src.n} modes, but modes={n}")
+    return lambda stream: src
 
 
 def _dense_of_source(src: StateSource) -> Optional[dense_mod.DenseState]:
@@ -280,7 +255,7 @@ def _dense_of_source(src: StateSource) -> Optional[dense_mod.DenseState]:
 
 # -- per-trial workers ----------------------------------------------------------
 
-def _trial_verify_bounds(cfg: ExperimentConfig, trial: int, stream: RngStream) -> dict:
+def _trial_verify_bounds(cfg: ExperimentConfig, trial: int, stream: RngStream, *_) -> dict:
     gen = stream.generator()
     n = cfg.modes
     mode = ("mixed_mixed", "pure_pure", "pure_vs_any")[trial % 3]
@@ -313,8 +288,9 @@ def _trial_verify_bounds(cfg: ExperimentConfig, trial: int, stream: RngStream) -
     }
 
 
-def _trial_estimate(cfg: ExperimentConfig, trial: int, stream: RngStream) -> dict:
-    src = _make_source(cfg, stream)
+def _trial_estimate(cfg: ExperimentConfig, trial: int, stream: RngStream,
+                    source: _Source) -> dict:
+    src = source(stream)
     est = estimate_gamma(
         src, cfg.eps, cfg.delta, cfg.scheme, stream.child(1),
         total_shots=cfg.shots, shot_cap=cfg.shot_cap,
@@ -330,8 +306,8 @@ def _trial_estimate(cfg: ExperimentConfig, trial: int, stream: RngStream) -> dic
     }
 
 
-def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream) -> dict:
-    src = _make_source(cfg, stream)
+def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _Source) -> dict:
+    src = source(stream)
     tc = cfg.test_config()
     if cfg.command == "test-pure":
         verdict = learning.test_pure(src, tc, stream.child(1), scheme=cfg.scheme,
@@ -352,8 +328,9 @@ def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream) -> dict:
     return rec
 
 
-def _trial_reduce_id(cfg: ExperimentConfig, trial: int, stream: RngStream) -> dict:
-    src = _make_source(cfg, stream)
+def _trial_reduce_id(cfg: ExperimentConfig, trial: int, stream: RngStream,
+                     source: _Source) -> dict:
+    src = source(stream)
     verdict, shots = learning.reduce_identity_testing(
         src, cfg.eps, cfg.delta, stream.child(1), scheme=cfg.scheme, shot_cap=cfg.shot_cap,
     )
@@ -363,8 +340,8 @@ def _trial_reduce_id(cfg: ExperimentConfig, trial: int, stream: RngStream) -> di
     return rec
 
 
-def _trial_tomo(cfg: ExperimentConfig, trial: int, stream: RngStream) -> dict:
-    src = _make_source(cfg, stream)
+def _trial_tomo(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _Source) -> dict:
+    src = source(stream)
     if cfg.command == "tomo-pure":
         report = learning.tomograph_pure(src, cfg.eps, cfg.delta, stream.child(1),
                                          scheme=cfg.scheme, shot_cap=cfg.shot_cap)
@@ -383,7 +360,7 @@ def _trial_tomo(cfg: ExperimentConfig, trial: int, stream: RngStream) -> dict:
     return rec
 
 
-def _trial_robustness(cfg: ExperimentConfig, trial: int, stream: RngStream) -> dict:
+def _trial_robustness(cfg: ExperimentConfig, trial: int, stream: RngStream, *_) -> dict:
     gen = stream.child(999).generator()
     base = states.random_gaussian_state(cfg.modes, "mixed", gen)
     result = learning.robustness_experiment(
@@ -441,11 +418,12 @@ def _aggregate(cfg: ExperimentConfig, results: List[dict], errors: Dict[int, str
 
 def _run_trials(cfg: ExperimentConfig) -> dict:
     worker = _TRIAL_WORKERS[cfg.command]
+    source = _state_source(cfg)
     results: List[dict] = []
     errors: Dict[int, str] = {}
     for t in range(cfg.trials):
         try:
-            results.append(worker(cfg, t, RngStream(cfg.seed, (t,))))
+            results.append(worker(cfg, t, RngStream(cfg.seed, (t,)), source))
         except (ValidationError, BudgetOverflow):
             raise
         except FreeFermError as exc:
@@ -534,37 +512,58 @@ def _json_default(obj):
 # -- argument parsing ---------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for all commands; :func:`config_from_args` checks a command's flags."""
+    rows = "\n".join(textwrap.fill(f"{name}: {' '.join(_FLAGS[f][0] for f in row)}", 78,
+                                   initial_indent="  ", subsequent_indent="      ",
+                                   break_on_hyphens=False)
+                     for name, row in COMMAND_FIELDS.items())
     parser = argparse.ArgumentParser(
         prog="freeferm",
         description="Seeded free-fermionic estimation/testing/tomography experiments.",
+        epilog=f"every command takes --config and only the flags of its row:\n{rows}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, row in COMMAND_FIELDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON file with config fields (snake_case)")
-        for field_name in row:
-            flag, options = _FLAGS[field_name]
-            p.add_argument(flag, dest=field_name, **options)
+    parser.add_argument("command", choices=COMMAND_FIELDS)
+    parser.add_argument("--config", help="JSON file with config fields (snake_case)")
+    for name, (flag, options) in _FLAGS.items():
+        parser.add_argument(flag, dest=name, **options)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    row = COMMAND_FIELDS[args.command]
+    """The config file's fields, then the flags given; each must be in the
+    command's row and have the type its flag takes."""
     values = {}
     if args.config:
         with open(args.config) as f:
-            values.update(json.load(f))
-    for name in row:
-        v = getattr(args, name)
-        if v is not None:
-            values[name] = v
-    values["command"] = args.command
-    if isinstance(values.get("points"), str):
-        values["points"] = [float(x) for x in values["points"].split(",") if x]
-    unknown = set(values) - {"command", *row}
-    if unknown:
-        raise ValidationError(f"unknown config fields {sorted(unknown)}")
-    return ExperimentConfig(**values)
+            try:
+                values = json.load(f)
+            except ValueError as exc:  # not JSON or not UTF-8
+                raise ValidationError(f"config file {args.config!r}: {exc}") from exc
+        if not isinstance(values, dict):
+            raise ValidationError(f"config file {args.config!r} holds no JSON object")
+    values.update((k, v) for k, v in vars(args).items() if k in _FLAGS and v is not None)
+    _check_row(args.command, list(values))
+    return ExperimentConfig(args.command, **{name: _typed(name, v) for name, v in values.items()})
+
+
+def _typed(name: str, value):
+    """``value`` of field ``name`` if it has its flag's type (an int is also a
+    float, a bool no number); points may be ``--points`` text or a list."""
+    if name == "points" and isinstance(value, str):
+        try:
+            return [float(x) for x in value.split(",") if x]
+        except ValueError:
+            pass
+    elif name == "points" and isinstance(value, list) and all(_is_a(x, float) for x in value):
+        return value
+    elif _is_a(value, _FLAGS[name][1].get("type", str)):
+        return value
+    raise ValidationError(f"{name} {value!r} is not a {_FLAGS[name][0]} value")
+
+
+def _is_a(x, kind: type) -> bool:
+    return not isinstance(x, bool) and isinstance(x, (int, float) if kind is float else kind)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

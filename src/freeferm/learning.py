@@ -245,13 +245,26 @@ def test_bounded_rank(
         # no mixed modes to examine: the eigenvalue stage already certifies
         return TestVerdict(CASE_A, lam_next, eps_t2, "tomography_stage", est.shots_used, 0.0)
 
-    rho_hat, tomo_shots = local_full_tomography(
-        src, r, eps_tom, cfg.delta / 2.0, rng_stream.child(1), rotation=nf.q, scheme=scheme,
-    )
-    local_dist = dense_mod.state_metrics(rho_hat, dense_mod.gaussianification(rho_hat))
-    verdict = CASE_B if local_dist > eps_t2 else CASE_A
-    return TestVerdict(verdict, lam_next, eps_t2, "tomography_stage",
+    far, local_dist, tomo_shots = _gaussianity_stage(
+        src, r, nf.q, (eps_tom, eps_t2), cfg.delta, rng_stream, scheme)
+    return TestVerdict(CASE_B if far else CASE_A, lam_next, eps_t2, "tomography_stage",
                        est.shots_used + tomo_shots, local_dist)
+
+
+def _gaussianity_stage(src: StateSource, r: int, rotation: Optional[np.ndarray],
+                       thresholds: Tuple[float, float], delta: float, rng_stream: RngStream,
+                       scheme: str) -> Tuple[bool, float, int]:
+    """The second stage of a two-stage test, at delta/2 on ``rng_stream``'s
+    child 1: full tomography of the leading r modes after ``rotation`` at
+    eps_tom, then the trace distance of the estimate to the Gaussian state
+    with its correlation matrix. ``thresholds`` is (eps_tom, eps_T2); returns
+    (distance > eps_T2, distance, copies used)."""
+    eps_tom, eps_t2 = thresholds
+    rho_hat, shots = local_full_tomography(
+        src, r, eps_tom, delta / 2.0, rng_stream.child(1), rotation=rotation, scheme=scheme,
+    )
+    dist = dense_mod.state_metrics(rho_hat, dense_mod.gaussianification(rho_hat))
+    return dist > eps_t2, dist, shots
 
 
 def local_full_tomography(
@@ -348,13 +361,10 @@ def reduce_identity_testing(
     if sup > eps_t:
         return FAR_FROM_MAXIMALLY_MIXED, est.shots_used
 
-    eps_tom, eps_t2 = _gaussianity_thresholds(n, 0.0, eps)  # eps_A = 0, eps_B = eps
-    rho_hat, tomo_shots = local_full_tomography(
-        src, n, eps_tom, delta / 2.0, rng_stream.child(1), rotation=None, scheme=scheme,
-    )
-    dist = dense_mod.state_metrics(rho_hat, dense_mod.gaussianification(rho_hat))
-    verdict = MAXIMALLY_MIXED if dist <= eps_t2 else FAR_FROM_MAXIMALLY_MIXED
-    return verdict, est.shots_used + tomo_shots
+    # eps_A = 0, eps_B = eps
+    far, _, tomo_shots = _gaussianity_stage(
+        src, n, None, _gaussianity_thresholds(n, 0.0, eps), delta, rng_stream, scheme)
+    return (FAR_FROM_MAXIMALLY_MIXED if far else MAXIMALLY_MIXED), est.shots_used + tomo_shots
 
 
 # -- tomography -------------------------------------------------------------------

@@ -106,7 +106,7 @@ def from_correlation(g: GammaLike) -> GaussianState:
     slack (estimator round-off) is clamped back to 1, and the stored matrix
     is re-synthesized from the clamped normal form so it stays consistent.
     """
-    m = as_skew_array(g)
+    m = _gamma_of(g)
     nf = skew.normal_form(m)
     lam = nf.lambdas
     if lam[-1] > 1.0 + LAMBDA_INPUT_SLACK:

@@ -1,4 +1,3 @@
-import argparse
 import copy
 import dataclasses
 import json
@@ -188,12 +187,12 @@ def test_failed_trial_is_recorded_not_fatal(tmp_path):
 def test_failed_trials_are_not_violations(monkeypatch):
     real = cli._TRIAL_WORKERS["verify-bounds"]
 
-    def flaky(cfg, trial, stream):
+    def flaky(cfg, trial, stream, source):
         if trial % 2:
             raise TooManyModes("injected")
-        return real(cfg, trial, stream)
+        return real(cfg, trial, stream, source)
 
-    def invalid(cfg, trial, stream):
+    def invalid(cfg, trial, stream, source):
         raise ValidationError("bad")
 
     monkeypatch.setitem(cli._TRIAL_WORKERS, "verify-bounds", flaky)
@@ -333,8 +332,23 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
     robust_cap = learning.MAX_ROBUSTNESS_MODES
     local_cap = learning.MAX_LOCAL_MODES
     zeros = lambda n: "product:" + ",".join(["0"] * n)  # noqa: E731
-    noise_kind = tmp_path / "noise_kind.json"  # a key outside the row, even at its default
-    noise_kind.write_text(json.dumps({"noise_kind": "depolarizing"}))
+    configs = {
+        "noise_kind": {"noise_kind": "depolarizing"},  # a key outside the row, even at its default
+        "modes_text": {"modes": "abc"},
+        "modes_float": {"modes": 3.0},
+        "seed_bool": {"seed": True},
+        "shots_null": {"shots": None},
+        "command": {"command": "estimate"},  # the command is named on the command line only
+        "points_list": {"axis": "shots", "points": [1000, "x"], "sub_command": "estimate"},
+        "modes": {"modes": 3},
+        "points": {"axis": "shots", "points": [1000, 4000], "sub_command": "estimate"},
+    }
+    for name, values in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(values))
+    (tmp_path / "not_json.json").write_text("{modes: 3")
+    (tmp_path / "not_object.json").write_text("[3]")
+    cfg = {name: ["--config", str(tmp_path / f"{name}.json")]
+           for name in (*configs, "not_json", "not_object")}
     # (rejected argv, a valid twin: at the cap, or the field where it is read)
     cases = (
         (["verify-bounds", "--modes", str(dense_cap + 1)],
@@ -369,8 +383,28 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
         (["sweep", "--axis", "eps", "--points", "0.3", "--sub-command", "tomo-mixed",
           "--format", "csv"],
          ["tomo-mixed", "--format", "csv"]),
-        (["estimate", "--config", str(noise_kind)], ["robustness", "--config", str(noise_kind)]),
-        # shot counts below 1, for a command and at a sweep point
+        (["estimate", *cfg["noise_kind"]], ["robustness", *cfg["noise_kind"]]),
+        # config-file values of a type other than their flag's, and malformed files
+        (["estimate", *cfg["modes_text"]], ["estimate", *cfg["modes"]]),
+        (["estimate", *cfg["modes_float"]], ["estimate", *cfg["modes"]]),
+        (["estimate", *cfg["seed_bool"]], ["estimate", *cfg["modes"]]),
+        (["estimate", *cfg["shots_null"]], ["estimate", *cfg["modes"]]),
+        (["estimate", *cfg["command"]], ["estimate", *cfg["modes"]]),
+        (["sweep", *cfg["points_list"]], ["sweep", *cfg["points"]]),
+        (["estimate", *cfg["not_json"]], ["estimate", *cfg["modes"]]),
+        (["estimate", *cfg["not_object"]], ["estimate", *cfg["modes"]]),
+        # sweep points that are not numbers, or not integers on the modes and shots axes
+        (["sweep", "--axis", "shots", "--points", "1000,abc", "--sub-command", "estimate"],
+         ["sweep", "--axis", "shots", "--points", "1000,4000", "--sub-command", "estimate"]),
+        (["sweep", "--axis", "shots", "--points", "1e400", "--sub-command", "estimate"],
+         ["sweep", "--axis", "shots", "--points", "1e3", "--sub-command", "estimate"]),
+        (["sweep", "--axis", "modes", "--points", "2.5", "--sub-command", "estimate"],
+         ["sweep", "--axis", "modes", "--points", "2", "--sub-command", "estimate"]),
+        (["sweep", "--axis", "shots", "--points", "1000.5", "--sub-command", "estimate"],
+         ["sweep", "--axis", "eps", "--points", "0.5", "--sub-command", "estimate"]),
+        # a negative seed, and shot counts below 1, for a command and at a sweep point
+        (["estimate", "--modes", "3", "--seed", "-1"],
+         ["estimate", "--modes", "3", "--seed", "0"]),
         (["estimate", "--modes", "3", "--shots", "-5"],
          ["estimate", "--modes", "3", "--shots", "1"]),
         (["estimate", "--modes", "3", "--shots", "0"],
@@ -388,30 +422,62 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
     for rejected, twin in cases:
         assert cli.main([*rejected, "--trials", "2", "--out", str(tmp_path / "x.json")]) == 2
         err = capsys.readouterr().err
-        assert "invalid configuration:" in err or "unrecognized arguments:" in err
+        assert "invalid configuration:" in err, (rejected, err)
         cli.config_from_args(parser.parse_args(twin)).validate()
     # a command that ignores the spec rejects one set away from its default
     with pytest.raises(ValidationError, match=r"robustness does not take \['state_spec'\]"):
         cli.ExperimentConfig(command="robustness", modes=4, state_spec="ghz3").validate()
 
 
-def _subparsers(parser):
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+def _flag_value(field_name):
+    """A flag value that parses and differs from the field's default."""
+    choices = cli._FLAGS[field_name][1].get("choices")
+    return choices[-1] if choices else "1"
 
 
-def test_each_command_takes_only_the_fields_it_reads():
+def test_each_command_takes_only_the_fields_it_reads(monkeypatch, capsys, tmp_path):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    for name in cli._TRIAL_WORKERS:
+        monkeypatch.setitem(cli._TRIAL_WORKERS, name, no_trial)
     names = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
-    commands = _subparsers(cli.build_parser())
-    assert set(commands) == set(cli.COMMAND_FIELDS)
-    for name, sub in commands.items():
-        row = cli.COMMAND_FIELDS[name]
-        assert set(row) <= names - {"command"}
-        assert {a.dest for a in sub._actions} - {"help"} == {*row, "config"}, name
+    assert set(cli._FLAGS) == names - {"command"}
+    default = cli.ExperimentConfig("estimate")
+    out = ["--out", str(tmp_path / "x.json")]
+    for command, row in cli.COMMAND_FIELDS.items():
+        for field_name, (flag, _) in cli._FLAGS.items():
+            argv = [command, flag, _flag_value(field_name)]
+            if field_name in row:  # every row flag parses and sets its field
+                cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+                assert getattr(cfg, field_name) != getattr(default, field_name), argv
+            else:  # every other flag exits 2 before any trial
+                assert cli.main([*argv, *out]) == 2, argv
+                err = capsys.readouterr().err
+                assert f"invalid configuration: {command} does not take ['{field_name}']" in err
+
+
+def test_dense_fixture_read_per_run_not_per_trial(tmp_path, monkeypatch):
+    path = tmp_path / "ghz3.txt"
+    with open(path, "w") as f:
+        dense.write_dense(f, dense.ghz3())
+    reads = []
+    real = dense.read_dense
+
+    def counted(f):
+        reads.append(f.name)
+        return real(f)
+
+    monkeypatch.setattr(dense, "read_dense", counted)
+    assert cli.main(["estimate", "--modes", "3", "--eps", "0.4", "--delta", "0.2", "--trials", "5",
+                     "--state-spec", f"dense_fixture:{path}",
+                     "--out", str(tmp_path / "x.json")]) == 0
+    assert 1 <= len(reads) <= 2  # validation, then the run: never once per trial
 
 
 def test_readme_examples_parse_and_validate():
-    # every example command validates, and the flag table lists each parser's flags
-    common = {"--config", "--trials", "--seed", "--out"}
+    # every example command validates, and the flag table lists each row's flags
+    common = {"trials", "seed", "out_path"}
     text = README.read_text()
     examples = [shlex.split(line)[1:] for line in text.replace("\\\n", " ").splitlines()
                 if line.startswith("freeferm ")]
@@ -419,12 +485,10 @@ def test_readme_examples_parse_and_validate():
     parser = cli.build_parser()
     for argv in examples:
         cli.config_from_args(parser.parse_args(argv)).validate()
-    table = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, re.MULTILINE))
-    commands = _subparsers(parser)
-    assert set(table) == set(commands)
-    for name, sub in commands.items():
-        flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
-        assert set(re.findall(r"`(--[a-z-]+)`", table[name])) | common == flags, name
+    table = {name: re.findall(r"`(--[a-z-]+)`", flags) for name, flags
+             in re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, re.MULTILINE)}
+    assert table == {name: [cli._FLAGS[f][0] for f in row if f not in common]
+                     for name, row in cli.COMMAND_FIELDS.items()}
 
 
 # Seed 0, first three trials (a trial's record depends only on the seed and its

@@ -25,6 +25,14 @@ def test_from_correlation_examples():
         states.from_correlation(1.5 * skew.canonical_lambda(2))
 
 
+def test_from_correlation_reads_every_gamma_like(rng):
+    s = states.random_gaussian_state(3, "mixed", rng)
+    for g in (s.corr.mat, s.corr, s):  # ndarray, SkewMatrix and GaussianState
+        again = states.from_correlation(g)
+        assert np.array_equal(again.corr.mat, s.corr.mat)
+        assert np.array_equal(again.lambdas, s.lambdas)
+
+
 def test_from_correlation_clamps_tiny_overshoot():
     s = states.from_correlation((1.0 + 5e-7) * skew.canonical_lambda(2))
     assert np.all(s.lambdas <= 1.0)
