@@ -31,7 +31,7 @@ import textwrap
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +56,9 @@ from .sampling import (
 DENSE_VERIFY_MODES = 5  # dense cross-checks only run at or below this n
 
 _Source = Callable[[RngStream], StateSource]  # a trial's stream -> the state it measures
+#: what validation builds and a run executes: a command's state-source map,
+#: or a sweep's (point config, its map) pairs
+_Plan = Union[_Source, List[Tuple["ExperimentConfig", _Source]]]
 
 #: flag and argparse options of each config field a command can read
 _FLAGS: Dict[str, Tuple[str, dict]] = {
@@ -130,7 +133,9 @@ class ExperimentConfig:
     sub_command: Optional[str] = None
     shot_cap: int = sampling.DEFAULT_SHOT_CAP
 
-    def validate(self) -> None:
+    def validate(self) -> _Plan:
+        """Check the config and return the plan its run executes: the trials'
+        state-source map, or for a sweep each point's config and map."""
         row = COMMAND_FIELDS.get(self.command)
         if row is None:
             raise ValidationError(f"unknown command {self.command!r}")
@@ -138,24 +143,25 @@ class ExperimentConfig:
         _check_row(self.command, [f.name for f in fields(self) if f.name != "command"
                                   and getattr(self, f.name) != getattr(default, f.name)])
         for name in row:
-            choices = _FLAGS[name][1].get("choices")
-            if choices and getattr(self, name) not in choices:
+            value, (flag, options) = getattr(self, name), _FLAGS[name]
+            if not (_has_type(name, value) or value is None and getattr(default, name) is None):
+                raise ValidationError(f"{name} {value!r} is not a {flag} value")
+            if "choices" in options and value not in options["choices"]:
                 raise ValidationError(
-                    f"{name} must be one of {', '.join(choices)}, got {getattr(self, name)!r}")
+                    f"{name} must be one of {', '.join(options['choices'])}, got {value!r}")
         if self.command == "sweep":
             if not self.points:
                 raise ValidationError("sweep needs at least one point")
             if getattr(self, self.axis) != getattr(default, self.axis):
                 raise ValidationError(f"a sweep along {self.axis} sets {self.axis} at each point")
-            for point in self.points:
-                _sweep_point(self, point).validate()
-            return
-        if self.trials < 1 or self.seed < 0:
-            raise ValidationError(f"need trials >= 1, seed >= 0; got {self.trials}, {self.seed}")
+            subs = (_sweep_point(self, point) for point in self.points)
+            return [(sub, sub.validate()) for sub in subs]
+        if self.trials < 1 or self.seed < 0 or self.shot_cap < 1:
+            raise ValidationError(f"need trials >= 1, seed >= 0, shot_cap >= 1; "
+                                  f"got {self.trials}, {self.seed}, {self.shot_cap}")
         if self.shots is not None and self.shots < 1:
             raise ValidationError(f"shots must be >= 1, got {self.shots}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError(f"delta {self.delta} outside (0, 1)")
+        sampling.check_delta(self.delta)
         if self.command == "estimate":
             sampling.check_eps_stat(self.eps)
         elif self.command == "reduce-id":
@@ -176,7 +182,7 @@ class ExperimentConfig:
                 raise ValidationError(f"promise certification needs "
                                       f"n <= {learning.MAX_ROBUSTNESS_MODES}, got {n}")
             learning.check_noise(self.noise_kind, self.noise_strength)
-        _state_source(self)  # raises on a spec that is malformed or does not fit
+        source = _state_source(self)  # raises on a spec that is malformed or does not fit
         # reduce-id tomographs all n modes, test-rank the leading rank_exponent
         local = {"reduce-id": n, "test-rank": self.rank_exponent or 0}
         r = local.get(self.command, 0)
@@ -190,6 +196,7 @@ class ExperimentConfig:
                 thresholds(self.test_config(), n)
             except InfeasibleThresholds as exc:
                 raise ValidationError(str(exc)) from exc
+        return source
 
     def test_config(self) -> TestConfig:
         """Thresholds and target set of a ``test-pure`` or ``test-rank`` run."""
@@ -247,10 +254,15 @@ def _state_source(cfg: ExperimentConfig) -> _Source:
 
 def _dense_of_source(src: StateSource) -> Optional[dense_mod.DenseState]:
     if isinstance(src, ExactGaussianSource) and src.n <= DENSE_VERIFY_MODES:
-        return dense_mod.gaussian_to_dense(src.state)
+        return src.dense
     if isinstance(src, DenseSource):
         return src.state
     return None
+
+
+def _scored(err: float, eps: float) -> dict:
+    """``ok`` and ``verdict_or_error`` of a trial whose error against the truth is ``err``."""
+    return {"ok": bool(err <= eps), "verdict_or_error": f"{err:.6f}"}
 
 
 # -- per-trial workers ----------------------------------------------------------
@@ -275,7 +287,6 @@ def _trial_verify_bounds(cfg: ExperimentConfig, trial: int, stream: RngStream, *
     tol = 1e-9
     ok = report.lb_infty <= td + tol and td <= ub + tol
     return {
-        "trial": trial,
         "mode": mode,
         "trace_dist": td,
         "lb_infty": report.lb_infty,
@@ -296,14 +307,7 @@ def _trial_estimate(cfg: ExperimentConfig, trial: int, stream: RngStream,
         total_shots=cfg.shots, shot_cap=cfg.shot_cap,
     )
     err = skew.schatten_norm(est.gamma_hat.mat - src.gamma(), np.inf)
-    ok = err <= cfg.eps
-    return {
-        "trial": trial,
-        "error_inf": err,
-        "ok": bool(ok),
-        "verdict_or_error": f"{err:.6f}",
-        "shots": est.shots_used,
-    }
+    return {"error_inf": err, **_scored(err, cfg.eps), "shots": est.shots_used}
 
 
 def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _Source) -> dict:
@@ -316,7 +320,6 @@ def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _S
         verdict = learning.test_bounded_rank(src, tc, stream.child(1), scheme=cfg.scheme,
                                              shot_cap=cfg.shot_cap)
     rec = {
-        "trial": trial,
         "verdict_or_error": verdict.verdict,
         "shots": verdict.shots_used,
         "lambda_hat": verdict.lambda_hat_relevant,
@@ -334,7 +337,7 @@ def _trial_reduce_id(cfg: ExperimentConfig, trial: int, stream: RngStream,
     verdict, shots = learning.reduce_identity_testing(
         src, cfg.eps, cfg.delta, stream.child(1), scheme=cfg.scheme, shot_cap=cfg.shot_cap,
     )
-    rec = {"trial": trial, "verdict_or_error": verdict, "shots": shots}
+    rec = {"verdict_or_error": verdict, "shots": shots}
     if cfg.expected:
         rec["ok"] = verdict == cfg.expected
     return rec
@@ -348,33 +351,23 @@ def _trial_tomo(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _S
     else:
         report = learning.tomograph_mixed(src, cfg.eps, cfg.delta, stream.child(1),
                                           scheme=cfg.scheme, shot_cap=cfg.shot_cap)
-    rec = {"trial": trial, "shots": report.shots_used}
     truth = _dense_of_source(src)
-    if truth is not None:
-        err = dense_mod.state_metrics(dense_mod.gaussian_to_dense(report.learned), truth)
-        rec["dense_error"] = err
-        rec["ok"] = err <= cfg.eps
-        rec["verdict_or_error"] = f"{err:.6f}"
-    else:
-        rec["verdict_or_error"] = "learned"
-    return rec
+    if truth is None:
+        return {"shots": report.shots_used, "verdict_or_error": "learned"}
+    err = dense_mod.state_metrics(dense_mod.gaussian_to_dense(report.learned), truth)
+    return {"shots": report.shots_used, "dense_error": err, **_scored(err, cfg.eps)}
 
 
-def _trial_robustness(cfg: ExperimentConfig, trial: int, stream: RngStream, *_) -> dict:
-    gen = stream.child(999).generator()
-    base = states.random_gaussian_state(cfg.modes, "mixed", gen)
+def _trial_robustness(cfg: ExperimentConfig, trial: int, stream: RngStream,
+                      source: _Source) -> dict:
+    # the spec is always random_gaussian:mixed, so the base is the trial's random state
     result = learning.robustness_experiment(
-        base, (cfg.noise_kind, cfg.noise_strength), cfg.eps, cfg.delta,
+        source(stream).state, (cfg.noise_kind, cfg.noise_strength), cfg.eps, cfg.delta,
         stream.child(1), promise=cfg.promise, scheme=cfg.scheme, shot_cap=cfg.shot_cap,
     )
-    return {
-        "trial": trial,
-        "dense_error": result.dense_error,
-        "promise_value": result.promise_value,
-        "ok": result.dense_error <= cfg.eps,
-        "verdict_or_error": f"{result.dense_error:.6f}",
-        "shots": result.shots_used,
-    }
+    err = result.dense_error
+    return {"dense_error": err, "promise_value": result.promise_value, **_scored(err, cfg.eps),
+            "shots": result.shots_used}
 
 
 _TRIAL_WORKERS: dict = {
@@ -416,40 +409,43 @@ def _aggregate(cfg: ExperimentConfig, results: List[dict], errors: Dict[int, str
     return agg
 
 
-def _run_trials(cfg: ExperimentConfig) -> dict:
+def _run_trials(cfg: ExperimentConfig, source: _Source) -> dict:
     worker = _TRIAL_WORKERS[cfg.command]
-    source = _state_source(cfg)
     results: List[dict] = []
     errors: Dict[int, str] = {}
     for t in range(cfg.trials):
         try:
-            results.append(worker(cfg, t, RngStream(cfg.seed, (t,)), source))
+            rec = worker(cfg, t, RngStream(cfg.seed, (t,)), source)
         except (ValidationError, BudgetOverflow):
             raise
         except FreeFermError as exc:
             errors[t] = type(exc).__name__
-            results.append({"trial": t, "ok": False,
-                            "verdict_or_error": f"{errors[t]}: {exc}", "shots": 0})
+            rec = {"ok": False, "verdict_or_error": f"{errors[t]}: {exc}", "shots": 0}
+        results.append({"trial": t, **rec})
     return {"results": results, "aggregate": _aggregate(cfg, results, errors)}
 
 
 def run(cfg: ExperimentConfig) -> dict:
     """Execute an experiment and return the run record."""
-    cfg.validate()
+    return _execute(cfg, cfg.validate())
+
+
+def _execute(cfg: ExperimentConfig, plan: _Plan) -> dict:
+    """The run record of ``cfg`` from the plan its validation returned."""
     start = time.monotonic()
-    record = _run_sweep(cfg) if cfg.command == "sweep" else _run_trials(cfg)
+    record = _run_sweep(cfg, plan) if cfg.command == "sweep" else _run_trials(cfg, plan)
     record["config"] = asdict(cfg)
     record["wall_time_s"] = time.monotonic() - start
     record["version"] = __version__
     return record
 
 
-def _run_sweep(cfg: ExperimentConfig) -> dict:
+def _run_sweep(cfg: ExperimentConfig, plan: List[Tuple[ExperimentConfig, _Source]]) -> dict:
     sub_records = []
     medians = []
     xs = []
-    for point in cfg.points:
-        sub_record = run(_sweep_point(cfg, point))
+    for point, (sub_cfg, source) in zip(cfg.points, plan):
+        sub_record = _execute(sub_cfg, source)
         sub_records.append(sub_record)
         med = sub_record["aggregate"].get("median_error")
         if med is not None and med > 0:
@@ -489,8 +485,7 @@ def write_record(record: dict, cfg: ExperimentConfig) -> str:
         base = os.environ.get("FREEFERM_OUT_DIR", ".")
         ext = "csv" if cfg.format == "csv" else "json"
         out = os.path.join(base, f"{cfg.command}.{ext}")
-    payload = _to_csv(record) if cfg.format == "csv" else json.dumps(record, indent=2,
-                                                                     default=_json_default)
+    payload = _to_csv(record) if cfg.format == "csv" else json.dumps(record, indent=2)
     if out == "-":
         sys.stdout.write(payload + "\n")
         return "-"
@@ -499,14 +494,6 @@ def write_record(record: dict, cfg: ExperimentConfig) -> str:
         if not payload.endswith("\n"):
             f.write("\n")
     return out
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -532,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The config file's fields, then the flags given; each must be in the
-    command's row and have the type its flag takes."""
+    command's row. ``--points`` text is split at its commas."""
     values = {}
     if args.config:
         with open(args.config) as f:
@@ -540,30 +527,26 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 values = json.load(f)
             except ValueError as exc:  # not JSON or not UTF-8
                 raise ValidationError(f"config file {args.config!r}: {exc}") from exc
-        if not isinstance(values, dict):
-            raise ValidationError(f"config file {args.config!r} holds no JSON object")
+        if not isinstance(values, dict) or None in values.values():
+            raise ValidationError(f"config file {args.config!r} holds no JSON object "
+                                  f"of non-null values")
     values.update((k, v) for k, v in vars(args).items() if k in _FLAGS and v is not None)
     _check_row(args.command, list(values))
-    return ExperimentConfig(args.command, **{name: _typed(name, v) for name, v in values.items()})
-
-
-def _typed(name: str, value):
-    """``value`` of field ``name`` if it has its flag's type (an int is also a
-    float, a bool no number); points may be ``--points`` text or a list."""
-    if name == "points" and isinstance(value, str):
+    if isinstance(values.get("points"), str):
         try:
-            return [float(x) for x in value.split(",") if x]
-        except ValueError:
-            pass
-    elif name == "points" and isinstance(value, list) and all(_is_a(x, float) for x in value):
-        return value
-    elif _is_a(value, _FLAGS[name][1].get("type", str)):
-        return value
-    raise ValidationError(f"{name} {value!r} is not a {_FLAGS[name][0]} value")
+            values["points"] = [float(x) for x in values["points"].split(",") if x]
+        except ValueError as exc:
+            raise ValidationError(f"points {values['points']!r} is not a --points value") from exc
+    return ExperimentConfig(args.command, **values)
 
 
-def _is_a(x, kind: type) -> bool:
-    return not isinstance(x, bool) and isinstance(x, (int, float) if kind is float else kind)
+def _has_type(name: str, value) -> bool:
+    """Whether ``value`` has the type of field ``name``'s flag: an int is also
+    a float, a bool no number, and points are a list of numbers."""
+    if name == "points":
+        return isinstance(value, list) and all(_has_type("eps", x) for x in value)
+    kind = _FLAGS[name][1].get("type", str)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -587,7 +570,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     agg = record.get("aggregate", {})
     # with the record on stdout, the summary goes to stderr so stdout stays parseable
-    print(f"{cfg.command}: {json.dumps(agg, default=_json_default)} -> {dest}",
+    print(f"{cfg.command}: {json.dumps(agg)} -> {dest}",
           file=sys.stderr if dest == "-" else sys.stdout)
     return 0
 

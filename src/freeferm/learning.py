@@ -8,8 +8,8 @@ from the configuration.
 
 Shot budgets follow the algorithm boxes and are rows of
 :data:`freeferm.sampling.SHOT_BUDGETS`: the pure test and pure tomography
-take the "commuting" row, the bounded-rank test the "rank_test" row plus its
-local tomography, mixed tomography the "mixed_tomography" row, and the
+take the "commuting" row, the bounded-rank test the "commuting" row at delta/2
+plus its local tomography, mixed tomography the "mixed_tomography" row, and the
 identity-testing reduction its scheme's own row ("commuting" or
 "pauli_pairs", the default of ``estimate_gamma``) at eps/(6n) and delta/2
 plus its full-register tomography.
@@ -40,6 +40,7 @@ from .sampling import (
     DenseSource,
     RngStream,
     StateSource,
+    check_delta,
     estimate_gamma,
     hoeffding_shots,
     shot_budget,
@@ -102,8 +103,7 @@ class TestConfig:
     def __post_init__(self):
         if not (self.eps_b > self.eps_a >= 0.0):
             raise ValidationError(f"need eps_b > eps_a >= 0, got {self.eps_a}, {self.eps_b}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError(f"delta {self.delta} outside (0, 1)")
+        check_delta(self.delta)
         if self.r < 0:
             raise ValidationError(f"rank exponent {self.r} must be >= 0")
         if self.gaussian_set not in ("pure_set", "mixed_set", "rank_set"):
@@ -234,7 +234,7 @@ def test_bounded_rank(
     r = cfg.r
     est = estimate_gamma(
         src, eps_stat, cfg.delta / 2.0, scheme, rng_stream.child(0),
-        total_shots=shot_budget("rank_test", n, eps_stat, cfg.delta), shot_cap=shot_cap,
+        total_shots=shot_budget("commuting", n, eps_stat, cfg.delta / 2.0), shot_cap=shot_cap,
     )
     nf = skew.normal_form(est.gamma_hat)
     lam_next = float(nf.lambdas[r])
@@ -289,8 +289,9 @@ def local_full_tomography(
     r = modes
     if not 1 <= r <= MAX_LOCAL_MODES:
         raise TooManyLocalModes(f"local tomography supports 1..{MAX_LOCAL_MODES} modes, got {r}")
-    if not (0.0 < eps_tom and 0.0 < delta < 1.0):
-        raise ValidationError(f"need eps_tom > 0 and delta in (0, 1), got {eps_tom}, {delta}")
+    check_delta(delta)
+    if not 0.0 < eps_tom:
+        raise ValidationError(f"eps_tom {eps_tom} must be > 0")
     truth = src.reduced_dense(rotation, r)
     if scheme == "exact":
         return truth, 0
@@ -412,8 +413,9 @@ def tomograph_mixed(
 
 def check_eps_delta(eps: float, delta: float) -> None:
     """Raise ValidationError unless the tomography targets eps and delta are in (0, 1)."""
-    if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
-        raise ValidationError(f"need eps, delta in (0, 1), got {eps}, {delta}")
+    check_delta(delta)
+    if not 0.0 < eps < 1.0:
+        raise ValidationError(f"eps {eps} outside (0, 1)")
 
 
 # -- robustness experiments --------------------------------------------------------

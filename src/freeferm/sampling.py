@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "z_basis_distribution",
     "estimate_gamma",
     "check_eps_stat",
+    "check_delta",
     "SHOT_BUDGETS",
     "shot_budget",
     "hoeffding_shots",
@@ -58,7 +60,6 @@ DEFAULT_SHOT_CAP = 10 ** 15
 SHOT_BUDGETS = {
     "commuting": (8.0, 3, 4.0),
     "pauli_pairs": (16.0, 4, 1.0),
-    "rank_test": (8.0, 3, 8.0),
     "mixed_tomography": (16.0, 4, 4.0),
 }
 
@@ -111,6 +112,11 @@ class ExactGaussianSource(StateSource):
 
     def gamma(self) -> np.ndarray:
         return self.state.corr.mat
+
+    @cached_property
+    def dense(self) -> DenseState:
+        """The state as a dense density matrix, built on first use."""
+        return dense_mod.gaussian_to_dense(self.state)
 
     def z_distribution(self, q: Optional[np.ndarray] = None) -> np.ndarray:
         g = self.state.corr.mat
@@ -288,6 +294,12 @@ def check_eps_stat(eps_stat: float) -> None:
         raise ValidationError(f"sup-norm accuracy {eps_stat} outside (0, 2]")
 
 
+def check_delta(delta: float) -> None:
+    """Raise ValidationError unless the failure probability delta is in (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValidationError(f"delta {delta} outside (0, 1)")
+
+
 def _split_budget(total: int, rounds: int) -> List[int]:
     base, rem = divmod(total, rounds)
     return [base + (1 if i < rem else 0) for i in range(rounds)]
@@ -323,8 +335,7 @@ def estimate_gamma(
         return GammaEstimate(SkewMatrix(g, tol=1e-9), 0)
     if scheme not in ("pauli_pairs", "commuting"):
         raise ValidationError(f"unknown scheme {scheme!r}")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta {delta} outside (0, 1)")
+    check_delta(delta)
     if total_shots is None:
         check_eps_stat(eps_stat)
         total_shots = shot_budget(scheme, n, eps_stat, delta)

@@ -143,6 +143,10 @@ def test_config_validation_errors():
         run_cfg(command="estimate", state_spec="widget:4")
     with pytest.raises(ValidationError):
         run_cfg(command="sweep", axis="shots", points=[], sub_command="estimate")
+    # a config built in Python meets the flags' type rule too
+    for kw in (dict(modes="3"), dict(eps="0.2"), dict(trials=2.0)):
+        with pytest.raises(ValidationError, match="is not a --"):
+            run_cfg(command="estimate", **kw)
 
 
 def test_sampling_cap_checked_at_validation(monkeypatch, capsys, tmp_path):
@@ -411,6 +415,8 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
          ["estimate", "--modes", "3", "--shots", "1"]),
         (["sweep", "--axis", "shots", "--points", "1000,-3", "--sub-command", "estimate"],
          ["sweep", "--axis", "shots", "--points", "1000,1", "--sub-command", "estimate"]),
+        (["estimate", "--modes", "2", "--shot-cap", "0"],
+         ["estimate", "--modes", "2", "--shot-cap", "1"]),
     )
 
     def no_trial(*args):
@@ -472,7 +478,35 @@ def test_dense_fixture_read_per_run_not_per_trial(tmp_path, monkeypatch):
     assert cli.main(["estimate", "--modes", "3", "--eps", "0.4", "--delta", "0.2", "--trials", "5",
                      "--state-spec", f"dense_fixture:{path}",
                      "--out", str(tmp_path / "x.json")]) == 0
-    assert 1 <= len(reads) <= 2  # validation, then the run: never once per trial
+    assert len(reads) == 1  # at validation, whose source the trials share
+    reads.clear()
+    assert cli.main(["sweep", "--axis", "shots", "--points", "1000,4000", "--sub-command",
+                     "estimate", "--modes", "3", "--trials", "2",
+                     "--state-spec", f"dense_fixture:{path}",
+                     "--out", str(tmp_path / "x.json")]) == 0
+    assert len(reads) == 2  # once per sweep point
+
+
+def test_every_record_is_plain_json():
+    configs = (
+        dict(command="verify-bounds", modes=2, trials=3),
+        dict(command="estimate", modes=2, eps=0.4, delta=0.2, trials=2),
+        dict(command="test-pure", modes=3, eps_a=0.0, eps_b=0.8, trials=1,
+             state_spec="random_gaussian:pure", expected="CaseA"),
+        dict(command="test-rank", modes=3, rank_exponent=1, eps_a=0.0, eps_b=0.8, trials=1,
+             state_spec="product:0.5,1,1", expected="CaseA"),
+        dict(command="reduce-id", modes=2, eps=0.5, trials=1, state_spec="product:0,0",
+             expected="MaximallyMixed"),
+        dict(command="tomo-pure", modes=3, state_spec="vacuum", trials=2),
+        dict(command="tomo-mixed", modes=2, trials=2),
+        dict(command="robustness", modes=2, noise_strength=0.02, trials=2),
+        dict(command="sweep", axis="eps", points=[0.3, 0.5], sub_command="tomo-mixed",
+             modes=2, trials=1),
+    )
+    assert {kw["command"] for kw in configs} == set(cli.COMMAND_FIELDS)
+    for kw in configs:
+        rec = run_cfg(**kw)
+        assert json.loads(json.dumps(rec)) == rec, kw["command"]  # no default= needed
 
 
 def test_readme_examples_parse_and_validate():
@@ -490,6 +524,9 @@ def test_readme_examples_parse_and_validate():
     assert table == {name: [cli._FLAGS[f][0] for f in row if f not in common]
                      for name, row in cli.COMMAND_FIELDS.items()}
 
+
+_TOMO_PURE_NOTE = ("appendix budget 8 n^3/eps^2 log(4 n^2/delta); the headline statement "
+                   "carries constant 32")
 
 # Seed 0, first three trials (a trial's record depends only on the seed and its
 # index), recorded with numpy 2.4.6 and scipy 1.17.1: argv, exit code, results,
@@ -564,6 +601,24 @@ SEEDED_RECORDS = (
          "verdict_or_error": "0.023958", "shots": 2992445},
     ], {"trials": 3, "shot_total": 8977335, "success_fraction": 1.0,
         "median_error": 0.023957525155775622}),
+    ("tomo-pure --modes 4 --state-spec vacuum", 0, [
+        {"trial": 0, "shots": 82707, "dense_error": 0.030046943023198484, "ok": True,
+         "verdict_or_error": "0.030047"},
+        {"trial": 1, "shots": 82707, "dense_error": 0.0326612466625337, "ok": True,
+         "verdict_or_error": "0.032661"},
+        {"trial": 2, "shots": 82707, "dense_error": 0.03154999459885745, "ok": True,
+         "verdict_or_error": "0.031550"},
+    ], {"trials": 3, "shot_total": 248121, "success_fraction": 1.0,
+        "median_error": 0.03154999459885745, "budget_note": _TOMO_PURE_NOTE}),
+    ("tomo-pure --modes 4 --state-spec random_gaussian:pure", 0, [
+        {"trial": 0, "shots": 82707, "dense_error": 0.021237176495804946, "ok": True,
+         "verdict_or_error": "0.021237"},
+        {"trial": 1, "shots": 82707, "dense_error": 0.018879739310528644, "ok": True,
+         "verdict_or_error": "0.018880"},
+        {"trial": 2, "shots": 82707, "dense_error": 0.03059778878683639, "ok": True,
+         "verdict_or_error": "0.030598"},
+    ], {"trials": 3, "shot_total": 248121, "success_fraction": 1.0,
+        "median_error": 0.021237176495804946, "budget_note": _TOMO_PURE_NOTE}),
 )
 
 
@@ -586,7 +641,8 @@ def _assert_record_matches(got, want, path):
 @pytest.mark.parametrize("argv,code,results,aggregate", SEEDED_RECORDS,
                          ids=["verify-bounds", "test-rank", "robustness", "tomo-mixed",
                               "estimate-commuting", "estimate-pauli_pairs",
-                              "estimate-commuting-n12"])
+                              "estimate-commuting-n12", "tomo-pure-vacuum",
+                              "tomo-pure-random"])
 def test_seeded_records(tmp_path, argv, code, results, aggregate):
     out = tmp_path / "r.json"
     assert cli.main([*argv.split(), "--seed", "0", "--trials", "3", "--out", str(out)]) == code

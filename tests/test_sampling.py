@@ -381,11 +381,14 @@ def test_headline_shot_bounds():
     closed = {
         "commuting": lambda n, e, d: math.ceil(8.0 * n ** 3 / e ** 2 * math.log(4.0 * n ** 2 / d)),
         "pauli_pairs": lambda n, e, d: math.ceil(16.0 * n ** 4 / e ** 2 * math.log(n ** 2 / d)),
-        "rank_test": lambda n, e, d: math.ceil(8.0 * n ** 3 / e ** 2 * math.log(8.0 * n ** 2 / d)),
         "mixed_tomography":
             lambda n, e, d: math.ceil(16.0 * n ** 4 / e ** 2 * math.log(4.0 * n ** 2 / d)),
     }
     assert set(closed) == set(sampling.SHOT_BUDGETS)
+    # the bounded-rank test's budget is the commuting row at delta/2: halving
+    # is exact, so 4 n^2 / (delta/2) and 8 n^2 / delta round the same real number
+    rank_test = lambda n, e, d: math.ceil(  # noqa: E731
+        8.0 * n ** 3 / e ** 2 * math.log(8.0 * n ** 2 / d))
     # small eps and large n: where a reordered expression moves a ceiling by one
     grid = itertools.product(range(1, 65), (0.01, 0.03, 0.05, 0.1, 0.2, 0.25, 0.5, 0.9),
                              [i / 100 for i in range(1, 100)])
@@ -393,4 +396,6 @@ def test_headline_shot_bounds():
         for row, formula in closed.items():
             assert sampling.shot_budget(row, n, eps, delta) == formula(n, eps, delta), \
                 (row, n, eps, delta)
+        assert sampling.shot_budget("commuting", n, eps, delta / 2) == rank_test(n, eps, delta), \
+            (n, eps, delta)
 
