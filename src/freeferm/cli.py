@@ -38,12 +38,7 @@ import numpy as np
 from . import __version__
 from . import dense as dense_mod
 from . import learning, sampling, skew, states
-from .errors import (
-    BudgetOverflow,
-    FreeFermError,
-    InfeasibleThresholds,
-    ValidationError,
-)
+from .errors import BudgetOverflow, FreeFermError, ValidationError
 from .learning import TestConfig
 from .sampling import (
     DenseSource,
@@ -70,16 +65,16 @@ _FLAGS: Dict[str, Tuple[str, dict]] = {
     "delta": ("--delta", {"type": float}),
     "trials": ("--trials", {"type": int}),
     "seed": ("--seed", {"type": int}),
-    "scheme": ("--scheme", {"choices": ("pauli_pairs", "commuting", "exact")}),
+    "scheme": ("--scheme", {"choices": sampling.SCHEMES}),
     "state_spec": ("--state-spec", {}),
     "out_path": ("--out", {}),
     "format": ("--format", {"choices": ("json", "csv")}),
     "shots": ("--shots", {"type": int}),
     "expected": ("--expected", {}),
-    "noise_kind": ("--noise-kind", {"choices": ("depolarizing", "trace_perturbation")}),
+    "noise_kind": ("--noise-kind", {"choices": tuple(learning.NOISE_STRENGTHS)}),
     "noise_strength": ("--noise-strength", {"type": float}),
-    "promise": ("--promise", {"choices": ("trace", "relative_entropy")}),
-    "gaussian_set": ("--gaussian-set", {"choices": ("pure_set", "mixed_set", "rank_set")}),
+    "promise": ("--promise", {"choices": learning.PROMISES}),
+    "gaussian_set": ("--gaussian-set", {"choices": learning.GAUSSIAN_SETS}),
     "axis": ("--axis", {"choices": ("shots", "eps", "modes")}),
     "points": ("--points", {"help": "comma-separated sweep points"}),
     "sub_command": ("--sub-command", {"choices": ("estimate", "tomo-pure", "tomo-mixed")}),
@@ -162,46 +157,35 @@ class ExperimentConfig:
         if self.shots is not None and self.shots < 1:
             raise ValidationError(f"shots must be >= 1, got {self.shots}")
         sampling.check_delta(self.delta)
-        if self.command == "estimate":
-            sampling.check_eps_stat(self.eps)
-        elif self.command == "reduce-id":
-            learning.check_identity_eps(self.eps)
-        elif self.command in ("tomo-pure", "tomo-mixed", "robustness"):
-            learning.check_eps_delta(self.eps, self.delta)
-        n = self.modes
-        if n < 1:
-            raise ValidationError(f"modes must be >= 1, got {n}")
-        # every command that samples reads a scheme
-        if "scheme" in row and self.scheme == "commuting" and n > sampling.MAX_SAMPLING_MODES:
-            raise ValidationError(
-                f"mode count {n} exceeds sampling cap {sampling.MAX_SAMPLING_MODES}")
-        if self.command == "verify-bounds" and n > dense_mod.MAX_DENSE_MODES:
-            raise ValidationError(f"mode count {n} exceeds dense cap {dense_mod.MAX_DENSE_MODES}")
-        if self.command == "robustness":
-            if n > learning.MAX_ROBUSTNESS_MODES:
-                raise ValidationError(f"promise certification needs "
-                                      f"n <= {learning.MAX_ROBUSTNESS_MODES}, got {n}")
-            learning.check_noise(self.noise_kind, self.noise_strength)
+        if self.modes < 1:
+            raise ValidationError(f"modes must be >= 1, got {self.modes}")
         source = _state_source(self)  # raises on a spec that is malformed or does not fit
-        # reduce-id tomographs all n modes, test-rank the leading rank_exponent
-        local = {"reduce-id": n, "test-rank": self.rank_exponent or 0}
-        r = local.get(self.command, 0)
-        if r > learning.MAX_LOCAL_MODES:
-            raise ValidationError(
-                f"local tomography supports 1..{learning.MAX_LOCAL_MODES} modes, got {r}")
-        thresholds = {"test-pure": learning.pure_test_thresholds,
-                      "test-rank": learning.rank_test_thresholds}.get(self.command)
-        if thresholds is not None:
-            try:
-                thresholds(self.test_config(), n)
-            except InfeasibleThresholds as exc:
-                raise ValidationError(str(exc)) from exc
+        try:
+            if "scheme" in row:  # every command that samples reads a scheme
+                sampling.check_scheme(self.scheme, self.modes)
+            _OWNER_CHECKS[self.command](self)
+        except FreeFermError as exc:  # a cap, range or threshold the library owns
+            raise ValidationError(str(exc)) from exc
         return source
 
     def test_config(self) -> TestConfig:
         """Thresholds and target set of a ``test-pure`` or ``test-rank`` run."""
         return TestConfig(eps_a=self.eps_a, eps_b=self.eps_b, delta=self.delta,
                           r=self.rank_exponent or 0, gaussian_set=self.gaussian_set)
+
+
+#: each command's cap, range and threshold checks, owned by the library modules
+_OWNER_CHECKS: Dict[str, Callable[[ExperimentConfig], object]] = {
+    "verify-bounds": lambda cfg: dense_mod.check_dense_modes(cfg.modes),
+    "estimate": lambda cfg: sampling.check_eps_stat(cfg.eps),
+    "test-pure": lambda cfg: learning.pure_test_thresholds(cfg.test_config(), cfg.modes),
+    "test-rank": lambda cfg: learning.rank_test_thresholds(cfg.test_config(), cfg.modes),
+    "reduce-id": lambda cfg: learning.identity_test_thresholds(cfg.eps, cfg.modes),
+    "tomo-pure": lambda cfg: learning.check_eps_delta(cfg.eps, cfg.delta),
+    "tomo-mixed": lambda cfg: learning.check_eps_delta(cfg.eps, cfg.delta),
+    "robustness": lambda cfg: learning.robustness_bound(
+        cfg.modes, (cfg.noise_kind, cfg.noise_strength), cfg.eps, cfg.delta, cfg.promise),
+}
 
 
 def _check_row(command: str, names: Sequence[str]) -> None:
@@ -319,16 +303,13 @@ def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _S
     else:
         verdict = learning.test_bounded_rank(src, tc, stream.child(1), scheme=cfg.scheme,
                                              shot_cap=cfg.shot_cap)
-    rec = {
+    return {
         "verdict_or_error": verdict.verdict,
         "shots": verdict.shots_used,
         "lambda_hat": verdict.lambda_hat_relevant,
         "threshold": verdict.threshold,
         "stage": verdict.stage,
     }
-    if cfg.expected:
-        rec["ok"] = verdict.verdict == cfg.expected
-    return rec
 
 
 def _trial_reduce_id(cfg: ExperimentConfig, trial: int, stream: RngStream,
@@ -337,10 +318,7 @@ def _trial_reduce_id(cfg: ExperimentConfig, trial: int, stream: RngStream,
     verdict, shots = learning.reduce_identity_testing(
         src, cfg.eps, cfg.delta, stream.child(1), scheme=cfg.scheme, shot_cap=cfg.shot_cap,
     )
-    rec = {"verdict_or_error": verdict, "shots": shots}
-    if cfg.expected:
-        rec["ok"] = verdict == cfg.expected
-    return rec
+    return {"verdict_or_error": verdict, "shots": shots}
 
 
 def _trial_tomo(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _Source) -> dict:
@@ -421,6 +399,8 @@ def _run_trials(cfg: ExperimentConfig, source: _Source) -> dict:
         except FreeFermError as exc:
             errors[t] = type(exc).__name__
             rec = {"ok": False, "verdict_or_error": f"{errors[t]}: {exc}", "shots": 0}
+        if cfg.expected and t not in errors:  # a completed trial is scored against --expected
+            rec["ok"] = rec["verdict_or_error"] == cfg.expected
         results.append({"trial": t, **rec})
     return {"results": results, "aggregate": _aggregate(cfg, results, errors)}
 
@@ -441,19 +421,15 @@ def _execute(cfg: ExperimentConfig, plan: _Plan) -> dict:
 
 
 def _run_sweep(cfg: ExperimentConfig, plan: List[Tuple[ExperimentConfig, _Source]]) -> dict:
-    sub_records = []
-    medians = []
-    xs = []
-    for point, (sub_cfg, source) in zip(cfg.points, plan):
-        sub_record = _execute(sub_cfg, source)
-        sub_records.append(sub_record)
-        med = sub_record["aggregate"].get("median_error")
-        if med is not None and med > 0:
-            xs.append(float(point))
-            medians.append(med)
+    sub_records = [_execute(sub_cfg, source) for sub_cfg, source in plan]
+    # the log-log fit takes each point whose median error is positive
+    fit = [(float(point), rec["aggregate"]["median_error"])
+           for point, rec in zip(cfg.points, sub_records)
+           if rec["aggregate"].get("median_error", 0.0) > 0]
     slope = None
-    if len(xs) >= 2:
-        slope = float(np.polyfit(np.log(xs), np.log(medians), 1)[0])
+    if len({x for x, _ in fit}) >= 2:  # points that share one x value have no slope
+        log_x, log_med = np.log(fit).T
+        slope = float(np.polyfit(log_x, log_med, 1)[0])
     return {
         "results": sub_records,
         "aggregate": {"slope": slope, "axis": cfg.axis, "points": list(cfg.points)},
@@ -471,8 +447,6 @@ def _to_csv(record: dict) -> str:
     writer.writerow(CSV_COLUMNS)
     seed = record["config"]["seed"]
     for r in record.get("results", []):
-        if "trial" not in r:  # sweep sub-records are json-only
-            continue
         writer.writerow([r["trial"], r["verdict_or_error"], r.get("shots", 0),
                          f"{seed}:{r['trial']}"])
     return buf.getvalue()

@@ -38,6 +38,7 @@ __all__ = [
     "pauli_rows",
     "pauli_expectations",
     "correlation_matrix",
+    "check_dense_modes",
     "gaussian_unitary",
     "gaussian_to_dense",
     "state_metrics",
@@ -198,6 +199,12 @@ def correlation_matrix(rho: DenseState) -> SkewMatrix:
 
 # -- Gaussian unitary synthesis ----------------------------------------------
 
+def check_dense_modes(n: int) -> None:
+    """Raise TooManyModes unless an n-mode register fits the dense oracle."""
+    if n > MAX_DENSE_MODES:
+        raise TooManyModes(f"mode count {n} exceeds dense cap {MAX_DENSE_MODES}")
+
+
 def gaussian_unitary(q: np.ndarray) -> np.ndarray:
     """Unitary U with U^dag gamma_mu U = sum_nu q_{mu,nu} gamma_nu.
 
@@ -220,8 +227,7 @@ def gaussian_unitary(q: np.ndarray) -> np.ndarray:
     if q.ndim != 2 or q.shape[1] != dim or dim % 2 != 0:
         raise DimensionMismatch(f"expected an even-dimensional square matrix, got {q.shape}")
     n = dim // 2
-    if n > MAX_DENSE_MODES:
-        raise TooManyModes(f"mode count {n} exceeds dense cap {MAX_DENSE_MODES}")
+    check_dense_modes(n)
     states.check_orthogonal(q)
     ms = majoranas(n)
 

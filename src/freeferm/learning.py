@@ -59,16 +59,16 @@ __all__ = [
     "FAR_FROM_MAXIMALLY_MIXED",
     "pure_test_thresholds",
     "rank_test_thresholds",
+    "identity_test_thresholds",
     "test_pure",
     "test_bounded_rank",
     "local_full_tomography",
     "reduce_identity_testing",
     "tomograph_pure",
     "tomograph_mixed",
+    "robustness_bound",
     "robustness_experiment",
     "check_eps_delta",
-    "check_identity_eps",
-    "check_noise",
     "mixed_tomography_shots",
 ]
 
@@ -88,6 +88,10 @@ MAX_ROBUSTNESS_MODES = dense_mod.MAX_DENSE_MODES // 2
 #: strength range of each noise kind, the strengths for which the noisy
 #: preparation is a state: (1 - p) rho + p I/2^n and (1 - s/2) rho + (s/2) tau
 NOISE_STRENGTHS = {"depolarizing": (0.0, 1.0), "trace_perturbation": (0.0, 2.0)}
+#: the robustness promises, each a bound on the distance to the Gaussianification
+PROMISES = ("trace", "relative_entropy")
+#: the target sets of the testers
+GAUSSIAN_SETS = ("pure_set", "mixed_set", "rank_set")
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ class TestConfig:
     eps_b: float
     delta: float
     r: int = 0
-    gaussian_set: str = "mixed_set"  # pure_set | mixed_set | rank_set
+    gaussian_set: str = "mixed_set"  # one of GAUSSIAN_SETS
 
     def __post_init__(self):
         if not (self.eps_b > self.eps_a >= 0.0):
@@ -106,7 +110,7 @@ class TestConfig:
         check_delta(self.delta)
         if self.r < 0:
             raise ValidationError(f"rank exponent {self.r} must be >= 0")
-        if self.gaussian_set not in ("pure_set", "mixed_set", "rank_set"):
+        if self.gaussian_set not in GAUSSIAN_SETS:
             raise ValidationError(f"unknown gaussian_set {self.gaussian_set!r}")
 
 
@@ -162,6 +166,8 @@ def rank_test_thresholds(cfg: TestConfig, n: int) -> Tuple[float, float, float, 
     Gaussian states.
     """
     ea, eb, r = cfg.eps_a, cfg.eps_b, cfg.r
+    if r:
+        _check_local_modes(r)
     if not 0 <= r <= n - 1:
         raise InfeasibleThresholds(f"rank exponent r={r} outside [0, {n - 1}]")
     if cfg.gaussian_set == "rank_set":
@@ -188,6 +194,15 @@ def _gaussianity_thresholds(n: int, ea: float, eb: float) -> Tuple[float, float]
     eps_tom = SLACK * (1.0 / (n + 2)) * (0.5 * eb - (n + 1) * ea)
     eps_t2 = (n + 1) / (n + 2) * (0.5 * eb + ea)
     return eps_tom, eps_t2
+
+
+def identity_test_thresholds(eps: float, n: int) -> Tuple[float, float, float, float]:
+    """(eps_T, eps_stat, eps_tom, eps_T2) of :func:`reduce_identity_testing` on
+    n modes; eps, a bound on the unhalved trace distance, must lie in (0, 2]."""
+    if not 0.0 < eps <= 2.0:
+        raise ValidationError(f"trace-distance eps {eps} outside (0, 2]")
+    _check_local_modes(n)
+    return (eps / (3.0 * n), eps / (6.0 * n), *_gaussianity_thresholds(n, 0.0, eps))
 
 
 def mixed_tomography_shots(n: int, eps: float, delta: float) -> int:
@@ -287,8 +302,7 @@ def local_full_tomography(
     it returns the exact reduced state and 0 copies; every other scheme samples.
     """
     r = modes
-    if not 1 <= r <= MAX_LOCAL_MODES:
-        raise TooManyLocalModes(f"local tomography supports 1..{MAX_LOCAL_MODES} modes, got {r}")
+    _check_local_modes(r)
     check_delta(delta)
     if not 0.0 < eps_tom:
         raise ValidationError(f"eps_tom {eps_tom} must be > 0")
@@ -314,6 +328,11 @@ def local_full_tomography(
     return DenseState(r, (v * w) @ v.conj().T), per_pauli * n_paulis
 
 
+def _check_local_modes(r: int) -> None:
+    if not 1 <= r <= MAX_LOCAL_MODES:
+        raise TooManyLocalModes(f"local tomography supports 1..{MAX_LOCAL_MODES} modes, got {r}")
+
+
 def _pauli_strings(r: int) -> Tuple[np.ndarray, np.ndarray]:
     """All 4^r Pauli strings on r qubits as ``dense.pauli_rows``: the base-4
     digits of row ``code`` (0, 1, 2, 3 for I, X, Y, Z) name its factors, qubit
@@ -324,13 +343,6 @@ def _pauli_strings(r: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # -- identity-testing reduction --------------------------------------------------
-
-def check_identity_eps(eps: float) -> None:
-    """Raise ValidationError unless eps, a bound on the unhalved trace
-    distance that identity testing resolves, is in (0, 2]."""
-    if not 0.0 < eps <= 2.0:
-        raise ValidationError(f"trace-distance eps {eps} outside (0, 2]")
-
 
 def reduce_identity_testing(
     src: StateSource,
@@ -351,10 +363,8 @@ def reduce_identity_testing(
     matrix, thresholded like the bounded-rank test with every mode examined.
     Returns (verdict, shots_used).
     """
-    check_identity_eps(eps)
     n = src.n
-    eps_stat = eps / (6.0 * n)
-    eps_t = eps / (3.0 * n)
+    eps_t, eps_stat, eps_tom, eps_t2 = identity_test_thresholds(eps, n)
     est = estimate_gamma(
         src, eps_stat, delta / 2.0, scheme, rng_stream.child(0), shot_cap=shot_cap,
     )
@@ -362,9 +372,8 @@ def reduce_identity_testing(
     if sup > eps_t:
         return FAR_FROM_MAXIMALLY_MIXED, est.shots_used
 
-    # eps_A = 0, eps_B = eps
     far, _, tomo_shots = _gaussianity_stage(
-        src, n, None, _gaussianity_thresholds(n, 0.0, eps), delta, rng_stream, scheme)
+        src, n, None, (eps_tom, eps_t2), delta, rng_stream, scheme)
     return (FAR_FROM_MAXIMALLY_MIXED if far else MAXIMALLY_MIXED), est.shots_used + tomo_shots
 
 
@@ -428,13 +437,24 @@ class RobustnessResult:
     shots_used: int
 
 
-def check_noise(kind: str, strength: float) -> None:
-    """Raise ValidationError unless ``strength`` is in the range of ``kind``."""
+def robustness_bound(n: int, noise: Tuple[str, float], eps: float, delta: float,
+                     promise: str) -> float:
+    """The bound on a robustness instance's promise value, eps/(3n) for "trace" and
+    eps^2 for "relative_entropy"; raises unless n is within the certification cap,
+    the noise strength in its kind's range, eps and delta in (0, 1) and the promise known."""
+    if n > MAX_ROBUSTNESS_MODES:
+        raise TooManyLocalModes(
+            f"promise certification needs n <= {MAX_ROBUSTNESS_MODES}, got {n}")
+    kind, strength = noise
     if kind not in NOISE_STRENGTHS:
         raise ValidationError(f"unknown noise kind {kind!r}")
     lo, hi = NOISE_STRENGTHS[kind]
     if not lo <= strength <= hi:
         raise ValidationError(f"{kind} strength {strength} outside [{lo:g}, {hi:g}]")
+    check_eps_delta(eps, delta)
+    if promise not in PROMISES:
+        raise ValidationError(f"unknown promise {promise!r}")
+    return eps / (3.0 * n) if promise == "trace" else eps ** 2
 
 
 def robustness_experiment(
@@ -459,12 +479,8 @@ def robustness_experiment(
     out-of-contract rather than an algorithm failure.
     """
     n = base.n
-    if n > MAX_ROBUSTNESS_MODES:
-        raise TooManyLocalModes(
-            f"promise certification needs n <= {MAX_ROBUSTNESS_MODES}, got {n}")
+    bound = robustness_bound(n, noise, eps, delta, promise)
     kind, strength = noise
-    check_noise(kind, strength)
-    check_eps_delta(eps, delta)
     rho_base = dense_mod.gaussian_to_dense(base)
     if kind == "depolarizing":
         rho_noisy = dense_mod.depolarize(rho_base, strength)
@@ -474,14 +490,8 @@ def robustness_experiment(
         rho_noisy = DenseState(n, (1.0 - 0.5 * strength) * rho_base.rho + 0.5 * strength * tau)
 
     sigma = dense_mod.gaussianification(rho_noisy)
-    if promise == "trace":
-        promise_value = dense_mod.state_metrics(rho_noisy, sigma)
-        bound = eps / (3.0 * n)
-    elif promise == "relative_entropy":
-        promise_value = dense_mod.relative_entropy(rho_noisy, sigma)
-        bound = eps ** 2
-    else:
-        raise ValidationError(f"unknown promise {promise!r}")
+    metric = dense_mod.state_metrics if promise == "trace" else dense_mod.relative_entropy
+    promise_value = metric(rho_noisy, sigma)
     if promise_value > bound:
         raise PromiseNotCertified(
             f"promise value {promise_value:.6f} exceeds the bound {bound:.6f}"

@@ -43,6 +43,7 @@ __all__ = [
     "matching_rotation",
     "z_basis_distribution",
     "estimate_gamma",
+    "check_scheme",
     "check_eps_stat",
     "check_delta",
     "SHOT_BUDGETS",
@@ -52,6 +53,8 @@ __all__ = [
 
 #: largest mode count for the exact conditional-sampling path (2^n branches)
 MAX_SAMPLING_MODES = 14
+#: the estimation schemes of :func:`estimate_gamma`
+SCHEMES = ("pauli_pairs", "commuting", "exact")
 #: default cap on a single estimation request, in copies of the state
 DEFAULT_SHOT_CAP = 10 ** 15
 #: (c, p, k) of each copy budget ceil(c n^p / eps^2 ln(k n^2 / delta)); the
@@ -184,8 +187,7 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     """
     g = skew.as_skew_array(gamma, tol=1e-9)
     n = g.shape[0] // 2
-    if n > MAX_SAMPLING_MODES:
-        raise TooManyModes(f"mode count {n} exceeds sampling cap {MAX_SAMPLING_MODES}")
+    check_scheme("commuting", n)
     out = np.zeros(1 << n)
     subs, idx, p = g[:, :, None], np.zeros(1, dtype=np.int64), np.ones(1)
     signs, bits = np.array([1.0, -1.0]), np.array([0, 1])
@@ -287,6 +289,14 @@ def shot_budget(row: str, n: int, eps: float, delta: float) -> int:
         raise BudgetOverflow(f"the {row} budget at eps {eps} exceeds every float") from exc
 
 
+def check_scheme(scheme: str, n: int) -> None:
+    """Raise unless ``scheme`` is in :data:`SCHEMES` and can measure n modes."""
+    if scheme not in SCHEMES:
+        raise ValidationError(f"unknown scheme {scheme!r}")
+    if scheme == "commuting" and n > MAX_SAMPLING_MODES:
+        raise TooManyModes(f"mode count {n} exceeds sampling cap {MAX_SAMPLING_MODES}")
+
+
 def check_eps_stat(eps_stat: float) -> None:
     """Raise ValidationError unless eps_stat, a sup-norm accuracy of entries
     in [-1, 1], is in (0, 2]."""
@@ -330,11 +340,10 @@ def estimate_gamma(
     """
     n = src.n
     dim = 2 * n
+    check_scheme(scheme, n)
     if scheme == "exact":
         g = np.clip(src.gamma(), -1.0, 1.0)
         return GammaEstimate(SkewMatrix(g, tol=1e-9), 0)
-    if scheme not in ("pauli_pairs", "commuting"):
-        raise ValidationError(f"unknown scheme {scheme!r}")
     check_delta(delta)
     if total_shots is None:
         check_eps_stat(eps_stat)

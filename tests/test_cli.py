@@ -110,6 +110,10 @@ def test_sweep_single_point_slope_absent():
                   modes=2, eps=0.3, delta=0.2, trials=3, seed=9,
                   state_spec="product:0.4,0.1")
     assert rec["aggregate"]["slope"] is None
+    # points that share one x value have no slope either
+    rec = run_cfg(command="sweep", axis="shots", points=[1000.0, 1000.0],
+                  sub_command="estimate", modes=2, trials=2)
+    assert rec["aggregate"]["slope"] is None
 
 
 def test_sweep_shots_slope():
@@ -147,6 +151,8 @@ def test_config_validation_errors():
     for kw in (dict(modes="3"), dict(eps="0.2"), dict(trials=2.0)):
         with pytest.raises(ValidationError, match="is not a --"):
             run_cfg(command="estimate", **kw)
+    with pytest.raises(ValidationError, match="scheme must be one of pauli_pairs, commuting, exact"):
+        run_cfg(command="estimate", scheme="nope")
 
 
 def test_sampling_cap_checked_at_validation(monkeypatch, capsys, tmp_path):

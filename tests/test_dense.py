@@ -100,6 +100,8 @@ def test_gaussian_unitary_reflection(rng):
         assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-10)
     with pytest.raises(NotOrthogonal):
         dense.gaussian_unitary(1.1 * np.eye(4))
+    with pytest.raises(TooManyModes, match="exceeds dense cap"):
+        dense.gaussian_unitary(np.eye(2 * dense.MAX_DENSE_MODES + 2))
 
 
 def test_gaussian_unitary_minus_one_pairs():

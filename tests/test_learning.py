@@ -316,6 +316,38 @@ def test_reduce_identity_budget_overflow():
         learning.reduce_identity_testing(mm, 0.05, 0.1, RngStream(14), shot_cap=1000)
 
 
+def test_identity_thresholds_share_the_rank_tests_gaussianity_stage():
+    eps, n = 0.5, 3
+    eps_t, eps_stat, *stage_two = learning.identity_test_thresholds(eps, n)
+    assert (eps_t, eps_stat) == (eps / (3 * n), eps / (6 * n))
+    # eps_A = 0 and eps_B = eps, every mode examined
+    cfg = learning.TestConfig(eps_a=0.0, eps_b=eps, delta=0.1, gaussian_set="rank_set")
+    assert stage_two == list(learning.rank_test_thresholds(cfg, n)[2:])
+
+
+def test_two_stage_testers_check_the_local_cap_before_any_draw(monkeypatch):
+    # each second stage would tomograph cap + 1 modes, so every input is refused
+    # before the first estimate, whatever stage 1 would have found
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran")
+
+    cap = learning.MAX_LOCAL_MODES
+    cfg = learning.TestConfig(eps_a=0.0, eps_b=0.8, delta=0.1, r=cap + 1)
+    runs = (
+        (cap + 1, lambda src, **kw: learning.reduce_identity_testing(
+            src, 0.5, 0.1, RngStream(25), **kw)),
+        (cap + 3, lambda src, **kw: learning.test_bounded_rank(src, cfg, RngStream(25), **kw)),
+    )
+    for n, run in runs:
+        for state in (states.vacuum(n), states.product_state([0.0] * n)):
+            with pytest.raises(TooManyLocalModes, match=f"1..{cap} modes, got {cap + 1}"):
+                run(ExactGaussianSource(state), scheme="exact")
+            with monkeypatch.context() as m:
+                m.setattr(learning, "estimate_gamma", no_estimate)
+                with pytest.raises(TooManyLocalModes):
+                    run(ExactGaussianSource(state))
+
+
 def test_tomograph_pure(rng):
     s = states.random_gaussian_state(3, "pure", rng)
     src = ExactGaussianSource(s)
@@ -412,6 +444,22 @@ def test_robustness_promise_not_certified(rng):
     with pytest.raises(PromiseNotCertified):
         learning.robustness_experiment(base, ("trace_perturbation", 0.9), 0.2, 0.1,
                                        RngStream(23))
+
+
+def test_robustness_checks_its_promise_before_the_dense_build(monkeypatch, rng):
+    base = states.random_gaussian_state(2, "mixed", rng)
+
+    def no_build(*args):
+        raise AssertionError("the noisy state was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(dense, "gaussian_to_dense", no_build)
+        with pytest.raises(ValidationError, match="unknown promise 'nope'"):
+            learning.robustness_experiment(base, ("depolarizing", 0.0), 0.3, 0.1, RngStream(26),
+                                           promise="nope")
+    assert learning.robustness_bound(2, ("depolarizing", 0.0), 0.3, 0.1, "trace") == 0.3 / 6
+    assert learning.robustness_bound(
+        2, ("depolarizing", 0.0), 0.3, 0.1, "relative_entropy") == 0.3 ** 2
 
 
 def test_relative_entropy_promise(rng):

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeferm import dense, sampling, skew, states
-from freeferm.errors import BudgetOverflow, InvalidMatching, NotAntisymmetric, ValidationError
+from freeferm.errors import (
+    BudgetOverflow,
+    InvalidMatching,
+    NotAntisymmetric,
+    TooManyModes,
+    ValidationError,
+)
 from freeferm.sampling import (
     DenseSource,
     ExactGaussianSource,
@@ -363,6 +369,16 @@ def test_default_budget_is_the_headline_row(scheme, rng):
         src = ExactGaussianSource(states.random_gaussian_state(n, "mixed", rng))
         est = estimate_gamma(src, 0.2, 0.1, scheme, RngStream(15, (n,)))
         assert est.shots_used == sampling.shot_budget(scheme, n, 0.2, 0.1), n
+
+
+def test_estimate_checks_its_scheme_first():
+    src = ExactGaussianSource(states.vacuum(sampling.MAX_SAMPLING_MODES + 1))
+    with pytest.raises(TooManyModes, match="exceeds sampling cap"):
+        estimate_gamma(src, 0.2, 0.1, "commuting", RngStream(18))
+    with pytest.raises(ValidationError, match="unknown scheme 'nope'"):
+        estimate_gamma(src, 0.2, 0.1, "nope", RngStream(18))
+    # the cap is the commuting sampler's alone
+    assert estimate_gamma(src, 0.2, 0.1, "exact", RngStream(18)).shots_used == 0
 
 
 def test_estimate_rejects_non_positive_total():
