@@ -31,6 +31,7 @@ import textwrap
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -154,8 +155,8 @@ class ExperimentConfig:
         if self.trials < 1 or self.seed < 0 or self.shot_cap < 1:
             raise ValidationError(f"need trials >= 1, seed >= 0, shot_cap >= 1; "
                                   f"got {self.trials}, {self.seed}, {self.shot_cap}")
-        if self.shots is not None and self.shots < 1:
-            raise ValidationError(f"shots must be >= 1, got {self.shots}")
+        if self.shots is not None:
+            sampling.check_shots(self.shots)
         sampling.check_delta(self.delta)
         if self.modes < 1:
             raise ValidationError(f"modes must be >= 1, got {self.modes}")
@@ -472,8 +473,11 @@ def write_record(record: dict, cfg: ExperimentConfig) -> str:
 
 # -- argument parsing ---------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for all commands; :func:`config_from_args` checks a command's flags."""
+    """One parser for all commands, built once per process (argparse looks up
+    sys.stdout and sys.stderr only when it prints); :func:`config_from_args`
+    checks a command's flags."""
     rows = "\n".join(textwrap.fill(f"{name}: {' '.join(_FLAGS[f][0] for f in row)}", 78,
                                    initial_indent="  ", subsequent_indent="      ",
                                    break_on_hyphens=False)

@@ -3,8 +3,8 @@
 Exact density matrices at desk scale: one Pauli-row table (``pauli_rows``,
 signed permutations from X/Z masks) and its expectation kernel behind the
 Majoranas, correlation matrices and local tomography, Gaussian-unitary
-synthesis from Givens plane rotations, exact trace distance and relative
-entropy, the Gaussian state with a state's correlation matrix
+synthesis (Householder reflections, mode doubling), exact trace distance and
+relative entropy, the Gaussian state with a state's correlation matrix
 (``gaussianification``), and the analytic derivative of a Gaussian state in
 its correlation matrix.  Ground truth for every other module at n <= ~10.
 
@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import states
 from .errors import (
@@ -206,21 +207,25 @@ def check_dense_modes(n: int) -> None:
 
 
 def gaussian_unitary(q: np.ndarray) -> np.ndarray:
-    """Unitary U with U^dag gamma_mu U = sum_nu q_{mu,nu} gamma_nu.
+    """Unitary U with U^dag gamma_mu U = sum_nu q_{mu,nu} gamma_nu, up to a global phase.
 
-    For det(q) = +1, Givens rotations of rows (a, b) by theta = atan2(r_ba,
-    r_aa), column by column, reduce q to the identity, so q is the product of
-    the transposed plane rotations in order.  The rotation by theta in plane
-    (a, b) is the adjoint action of cos(theta/2) - sin(theta/2) gamma_a gamma_b,
-    a signed permutation plus a multiple of the identity, and U is the
-    product of these factors in the same order (Jiang et al.,
-    arXiv:1711.05395).  For det(q) = -1 the construction right-composes the
-    reflection unitary gamma_{2n-1} (adjoint action flips the sign of every
-    Majorana except the last).  The defining relation is checked on the
-    vacuum column: as a product of Gaussian factors, U has U^dag gamma_mu U =
-    sum_nu R_{mu,nu} gamma_nu for an orthogonal R, and gamma_{2k}|0>,
-    gamma_{2k+1}|0> are one basis vector with phases 1 and i, so row mu's
-    residual on |0> is exactly ||R_mu - q_mu||, the Frobenius residual / sqrt(2^n).
+    Vacuum column: one LAPACK Householder QR gives q = H_1 ... H_m R with R
+    diagonal, entries +-1.  Up to sign, each reflection I - 2 v v^T is the
+    adjoint action of gamma_v = sum_mu v_mu gamma_mu, each R_ii = -1 adds one
+    with v = e_i, and -I (the parity) fixes |0>, so U|0> = gamma_{v_1} ...
+    gamma_{v_k}|0> up to phase.  Other columns, by mode doubling: for k = n-1
+    down to 0, columns [2^{n-1-k}, 2^{n-k}) are q's creation operator
+    U a_k^dag U^dag = (1/2) sum_mu (q_{mu,2k} - i q_{mu,2k+1}) gamma_mu applied
+    to columns [0, 2^{n-1-k}); O(n 4^n) work in all.
+
+    The defining relation is checked on the vacuum column, and that is exact:
+    every column is a product of q's transformed creation operators on the
+    vacuum column, and the vacuum column a product of Gaussian factors on |0>,
+    so U is q's unitary up to phase exactly when its vacuum column is q's
+    vacuum, which the weight-1 columns test.  As gamma_{2k}|0>, gamma_{2k+1}|0>
+    are one basis vector with phases 1 and i, row mu's residual for a Gaussian
+    U with U^dag gamma_mu U = sum_nu R_{mu,nu} gamma_nu is ||R_mu - q_mu||, the
+    Frobenius residual / sqrt(2^n).
     """
     q = np.asarray(q, dtype=float)
     dim = q.shape[0]
@@ -231,31 +236,26 @@ def gaussian_unitary(q: np.ndarray) -> np.ndarray:
     states.check_orthogonal(q)
     ms = majoranas(n)
 
-    det_neg = np.linalg.det(q) < 0
-    r = q.copy()
-    if det_neg:
-        # q = q' @ diag(-1, ..., -1, +1); the reflection is gamma_{2n-1}
-        r[:, :-1] *= -1.0
-    planes, thetas = [], []
-    for a in range(dim - 1):
-        for b in range(a + 1, dim):
-            theta = math.atan2(r[b, a], r[a, a])
-            if theta == 0.0:
-                continue
-            c, s = math.cos(theta), math.sin(theta)
-            r[a], r[b] = c * r[a] + s * r[b], c * r[b] - s * r[a]
-            planes.append((a, b))
-            thetas.append(theta)
+    h, tau, _, _ = lapack.dgeqrf(q)
+    v = (np.tril(h, -1) + np.eye(dim))[:, tau != 0]  # column i: H_i = I - 2 v v^T / |v|^2
+    c = np.concatenate([v / np.linalg.norm(v, axis=0), 0.5 * (q[:, 0::2] - 1j * q[:, 1::2])], 1)
+    # column i of c is the operator sum_mu c[mu, i] gamma_mu (the reflections, then q's
+    # creation operators); on psi it gives ops[i, y] @ psi[flips[y]] at y, as gamma_mu psi =
+    # conj(coefs[mu]) * psi[perms[mu]] and gamma_{2j}, gamma_{2j+1} flip the same bit j
+    ops = np.matmul(c.reshape(n, 2, -1).transpose(0, 2, 1), ms.coefs.conj().reshape(n, 2, -1))
+    ops, flips = np.ascontiguousarray(ops.transpose(1, 2, 0))[:, :, None, :], ms.perms[0::2].T
 
-    u = np.eye(1 << n, dtype=complex)
-    a, b = np.array(planes, dtype=np.int64).reshape(-1, 2).T
-    for perm, coef, theta in reversed(list(zip(*ms.pairs(a, b), thetas))):
-        pair_u = np.empty_like(u)
-        pair_u[perm] = (-math.sin(0.5 * theta) * coef)[:, None] * u
-        u *= math.cos(0.5 * theta)
-        u += pair_u
-    if det_neg:
-        u = ms.right_apply(u, dim - 1)
+    u = np.zeros((1 << n, 1 << n), dtype=complex)
+    perm, coef = ms.compose(np.flatnonzero(np.diag(h) < 0))
+    u[perm[0], 0] = coef[0]
+    for op in ops[:-n][::-1]:  # the reflections, last first
+        u[:, :1] = (op @ u[flips, :1])[:, 0]
+    step = max(1, (1 << n) // n)  # columns per doubling step: n * 2^n * step <= 4^n gathered
+    for k in range(n - 1, -1, -1):
+        half = 1 << (n - 1 - k)
+        for lo in range(0, half, step):
+            hi = min(lo + step, half)
+            u[:, half + lo:half + hi] = (ops[k - n] @ u[flips, lo:hi])[:, 0]
 
     worst = math.sqrt(1 << n) * _synthesis_residual(u, q)
     if worst > UNITARY_CHECK_TOL:

@@ -33,6 +33,7 @@ from .errors import (
     InfeasibleThresholds,
     PromiseNotCertified,
     TooManyLocalModes,
+    TooManyModes,
     ValidationError,
 )
 from .sampling import (
@@ -443,8 +444,7 @@ def robustness_bound(n: int, noise: Tuple[str, float], eps: float, delta: float,
     eps^2 for "relative_entropy"; raises unless n is within the certification cap,
     the noise strength in its kind's range, eps and delta in (0, 1) and the promise known."""
     if n > MAX_ROBUSTNESS_MODES:
-        raise TooManyLocalModes(
-            f"promise certification needs n <= {MAX_ROBUSTNESS_MODES}, got {n}")
+        raise TooManyModes(f"promise certification needs n <= {MAX_ROBUSTNESS_MODES}, got {n}")
     kind, strength = noise
     if kind not in NOISE_STRENGTHS:
         raise ValidationError(f"unknown noise kind {kind!r}")

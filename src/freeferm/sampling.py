@@ -45,6 +45,7 @@ __all__ = [
     "estimate_gamma",
     "check_scheme",
     "check_eps_stat",
+    "check_shots",
     "check_delta",
     "SHOT_BUDGETS",
     "shot_budget",
@@ -304,6 +305,12 @@ def check_eps_stat(eps_stat: float) -> None:
         raise ValidationError(f"sup-norm accuracy {eps_stat} outside (0, 2]")
 
 
+def check_shots(total_shots: int) -> None:
+    """Raise ValidationError unless an explicit copy total is at least 1."""
+    if total_shots < 1:
+        raise ValidationError(f"total_shots must be >= 1, got {total_shots}")
+
+
 def check_delta(delta: float) -> None:
     """Raise ValidationError unless the failure probability delta is in (0, 1)."""
     if not 0.0 < delta < 1.0:
@@ -348,8 +355,7 @@ def estimate_gamma(
     if total_shots is None:
         check_eps_stat(eps_stat)
         total_shots = shot_budget(scheme, n, eps_stat, delta)
-    if total_shots < 1:
-        raise ValidationError(f"total_shots must be >= 1, got {total_shots}")
+    check_shots(total_shots)
     if total_shots > shot_cap:
         raise BudgetOverflow(f"{total_shots} shots exceed the cap {shot_cap}")
 

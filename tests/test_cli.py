@@ -227,6 +227,30 @@ def test_stdout_record_is_pure_json(capsys):
     assert captured.err.startswith("estimate: ") and captured.err.rstrip().endswith("-> -")
 
 
+def test_back_to_back_main_calls_write_their_own_records(tmp_path, capsys):
+    # the parser is built once per process; each call still parses its own argv
+    runs = (("estimate", "--modes", "2", "--eps", "0.4", "--delta", "0.2", "--seed", "1"),
+            ("verify-bounds", "--modes", "3", "--seed", "2"))
+    for argv in runs:
+        out = tmp_path / f"{argv[0]}.json"
+        assert cli.main([*argv, "--trials", "2", "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())
+        want = cli.config_from_args(cli.build_parser().parse_args([*argv, "--trials", "2"]))
+        assert rec["config"]["command"] == argv[0] and len(rec["results"]) == 2
+        assert rec["results"] == cli.run(want)["results"]
+    assert cli.main(["estimate", "--modes", "0"]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shots_rule_has_one_owner():
+    with pytest.raises(ValidationError) as lib:
+        sampling.check_shots(0)
+    with pytest.raises(ValidationError) as cfg:
+        cli.ExperimentConfig(command="estimate", modes=2, shots=0).validate()
+    assert str(cfg.value) == str(lib.value) == "total_shots must be >= 1, got 0"
+
+
 def test_csv_output(tmp_path):
     out = tmp_path / "r.csv"
     cfg = cli.ExperimentConfig(command="estimate", modes=2, eps=0.4, delta=0.2,

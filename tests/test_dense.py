@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeferm import dense, skew, states
@@ -105,7 +105,7 @@ def test_gaussian_unitary_reflection(rng):
 
 
 def test_gaussian_unitary_minus_one_pairs():
-    # rotation by pi in two planes: each is one Givens rotation with theta = pi
+    # rotation by pi in two planes: no Householder reflection, R = -I
     q = -np.eye(4)
     u = dense.gaussian_unitary(q)
     assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-10)
@@ -159,8 +159,19 @@ def _frobenius_residual(u, q):
     return worst
 
 
+def _orthogonal_case(n, seed, det_sign):
+    """A fixed random orthogonal q of determinant det_sign, and its generator."""
+    gen = np.random.default_rng(seed)
+    q = skew.random_orthogonal(2 * n, gen)
+    if np.linalg.det(q) * det_sign < 0:
+        q[:, 0] = -q[:, 0]
+    return q, gen
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(_orthogonal_matrices(), st.booleans())
+@example(_orthogonal_case(7, 7, -1), False)  # above the strategy's n <= 6: more doubling levels
+@example(_orthogonal_case(8, 8, 1), True)
 def test_synthesis_residual_is_the_frobenius_residual(case, flip):
     # the vacuum-column check measures any wrong adjoint action q1 in place of q2
     q1, gen = case

@@ -8,6 +8,7 @@ from freeferm.errors import (
     InfeasibleThresholds,
     PromiseNotCertified,
     TooManyLocalModes,
+    TooManyModes,
     ValidationError,
 )
 from freeferm.sampling import DenseSource, ExactGaussianSource, RngStream
@@ -460,6 +461,18 @@ def test_robustness_checks_its_promise_before_the_dense_build(monkeypatch, rng):
     assert learning.robustness_bound(2, ("depolarizing", 0.0), 0.3, 0.1, "trace") == 0.3 / 6
     assert learning.robustness_bound(
         2, ("depolarizing", 0.0), 0.3, 0.1, "relative_entropy") == 0.3 ** 2
+
+
+def test_robustness_cap_is_the_dense_oracle_cap(monkeypatch, rng):
+    # certification builds the noisy state densely; no local tomography is involved
+    n = learning.MAX_ROBUSTNESS_MODES + 1
+    with pytest.raises(TooManyModes, match=f"needs n <= {n - 1}, got {n}"):
+        learning.robustness_bound(n, ("depolarizing", 0.0), 0.3, 0.1, "trace")
+    with monkeypatch.context() as m:
+        m.setattr(dense, "gaussian_to_dense", lambda *args: pytest.fail("built"))
+        with pytest.raises(TooManyModes):
+            learning.robustness_experiment(states.random_gaussian_state(n, "mixed", rng),
+                                           ("depolarizing", 0.0), 0.3, 0.1, RngStream(27))
 
 
 def test_relative_entropy_promise(rng):
