@@ -297,13 +297,12 @@ def _trial_estimate(cfg: ExperimentConfig, trial: int, stream: RngStream,
 
 def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _Source) -> dict:
     src = source(stream)
-    tc = cfg.test_config()
-    if cfg.command == "test-pure":
-        verdict = learning.test_pure(src, tc, stream.child(1), scheme=cfg.scheme,
-                                     shot_cap=cfg.shot_cap)
+    kw = {"scheme": cfg.scheme, "shot_cap": cfg.shot_cap}
+    if cfg.command == "reduce-id":
+        verdict = learning.reduce_identity_testing(src, cfg.eps, cfg.delta, stream.child(1), **kw)
     else:
-        verdict = learning.test_bounded_rank(src, tc, stream.child(1), scheme=cfg.scheme,
-                                             shot_cap=cfg.shot_cap)
+        tester = learning.test_pure if cfg.command == "test-pure" else learning.test_bounded_rank
+        verdict = tester(src, cfg.test_config(), stream.child(1), **kw)
     return {
         "verdict_or_error": verdict.verdict,
         "shots": verdict.shots_used,
@@ -311,15 +310,6 @@ def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _S
         "threshold": verdict.threshold,
         "stage": verdict.stage,
     }
-
-
-def _trial_reduce_id(cfg: ExperimentConfig, trial: int, stream: RngStream,
-                     source: _Source) -> dict:
-    src = source(stream)
-    verdict, shots = learning.reduce_identity_testing(
-        src, cfg.eps, cfg.delta, stream.child(1), scheme=cfg.scheme, shot_cap=cfg.shot_cap,
-    )
-    return {"verdict_or_error": verdict, "shots": shots}
 
 
 def _trial_tomo(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _Source) -> dict:
@@ -354,7 +344,7 @@ _TRIAL_WORKERS: dict = {
     "estimate": _trial_estimate,
     "test-pure": _trial_test,
     "test-rank": _trial_test,
-    "reduce-id": _trial_reduce_id,
+    "reduce-id": _trial_test,
     "tomo-pure": _trial_tomo,
     "tomo-mixed": _trial_tomo,
     "robustness": _trial_robustness,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 from scipy.linalg import lapack
@@ -397,11 +397,10 @@ def ghz3() -> DenseState:
     return DenseState.from_statevector(v)
 
 
-def random_density_matrix(n: int, rng: np.random.Generator, rank: Optional[int] = None) -> DenseState:
-    """Normalized Wishart state of the given rank (full rank by default)."""
+def random_density_matrix(n: int, rng: np.random.Generator) -> DenseState:
+    """Normalized full-rank Wishart state."""
     d = 1 << n
-    r = d if rank is None else rank
-    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return DenseState(n, rho / np.trace(rho).real)
 

@@ -1,10 +1,13 @@
 """Property-testing and tomography protocols.
 
 The decision procedures ingest measurement samples only (through a
-StateSource), compute normal eigenvalues of the estimated correlation
-matrix, and compare against the threshold formulas of the corresponding
-guarantee.  Verdicts carry enough evidence to recompute every threshold
-from the configuration.
+StateSource) and share one shape: each compares one normal eigenvalue of the
+estimated correlation matrix, read from its normal form, against the
+threshold formula of its guarantee (the smallest for the pure test, the
+(r+1)-th smallest for the bounded-rank test, the largest for the
+identity-testing reduction), and the last two then run a Gaussianity stage
+on local tomography.  Each returns a :class:`TestVerdict` that carries the
+compared eigenvalue, the deciding stage and its threshold.
 
 Shot budgets follow the algorithm boxes and are rows of
 :data:`freeferm.sampling.SHOT_BUDGETS`: the pure test and pure tomography
@@ -352,30 +355,33 @@ def reduce_identity_testing(
     rng_stream: RngStream,
     scheme: str = "commuting",
     shot_cap: int = DEFAULT_SHOT_CAP,
-) -> Tuple[str, int]:
+) -> TestVerdict:
     """Identity testing through the free-fermionic lens.
 
     Step 1 estimates the correlation matrix at eps/(6n), spending the
     scheme's headline budget at delta/2; step 2 flags the state as far
-    whenever its operator norm exceeds eps/(3n) (the maximally mixed state
-    has a vanishing correlation matrix); step 3 hands the remaining states to
-    a Gaussianity check over the whole register: full tomography plus the
-    distance to the Gaussian state with the learned state's correlation
-    matrix, thresholded like the bounded-rank test with every mode examined.
-    Returns (verdict, shots_used).
+    whenever its largest normal eigenvalue, the operator norm, exceeds
+    eps/(3n) (the maximally mixed state has a vanishing correlation matrix);
+    step 3 hands the remaining states to a Gaussianity check over the whole
+    register: full tomography plus the distance to the Gaussian state with
+    the learned state's correlation matrix, thresholded like the bounded-rank
+    test with every mode examined.  The verdict carries that largest
+    eigenvalue and the deciding stage's threshold.
     """
     n = src.n
     eps_t, eps_stat, eps_tom, eps_t2 = identity_test_thresholds(eps, n)
     est = estimate_gamma(
         src, eps_stat, delta / 2.0, scheme, rng_stream.child(0), shot_cap=shot_cap,
     )
-    sup = skew.schatten_norm(est.gamma_hat.mat, np.inf)
-    if sup > eps_t:
-        return FAR_FROM_MAXIMALLY_MIXED, est.shots_used
+    lam_max = float(skew.normal_eigenvalues(est.gamma_hat)[-1])
+    if lam_max > eps_t:
+        return TestVerdict(FAR_FROM_MAXIMALLY_MIXED, lam_max, eps_t, "eigenvalue_stage",
+                           est.shots_used)
 
-    far, _, tomo_shots = _gaussianity_stage(
+    far, local_dist, tomo_shots = _gaussianity_stage(
         src, n, None, (eps_tom, eps_t2), delta, rng_stream, scheme)
-    return (FAR_FROM_MAXIMALLY_MIXED if far else MAXIMALLY_MIXED), est.shots_used + tomo_shots
+    return TestVerdict(FAR_FROM_MAXIMALLY_MIXED if far else MAXIMALLY_MIXED, lam_max, eps_t2,
+                       "tomography_stage", est.shots_used + tomo_shots, local_dist)
 
 
 # -- tomography -------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -317,9 +317,9 @@ def check_delta(delta: float) -> None:
         raise ValidationError(f"delta {delta} outside (0, 1)")
 
 
-def _split_budget(total: int, rounds: int) -> List[int]:
+def _split_budget(total: int, rounds: int) -> np.ndarray:
     base, rem = divmod(total, rounds)
-    return [base + (1 if i < rem else 0) for i in range(rounds)]
+    return base + (np.arange(rounds) < rem)
 
 
 def estimate_gamma(
@@ -366,9 +366,9 @@ def estimate_gamma(
 
     if scheme == "pauli_pairs":
         iu = np.triu_indices(dim, 1)
-        shots = np.asarray(per_setting)
-        ones = rng_stream.generator().binomial(shots, 0.5 * (1.0 + src.gamma()[iu]))
-        g[iu] = np.divide(2.0 * ones - shots, shots, out=np.zeros(pair_count), where=shots > 0)
+        ones = rng_stream.generator().binomial(per_setting, 0.5 * (1.0 + src.gamma()[iu]))
+        g[iu] = np.divide(2.0 * ones - per_setting, per_setting, out=np.zeros(pair_count),
+                          where=per_setting > 0)
     else:
         outcomes = np.arange(1 << n)
         bit_signs = np.empty((n, 1 << n))

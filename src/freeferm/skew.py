@@ -3,8 +3,9 @@
 One Householder tridiagonalisation (LAPACK ``dgehrd``) serves both the
 Pfaffian, read off the tridiagonal factor, and the orthogonal normal (Youla)
 form with non-negative block parameters (plus the SVD of a bidiagonal
-half-size matrix).  Also Schatten and Ky Fan norms and the Weyl bound on
-normal-eigenvalue perturbations.  All indices are 0-based.
+half-size matrix); the normal eigenvalues are that form's block parameters.
+Also Schatten and Ky Fan norms and the Weyl bound on normal-eigenvalue
+perturbations.  All indices are 0-based.
 """
 
 from __future__ import annotations
@@ -228,11 +229,8 @@ def normal_form(a: SkewLike) -> NormalForm:
 
 
 def normal_eigenvalues(a: SkewLike) -> np.ndarray:
-    """Non-negative normal eigenvalues, ascending (no eigenvectors)."""
-    m = as_skew_array(a)
-    sv = np.linalg.svd(m, compute_uv=False)
-    # singular values of a skew matrix come in equal pairs
-    return sv[0::2][::-1].copy()
+    """Non-negative normal eigenvalues, ascending: ``normal_form(a).lambdas``."""
+    return normal_form(a).lambdas
 
 
 def schatten_norm(a: np.ndarray, p) -> float:

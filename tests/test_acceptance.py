@@ -386,14 +386,32 @@ def test_acceptance_reduction():
     mm = ExactGaussianSource(states.product_state([0.0] * n))
     vac = ExactGaussianSource(states.vacuum(n))
     for trial in range(50):
-        v, _ = learning.reduce_identity_testing(mm, eps, delta, RngStream(1110, (trial,)))
+        v = learning.reduce_identity_testing(mm, eps, delta, RngStream(1110, (trial,))).verdict
         correct += v == learning.MAXIMALLY_MIXED
     for trial in range(50):
-        v, _ = learning.reduce_identity_testing(vac, eps, delta, RngStream(1111, (trial,)))
+        v = learning.reduce_identity_testing(vac, eps, delta, RngStream(1111, (trial,))).verdict
         correct += v == learning.FAR_FROM_MAXIMALLY_MIXED
     elapsed = time.monotonic() - t0
     _report(
         "11 reduction demo",
         correct >= 95 and elapsed <= 300.0,
         f"{correct}/100 classified correctly, {elapsed:.1f}s",
+    )
+
+
+def test_acceptance_reduction_zero_correlation():
+    # GHZ3 has Γ = 0 exactly and unhalved distance 1.75 from I/8: only the
+    # Gaussianity stage can tell it from the maximally mixed state
+    t0 = time.monotonic()
+    n, eps, delta = 3, 0.5, 0.1
+    ghz = DenseSource(dense.ghz3())
+    caught = 0
+    for trial in range(100):
+        v = learning.reduce_identity_testing(ghz, eps, delta, RngStream(1112, (trial,)))
+        caught += v.verdict == learning.FAR_FROM_MAXIMALLY_MIXED and v.stage == "tomography_stage"
+    elapsed = time.monotonic() - t0
+    _report(
+        "11 reduction past the correlation matrix",
+        caught >= 95 and elapsed <= 300.0,
+        f"{caught}/100 far at the tomography stage, {elapsed:.1f}s",
     )

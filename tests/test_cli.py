@@ -59,6 +59,26 @@ def test_reduce_id_command():
     assert rec["aggregate"]["success_fraction"] == 1.0
 
 
+def test_reduce_id_record_carries_its_statistic():
+    # Γ = 0.5 (+) 0 (+) 0: the largest normal eigenvalue decides at the first stage
+    rec = run_cfg(command="reduce-id", modes=3, eps=0.5, delta=0.1, trials=1, seed=6,
+                  scheme="exact", state_spec="product:0.5,0,0")
+    assert rec["results"] == [{
+        "trial": 0, "verdict_or_error": "FarFromMaximallyMixed", "shots": 0, "lambda_hat": 0.5,
+        "threshold": 0.5 / 9, "stage": "eigenvalue_stage"}]
+
+
+def test_unscored_tomography_record():
+    # no dense truth at six modes: the trial is learned, not scored
+    for kw in (dict(command="tomo-pure", state_spec="vacuum"), dict(command="tomo-mixed")):
+        rec = run_cfg(modes=6, trials=2, seed=2, **kw)
+        for r in rec["results"]:
+            assert r["verdict_or_error"] == "learned"
+            assert "ok" not in r and "dense_error" not in r
+        assert "success_fraction" not in rec["aggregate"]
+        assert "median_error" not in rec["aggregate"]
+
+
 def test_robustness_command():
     rec = run_cfg(command="robustness", modes=2, eps=0.3, delta=0.1, trials=2, seed=7,
                   noise_kind="depolarizing", noise_strength=0.02)
@@ -153,6 +173,12 @@ def test_config_validation_errors():
             run_cfg(command="estimate", **kw)
     with pytest.raises(ValidationError, match="scheme must be one of pauli_pairs, commuting, exact"):
         run_cfg(command="estimate", scheme="nope")
+
+
+def test_random_gaussian_spec_needs_pure_or_mixed(capsys):
+    assert cli.main(["estimate", "--state-spec", "random_gaussian:both", "--out", "-"]) == 2
+    assert "random_gaussian needs :pure or :mixed, got 'random_gaussian:both'" in \
+        capsys.readouterr().err
 
 
 def test_sampling_cap_checked_at_validation(monkeypatch, capsys, tmp_path):

@@ -157,8 +157,8 @@ def test_rank_exact_scheme_deterministic(rng):
 
 def test_reduce_identity_exact_scheme():
     mm = ExactGaussianSource(states.product_state([0, 0, 0]))
-    v1, shots = learning.reduce_identity_testing(mm, 0.5, 0.1, RngStream(42), scheme="exact")
-    assert v1 == learning.MAXIMALLY_MIXED and shots == 0
+    v1 = learning.reduce_identity_testing(mm, 0.5, 0.1, RngStream(42), scheme="exact")
+    assert v1.verdict == learning.MAXIMALLY_MIXED and v1.shots_used == 0
 
 
 def test_rank_threshold_echo(rng):
@@ -282,11 +282,11 @@ def test_local_tomography_draws_once(monkeypatch):
 
 def test_reduce_identity_testing():
     mm = ExactGaussianSource(states.product_state([0, 0, 0]))
-    verdict, shots = learning.reduce_identity_testing(mm, 0.5, 0.1, RngStream(12))
-    assert verdict == learning.MAXIMALLY_MIXED
-    assert shots > 0
+    v = learning.reduce_identity_testing(mm, 0.5, 0.1, RngStream(12))
+    assert v.verdict == learning.MAXIMALLY_MIXED
+    assert v.shots_used > 0
     vac = ExactGaussianSource(states.vacuum(3))
-    verdict2, _ = learning.reduce_identity_testing(vac, 0.5, 0.1, RngStream(13))
+    verdict2 = learning.reduce_identity_testing(vac, 0.5, 0.1, RngStream(13)).verdict
     assert verdict2 == learning.FAR_FROM_MAXIMALLY_MIXED
 
 
@@ -296,10 +296,9 @@ def test_reduce_identity_spends_its_scheme_row(scheme):
     eps, delta = 0.5, 0.1
     for n in (1, 2, 3):
         vac = ExactGaussianSource(states.vacuum(n))
-        verdict, shots = learning.reduce_identity_testing(vac, eps, delta, RngStream(17, (n,)),
-                                                          scheme=scheme)
-        assert verdict == learning.FAR_FROM_MAXIMALLY_MIXED
-        assert shots == sampling.shot_budget(scheme, n, eps / (6 * n), delta / 2), n
+        v = learning.reduce_identity_testing(vac, eps, delta, RngStream(17, (n,)), scheme=scheme)
+        assert v.verdict == learning.FAR_FROM_MAXIMALLY_MIXED
+        assert v.shots_used == sampling.shot_budget(scheme, n, eps / (6 * n), delta / 2), n
 
 
 @pytest.mark.parametrize("eps", [-1.0, 0.0, 2.5, 30.0])

@@ -318,6 +318,16 @@ def test_pauli_pairs_unmeasured_pairs_read_zero(rng):
     assert np.all(entries[7:] == 0.0)
 
 
+def test_commuting_unmeasured_rounds_read_zero(rng):
+    s = states.random_gaussian_state(3, "mixed", rng)
+    est = estimate_gamma(ExactGaussianSource(s), 0.1, 0.1, "commuting", RngStream(15),
+                         total_shots=3)  # the 5 rounds get 1, 1, 1, 0 and 0 copies
+    g, rounds = est.gamma_hat.mat, matchings(3)
+    assert est.shots_used == 3
+    assert all(abs(g[j, k]) == 1.0 for pairs in rounds[:3] for j, k in pairs)  # one shot reads +-1
+    assert all(g[j, k] == 0.0 for pairs in rounds[3:] for j, k in pairs)
+
+
 def test_estimate_total_shots_split(rng):
     s = states.random_gaussian_state(2, "mixed", rng)
     est = estimate_gamma(ExactGaussianSource(s), 0.1, 0.1, "commuting", RngStream(8),

@@ -222,6 +222,7 @@ def test_normal_form_properties(a):
     assert np.all(np.diff(nf.lambdas) >= 0.0) and np.all(nf.lambdas >= 0.0)
     assert np.all((nf.lambdas == 0.0) | (nf.lambdas >= skew.ZERO_CLAMP))
     assert np.abs(nf.lambdas - skew.normal_eigenvalues(a)).max() <= tol
+    assert np.array_equal(skew.normal_eigenvalues(a), nf.lambdas)
     assert nf.det_sign == np.sign(np.linalg.det(nf.q))
 
 
