@@ -303,13 +303,16 @@ def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _S
     else:
         tester = learning.test_pure if cfg.command == "test-pure" else learning.test_bounded_rank
         verdict = tester(src, cfg.test_config(), stream.child(1), **kw)
-    return {
+    rec = {
         "verdict_or_error": verdict.verdict,
         "shots": verdict.shots_used,
         "lambda_hat": verdict.lambda_hat_relevant,
         "threshold": verdict.threshold,
         "stage": verdict.stage,
     }
+    if verdict.local_distance is not None:  # the Gaussianity stage ran
+        rec["local_distance"] = verdict.local_distance
+    return rec
 
 
 def _trial_tomo(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _Source) -> dict:
@@ -369,10 +372,9 @@ def _aggregate(cfg: ExperimentConfig, results: List[dict], errors: Dict[int, str
     if cfg.command == "verify-bounds":
         agg["violations"] = int(sum(not r["ok"] for r in done))
     if cfg.command == "tomo-pure":
-        agg["budget_note"] = (
-            "appendix budget 8 n^3/eps^2 log(4 n^2/delta); the headline statement "
-            "carries constant 32"
-        )
+        c, p, k = sampling.SHOT_BUDGETS["commuting"]
+        agg["budget_note"] = (f"appendix budget {c:g} n^{p}/eps^2 log({k:g} n^2/delta); "
+                              f"the headline statement carries constant {4 * c:g}")
     if errors:
         agg["errors"] = dict(sorted(Counter(errors.values()).items()))
     return agg

@@ -244,9 +244,10 @@ def test_bounded_rank(
     """Two-stage test: tail eigenvalues near 1, then local Gaussianity.
 
     Stage 1 rejects when the (r+1)-th smallest estimated eigenvalue is
-    small.  Stage 2 rotates by the estimated normal form, learns the
-    leading r modes by full tomography, and compares against the Gaussian
-    state with the same local correlation matrix.
+    small; at r = 0 it also accepts, as there are no mixed modes to examine.
+    Stage 2 rotates by the estimated normal form, learns the leading r modes
+    by full tomography, and compares against the Gaussian state with the same
+    local correlation matrix.
     """
     n = src.n
     eps_t, eps_stat, eps_tom, eps_t2 = rank_test_thresholds(cfg, n)
@@ -257,12 +258,10 @@ def test_bounded_rank(
     )
     nf = skew.normal_form(est.gamma_hat)
     lam_next = float(nf.lambdas[r])
-    if lam_next <= 1.0 - eps_t:
-        return TestVerdict(CASE_B, lam_next, eps_t, "eigenvalue_stage", est.shots_used)
-
-    if r == 0:
-        # no mixed modes to examine: the eigenvalue stage already certifies
-        return TestVerdict(CASE_A, lam_next, eps_t2, "tomography_stage", est.shots_used, 0.0)
+    far = lam_next <= 1.0 - eps_t
+    if far or r == 0:
+        return TestVerdict(CASE_B if far else CASE_A, lam_next, eps_t, "eigenvalue_stage",
+                           est.shots_used)
 
     far, local_dist, tomo_shots = _gaussianity_stage(
         src, r, nf.q, (eps_tom, eps_t2), cfg.delta, rng_stream, scheme)

@@ -122,16 +122,15 @@ class ExactGaussianSource(StateSource):
         """The state as a dense density matrix, built on first use."""
         return dense_mod.gaussian_to_dense(self.state)
 
-    def z_distribution(self, q: Optional[np.ndarray] = None) -> np.ndarray:
+    def _rotated(self, q: Optional[np.ndarray]) -> np.ndarray:
         g = self.state.corr.mat
-        if q is not None:
-            g = q @ g @ q.T
-        return z_basis_distribution(g)
+        return g if q is None else q @ g @ q.T
+
+    def z_distribution(self, q: Optional[np.ndarray] = None) -> np.ndarray:
+        return z_basis_distribution(self._rotated(q))
 
     def reduced_dense(self, q: Optional[np.ndarray], r: int) -> DenseState:
-        g = self.state.corr.mat
-        if q is not None:
-            g = q @ g @ q.T
+        g = self._rotated(q)
         sub = states.clip_to_valid(0.5 * (g[: 2 * r, : 2 * r] - g[: 2 * r, : 2 * r].T))
         return dense_mod.gaussian_to_dense(sub)
 
@@ -243,25 +242,20 @@ def matchings(n: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
 def matching_rotation(m: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
     """Signed permutation q in SO(2n) sending pair (j, k) to rows (2i, 2i+1).
 
+    q is the rows of the identity gathered in pair order (row 2i is e_j, row
+    2i+1 is e_k), with its last row negated when that permutation is odd.
     Measuring Z of qubit i on the q-rotated state reads out the (j, k)
-    correlation entry, up to the per-row sign q[2i, j] * q[2i+1, k] that the
-    estimator extracts from q itself.
+    correlation entry times the sign q[2i, j] * q[2i+1, k], which
+    :func:`estimate_gamma` reads back from q.
     """
     pairs = [tuple(p) for p in m]
     flat = [x for p in pairs for x in p]
     if len(pairs) != n or sorted(flat) != list(range(2 * n)) or any(j >= k for j, k in pairs):
         raise InvalidMatching(f"{m} is not a perfect matching of range({2 * n})")
-    q = np.zeros((2 * n, 2 * n))
-    for i, (j, k) in enumerate(pairs):
-        q[2 * i, j] = 1.0
-        q[2 * i + 1, k] = 1.0
+    q = np.eye(2 * n)[flat]
     if np.linalg.det(q) < 0:
         q[2 * n - 1, :] *= -1.0
     return q
-
-
-def _pair_signs(q: np.ndarray, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
-    return np.array([q[2 * i, j] * q[2 * i + 1, k] for i, (j, k) in enumerate(pairs)])
 
 
 # -- sampling and estimation ---------------------------------------------------
@@ -339,7 +333,11 @@ def estimate_gamma(
     "commuting" measures one matching round per Clifford-Gaussian rotation.
     Under "pauli_pairs" every entry is an independent Binomial(shots, (1+g)/2)
     count from one draw on ``rng_stream``; a pair given no shots reads 0.
-    Round i of "commuting" draws from ``rng_stream.child(i)``.
+    Round t of "commuting" draws one multinomial over the 2^n Z outcomes of
+    the ``matching_rotation`` q of its matching from ``rng_stream.child(t)``
+    and writes all n of its pairs at once: pair i, (j, k), reads
+    q[2i, j] * q[2i+1, k] times the mean Z reading of qubit i.  A round
+    given no shots is not drawn, and its pairs read 0.
     The default budget is the scheme's headline bound
     ``shot_budget(scheme, n, eps_stat, delta)``; ``total_shots`` overrides
     it.  Either total is split evenly across the measurement settings (pairs
@@ -370,22 +368,17 @@ def estimate_gamma(
         g[iu] = np.divide(2.0 * ones - per_setting, per_setting, out=np.zeros(pair_count),
                           where=per_setting > 0)
     else:
-        outcomes = np.arange(1 << n)
-        bit_signs = np.empty((n, 1 << n))
-        for i in range(n):
-            bit_signs[i] = 1.0 - 2.0 * ((outcomes >> (n - 1 - i)) & 1)
-        for mi, pairs in enumerate(matchings(n)):
-            shots = per_setting[mi]
+        # bit_signs[i, x] is the +-1 Z reading of qubit i (qubit 0 most significant) in outcome x
+        i = np.arange(n)
+        bit_signs = 1.0 - 2.0 * ((np.arange(1 << n) >> (n - 1 - i)[:, None]) & 1)
+        for t, pairs in enumerate(matchings(n)):
+            shots = per_setting[t]
             if shots == 0:
                 continue
             q = matching_rotation(pairs, n)
-            dist = src.z_distribution(q)
-            gen = rng_stream.child(mi).generator()
-            counts = gen.multinomial(shots, dist)
-            means = (bit_signs @ counts) / shots
-            signs = _pair_signs(q, pairs)
-            for i, (j, k) in enumerate(pairs):
-                g[j, k] = signs[i] * means[i]
+            counts = rng_stream.child(t).generator().multinomial(shots, src.z_distribution(q))
+            j, k = np.array(pairs).T
+            g[j, k] = q[2 * i, j] * q[2 * i + 1, k] * ((bit_signs @ counts) / shots)
 
     g = np.clip(np.triu(g, 1), -1.0, 1.0)
     return GammaEstimate(SkewMatrix(g - g.T), total_shots)

@@ -486,6 +486,12 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
         err = capsys.readouterr().err
         assert "invalid configuration:" in err, (rejected, err)
         cli.config_from_args(parser.parse_args(twin)).validate()
+    # a target set outside the tester's two is refused with the tester's message
+    for argv, kept in ((["test-pure", "--gaussian-set", "rank_set"], "pure_set or mixed_set"),
+                       (["test-rank", "--rank-exponent", "1", "--gaussian-set", "pure_set"],
+                        "rank_set or mixed_set")):
+        assert cli.main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+        assert f"supports gaussian_set {kept}" in capsys.readouterr().err
     # a command that ignores the spec rejects one set away from its default
     with pytest.raises(ValidationError, match=r"robustness does not take \['state_spec'\]"):
         cli.ExperimentConfig(command="robustness", modes=4, state_spec="ghz3").validate()
@@ -603,13 +609,13 @@ SEEDED_RECORDS = (
      "--state-spec product:0.3,0.5,0.7,0.9,1,1 --expected CaseA", 0, [
         {"trial": 0, "verdict_or_error": "CaseA", "shots": 10548530440,
          "lambda_hat": 0.9999477911460677, "threshold": 0.21875,
-         "stage": "tomography_stage", "ok": True},
+         "stage": "tomography_stage", "local_distance": 0.0028150309793400835, "ok": True},
         {"trial": 1, "verdict_or_error": "CaseA", "shots": 10548530440,
          "lambda_hat": 0.9999970319118338, "threshold": 0.21875,
-         "stage": "tomography_stage", "ok": True},
+         "stage": "tomography_stage", "local_distance": 0.002750831511476903, "ok": True},
         {"trial": 2, "verdict_or_error": "CaseA", "shots": 10548530440,
          "lambda_hat": 0.9999941555909724, "threshold": 0.21875,
-         "stage": "tomography_stage", "ok": True},
+         "stage": "tomography_stage", "local_distance": 0.0026478807898515037, "ok": True},
     ], {"trials": 3, "shot_total": 31645591320, "success_fraction": 1.0}),
     ("robustness --modes 3 --noise-strength 0.02", 0, [
         {"trial": 0, "dense_error": 0.02813605546562884, "promise_value": 0.02099055654515794,

@@ -35,6 +35,8 @@ def test_config_validation():
         learning.TestConfig(eps_a=0.0, eps_b=0.5, delta=1.5)
     with pytest.raises(ValidationError):
         learning.TestConfig(eps_a=0.0, eps_b=0.5, delta=0.1, gaussian_set="bogus")
+    with pytest.raises(ValidationError, match="rank exponent -1 must be >= 0"):
+        learning.TestConfig(eps_a=0.0, eps_b=0.5, delta=0.1, r=-1)
 
 
 def test_pure_thresholds_formulas():
@@ -53,6 +55,10 @@ def test_pure_thresholds_infeasible():
     cfg = learning.TestConfig(eps_a=0.1, eps_b=0.2, delta=0.1, gaussian_set="mixed_set")
     with pytest.raises(InfeasibleThresholds):
         learning.pure_test_thresholds(cfg, 4)
+    # and eps_b = 0.2 < sqrt(2 n eps_a) against the pure set
+    cfg = learning.TestConfig(eps_a=0.1, eps_b=0.2, delta=0.1, gaussian_set="pure_set")
+    with pytest.raises(InfeasibleThresholds, match=r"need eps_b > sqrt\(2 n eps_a\)"):
+        learning.pure_test_thresholds(cfg, 4)
 
 
 def test_rank_thresholds_formulas():
@@ -68,6 +74,10 @@ def test_rank_thresholds_degenerate_r():
     cfg = learning.TestConfig(eps_a=0.0, eps_b=0.5, delta=0.1, r=4, gaussian_set="rank_set")
     with pytest.raises(InfeasibleThresholds):
         learning.rank_test_thresholds(cfg, 4)
+    # eps_b = 0.5 < sqrt(2^5 (n - r) eps_a) = 0.98 at n = 4, r = 1, eps_a = 0.01
+    cfg = learning.TestConfig(eps_a=0.01, eps_b=0.5, delta=0.1, r=1, gaussian_set="rank_set")
+    with pytest.raises(InfeasibleThresholds, match="below the feasibility bound"):
+        learning.rank_test_thresholds(cfg, 4)
 
 
 def test_pure_exact_scheme_deterministic(rng):
@@ -78,6 +88,12 @@ def test_pure_exact_scheme_deterministic(rng):
     assert v1.verdict == learning.CASE_A == v2.verdict
     assert v1.shots_used == 0
     assert v1.lambda_hat_relevant == v2.lambda_hat_relevant
+    # the accept line is 1 - eps_T: half an eps_T below it rejects, above it accepts
+    eps_t, _ = learning.pure_test_thresholds(cfg, 3)
+    for lam, verdict in ((1 - 1.5 * eps_t, learning.CASE_B), (1 - 0.5 * eps_t, learning.CASE_A)):
+        src = ExactGaussianSource(states.product_state([lam, 1, 1]))
+        v = learning.test_pure(src, cfg, RngStream(0), scheme="exact")
+        assert (v.verdict, v.threshold) == (verdict, eps_t), lam
 
 
 def test_pure_sampled_case_a(rng):
@@ -159,6 +175,12 @@ def test_reduce_identity_exact_scheme():
     mm = ExactGaussianSource(states.product_state([0, 0, 0]))
     v1 = learning.reduce_identity_testing(mm, 0.5, 0.1, RngStream(42), scheme="exact")
     assert v1.verdict == learning.MAXIMALLY_MIXED and v1.shots_used == 0
+    # an operator norm of twice eps/(3n) is far at the eigenvalue stage
+    eps_t = 0.5 / 9
+    near = ExactGaussianSource(states.product_state([2 * eps_t, 0, 0]))
+    v2 = learning.reduce_identity_testing(near, 0.5, 0.1, RngStream(42), scheme="exact")
+    assert (v2.verdict, v2.stage) == (learning.FAR_FROM_MAXIMALLY_MIXED, "eigenvalue_stage")
+    assert v2.threshold == eps_t and v2.local_distance is None
 
 
 def test_rank_threshold_echo(rng):
@@ -173,6 +195,13 @@ def test_rank_threshold_echo(rng):
     v2 = learning.test_bounded_rank(ExactGaussianSource(s), cfg, RngStream(44), scheme="exact")
     assert v2.stage == "tomography_stage"
     assert v2.threshold == eps_t2
+    # at r = 0 no tomography runs: the eigenvalue stage accepts against eps_T
+    cfg0 = learning.TestConfig(eps_a=0.0, eps_b=0.9, delta=0.05)
+    eps_t0 = learning.rank_test_thresholds(cfg0, 3)[0]
+    v0 = learning.test_bounded_rank(ExactGaussianSource(states.vacuum(3)), cfg0, RngStream(45),
+                                    scheme="exact")
+    assert (v0.verdict, v0.stage, v0.threshold) == (learning.CASE_A, "eigenvalue_stage", eps_t0)
+    assert v0.local_distance is None
 
 
 def test_rank_mixed_set_variant(rng):
@@ -277,6 +306,9 @@ def test_local_tomography_draws_once(monkeypatch):
         assert calls == [(r,)], r
     calls.clear()
     learning.local_full_tomography(src, 2, 0.3, 0.1, RngStream(18), scheme="exact")
+    assert calls == []
+    with pytest.raises(ValidationError, match="eps_tom 0.0 must be > 0"):
+        learning.local_full_tomography(src, 2, 0.0, 0.1, RngStream(18))
     assert calls == []
 
 
@@ -457,6 +489,8 @@ def test_robustness_checks_its_promise_before_the_dense_build(monkeypatch, rng):
         with pytest.raises(ValidationError, match="unknown promise 'nope'"):
             learning.robustness_experiment(base, ("depolarizing", 0.0), 0.3, 0.1, RngStream(26),
                                            promise="nope")
+        with pytest.raises(ValidationError, match="unknown noise kind 'dephasing'"):
+            learning.robustness_experiment(base, ("dephasing", 0.1), 0.3, 0.1, RngStream(26))
     assert learning.robustness_bound(2, ("depolarizing", 0.0), 0.3, 0.1, "trace") == 0.3 / 6
     assert learning.robustness_bound(
         2, ("depolarizing", 0.0), 0.3, 0.1, "relative_entropy") == 0.3 ** 2

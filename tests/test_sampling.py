@@ -346,6 +346,17 @@ def test_estimate_determinism(rng):
         c = estimate_gamma(ExactGaussianSource(s), 0.3, 0.1, scheme, RngStream(9, (2,)))
         assert np.array_equal(a.gamma_hat.mat, b.gamma_hat.mat)
         assert not np.array_equal(a.gamma_hat.mat, c.gamma_hat.mat)
+    # the commuting rounds against a pair-by-pair loop over the same draws, bit for bit
+    src = ExactGaussianSource(s)
+    est = estimate_gamma(src, 0.3, 0.1, "commuting", RngStream(9, (1,)), total_shots=5000)
+    ref = np.zeros((6, 6))
+    for t, pairs in enumerate(matchings(3)):
+        q = matching_rotation(pairs, 3)
+        counts = RngStream(9, (1, t)).generator().multinomial(1000, src.z_distribution(q))
+        for i, (j, k) in enumerate(pairs):
+            z = 1.0 - 2.0 * ((np.arange(8) >> (2 - i)) & 1)  # qubit i's reading, qubit 0 first
+            ref[j, k] = q[2 * i, j] * q[2 * i + 1, k] * ((z @ counts) / 1000)
+    assert np.array_equal(est.gamma_hat.mat, ref - ref.T)
 
 
 def test_error_scaling_slope():
