@@ -46,12 +46,10 @@ __all__ = [
     "relative_entropy",
     "gaussianification",
     "gaussian_derivative",
-    "pnp_correlation",
     "partial_trace",
     "depolarize",
     "majorana_product_expectation",
     "computational_basis",
-    "maximally_mixed",
     "ghz3",
     "random_density_matrix",
     "write_dense",
@@ -349,17 +347,6 @@ def gaussian_derivative(gamma, x) -> np.ndarray:
     return out
 
 
-def pnp_correlation(rho: DenseState) -> states.PnpCorrelation:
-    """C_{jk} = Tr(a_j^dag a_k rho) with a_j = (gamma_{2j} + i gamma_{2j+1})/2, i.e.
-    (2 delta_jk + i (G_{2j,2k} + G_{2j+1,2k+1}) - G_{2j,2k+1} + G_{2j+1,2k}) / 4
-    in the correlation matrix G (exactly Hermitian)."""
-    g = correlation_matrix(rho).mat
-    even, odd = g[0::2], g[1::2]
-    c = 0.25 * (2.0 * np.eye(rho.n) + 1j * (even[:, 0::2] + odd[:, 1::2])
-                - even[:, 1::2] + odd[:, 0::2])
-    return states.PnpCorrelation(n=rho.n, c=c)
-
-
 # -- assorted dense helpers ----------------------------------------------------
 
 def partial_trace(rho: DenseState, keep_first: int) -> DenseState:
@@ -383,11 +370,6 @@ def computational_basis(n: int, bits: Sequence[int]) -> DenseState:
     v = np.zeros(1 << n, dtype=complex)
     v[idx] = 1.0
     return DenseState.from_statevector(v)
-
-
-def maximally_mixed(n: int) -> DenseState:
-    d = 1 << n
-    return DenseState(n, np.eye(d, dtype=complex) / d)
 
 
 def ghz3() -> DenseState:

@@ -35,10 +35,6 @@ class UnsupportedP(FreeFermError):
     """Schatten norm order outside {1, 2, inf}."""
 
 
-class RankTooLarge(FreeFermError):
-    """Ky Fan order exceeds the matrix dimension."""
-
-
 class DimensionMismatch(FreeFermError):
     """Operands have incompatible dimensions."""
 
@@ -67,14 +63,6 @@ class NotPure(FreeFermError):
 
 class RankExponentOutOfRange(FreeFermError):
     """Rank exponent r outside [0, n-1]."""
-
-
-class NotHermitian(FreeFermError):
-    """Matrix expected to be Hermitian is not, within tolerance."""
-
-
-class OccupationOutOfRange(FreeFermError):
-    """Occupation-number spectrum outside [0, 1]."""
 
 
 # -- dense oracle ------------------------------------------------------------

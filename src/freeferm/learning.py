@@ -414,13 +414,16 @@ def tomograph_mixed(
     scheme: str = "commuting",
     shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> TomographyReport:
-    """Learn a possibly mixed Gaussian state; eigenvalues above 1 clip to 1."""
+    """Learn a possibly mixed Gaussian state; eigenvalues above 1 clip to 1.
+
+    The ``mixed_tomography`` row alone sets the copy budget; it is passed to
+    :func:`estimate_gamma` as ``total_shots``, so no per-entry accuracy is
+    derived from ``eps``.
+    """
     check_eps_delta(eps, delta)
-    n = src.n
-    eps_stat = eps / math.sqrt(2.0 * n)
     est = estimate_gamma(
-        src, eps_stat, delta, scheme, rng_stream.child(0),
-        total_shots=mixed_tomography_shots(n, eps, delta), shot_cap=shot_cap,
+        src, eps, delta, scheme, rng_stream.child(0),
+        total_shots=mixed_tomography_shots(src.n, eps, delta), shot_cap=shot_cap,
     )
     learned = states.clip_to_valid(est.gamma_hat)
     return TomographyReport(learned, est.shots_used)

@@ -244,6 +244,8 @@ def matching_rotation(m: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
 
     q is the rows of the identity gathered in pair order (row 2i is e_j, row
     2i+1 is e_k), with its last row negated when that permutation is odd.
+    The parity is read from the permutation's cycles: a permutation of 2n
+    points with c cycles is odd when 2n - c is.
     Measuring Z of qubit i on the q-rotated state reads out the (j, k)
     correlation entry times the sign q[2i, j] * q[2i+1, k], which
     :func:`estimate_gamma` reads back from q.
@@ -253,7 +255,14 @@ def matching_rotation(m: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
     if len(pairs) != n or sorted(flat) != list(range(2 * n)) or any(j >= k for j, k in pairs):
         raise InvalidMatching(f"{m} is not a perfect matching of range({2 * n})")
     q = np.eye(2 * n)[flat]
-    if np.linalg.det(q) < 0:
+    seen, cycles = [False] * (2 * n), 0
+    for start in range(2 * n):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x], x = True, flat[x]
+    if cycles % 2:  # 2n - cycles is odd
         q[2 * n - 1, :] *= -1.0
     return q
 

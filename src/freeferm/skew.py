@@ -4,8 +4,8 @@ One Householder tridiagonalisation (LAPACK ``dgehrd``) serves both the
 Pfaffian, read off the tridiagonal factor, and the orthogonal normal (Youla)
 form with non-negative block parameters (plus the SVD of a bidiagonal
 half-size matrix); the normal eigenvalues are that form's block parameters.
-Also Schatten and Ky Fan norms and the Weyl bound on normal-eigenvalue
-perturbations.  All indices are 0-based.
+Also Schatten norms and the Weyl bound on normal-eigenvalue perturbations.
+All indices are 0-based.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     NotAntisymmetric,
     OddRestriction,
     PfaffianOutOfRange,
-    RankTooLarge,
     UnsupportedP,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "restricted_pfaffian",
     "normal_form",
     "schatten_norm",
-    "ky_fan_norm",
     "normal_eigenvalues",
     "normal_eigenvalue_gap",
     "random_skew",
@@ -242,15 +240,6 @@ def schatten_norm(a: np.ndarray, p) -> float:
         sv = np.linalg.svd(m, compute_uv=False)
         return float(sv.sum()) if p == 1 else float(sv[0]) if sv.size else 0.0
     raise UnsupportedP(f"supported p are 1, 2 and inf; got {p!r}")
-
-
-def ky_fan_norm(a: np.ndarray, r: int) -> float:
-    """Sum of the r largest singular values."""
-    m = np.asarray(a)
-    if r <= 0 or r > min(m.shape):
-        raise RankTooLarge(f"order r={r} outside [1, {min(m.shape)}]")
-    sv = np.linalg.svd(m, compute_uv=False)
-    return float(sv[:r].sum())
 
 
 def normal_eigenvalue_gap(a: SkewLike, b: SkewLike) -> float:

@@ -3,7 +3,7 @@
 A state is carried entirely by a validated 2n x 2n real antisymmetric
 correlation matrix together with its cached normal form.  This module also
 evaluates every correlation-matrix bound on trace distance, fidelity and
-non-Gaussianity, plus the particle-number-preserving conversions.
+non-Gaussianity.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from .errors import (
     DimensionMismatch,
     LambdaOutOfRange,
     NotAValidCorrelationMatrix,
-    NotHermitian,
     NotOrthogonal,
     NotPure,
-    OccupationOutOfRange,
     OddSubset,
     RankExponentOutOfRange,
 )
@@ -30,7 +28,6 @@ from .skew import NormalForm, SkewMatrix, as_skew_array, lambda_blocks, schatten
 
 __all__ = [
     "GaussianState",
-    "PnpCorrelation",
     "BoundsReport",
     "NonGaussReport",
     "from_correlation",
@@ -45,9 +42,6 @@ __all__ = [
     "distance_bounds",
     "nongaussianity_bounds",
     "purify",
-    "rank_exponent",
-    "pnp_to_gamma",
-    "pnp_norm_transfer",
     "random_gaussian_state",
 ]
 
@@ -203,9 +197,11 @@ def overlap_pure(s1: GaussianState, s2: GaussianState) -> float:
 class BoundsReport:
     """Correlation-matrix bounds on trace distance and fidelity.
 
-    All trace-distance style fields live in [0, 2] and fidelity fields in
-    [0, 1] after clamping; ``ub_pure`` and ``ub_pure_vs_any`` are None when
-    the requested mode does not support them.
+    The trace-distance fields are unhalved, in [0, 2]; ``ub_pure`` and
+    ``ub_pure_vs_any`` are None when the requested mode does not support
+    them.  ``fid_lb_sq`` = (1 - d_1/4)^2 bounds the squared fidelity
+    F = ||sqrt(rho1) sqrt(rho2)||_1^2 from below: Fuchs-van de Graaf gives
+    sqrt(F) >= 1 - D/2, and ``ub_mixed`` = d_1/2 bounds D.
     """
 
     lb_infty: float
@@ -213,8 +209,6 @@ class BoundsReport:
     ub_mixed: float
     ub_pure_vs_any: Optional[float]
     fid_lb_sq: float
-    fid_lb_linear: float
-    fid_lb_frobenius: float
 
 
 def distance_bounds(g1: GammaLike, g2: GammaLike, mode: str = "mixed_mixed") -> BoundsReport:
@@ -232,13 +226,12 @@ def distance_bounds(g1: GammaLike, g2: GammaLike, mode: str = "mixed_mixed") -> 
     sv = np.linalg.svd(delta, compute_uv=False)  # Schatten-inf and -1 norms from one SVD
     d_inf = float(sv[0])
     d_1 = float(sv.sum())
-    d_2 = schatten_norm(delta, 2)
 
     ub_pure = None
     if mode == "pure_pure":
         if not all(_pure_lambdas(_lambdas_of(g)) for g in (g1, g2)):
             raise NotPure("pure_pure mode requires two pure correlation matrices")
-        ub_pure = 2.0 if d_inf >= 2.0 - 1e-9 else min(2.0, 0.5 * d_2)
+        ub_pure = 2.0 if d_inf >= 2.0 - 1e-9 else min(2.0, 0.5 * schatten_norm(delta, 2))
 
     ub_pure_vs_any = None
     if mode == "pure_vs_any":
@@ -246,15 +239,12 @@ def distance_bounds(g1: GammaLike, g2: GammaLike, mode: str = "mixed_mixed") -> 
             raise NotPure("pure_vs_any mode requires a pure first argument")
         ub_pure_vs_any = min(2.0, math.sqrt(d_1))
 
-    clamp01 = lambda x: float(min(1.0, max(0.0, x)))
     return BoundsReport(
         lb_infty=float(min(2.0, d_inf)),
         ub_pure=ub_pure,
         ub_mixed=float(min(2.0, 0.5 * d_1)),
         ub_pure_vs_any=ub_pure_vs_any,
-        fid_lb_sq=clamp01(max(0.0, 1.0 - 0.25 * d_1) ** 2),
-        fid_lb_linear=clamp01(1.0 - 0.5 * d_1),
-        fid_lb_frobenius=clamp01(1.0 - 0.25 * d_1 - 0.125 * d_2 ** 2),
+        fid_lb_sq=max(0.0, 1.0 - 0.25 * d_1) ** 2,
     )
 
 
@@ -316,54 +306,6 @@ def purify(s: GaussianState) -> GaussianState:
     bot[:, 2 * n::2] = qo  # e4
     top[:, 2 * n + 1::2], bot[:, 2 * n + 1::2] = -qo * root, qe * lam  # (0, -s, lam, 0)
     return GaussianState(corr=m, nf=NormalForm(q=q2, lambdas=np.ones(2 * n), det_sign=(-1) ** n))
-
-
-def rank_exponent(s: GaussianState, tol: float) -> int:
-    """m with rank(rho) = 2^m: the count of normal eigenvalues below 1 - tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return int(np.sum(s.nf.lambdas < 1.0 - tol))
-
-
-# -- particle-number preserving states ---------------------------------------
-
-_IY = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-@dataclass(frozen=True)
-class PnpCorrelation:
-    """n x n Hermitian matrix of <a_j^dag a_k> occupations."""
-
-    n: int
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=complex)
-        if c.shape != (self.n, self.n):
-            raise DimensionMismatch(f"expected {self.n}x{self.n}, got {c.shape}")
-        if np.abs(c - c.conj().T).max() > 1e-12:
-            raise NotHermitian("c is not Hermitian within 1e-12")
-        occ = np.linalg.eigvalsh(c)
-        if occ.min() < -1e-9 or occ.max() > 1.0 + 1e-9:
-            raise OccupationOutOfRange(f"occupation spectrum {occ} outside [0, 1]")
-        object.__setattr__(self, "c", c)
-
-
-def pnp_to_gamma(c: PnpCorrelation) -> SkewMatrix:
-    """Correlation matrix of a particle-number preserving state.
-
-    Gamma = (I - 2 Re C) ⊗ [[0,1],[-1,0]] + (2 Im C) ⊗ I; its normal
-    eigenvalues are |1 - 2 D_j| for the eigenvalues D_j of C.
-    """
-    re, im = c.c.real, c.c.imag
-    g = np.kron(np.eye(c.n) - 2.0 * re, _IY) + np.kron(2.0 * im, np.eye(2))
-    return SkewMatrix(g, tol=1e-10)
-
-
-def pnp_norm_transfer(c_delta: np.ndarray, p) -> float:
-    """Upper bound 4 * 2^(1/p) * ||c_delta||_p on the Gamma-difference p-norm."""
-    factor = 1.0 if p == np.inf else 2.0 ** (1.0 / p)
-    return 4.0 * factor * schatten_norm(np.asarray(c_delta), p)
 
 
 # -- generators --------------------------------------------------------------

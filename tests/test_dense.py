@@ -23,6 +23,10 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 I2 = np.eye(2, dtype=complex)
 
 
+def _maximally_mixed(n):
+    return dense.DenseState(n, np.eye(1 << n) / (1 << n))
+
+
 def test_majorana_definitions():
     # gamma_{2k} = Z^(x)k (x) X (x) I^(x)(n-k-1), and gamma_{2k+1} the same with Y
     for n in range(1, 5):
@@ -62,7 +66,7 @@ def test_correlation_matrix_examples():
         dense.correlation_matrix(dense.computational_basis(3, [0, 0, 0])).mat,
         skew.canonical_lambda(3),
     )
-    assert np.abs(dense.correlation_matrix(dense.maximally_mixed(3)).mat).max() == 0.0
+    assert np.abs(dense.correlation_matrix(_maximally_mixed(3)).mat).max() == 0.0
     g = dense.correlation_matrix(dense.computational_basis(2, [1, 0])).mat
     assert np.allclose(g, skew.lambda_blocks([-1.0, 1.0]))
 
@@ -225,12 +229,12 @@ def test_state_metrics_examples():
     assert dense.relative_entropy(a, b) == math.inf
     for metric in (dense.state_metrics, dense.relative_entropy):
         with pytest.raises(DimensionMismatch):
-            metric(a, dense.maximally_mixed(2))
+            metric(a, _maximally_mixed(2))
 
 
 def test_relative_entropy_support_conventions():
     plus = dense.DenseState.from_statevector(np.array([1.0, 1.0]) / math.sqrt(2))
-    mm = dense.maximally_mixed(1)
+    mm = _maximally_mixed(1)
     # S(plus || I/2) = 1 bit; finite because I/2 has full support
     assert dense.relative_entropy(plus, mm) == pytest.approx(1.0, abs=1e-9)
     # reversed direction hits the support of a pure state
@@ -250,7 +254,7 @@ def test_gaussianification():
     rho_g = dense.gaussian_to_dense(states.product_state([0.3, 0.6]))
     assert dense.state_metrics(rho_g, dense.gaussianification(rho_g)) < 1e-8
     assert dense.relative_entropy(rho_g, dense.gaussianification(rho_g)) < 1e-8
-    mm = dense.maximally_mixed(2)
+    mm = _maximally_mixed(2)
     assert dense.relative_entropy(mm, dense.gaussianification(mm)) < 1e-10
     # frozen regression value for the GHZ fixture
     ghz = dense.ghz3()
@@ -310,48 +314,6 @@ def test_derivative_matches_finite_differences(rng):
         minus = dense.gaussian_to_dense(states.from_correlation(gamma - h * x)).rho
         fd = (plus - minus) / (2.0 * h)
         assert np.abs(fd - out).max() / np.abs(out).max() < 1e-5
-
-
-def test_pnp_correlation(rng):
-    assert np.abs(dense.pnp_correlation(dense.computational_basis(3, [0, 0, 0])).c).max() == 0.0
-    c1 = dense.pnp_correlation(dense.computational_basis(1, [1]))
-    assert np.allclose(c1.c, [[1.0]])
-
-    # number-conserving mixture: reconstruction matches the correlation matrix
-    gen = rng
-    probs = gen.dirichlet(np.ones(4))
-    rho = np.zeros((8, 8), dtype=complex)
-    for p, bits in zip(probs, ([0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 1])):
-        rho += p * dense.computational_basis(3, bits).rho
-    ds = dense.DenseState(3, rho)
-    rebuilt = states.pnp_to_gamma(dense.pnp_correlation(ds))
-    assert np.abs(rebuilt.mat - dense.correlation_matrix(ds).mat).max() < 1e-9
-
-
-def _pnp_correlation_reference(rho):
-    """C_{jk} from its four Majorana-pair expectations, one pair at a time."""
-    def pair(mu, nu):
-        return 1.0 if mu == nu else dense.majorana_product_expectation(rho, (mu, nu))
-
-    c = np.empty((rho.n, rho.n), dtype=complex)
-    for j in range(rho.n):
-        for k in range(rho.n):
-            c[j, k] = 0.25 * (
-                pair(2 * j, 2 * k)
-                + 1j * pair(2 * j, 2 * k + 1)
-                - 1j * pair(2 * j + 1, 2 * k)
-                + pair(2 * j + 1, 2 * k + 1)
-            )
-    return c
-
-
-def test_pnp_correlation_matches_pair_reference(rng):
-    # Wishart states do not conserve particle number
-    for n in range(1, 5):
-        for _ in range(3):
-            rho = dense.random_density_matrix(n, rng)
-            got = dense.pnp_correlation(rho).c
-            assert np.abs(got - _pnp_correlation_reference(rho)).max() < 1e-12
 
 
 def test_partial_trace(rng):

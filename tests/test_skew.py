@@ -12,7 +12,6 @@ from freeferm.errors import (
     NotAntisymmetric,
     OddRestriction,
     PfaffianOutOfRange,
-    RankTooLarge,
     UnsupportedP,
 )
 
@@ -247,15 +246,6 @@ def test_schatten_norms():
 def test_schatten_frobenius_identity(rng):
     a = skew.random_skew(8, rng)
     assert skew.schatten_norm(a, 2) ** 2 == pytest.approx((a ** 2).sum(), rel=1e-10)
-
-
-def test_ky_fan():
-    lam3 = skew.canonical_lambda(3)
-    assert skew.ky_fan_norm(lam3, 2) == pytest.approx(2.0)
-    assert skew.ky_fan_norm(lam3, 6) == pytest.approx(skew.schatten_norm(lam3, 1))
-    assert skew.ky_fan_norm(skew.lambda_blocks([0.2, 0.9]), 2) == pytest.approx(1.8)
-    with pytest.raises(RankTooLarge):
-        skew.ky_fan_norm(lam3, 7)
 
 
 def test_normal_eigenvalue_gap(rng):
