@@ -15,8 +15,8 @@ budget overflow is recorded as that trial's outcome (``ok`` false, the error
 class and message in ``verdict_or_error``) and counted by class in the
 aggregate's ``errors``; the run goes on.
 
-Exit codes: 0 on completion, 2 on validation or I/O error, 3 when a shot
-budget overflows its cap.
+Exit codes: 0 on completion, 2 on validation or I/O error, 3 when a copy
+count passes the draw ceiling :data:`freeferm.sampling.MAX_DRAW`.
 """
 
 from __future__ import annotations
@@ -79,10 +79,9 @@ _FLAGS: Dict[str, Tuple[str, dict]] = {
     "axis": ("--axis", {"choices": ("shots", "eps", "modes")}),
     "points": ("--points", {"help": "comma-separated sweep points"}),
     "sub_command": ("--sub-command", {"choices": ("estimate", "tomo-pure", "tomo-mixed")}),
-    "shot_cap": ("--shot-cap", {"type": int}),
 }
 
-_SAMPLED = ("modes", "state_spec", "delta", "scheme", "shot_cap")
+_SAMPLED = ("modes", "state_spec", "delta", "scheme")
 _RUN = ("trials", "seed", "out_path")
 #: the config fields each command reads: its flags and config-file keys are
 #: these, and every other field must keep its default
@@ -95,8 +94,8 @@ COMMAND_FIELDS: Dict[str, Tuple[str, ...]] = {
     "reduce-id": (*_SAMPLED, "eps", "expected", *_RUN, "format"),
     "tomo-pure": (*_SAMPLED, "eps", *_RUN, "format"),
     "tomo-mixed": (*_SAMPLED, "eps", *_RUN, "format"),
-    "robustness": ("modes", "delta", "scheme", "shot_cap", "eps", "noise_kind", "noise_strength",
-                   "promise", *_RUN, "format"),
+    "robustness": ("modes", "delta", "scheme", "eps", "noise_kind", "noise_strength", "promise",
+                   *_RUN, "format"),
     # each point runs the sub-command; a sweep record holds only sub-records,
     # which the csv format drops
     "sweep": ("axis", "points", "sub_command", *_SAMPLED, "eps", "shots", *_RUN),
@@ -127,7 +126,6 @@ class ExperimentConfig:
     axis: Optional[str] = None
     points: List[float] = field(default_factory=list)
     sub_command: Optional[str] = None
-    shot_cap: int = sampling.DEFAULT_SHOT_CAP
 
     def validate(self) -> _Plan:
         """Check the config and return the plan its run executes: the trials'
@@ -152,9 +150,8 @@ class ExperimentConfig:
                 raise ValidationError(f"a sweep along {self.axis} sets {self.axis} at each point")
             subs = (_sweep_point(self, point) for point in self.points)
             return [(sub, sub.validate()) for sub in subs]
-        if self.trials < 1 or self.seed < 0 or self.shot_cap < 1:
-            raise ValidationError(f"need trials >= 1, seed >= 0, shot_cap >= 1; "
-                                  f"got {self.trials}, {self.seed}, {self.shot_cap}")
+        if self.trials < 1 or self.seed < 0:
+            raise ValidationError(f"need trials >= 1 and seed >= 0; got {self.trials}, {self.seed}")
         if self.shots is not None:
             sampling.check_shots(self.shots)
         sampling.check_delta(self.delta)
@@ -287,22 +284,20 @@ def _trial_verify_bounds(cfg: ExperimentConfig, trial: int, stream: RngStream, *
 def _trial_estimate(cfg: ExperimentConfig, trial: int, stream: RngStream,
                     source: _Source) -> dict:
     src = source(stream)
-    est = estimate_gamma(
-        src, cfg.eps, cfg.delta, cfg.scheme, stream.child(1),
-        total_shots=cfg.shots, shot_cap=cfg.shot_cap,
-    )
+    est = estimate_gamma(src, cfg.eps, cfg.delta, cfg.scheme, stream.child(1),
+                         total_shots=cfg.shots)
     err = skew.schatten_norm(est.gamma_hat.mat - src.gamma(), np.inf)
     return {"error_inf": err, **_scored(err, cfg.eps), "shots": est.shots_used}
 
 
 def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _Source) -> dict:
     src = source(stream)
-    kw = {"scheme": cfg.scheme, "shot_cap": cfg.shot_cap}
     if cfg.command == "reduce-id":
-        verdict = learning.reduce_identity_testing(src, cfg.eps, cfg.delta, stream.child(1), **kw)
+        verdict = learning.reduce_identity_testing(src, cfg.eps, cfg.delta, stream.child(1),
+                                                   cfg.scheme)
     else:
         tester = learning.test_pure if cfg.command == "test-pure" else learning.test_bounded_rank
-        verdict = tester(src, cfg.test_config(), stream.child(1), **kw)
+        verdict = tester(src, cfg.test_config(), stream.child(1), cfg.scheme)
     rec = {
         "verdict_or_error": verdict.verdict,
         "shots": verdict.shots_used,
@@ -317,12 +312,8 @@ def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _S
 
 def _trial_tomo(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _Source) -> dict:
     src = source(stream)
-    if cfg.command == "tomo-pure":
-        report = learning.tomograph_pure(src, cfg.eps, cfg.delta, stream.child(1),
-                                         scheme=cfg.scheme, shot_cap=cfg.shot_cap)
-    else:
-        report = learning.tomograph_mixed(src, cfg.eps, cfg.delta, stream.child(1),
-                                          scheme=cfg.scheme, shot_cap=cfg.shot_cap)
+    tomograph = learning.tomograph_pure if cfg.command == "tomo-pure" else learning.tomograph_mixed
+    report = tomograph(src, cfg.eps, cfg.delta, stream.child(1), scheme=cfg.scheme)
     truth = _dense_of_source(src)
     if truth is None:
         return {"shots": report.shots_used, "verdict_or_error": "learned"}
@@ -335,8 +326,7 @@ def _trial_robustness(cfg: ExperimentConfig, trial: int, stream: RngStream,
     # the spec is always random_gaussian:mixed, so the base is the trial's random state
     result = learning.robustness_experiment(
         source(stream).state, (cfg.noise_kind, cfg.noise_strength), cfg.eps, cfg.delta,
-        stream.child(1), promise=cfg.promise, scheme=cfg.scheme, shot_cap=cfg.shot_cap,
-    )
+        stream.child(1), promise=cfg.promise, scheme=cfg.scheme)
     err = result.dense_error
     return {"dense_error": err, "promise_value": result.promise_value, **_scored(err, cfg.eps),
             "shots": result.shots_used}

@@ -53,10 +53,6 @@ class NotOrthogonal(FreeFermError):
     """Matrix expected to be orthogonal is not, within tolerance."""
 
 
-class OddSubset(FreeFermError):
-    """Wick expectation of an odd Majorana product was requested."""
-
-
 class NotPure(FreeFermError):
     """Operation requires a pure state (all normal eigenvalues 1)."""
 

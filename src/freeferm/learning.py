@@ -33,6 +33,7 @@ from . import dense as dense_mod
 from . import skew, states
 from .dense import DenseState
 from .errors import (
+    BudgetOverflow,
     InfeasibleThresholds,
     PromiseNotCertified,
     TooManyLocalModes,
@@ -40,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .sampling import (
-    DEFAULT_SHOT_CAP,
+    MAX_DRAW,
     DenseSource,
     RngStream,
     StateSource,
@@ -220,14 +221,13 @@ def test_pure(
     cfg: TestConfig,
     rng_stream: RngStream,
     scheme: str = "commuting",
-    shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> TestVerdict:
     """Accept (CaseA) iff every estimated normal eigenvalue is near 1."""
     n = src.n
     eps_t, eps_stat = pure_test_thresholds(cfg, n)
     est = estimate_gamma(
         src, eps_stat, cfg.delta, scheme, rng_stream.child(0),
-        total_shots=shot_budget("commuting", n, eps_stat, cfg.delta), shot_cap=shot_cap,
+        total_shots=shot_budget("commuting", n, eps_stat, cfg.delta),
     )
     lam_min = float(skew.normal_eigenvalues(est.gamma_hat)[0])
     verdict = CASE_A if lam_min >= 1.0 - eps_t else CASE_B
@@ -239,7 +239,6 @@ def test_bounded_rank(
     cfg: TestConfig,
     rng_stream: RngStream,
     scheme: str = "commuting",
-    shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> TestVerdict:
     """Two-stage test: tail eigenvalues near 1, then local Gaussianity.
 
@@ -254,7 +253,7 @@ def test_bounded_rank(
     r = cfg.r
     est = estimate_gamma(
         src, eps_stat, cfg.delta / 2.0, scheme, rng_stream.child(0),
-        total_shots=shot_budget("commuting", n, eps_stat, cfg.delta / 2.0), shot_cap=shot_cap,
+        total_shots=shot_budget("commuting", n, eps_stat, cfg.delta / 2.0),
     )
     nf = skew.normal_form(est.gamma_hat)
     lam_next = float(nf.lambdas[r])
@@ -298,7 +297,8 @@ def local_full_tomography(
 
     Every non-identity Pauli expectation of the rotated-and-reduced state is
     estimated to accuracy eps_tom / (2 * 2^r), all 4^r - 1 counts from one
-    binomial draw on ``rng_stream``; linear inversion is projected to the
+    binomial draw on ``rng_stream`` (a count above :data:`MAX_DRAW` raises
+    BudgetOverflow); linear inversion is projected to the
     PSD unit-trace cone by eigenvalue clipping.  With probability at
     least 1 - delta the output is within eps_tom in trace norm.  Returns the
     estimate and the number of copies used.  Only ``scheme="exact"`` is read:
@@ -316,6 +316,8 @@ def local_full_tomography(
     d = 1 << r
     n_paulis = 4 ** r - 1
     per_pauli = hoeffding_shots(eps_tom / (2.0 * d), delta, n_paulis)
+    if per_pauli > MAX_DRAW:
+        raise BudgetOverflow(f"{per_pauli} copies per Pauli exceed the draw ceiling {MAX_DRAW}")
     perms, coefs = _pauli_strings(r)
     expectations = dense_mod.pauli_expectations(truth.rho, perms, coefs).real  # Tr(P rho)
     t = np.clip(expectations[1:], -1.0, 1.0)
@@ -353,7 +355,6 @@ def reduce_identity_testing(
     delta: float,
     rng_stream: RngStream,
     scheme: str = "commuting",
-    shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> TestVerdict:
     """Identity testing through the free-fermionic lens.
 
@@ -370,8 +371,7 @@ def reduce_identity_testing(
     n = src.n
     eps_t, eps_stat, eps_tom, eps_t2 = identity_test_thresholds(eps, n)
     est = estimate_gamma(
-        src, eps_stat, delta / 2.0, scheme, rng_stream.child(0), shot_cap=shot_cap,
-    )
+        src, eps_stat, delta / 2.0, scheme, rng_stream.child(0))
     lam_max = float(skew.normal_eigenvalues(est.gamma_hat)[-1])
     if lam_max > eps_t:
         return TestVerdict(FAR_FROM_MAXIMALLY_MIXED, lam_max, eps_t, "eigenvalue_stage",
@@ -391,7 +391,6 @@ def tomograph_pure(
     delta: float,
     rng_stream: RngStream,
     scheme: str = "commuting",
-    shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> TomographyReport:
     """Learn a pure Gaussian state: estimate, take the normal form, snap
     every eigenvalue to 1."""
@@ -399,7 +398,7 @@ def tomograph_pure(
     n = src.n
     est = estimate_gamma(
         src, eps, delta, scheme, rng_stream.child(0),
-        total_shots=shot_budget("commuting", n, eps, delta), shot_cap=shot_cap,
+        total_shots=shot_budget("commuting", n, eps, delta),
     )
     nf = skew.normal_form(est.gamma_hat).with_lambdas(np.ones(n))
     learned = GaussianState(corr=SkewMatrix(nf.reconstruct(), tol=1e-9), nf=nf)
@@ -412,7 +411,6 @@ def tomograph_mixed(
     delta: float,
     rng_stream: RngStream,
     scheme: str = "commuting",
-    shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> TomographyReport:
     """Learn a possibly mixed Gaussian state; eigenvalues above 1 clip to 1.
 
@@ -423,7 +421,7 @@ def tomograph_mixed(
     check_eps_delta(eps, delta)
     est = estimate_gamma(
         src, eps, delta, scheme, rng_stream.child(0),
-        total_shots=mixed_tomography_shots(src.n, eps, delta), shot_cap=shot_cap,
+        total_shots=mixed_tomography_shots(src.n, eps, delta),
     )
     learned = states.clip_to_valid(est.gamma_hat)
     return TomographyReport(learned, est.shots_used)
@@ -473,7 +471,6 @@ def robustness_experiment(
     rng_stream: RngStream,
     promise: str = "trace",
     scheme: str = "commuting",
-    shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> RobustnessResult:
     """Run mixed tomography on a noisy preparation of ``base``.
 
@@ -505,8 +502,7 @@ def robustness_experiment(
             f"promise value {promise_value:.6f} exceeds the bound {bound:.6f}"
         )
 
-    report = tomograph_mixed(DenseSource(rho_noisy), eps, delta, rng_stream, scheme=scheme,
-                             shot_cap=shot_cap)
+    report = tomograph_mixed(DenseSource(rho_noisy), eps, delta, rng_stream, scheme=scheme)
     err = dense_mod.state_metrics(dense_mod.gaussian_to_dense(report.learned), rho_noisy)
     return RobustnessResult(
         learned=report.learned,

@@ -56,8 +56,9 @@ __all__ = [
 MAX_SAMPLING_MODES = 14
 #: the estimation schemes of :func:`estimate_gamma`
 SCHEMES = ("pauli_pairs", "commuting", "exact")
-#: default cap on a single estimation request, in copies of the state
-DEFAULT_SHOT_CAP = 10 ** 15
+#: largest count one ``Generator.binomial`` or ``multinomial`` call takes: the
+#: ceiling of every copy count drawn, checked before the draw
+MAX_DRAW = int(np.iinfo(np.int64).max)
 #: (c, p, k) of each copy budget ceil(c n^p / eps^2 ln(k n^2 / delta)); the
 #: commuting headline is also the pure-test and pure-tomography budget (the
 #: appendix constant; the main-text tomography statement carries 4x more)
@@ -333,7 +334,6 @@ def estimate_gamma(
     rng_stream: RngStream,
     *,
     total_shots: Optional[int] = None,
-    shot_cap: int = DEFAULT_SHOT_CAP,
 ) -> GammaEstimate:
     """Estimate the correlation matrix to sup-norm accuracy eps_stat.
 
@@ -350,7 +350,8 @@ def estimate_gamma(
     The default budget is the scheme's headline bound
     ``shot_budget(scheme, n, eps_stat, delta)``; ``total_shots`` overrides
     it.  Either total is split evenly across the measurement settings (pairs
-    or matching rounds).  Entries are clipped to [-1, 1] before assembly.
+    or matching rounds); a total above :data:`MAX_DRAW` raises BudgetOverflow.
+    Entries are clipped to [-1, 1] before assembly.
     """
     n = src.n
     dim = 2 * n
@@ -363,8 +364,8 @@ def estimate_gamma(
         check_eps_stat(eps_stat)
         total_shots = shot_budget(scheme, n, eps_stat, delta)
     check_shots(total_shots)
-    if total_shots > shot_cap:
-        raise BudgetOverflow(f"{total_shots} shots exceed the cap {shot_cap}")
+    if total_shots > MAX_DRAW:
+        raise BudgetOverflow(f"{total_shots} shots exceed the draw ceiling {MAX_DRAW}")
 
     pair_count = n * (2 * n - 1)
     settings = pair_count if scheme == "pauli_pairs" else 2 * n - 1  # matching rounds

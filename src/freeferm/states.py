@@ -21,7 +21,6 @@ from .errors import (
     NotAValidCorrelationMatrix,
     NotOrthogonal,
     NotPure,
-    OddSubset,
     RankExponentOutOfRange,
 )
 from .skew import NormalForm, SkewMatrix, as_skew_array, lambda_blocks, schatten_norm
@@ -164,10 +163,9 @@ def check_orthogonal(q: np.ndarray, tol: float = 1e-10) -> None:
 
 
 def wick_expectation(s: GaussianState, subset: Sequence[int]) -> complex:
-    """Tr(gamma_S rho) = i^{|S|/2} Pf(corr restricted to S); |S| must be even."""
+    """Tr(gamma_S rho) = i^{|S|/2} Pf(corr restricted to S); an odd |S| raises
+    OddRestriction."""
     idx = list(subset)
-    if len(idx) % 2 != 0:
-        raise OddSubset(f"Majorana subset must have even size, got {len(idx)}")
     return (1j ** (len(idx) // 2)) * skew.restricted_pfaffian(s.corr, idx)
 
 

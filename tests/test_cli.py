@@ -207,6 +207,24 @@ def test_sampling_cap_checked_at_validation(monkeypatch, capsys, tmp_path):
     assert f"invalid configuration: {message}" in capsys.readouterr().err
 
 
+def test_draw_ceiling_bounds_every_count(tmp_path, capsys):
+    out = str(tmp_path / "r.json")
+    ceiling = sampling.MAX_DRAW  # 2^63 - 1
+    for scheme in ("commuting", "pauli_pairs"):
+        assert cli.main(["estimate", "--modes", "3", "--scheme", scheme, "--shots",
+                         str(ceiling), "--trials", "1", "--out", out]) == 0
+        assert json.loads(Path(out).read_text())["results"][0]["shots"] == ceiling
+        for shots in (ceiling + 1, 10 ** 20):
+            assert cli.main(["estimate", "--modes", "3", "--scheme", scheme, "--shots",
+                             str(shots), "--trials", "1", "--out", out]) == 3
+            assert "shots exceed the draw ceiling" in capsys.readouterr().err
+    # reduce-id's stage 1 draws about 4.5e18 copies and passes; stage 3's
+    # per-Pauli count, about 3.1e19, does not
+    assert cli.main(["reduce-id", "--modes", "6", "--eps", "0.000002",
+                     "--state-spec", "product:0,0,0,0,0,0", "--trials", "1", "--out", out]) == 3
+    assert "copies per Pauli exceed the draw ceiling" in capsys.readouterr().err
+
+
 def test_failed_trial_is_recorded_not_fatal(tmp_path):
     # trial 9 of this run breaks the robustness promise
     out = tmp_path / "r.json"
@@ -294,12 +312,11 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["estimate", "--modes", "2", "--eps", "0.4", "--delta", "0.2",
                      "--trials", "2", "--seed", "1", "--out", out]) == 0
     assert os.path.exists(out)
-    # budget overflow -> 3
-    assert cli.main(["estimate", "--modes", "4", "--eps", "0.001", "--delta", "0.01",
-                     "--trials", "1", "--seed", "1", "--shot-cap", "1000",
-                     "--out", out]) == 3
-    assert cli.main(["robustness", "--modes", "3", "--noise-strength", "0", "--trials", "1",
-                     "--shot-cap", "10", "--out", out]) == 3
+    # a budget above the draw ceiling -> 3
+    assert cli.main(["estimate", "--modes", "4", "--eps", "1e-9", "--delta", "0.01",
+                     "--trials", "1", "--seed", "1", "--out", out]) == 3
+    assert cli.main(["robustness", "--modes", "3", "--noise-strength", "0", "--eps", "1e-9",
+                     "--trials", "1", "--out", out]) == 3
     # validation error -> 2
     assert cli.main(["estimate", "--modes", "0", "--out", out]) == 2
     # malformed argv -> 2 and --help -> 0, returned rather than raised
@@ -471,8 +488,6 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
          ["estimate", "--modes", "3", "--shots", "1"]),
         (["sweep", "--axis", "shots", "--points", "1000,-3", "--sub-command", "estimate"],
          ["sweep", "--axis", "shots", "--points", "1000,1", "--sub-command", "estimate"]),
-        (["estimate", "--modes", "2", "--shot-cap", "0"],
-         ["estimate", "--modes", "2", "--shot-cap", "1"]),
     )
 
     def no_trial(*args):

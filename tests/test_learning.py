@@ -5,6 +5,7 @@ import pytest
 
 from freeferm import dense, learning, sampling, skew, states
 from freeferm.errors import (
+    BudgetOverflow,
     InfeasibleThresholds,
     PromiseNotCertified,
     TooManyLocalModes,
@@ -224,6 +225,14 @@ def test_local_tomography(rng):
     with pytest.raises(TooManyLocalModes):
         learning.local_full_tomography(vac, 7, 0.1, 0.1, RngStream(10))
 
+    # one mode at eps_tom 1e-8 draws about 1.3e18 copies per Pauli, below the ceiling
+    rho, shots = learning.local_full_tomography(vac, 1, 1e-8, 0.1, RngStream(8))
+    assert sampling.MAX_DRAW // 10 < shots // 3 <= sampling.MAX_DRAW
+    assert dense.state_metrics(rho, dense.computational_basis(1, [0])) < 1e-8
+    # at eps_tom 1e-9 the count is about 1.3e20, past what one binomial draw takes
+    with pytest.raises(BudgetOverflow, match="copies per Pauli exceed the draw ceiling"):
+        learning.local_full_tomography(vac, 1, 1e-9, 0.1, RngStream(8))
+
 
 def test_local_tomography_matches_partial_trace(rng):
     # oracle: exact dense partial trace of the rotated state
@@ -341,11 +350,10 @@ def test_reduce_identity_rejects_eps_beyond_trace_distance(eps):
 
 
 def test_reduce_identity_budget_overflow():
-    from freeferm.errors import BudgetOverflow
-
     mm = ExactGaussianSource(states.product_state([0, 0, 0]))
-    with pytest.raises(BudgetOverflow):
-        learning.reduce_identity_testing(mm, 0.05, 0.1, RngStream(14), shot_cap=1000)
+    # stage 1's commuting budget at eps/(6n), eps 1e-9, is about 4.6e23 copies
+    with pytest.raises(BudgetOverflow, match="shots exceed the draw ceiling"):
+        learning.reduce_identity_testing(mm, 1e-9, 0.1, RngStream(14))
 
 
 def test_identity_thresholds_share_the_rank_tests_gaussianity_stage():

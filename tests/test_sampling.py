@@ -377,8 +377,12 @@ def test_error_scaling_slope():
 
 def test_budget_overflow():
     src = ExactGaussianSource(states.vacuum(3))
-    with pytest.raises(BudgetOverflow):
-        estimate_gamma(src, 1e-4, 0.01, "commuting", RngStream(11), shot_cap=10_000)
+    # the commuting budget at eps 1e-9 is about 2e21 copies, above the draw ceiling
+    with pytest.raises(BudgetOverflow, match="draw ceiling"):
+        estimate_gamma(src, 1e-9, 0.01, "commuting", RngStream(11))
+    with pytest.raises(BudgetOverflow, match="draw ceiling"):
+        estimate_gamma(src, 0.1, 0.01, "pauli_pairs", RngStream(11),
+                       total_shots=sampling.MAX_DRAW + 1)
     # eps ** 2 underflows to 0: a budget beyond every float
     with pytest.raises(BudgetOverflow):
         sampling.shot_budget("commuting", 3, 1e-200, 0.1)

@@ -12,7 +12,7 @@ from freeferm.errors import (
     NotAValidCorrelationMatrix,
     NotOrthogonal,
     NotPure,
-    OddSubset,
+    OddRestriction,
     RankExponentOutOfRange,
 )
 
@@ -72,7 +72,7 @@ def test_wick_examples():
     s = states.product_state([0.4, 0.7])
     assert states.wick_expectation(s, [0, 1]) == pytest.approx(0.4j)
     assert states.wick_expectation(s, []) == pytest.approx(1.0)
-    with pytest.raises(OddSubset):
+    with pytest.raises(OddRestriction):
         states.wick_expectation(s, [0])
 
 
