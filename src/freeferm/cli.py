@@ -16,7 +16,8 @@ class and message in ``verdict_or_error``) and counted by class in the
 aggregate's ``errors``; the run goes on.
 
 Exit codes: 0 on completion, 2 on validation or I/O error, 3 when a copy
-count passes the draw ceiling :data:`freeferm.sampling.MAX_DRAW`.
+count or a trial's total passes the draw ceiling
+:data:`freeferm.sampling.MAX_DRAW`.
 """
 
 from __future__ import annotations

@@ -262,26 +262,29 @@ def test_bounded_rank(
         return TestVerdict(CASE_B if far else CASE_A, lam_next, eps_t, "eigenvalue_stage",
                            est.shots_used)
 
-    far, local_dist, tomo_shots = _gaussianity_stage(
-        src, r, nf.q, (eps_tom, eps_t2), cfg.delta, rng_stream, scheme)
+    far, local_dist, shots = _gaussianity_stage(
+        src, r, nf.q, (eps_tom, eps_t2), cfg.delta, rng_stream, scheme, est.shots_used)
     return TestVerdict(CASE_B if far else CASE_A, lam_next, eps_t2, "tomography_stage",
-                       est.shots_used + tomo_shots, local_dist)
+                       shots, local_dist)
 
 
 def _gaussianity_stage(src: StateSource, r: int, rotation: Optional[np.ndarray],
                        thresholds: Tuple[float, float], delta: float, rng_stream: RngStream,
-                       scheme: str) -> Tuple[bool, float, int]:
+                       scheme: str, spent: int) -> Tuple[bool, float, int]:
     """The second stage of a two-stage test, at delta/2 on ``rng_stream``'s
     child 1: full tomography of the leading r modes after ``rotation`` at
     eps_tom, then the trace distance of the estimate to the Gaussian state
-    with its correlation matrix. ``thresholds`` is (eps_tom, eps_T2); returns
-    (distance > eps_T2, distance, copies used)."""
+    with its correlation matrix. ``thresholds`` is (eps_tom, eps_T2) and
+    ``spent`` the copies of stage 1, which count toward the trial's total
+    under the draw ceiling; returns (distance > eps_T2, distance, the
+    trial's total copies)."""
     eps_tom, eps_t2 = thresholds
     rho_hat, shots = local_full_tomography(
         src, r, eps_tom, delta / 2.0, rng_stream.child(1), rotation=rotation, scheme=scheme,
+        spent=spent,
     )
     dist = dense_mod.state_metrics(rho_hat, dense_mod.gaussianification(rho_hat))
-    return dist > eps_t2, dist, shots
+    return dist > eps_t2, dist, spent + shots
 
 
 def local_full_tomography(
@@ -292,13 +295,16 @@ def local_full_tomography(
     rng_stream: RngStream,
     rotation: Optional[np.ndarray] = None,
     scheme: str = "commuting",
+    spent: int = 0,
 ) -> Tuple[DenseState, int]:
     """Single-copy Pauli tomography of the leading ``modes`` qubits.
 
     Every non-identity Pauli expectation of the rotated-and-reduced state is
     estimated to accuracy eps_tom / (2 * 2^r), all 4^r - 1 counts from one
-    binomial draw on ``rng_stream`` (a count above :data:`MAX_DRAW` raises
-    BudgetOverflow); linear inversion is projected to the
+    binomial draw on ``rng_stream``.  A count above :data:`MAX_DRAW` raises
+    BudgetOverflow before the draw, as does a trial total above it: the
+    ``spent`` copies of the trial's earlier stages plus this draw's
+    (4^r - 1) counts.  Linear inversion is projected to the
     PSD unit-trace cone by eigenvalue clipping.  With probability at
     least 1 - delta the output is within eps_tom in trace norm.  Returns the
     estimate and the number of copies used.  Only ``scheme="exact"`` is read:
@@ -318,6 +324,9 @@ def local_full_tomography(
     per_pauli = hoeffding_shots(eps_tom / (2.0 * d), delta, n_paulis)
     if per_pauli > MAX_DRAW:
         raise BudgetOverflow(f"{per_pauli} copies per Pauli exceed the draw ceiling {MAX_DRAW}")
+    if spent + per_pauli * n_paulis > MAX_DRAW:
+        raise BudgetOverflow(f"a trial's total of {spent + per_pauli * n_paulis} copies "
+                             f"exceeds the draw ceiling {MAX_DRAW}")
     perms, coefs = _pauli_strings(r)
     expectations = dense_mod.pauli_expectations(truth.rho, perms, coefs).real  # Tr(P rho)
     t = np.clip(expectations[1:], -1.0, 1.0)
@@ -377,10 +386,10 @@ def reduce_identity_testing(
         return TestVerdict(FAR_FROM_MAXIMALLY_MIXED, lam_max, eps_t, "eigenvalue_stage",
                            est.shots_used)
 
-    far, local_dist, tomo_shots = _gaussianity_stage(
-        src, n, None, (eps_tom, eps_t2), delta, rng_stream, scheme)
+    far, local_dist, shots = _gaussianity_stage(
+        src, n, None, (eps_tom, eps_t2), delta, rng_stream, scheme, est.shots_used)
     return TestVerdict(FAR_FROM_MAXIMALLY_MIXED if far else MAXIMALLY_MIXED, lam_max, eps_t2,
-                       "tomography_stage", est.shots_used + tomo_shots, local_dist)
+                       "tomography_stage", shots, local_dist)
 
 
 # -- tomography -------------------------------------------------------------------

@@ -54,6 +54,9 @@ __all__ = [
 
 #: largest mode count for the exact conditional-sampling path (2^n branches)
 MAX_SAMPLING_MODES = 14
+#: leaves one expansion of the outcome tree holds: a stack of rounds shares
+#: one tree, max(1, TREE_LEAVES >> n) roots at a time
+TREE_LEAVES = 1 << 13
 #: the estimation schemes of :func:`estimate_gamma`
 SCHEMES = ("pauli_pairs", "commuting", "exact")
 #: largest count one ``Generator.binomial`` or ``multinomial`` call takes: the
@@ -93,6 +96,9 @@ class StateSource:
     and for Bernoulli simulation of single Pauli-pair measurements), the
     exact Z-basis distribution after an optional Gaussian rotation, and the
     exact reduced density matrix on leading modes (for tomography sampling).
+    ``z_distribution`` also takes an (R, 2n, 2n) stack of rotations and then
+    returns the R distributions as an (R, 2^n) array, row t bit for bit the
+    distribution after rotation t alone.
     """
 
     n: int
@@ -125,7 +131,7 @@ class ExactGaussianSource(StateSource):
 
     def _rotated(self, q: Optional[np.ndarray]) -> np.ndarray:
         g = self.state.corr.mat
-        return g if q is None else q @ g @ q.T
+        return g if q is None else q @ g @ np.swapaxes(q, -1, -2)
 
     def z_distribution(self, q: Optional[np.ndarray] = None) -> np.ndarray:
         return z_basis_distribution(self._rotated(q))
@@ -154,6 +160,8 @@ class DenseSource(StateSource):
         return u @ self.state.rho @ u.conj().T
 
     def z_distribution(self, q: Optional[np.ndarray] = None) -> np.ndarray:
+        if q is not None and q.ndim == 3:  # one unitary per rotation
+            return np.array([self.z_distribution(x) for x in q])
         d = np.diag(self._rotated(q)).real
         return _normalize_distribution(d)
 
@@ -172,6 +180,11 @@ def _normalize_distribution(d: np.ndarray) -> np.ndarray:
 def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     """Exact computational-basis distribution of the Gaussian state of ``gamma``.
 
+    A (2n, 2n) ``gamma`` gives one distribution of shape (2^n,); an
+    (R, 2n, 2n) stack gives the R distributions as an (R, 2^n) array, each
+    bit for bit what the matrix alone gives.  Every matrix is validated as
+    antisymmetric to 1e-9.
+
     Mode-by-mode conditional measurement: measuring the first remaining mode
     gives bit b (sign s = +1 for b = 0, -1 for b = 1) with probability
     p_b = (1 + s g_01)/2, and the projective update on the remaining block is
@@ -180,41 +193,55 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     The full outcome tree is expanded, so the result is exact, one depth at
     a time: the k live nodes of depth d are one (2(n-d), 2(n-d), k) stack,
     node axis last, so each elementwise step is one long loop over nodes.
+    The roots of a stack share one tree: the node axis holds the nodes of
+    up to max(1, :data:`TREE_LEAVES` >> n) roots at once, and larger stacks
+    are expanded in batches of that many, which bounds the node stack's
+    memory.  Each node's leaf index starts as its root's index, so leaf
+    x of root r lands at r 2^n + x.
     With diff = u^T v - v^T u formed once per parent, both children are
     written side by side (node-major, bit-minor) as g_rest - diff / (2 p_0)
     and g_rest + diff / (2 p_1): s x is exact for s = +-1 and a - (-x) is
     a + x, so each entry is the update above bit for bit.  Branches with
     p_b <= 1e-16 are dropped; their leaves stay 0.
     """
-    g = skew.as_skew_array(gamma, tol=1e-9)
-    n = g.shape[0] // 2
+    stack = np.asarray(gamma, dtype=float)
+    if stack.ndim not in (2, 3):
+        raise DimensionMismatch(f"expected a matrix or a stack of them, got shape {stack.shape}")
+    g = np.array([skew.as_skew_array(m, tol=1e-9) for m in stack.reshape(-1, *stack.shape[-2:])])
+    n = g.shape[-1] // 2
     check_scheme("commuting", n)
-    out = np.zeros(1 << n)
-    subs, idx, p = g[:, :, None], np.zeros(1, dtype=np.int64), np.ones(1)
+    out = np.zeros((len(g), 1 << n))
+    leaves = out.reshape(-1)  # a view: leaf x of root r is leaves[r 2^n + x]
     signs, bits = np.array([1.0, -1.0]), np.array([0, 1])
-    for m in range(n, 0, -1):
-        # pb[node, b] is the probability of reading bit b at that node
-        pb = 0.5 * (1.0 + signs * subs[0, 1, :, None])
-        dropped = pb <= 1e-16  # a NaN branch is kept, not dropped
-        idx = ((idx[:, None] << 1) | bits).ravel()
-        p = (p[:, None] * pb).ravel()
-        div, keep = 2.0 * pb, slice(None)
-        if dropped.any():
-            keep = ~dropped.ravel()
-            idx, p = idx[keep], p[keep]
-            div[dropped] = 1.0  # that child is built, then discarded
-        if m == 1:
-            out[idx] = p
-            break
-        u, v = subs[0, 2:], subs[1, 2:]
-        uv = u[:, None] * v[None, :]
-        diff = uv - uv.transpose(1, 0, 2)  # v_i u_j is u_j v_i, bit for bit
-        rest = subs[2:, 2:]
-        kids = np.empty((*rest.shape, 2))
-        np.subtract(rest, diff / div[:, 0], out=kids[..., 0])
-        np.add(rest, diff / div[:, 1], out=kids[..., 1])
-        subs = kids.reshape(*rest.shape[:2], -1)[:, :, keep]
-    return _normalize_distribution(out)
+    batch = max(1, TREE_LEAVES >> n)
+    for first in range(0, len(g), batch):
+        subs = g[first:first + batch].transpose(1, 2, 0)
+        idx, p = np.arange(first, first + subs.shape[2]), np.ones(subs.shape[2])
+        for m in range(n, 0, -1):
+            # pb[node, b] is the probability of reading bit b at that node
+            pb = 0.5 * (1.0 + signs * subs[0, 1, :, None])
+            dropped = pb <= 1e-16  # a NaN branch is kept, not dropped
+            idx = ((idx[:, None] << 1) | bits).ravel()
+            p = (p[:, None] * pb).ravel()
+            div, keep = 2.0 * pb, slice(None)
+            if dropped.any():
+                keep = ~dropped.ravel()
+                idx, p = idx[keep], p[keep]
+                div[dropped] = 1.0  # that child is built, then discarded
+            if m == 1:
+                leaves[idx] = p
+                break
+            u, v = subs[0, 2:], subs[1, 2:]
+            uv = u[:, None] * v[None, :]
+            diff = uv - uv.transpose(1, 0, 2)  # v_i u_j is u_j v_i, bit for bit
+            rest = subs[2:, 2:]
+            kids = np.empty((*rest.shape, 2))
+            np.subtract(rest, diff / div[:, 0], out=kids[..., 0])
+            np.add(rest, diff / div[:, 1], out=kids[..., 1])
+            subs = kids.reshape(*rest.shape[:2], -1)[:, :, keep]
+    for row in out:
+        row[:] = _normalize_distribution(row)
+    return out[0] if stack.ndim == 2 else out
 
 
 # -- matchings -----------------------------------------------------------------
@@ -342,11 +369,15 @@ def estimate_gamma(
     "commuting" measures one matching round per Clifford-Gaussian rotation.
     Under "pauli_pairs" every entry is an independent Binomial(shots, (1+g)/2)
     count from one draw on ``rng_stream``; a pair given no shots reads 0.
-    Round t of "commuting" draws one multinomial over the 2^n Z outcomes of
-    the ``matching_rotation`` q of its matching from ``rng_stream.child(t)``
-    and writes all n of its pairs at once: pair i, (j, k), reads
-    q[2i, j] * q[2i+1, k] times the mean Z reading of qubit i.  A round
-    given no shots is not drawn, and its pairs read 0.
+    Under "commuting" the rounds given shots are rotated by the
+    ``matching_rotation`` q of their matchings, and one ``z_distribution``
+    call on that stack gives all their Z-basis distributions (an exact source
+    expands one outcome tree for them, in batches of at most
+    :data:`TREE_LEAVES` leaves).  Round t then draws its own multinomial
+    over the 2^n Z outcomes from ``rng_stream.child(t)`` and writes all n of
+    its pairs at once: pair i, (j, k), reads q[2i, j] * q[2i+1, k] times the
+    mean Z reading of qubit i.  A round given no shots is not drawn, and
+    its pairs read 0.
     The default budget is the scheme's headline bound
     ``shot_budget(scheme, n, eps_stat, delta)``; ``total_shots`` overrides
     it.  Either total is split evenly across the measurement settings (pairs
@@ -381,13 +412,14 @@ def estimate_gamma(
         # bit_signs[i, x] is the +-1 Z reading of qubit i (qubit 0 most significant) in outcome x
         i = np.arange(n)
         bit_signs = 1.0 - 2.0 * ((np.arange(1 << n) >> (n - 1 - i)[:, None]) & 1)
-        for t, pairs in enumerate(matchings(n)):
+        plan = matchings(n)
+        rounds = [t for t in range(settings) if per_setting[t]]
+        qs = np.array([matching_rotation(plan[t], n) for t in rounds])
+        for t, q, dist in zip(rounds, qs, src.z_distribution(qs)):
             shots = per_setting[t]
-            if shots == 0:
-                continue
-            q = matching_rotation(pairs, n)
-            counts = rng_stream.child(t).generator().multinomial(shots, src.z_distribution(q))
-            j, k = np.array(pairs).T
+            counts = rng_stream.child(t).generator().multinomial(shots, dist)
+            j, k = np.array(plan[t]).T
+            # per round, not one stacked matmul: sums above 2^53 would round differently
             g[j, k] = q[2 * i, j] * q[2 * i + 1, k] * ((bit_signs @ counts) / shots)
 
     g = np.clip(np.triu(g, 1), -1.0, 1.0)

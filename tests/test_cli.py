@@ -223,6 +223,14 @@ def test_draw_ceiling_bounds_every_count(tmp_path, capsys):
     assert cli.main(["reduce-id", "--modes", "6", "--eps", "0.000002",
                      "--state-spec", "product:0,0,0,0,0,0", "--trials", "1", "--out", out]) == 3
     assert "copies per Pauli exceed the draw ceiling" in capsys.readouterr().err
+    # here every draw fits, stage 1's 9.1e14 copies and each of stage 3's 4095
+    # per-Pauli counts of 6.3e15, but the trial's total of 2.6e19 does not: no record
+    total = str(tmp_path / "total.json")
+    assert cli.main(["reduce-id", "--modes", "6", "--eps", "0.00014",
+                     "--state-spec", "product:0,0,0,0,0,0", "--trials", "1", "--out", total]) == 3
+    assert "a trial's total of 25979500186704241732 copies exceeds the draw ceiling" \
+        in capsys.readouterr().err
+    assert not Path(total).exists()
 
 
 def test_failed_trial_is_recorded_not_fatal(tmp_path):

@@ -232,6 +232,9 @@ def test_local_tomography(rng):
     # at eps_tom 1e-9 the count is about 1.3e20, past what one binomial draw takes
     with pytest.raises(BudgetOverflow, match="copies per Pauli exceed the draw ceiling"):
         learning.local_full_tomography(vac, 1, 1e-9, 0.1, RngStream(8))
+    # the 3 counts of 1.3e18 fit, but not on top of 6e18 copies an earlier stage spent
+    with pytest.raises(BudgetOverflow, match="a trial's total of .* exceeds the draw ceiling"):
+        learning.local_full_tomography(vac, 1, 1e-8, 0.1, RngStream(8), spent=6 * 10 ** 18)
 
 
 def test_local_tomography_matches_partial_trace(rng):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from freeferm import dense, sampling, skew, states
 from freeferm.errors import (
     BudgetOverflow,
+    DimensionMismatch,
     InvalidMatching,
     NotAntisymmetric,
     TooManyModes,
@@ -158,6 +159,52 @@ def test_z_distribution_keeps_nan_branches_like_reference(rng):
     for sampler in (z_basis_distribution, _per_node_z_distribution):
         with pytest.raises(NotAntisymmetric, match="finite"):
             sampler(g)
+    # so does a stack that holds it among valid matrices
+    valid = states.random_gaussian_state(3, "pure", rng).corr.mat
+    with pytest.raises(NotAntisymmetric, match="finite"):
+        z_basis_distribution(np.array([valid, g, valid]))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_z_distribution_stack_matches_per_matrix_calls(n, rng):
+    # every rotation of the round plan as one stack; at n = 9, 10 and 12 the
+    # 2n - 1 roots need 2, 3 and 12 batches of the tree
+    qs = np.array([matching_rotation(m, n) for m in matchings(n)])
+    if n in (9, 10, 12):
+        assert len(qs) > max(1, sampling.TREE_LEAVES >> n)
+    cases = [
+        states.random_gaussian_state(n, "mixed", rng),
+        states.random_gaussian_state(n, "pure", rng),
+        states.vacuum(n),
+        # +-1 on every mode, and +-1 among interior lambdas: branches are
+        # dropped at every depth or at some depths only, root by root
+        states.product_state(rng.choice([-1.0, 1.0], size=n)),
+        states.product_state(rng.choice([-1.0, -0.4, 0.0, 0.7, 1.0], size=n)),
+    ]
+    for s in cases:
+        stack = qs @ s.corr.mat @ qs.transpose(0, 2, 1)
+        dists = z_basis_distribution(stack)
+        assert dists.shape == (len(qs), 1 << n)
+        for g, dist in zip(stack, dists):
+            assert np.array_equal(dist, z_basis_distribution(g))
+        src = ExactGaussianSource(s)
+        assert np.array_equal(src.z_distribution(qs), dists)
+        assert np.array_equal(src.z_distribution(qs[-1]), dists[-1])
+    # a stack of one is the matrix's distribution in a leading axis
+    g = cases[0].corr.mat
+    assert np.array_equal(z_basis_distribution(g[None]), z_basis_distribution(g)[None])
+    if n <= 4:  # the dense source loops over its rotations
+        src = DenseSource(dense.gaussian_to_dense(cases[0]))
+        dists = src.z_distribution(qs)
+        for q, dist in zip(qs, dists):
+            assert np.array_equal(dist, src.z_distribution(q))
+
+
+def test_z_distribution_rejects_other_shapes():
+    with pytest.raises(DimensionMismatch, match="stack"):
+        z_basis_distribution(np.zeros(4))
+    with pytest.raises(DimensionMismatch, match="stack"):
+        z_basis_distribution(np.zeros((1, 1, 4, 4)))
 
 
 @st.composite
@@ -357,6 +404,47 @@ def test_estimate_determinism(rng):
             z = 1.0 - 2.0 * ((np.arange(8) >> (2 - i)) & 1)  # qubit i's reading, qubit 0 first
             ref[j, k] = q[2 * i, j] * q[2 * i + 1, k] * ((z @ counts) / 1000)
     assert np.array_equal(est.gamma_hat.mat, ref - ref.T)
+
+
+def _per_round_commuting(src, total_shots, rng_stream):
+    """The commuting branch of estimate_gamma with one outcome tree per round:
+    the loop the stacked tree replaced."""
+    n = src.n
+    per_setting = sampling._split_budget(total_shots, 2 * n - 1)
+    g = np.zeros((2 * n, 2 * n))
+    i = np.arange(n)
+    bit_signs = 1.0 - 2.0 * ((np.arange(1 << n) >> (n - 1 - i)[:, None]) & 1)
+    for t, pairs in enumerate(matchings(n)):
+        shots = per_setting[t]
+        if shots == 0:
+            continue
+        q = matching_rotation(pairs, n)
+        counts = rng_stream.child(t).generator().multinomial(shots, src.z_distribution(q))
+        j, k = np.array(pairs).T
+        g[j, k] = q[2 * i, j] * q[2 * i + 1, k] * ((bit_signs @ counts) / shots)
+    g = np.clip(np.triu(g, 1), -1.0, 1.0)
+    return g - g.T
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 12])
+def test_commuting_rounds_match_per_round_reference(n, rng):
+    for kind in ("mixed", "pure"):
+        src = ExactGaussianSource(states.random_gaussian_state(n, kind, rng))
+        stream = RngStream(19, (n,))
+        est = estimate_gamma(src, 0.2, 0.1, "commuting", stream)
+        ref = _per_round_commuting(src, sampling.shot_budget("commuting", n, 0.2, 0.1), stream)
+        assert np.array_equal(est.gamma_hat.mat, ref), kind
+
+
+def test_commuting_rounds_match_per_round_reference_on_dense_and_unmeasured_rounds(rng):
+    # ghz3 is a dense source; at n = 5, 7 copies leave 2 of the 9 rounds undrawn
+    ghz = DenseSource(dense.ghz3())
+    est = estimate_gamma(ghz, 0.2, 0.1, "commuting", RngStream(20))
+    ref = _per_round_commuting(ghz, sampling.shot_budget("commuting", 3, 0.2, 0.1), RngStream(20))
+    assert np.array_equal(est.gamma_hat.mat, ref)
+    src = ExactGaussianSource(states.random_gaussian_state(5, "mixed", rng))
+    est = estimate_gamma(src, 0.2, 0.1, "commuting", RngStream(21), total_shots=7)
+    assert np.array_equal(est.gamma_hat.mat, _per_round_commuting(src, 7, RngStream(21)))
 
 
 def test_error_scaling_slope():
