@@ -16,7 +16,7 @@ class and message in ``verdict_or_error``) and counted by class in the
 aggregate's ``errors``; the run goes on.
 
 Exit codes: 0 on completion, 2 on validation or I/O error, 3 when a copy
-count or a trial's total passes the draw ceiling
+count, a trial's total or a run's total passes the draw ceiling
 :data:`freeferm.sampling.MAX_DRAW`.
 """
 
@@ -251,6 +251,10 @@ def _scored(err: float, eps: float) -> dict:
 # -- per-trial workers ----------------------------------------------------------
 
 def _trial_verify_bounds(cfg: ExperimentConfig, trial: int, stream: RngStream, *_) -> dict:
+    """Check one pair's correlation-matrix bounds against its exact trace
+    distance: a Gaussian pair's is taken in the first state's frame from one
+    synthesis (``dense.gaussian_pair_distance``), and ``pure_vs_any``'s
+    against the second state's density matrix."""
     gen = stream.generator()
     n = cfg.modes
     mode = ("mixed_mixed", "pure_pure", "pure_vs_any")[trial % 3]
@@ -259,11 +263,11 @@ def _trial_verify_bounds(cfg: ExperimentConfig, trial: int, stream: RngStream, *
     if mode == "pure_vs_any":
         rho2 = dense_mod.random_density_matrix(n, gen)
         g2 = dense_mod.correlation_matrix(rho2).mat
+        td = dense_mod.state_metrics(dense_mod.gaussian_to_dense(s1), rho2)
     else:
         g2 = states.random_gaussian_state(n, kind, gen)
-        rho2 = dense_mod.gaussian_to_dense(g2)
+        td = dense_mod.gaussian_pair_distance(s1, g2)
     report = states.distance_bounds(s1, g2, mode)  # states carry their lambdas
-    td = dense_mod.state_metrics(dense_mod.gaussian_to_dense(s1), rho2)
     # ub_pure <= ub_mixed, so each mode's own upper bound is its tightest
     ub = {"mixed_mixed": report.ub_mixed, "pure_pure": report.ub_pure,
           "pure_vs_any": report.ub_pure_vs_any}[mode]
@@ -372,9 +376,13 @@ def _aggregate(cfg: ExperimentConfig, results: List[dict], errors: Dict[int, str
 
 
 def _run_trials(cfg: ExperimentConfig, source: _Source) -> dict:
+    """The trials' records and aggregate; a run whose copies, summed over its
+    trials so far, pass the draw ceiling raises BudgetOverflow (exit 3, no
+    record), so ``shot_total`` always fits an int64."""
     worker = _TRIAL_WORKERS[cfg.command]
     results: List[dict] = []
     errors: Dict[int, str] = {}
+    total = 0
     for t in range(cfg.trials):
         try:
             rec = worker(cfg, t, RngStream(cfg.seed, (t,)), source)
@@ -383,6 +391,10 @@ def _run_trials(cfg: ExperimentConfig, source: _Source) -> dict:
         except FreeFermError as exc:
             errors[t] = type(exc).__name__
             rec = {"ok": False, "verdict_or_error": f"{errors[t]}: {exc}", "shots": 0}
+        total += rec.get("shots", 0)
+        if total > sampling.MAX_DRAW:
+            raise BudgetOverflow(f"the run's total of {total} copies after trial {t} exceeds "
+                                 f"the draw ceiling {sampling.MAX_DRAW}")
         if cfg.expected and t not in errors:  # a completed trial is scored against --expected
             rec["ok"] = rec["verdict_or_error"] == cfg.expected
         results.append({"trial": t, **rec})

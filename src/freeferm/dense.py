@@ -2,11 +2,15 @@
 
 Exact density matrices at desk scale: one Pauli-row table (``pauli_rows``,
 signed permutations from X/Z masks) and its expectation kernel behind the
-Majoranas, correlation matrices and local tomography, Gaussian-unitary
-synthesis (Householder reflections, mode doubling), exact trace distance and
-relative entropy, the Gaussian state with a state's correlation matrix
-(``gaussianification``), and the analytic derivative of a Gaussian state in
-its correlation matrix.  Ground truth for every other module at n <= ~10.
+Majoranas, correlation matrices and local tomography, a state's table of all
+4^n Pauli expectations (``pauli_table``) and the Z-basis diagonals after
+signed-permutation rotations read from it (``rotated_diagonals``),
+Gaussian-unitary synthesis (Householder reflections, mode doubling), exact
+trace distance (of two Gaussian states from one synthesis,
+``gaussian_pair_distance``) and relative entropy, the Gaussian state with a
+state's correlation matrix (``gaussianification``), and the analytic
+derivative of a Gaussian state in its correlation matrix.  Ground truth for
+every other module at n <= ~10.
 
 Basis convention: computational index x encodes qubit 0 as the most
 significant bit, matching ket notation |x_0 x_1 ... x_{n-1}>.
@@ -26,6 +30,7 @@ from . import states
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    InvalidMatching,
     NonNegligibleImaginaryPart,
     TooManyModes,
 )
@@ -38,11 +43,14 @@ __all__ = [
     "majoranas",
     "pauli_rows",
     "pauli_expectations",
+    "pauli_table",
+    "rotated_diagonals",
     "correlation_matrix",
     "check_dense_modes",
     "gaussian_unitary",
     "gaussian_to_dense",
     "state_metrics",
+    "gaussian_pair_distance",
     "relative_entropy",
     "gaussianification",
     "gaussian_derivative",
@@ -100,12 +108,15 @@ class MajoranaSet:
     """The 2n Jordan-Wigner Majoranas as signed permutations with phase.
 
     gamma_mu |x> = coefs[mu, x] |perms[mu, x]>, with coefficients in
-    {+-1, +-i} held exactly in complex arithmetic.
+    {+-1, +-i} held exactly in complex arithmetic.  As a Pauli string,
+    gamma_mu = coefs[mu, 0] X^{x[mu]} Z^{z[mu]} with X/Z masks x and z.
     """
 
     n: int
     perms: np.ndarray = field(repr=False)
     coefs: np.ndarray = field(repr=False)
+    x: np.ndarray = field(repr=False)
+    z: np.ndarray = field(repr=False)
 
     def matrix(self, mu: int) -> np.ndarray:
         d = 1 << self.n
@@ -167,11 +178,11 @@ def majoranas(n: int) -> MajoranaSet:
         raise TooManyModes(f"mode count {n} outside [1, {MAX_SPARSE_MODES}]")
     bit_k = 1 << (n - 1 - np.arange(n))  # qubit 0 is the most significant bit
     below_k = (1 << n) - 2 * bit_k  # the bits of the qubits j < k
-    perms, coefs = pauli_rows(n, np.repeat(bit_k, 2),
-                              np.stack([below_k, below_k | bit_k], axis=1).ravel())
-    perms.setflags(write=False)
-    coefs.setflags(write=False)
-    return MajoranaSet(n=n, perms=perms, coefs=coefs)
+    x, z = np.repeat(bit_k, 2), np.stack([below_k, below_k | bit_k], axis=1).ravel()
+    perms, coefs = pauli_rows(n, x, z)
+    for a in (perms, coefs, x, z):
+        a.setflags(write=False)
+    return MajoranaSet(n=n, perms=perms, coefs=coefs, x=x, z=z)
 
 
 def majorana_product_expectation(rho: DenseState, subset: Sequence[int]) -> complex:
@@ -181,18 +192,99 @@ def majorana_product_expectation(rho: DenseState, subset: Sequence[int]) -> comp
     return complex(pauli_expectations(rho.rho, perm, coef))
 
 
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform over the last axis, of length 2^m:
+    out[..., s] = sum_b (-1)^{|b & s|} a[..., b].
+
+    m butterfly steps of elementwise sums and differences, so each entry of a
+    leading axis is transformed bit for bit as it would be alone.
+    """
+    out = np.array(a)
+    size = out.shape[-1]
+    half = size // 2
+    while half:
+        v = out.reshape(-1, size // (2 * half), 2, half)
+        lo, hi = v[:, :, 0].copy(), v[:, :, 1]
+        v[:, :, 0] += hi
+        np.subtract(lo, hi, out=v[:, :, 1])
+        half //= 2
+    return out
+
+
+def pauli_table(rho: DenseState) -> np.ndarray:
+    """All 4^n expectations table[x, z] = Tr(rho X^x Z^z), x and z bit masks
+    with qubit 0 as the most significant bit.
+
+    One gather of rho's x-diagonals v[x, b] = rho[b, b ^ x], then one
+    Walsh-Hadamard transform over b: Tr(rho X^x Z^z) = sum_b (-1)^{|b & z|}
+    rho[b, b ^ x].  O(n 4^n).
+    """
+    b = np.arange(1 << rho.n)
+    return _walsh_hadamard(rho.rho[b[None, :], b[None, :] ^ b[:, None]])
+
+
+def _real(vals: np.ndarray, what: str) -> np.ndarray:
+    """The real part of values that are real up to round-off; an imaginary
+    residue above 1e-10 raises NonNegligibleImaginaryPart."""
+    worst = float(np.abs(vals.imag).max())
+    if worst > 1e-10:
+        raise NonNegligibleImaginaryPart(
+            f"imaginary residue {worst:.3e} in {what}; corrupted state?"
+        )
+    return vals.real
+
+
+def rotated_diagonals(table: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Diagonals of U_q rho U_q^dag, one row per signed permutation q of an
+    (R, 2n, 2n) stack, from rho's :func:`pauli_table`.
+
+    Row 2i of q is s e_j and row 2i+1 is s' e_k, so U_q^dag Z_i U_q is the
+    pair observable O_i = -i sigma_i gamma_j gamma_k with sigma_i = s s' =
+    q[2i, j] q[2i+1, k], a Pauli string read from the Majoranas' X/Z masks
+    (X^a Z^b X^c Z^d = (-1)^{|b & c|} X^{a^c} Z^{b^d}).  The 2^n products O_S
+    are formed by doubling, qubit 0 ending as the top bit of S, and the
+    diagonal is p[y] = 2^-n sum_S (-1)^{|y & S|} Tr(rho O_S), one
+    ``_walsh_hadamard`` (Aaronson & Gottesman, quant-ph/0406196, for the
+    Clifford picture).  Each row is bit for bit what q alone gives.  A q
+    that is not a signed permutation raises InvalidMatching; an imaginary
+    residue above 1e-10, NonNegligibleImaginaryPart.
+    """
+    qs = np.asarray(qs, dtype=float)
+    n = qs.shape[-1] // 2
+    if qs.ndim != 3 or qs.shape[1:] != (2 * n, 2 * n) or table.shape != (1 << n, 1 << n):
+        raise DimensionMismatch(f"rotations of shape {qs.shape} do not fit a table of "
+                                f"shape {table.shape}")
+    cols = np.abs(qs).argmax(axis=-1)  # [round, row]
+    signs = np.take_along_axis(qs, cols[..., None], axis=-1)[..., 0]
+    if (np.any(np.abs(signs) != 1.0) or np.any(np.count_nonzero(qs, axis=-1) != 1)
+            or np.any(np.sort(cols, axis=-1) != np.arange(2 * n))):
+        raise InvalidMatching("a dense source's rotations must be signed permutations")
+    b = np.arange(1 << n)
+    odd = np.zeros_like(b)  # odd[m]: |m| is odd
+    for shift in range(n):
+        odd ^= (b >> shift) & 1
+    ms, j, k, rounds = majoranas(n), cols[:, 0::2], cols[:, 1::2], len(qs)
+    # O_i = phases[:, i] X^{xs[:, i]} Z^{zs[:, i]}, as gamma_mu = coefs[mu, 0] X^x[mu] Z^z[mu]
+    xs, zs = ms.x[j] ^ ms.x[k], ms.z[j] ^ ms.z[k]
+    phases = (-1j * signs[:, 0::2] * signs[:, 1::2] * ms.coefs[j, 0] * ms.coefs[k, 0]
+              * (1 - 2 * odd[ms.z[j] & ms.x[k]]))
+    x_s = z_s = np.zeros((rounds, 1), dtype=int)
+    phase_s = np.ones((rounds, 1), dtype=complex)
+    for x, z, phase in zip(xs.T[:, :, None], zs.T[:, :, None], phases.T[:, :, None]):
+        phase_s = np.stack([phase_s, phase_s * phase * (1 - 2 * odd[z_s & x])], -1)
+        x_s, z_s = np.stack([x_s, x_s ^ x], -1), np.stack([z_s, z_s ^ z], -1)
+        x_s, z_s, phase_s = (a.reshape(rounds, -1) for a in (x_s, z_s, phase_s))
+    p = _walsh_hadamard(phase_s * table[x_s, z_s]) / (1 << n)
+    return _real(p, "rotated diagonals")
+
+
 def correlation_matrix(rho: DenseState) -> SkewMatrix:
     """Gamma_{jk} = -(i/2) Tr([gamma_j, gamma_k] rho), exactly."""
     dim = 2 * rho.n
     j, k = np.triu_indices(dim, 1)
     vals = -1j * pauli_expectations(rho.rho, *majoranas(rho.n).pairs(j, k))
-    worst = float(np.abs(vals.imag).max())
-    if worst > 1e-10:
-        raise NonNegligibleImaginaryPart(
-            f"imaginary residue {worst:.3e} in correlation entries; corrupted state?"
-        )
     g = np.zeros((dim, dim))
-    g[j, k] = vals.real
+    g[j, k] = _real(vals, "correlation entries")
     return SkewMatrix(g - g.T)
 
 
@@ -272,13 +364,17 @@ def _synthesis_residual(u: np.ndarray, q: np.ndarray) -> float:
     return float(np.linalg.norm(lhs - rhs.T, axis=1).max())
 
 
+def _product_diagonal(s: GaussianState) -> np.ndarray:
+    """The diagonal of ⊗ (I + lam_j Z_j)/2, s's state in its normal frame."""
+    n = s.n
+    bits = (np.arange(1 << n) >> (n - 1 - np.arange(n))[:, None]) & 1  # [mode, x]
+    return np.prod(0.5 * (1.0 + s.nf.lambdas[:, None] * (1.0 - 2.0 * bits)), axis=0)
+
+
 def gaussian_to_dense(s: GaussianState) -> DenseState:
     """rho = U_Q (⊗ (I + lam_j Z_j)/2) U_Q^dag from the normal form of s."""
     u = gaussian_unitary(s.nf.q)  # raises TooManyModes above the dense cap
-    n = s.n
-    bits = (np.arange(1 << n) >> (n - 1 - np.arange(n))[:, None]) & 1  # [mode, x]
-    diag = np.prod(0.5 * (1.0 + s.nf.lambdas[:, None] * (1.0 - 2.0 * bits)), axis=0)
-    return DenseState(n, (u * diag[None, :]) @ u.conj().T)
+    return DenseState(s.n, (u * _product_diagonal(s)[None, :]) @ u.conj().T)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -288,6 +384,22 @@ def state_metrics(a: DenseState, b: DenseState) -> float:
     if a.n != b.n:
         raise DimensionMismatch(f"mode counts {a.n} and {b.n} differ")
     return float(np.abs(np.linalg.eigvalsh(a.rho - b.rho)).sum())
+
+
+def gaussian_pair_distance(s1: GaussianState, s2: GaussianState) -> float:
+    """Exact trace distance tr|rho_1 - rho_2|, unhalved, of two Gaussian
+    states, from one synthesis in s1's frame.
+
+    With rho_i = U_i D_i U_i^dag (:func:`gaussian_to_dense`, D_i the product
+    diagonal), tr|rho_1 - rho_2| = tr|D_1 - W D_2 W^dag| for W = U_1^dag U_2,
+    which acts on the Majoranas by Q_1^T Q_2 (Bravyi, quant-ph/0404180): W
+    is ``gaussian_unitary(Q_1^T Q_2)`` up to a phase that cancels.
+    """
+    if s1.n != s2.n:
+        raise DimensionMismatch(f"mode counts {s1.n} and {s2.n} differ")
+    w = gaussian_unitary(s1.nf.q.T @ s2.nf.q)  # raises TooManyModes above the dense cap
+    return state_metrics(DenseState(s1.n, np.diag(_product_diagonal(s1))),
+                         DenseState(s2.n, (w * _product_diagonal(s2)[None, :]) @ w.conj().T))
 
 
 _SUPPORT_EIG = 1e-12

@@ -96,9 +96,6 @@ class StateSource:
     and for Bernoulli simulation of single Pauli-pair measurements), the
     exact Z-basis distribution after an optional Gaussian rotation, and the
     exact reduced density matrix on leading modes (for tomography sampling).
-    ``z_distribution`` also takes an (R, 2n, 2n) stack of rotations and then
-    returns the R distributions as an (R, 2^n) array, row t bit for bit the
-    distribution after rotation t alone.
     """
 
     n: int
@@ -107,6 +104,15 @@ class StateSource:
         raise NotImplementedError
 
     def z_distribution(self, q: Optional[np.ndarray] = None) -> np.ndarray:
+        """The Z-basis distribution after the Gaussian rotation q, or of the
+        state itself when q is None.
+
+        An (R, 2n, 2n) stack of rotations gives the R distributions as an
+        (R, 2^n) array, row t bit for bit the distribution after rotation t
+        alone.  A dense source takes only signed permutations, the rotations
+        :func:`matching_rotation` builds, and refuses others with
+        InvalidMatching.
+        """
         raise NotImplementedError
 
     def reduced_dense(self, q: Optional[np.ndarray], r: int) -> DenseState:
@@ -144,6 +150,14 @@ class ExactGaussianSource(StateSource):
 
 @dataclass(frozen=True)
 class DenseSource(StateSource):
+    """A state given by its density matrix.
+
+    Z-basis distributions after signed-permutation rotations come from the
+    state's table of all 4^n Pauli expectations (``dense.pauli_table``,
+    built on first use), with no unitary synthesised; the reduced density
+    matrix after any rotation conjugates by ``dense.gaussian_unitary``.
+    """
+
     state: DenseState
 
     @property
@@ -153,6 +167,11 @@ class DenseSource(StateSource):
     def gamma(self) -> np.ndarray:
         return dense_mod.correlation_matrix(self.state).mat
 
+    @cached_property
+    def pauli_table(self) -> np.ndarray:
+        """Tr(rho X^x Z^z) for all masks x, z, built on first use."""
+        return dense_mod.pauli_table(self.state)
+
     def _rotated(self, q: Optional[np.ndarray]) -> np.ndarray:
         if q is None:
             return self.state.rho
@@ -160,10 +179,13 @@ class DenseSource(StateSource):
         return u @ self.state.rho @ u.conj().T
 
     def z_distribution(self, q: Optional[np.ndarray] = None) -> np.ndarray:
-        if q is not None and q.ndim == 3:  # one unitary per rotation
-            return np.array([self.z_distribution(x) for x in q])
-        d = np.diag(self._rotated(q)).real
-        return _normalize_distribution(d)
+        if q is None:
+            return _normalize_distribution(np.diag(self.state.rho).real)
+        q = np.asarray(q, dtype=float)
+        dists = dense_mod.rotated_diagonals(self.pauli_table, q.reshape(-1, *q.shape[-2:]))
+        for row in dists:
+            row[:] = _normalize_distribution(row)
+        return dists[0] if q.ndim == 2 else dists
 
     def reduced_dense(self, q: Optional[np.ndarray], r: int) -> DenseState:
         return dense_mod.partial_trace(DenseState(self.n, self._rotated(q)), r)
@@ -182,8 +204,8 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
 
     A (2n, 2n) ``gamma`` gives one distribution of shape (2^n,); an
     (R, 2n, 2n) stack gives the R distributions as an (R, 2^n) array, each
-    bit for bit what the matrix alone gives.  Every matrix is validated as
-    antisymmetric to 1e-9.
+    bit for bit what the matrix alone gives.  The stack is validated as
+    antisymmetric to 1e-9 in one check (``skew.as_skew_stack``).
 
     Mode-by-mode conditional measurement: measuring the first remaining mode
     gives bit b (sign s = +1 for b = 0, -1 for b = 1) with probability
@@ -207,7 +229,7 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     stack = np.asarray(gamma, dtype=float)
     if stack.ndim not in (2, 3):
         raise DimensionMismatch(f"expected a matrix or a stack of them, got shape {stack.shape}")
-    g = np.array([skew.as_skew_array(m, tol=1e-9) for m in stack.reshape(-1, *stack.shape[-2:])])
+    g = skew.as_skew_stack(stack, tol=1e-9).reshape(-1, *stack.shape[-2:])
     n = g.shape[-1] // 2
     check_scheme("commuting", n)
     out = np.zeros((len(g), 1 << n))
@@ -373,7 +395,8 @@ def estimate_gamma(
     ``matching_rotation`` q of their matchings, and one ``z_distribution``
     call on that stack gives all their Z-basis distributions (an exact source
     expands one outcome tree for them, in batches of at most
-    :data:`TREE_LEAVES` leaves).  Round t then draws its own multinomial
+    :data:`TREE_LEAVES` leaves; a dense source reads them from its Pauli
+    table).  Round t then draws its own multinomial
     over the 2^n Z outcomes from ``rng_stream.child(t)`` and writes all n of
     its pairs at once: pair i, (j, k), reads q[2i, j] * q[2i+1, k] times the
     mean Z reading of qubit i.  A round given no shots is not drawn, and

@@ -32,6 +32,7 @@ __all__ = [
     "SkewMatrix",
     "NormalForm",
     "as_skew_array",
+    "as_skew_stack",
     "canonical_lambda",
     "lambda_blocks",
     "pfaffian",
@@ -56,7 +57,30 @@ def _antisymmetrize(m: np.ndarray) -> np.ndarray:
     # only the strict upper triangle is authoritative; the lower triangle and
     # the diagonal are derived, so antisymmetry holds exactly
     u = np.triu(m, 1)
-    return u - u.T
+    return u - np.swapaxes(u, -1, -2)
+
+
+def as_skew_stack(entries: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
+    """Validate a (..., 2n, 2n) stack of matrices at once and return it
+    exactly antisymmetric.
+
+    One check covers the whole stack; when it fails, the matrices are
+    checked in stack order and the first failing one raises the error and
+    message it raises alone, as a :class:`SkewMatrix`.
+    """
+    m = np.asarray(entries, dtype=float)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape[-2:]}")
+    if m.shape[-1] % 2 != 0 or m.shape[-1] == 0:
+        raise DimensionMismatch(f"dimension must be even and positive, got {m.shape[-1]}")
+    if not (np.isfinite(m).all() and np.abs(m + np.swapaxes(m, -1, -2)).max(initial=0.0) <= tol):
+        for one in m.reshape(-1, *m.shape[-2:]):
+            if not np.isfinite(one).all():
+                raise NotAntisymmetric("entries must be finite")
+            resid = np.abs(one + one.T).max()
+            if resid > tol:
+                raise NotAntisymmetric(f"antisymmetry violated by {resid:.3e} (tol {tol:.1e})")
+    return _antisymmetrize(m)
 
 
 class SkewMatrix:
@@ -66,16 +90,9 @@ class SkewMatrix:
 
     def __init__(self, entries: np.ndarray, *, tol: float = 1e-12):
         m = np.asarray(entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] % 2 != 0 or m.shape[0] == 0:
-            raise DimensionMismatch(f"dimension must be even and positive, got {m.shape[0]}")
-        if not np.isfinite(m).all():
-            raise NotAntisymmetric("entries must be finite")
-        resid = np.abs(m + m.T).max()
-        if resid > tol:
-            raise NotAntisymmetric(f"antisymmetry violated by {resid:.3e} (tol {tol:.1e})")
-        self._m = _antisymmetrize(m)
+        self._m = as_skew_stack(m, tol=tol)
         self._m.setflags(write=False)
 
     @property
@@ -222,8 +239,10 @@ def normal_form(a: SkewLike) -> NormalForm:
     q[:, 0::2] = z[:, 0::2] @ u[:, order]
     q[:, 1::2] = z[:, 1::2] @ vt.T[:, order]
     lams = np.where(s[order] < ZERO_CLAMP, 0.0, s[order])
-    det_sign = 1 if np.linalg.det(q) > 0 else -1
-    return NormalForm(q=q, lambdas=lams, det_sign=det_sign)
+    # q is z, reordered, times blockdiag(U, V) in the same order: det(z) is -1
+    # per reflector with tau != 0 (as in pfaffian), and the orders cancel
+    negative = np.count_nonzero(tau) + (np.linalg.det(u) < 0) + (np.linalg.det(vt) < 0)
+    return NormalForm(q=q, lambdas=lams, det_sign=(-1) ** int(negative))
 
 
 def normal_eigenvalues(a: SkewLike) -> np.ndarray:

@@ -57,10 +57,12 @@ def _pure_lambdas(lambdas: np.ndarray, tol: float = PURITY_TOL) -> bool:
     return bool(np.all(lambdas >= 1.0 - tol))
 
 
-def _gamma_of(g: GammaLike) -> np.ndarray:
+def _skew_of(g: GammaLike) -> SkewMatrix:
+    """The validated correlation matrix of ``g``: a state's own, a SkewMatrix
+    itself, else one SkewMatrix built from the array."""
     if isinstance(g, GaussianState):
-        return g.corr.mat
-    return as_skew_array(g)
+        return g.corr
+    return g if isinstance(g, SkewMatrix) else SkewMatrix(g)
 
 
 def _lambdas_of(g: GammaLike) -> np.ndarray:
@@ -99,8 +101,8 @@ def from_correlation(g: GammaLike) -> GaussianState:
     slack (estimator round-off) is clamped back to 1, and the stored matrix
     is re-synthesized from the clamped normal form so it stays consistent.
     """
-    m = _gamma_of(g)
-    nf = skew.normal_form(m)
+    corr = _skew_of(g)
+    nf = skew.normal_form(corr)
     lam = nf.lambdas
     if lam[-1] > 1.0 + LAMBDA_INPUT_SLACK:
         raise NotAValidCorrelationMatrix(
@@ -108,8 +110,8 @@ def from_correlation(g: GammaLike) -> GaussianState:
         )
     if lam[-1] > 1.0:
         nf = nf.with_lambdas(np.minimum(lam, 1.0))
-        m = nf.reconstruct()
-    return GaussianState(corr=SkewMatrix(m), nf=nf)
+        corr = SkewMatrix(nf.reconstruct())
+    return GaussianState(corr=corr, nf=nf)
 
 
 def clip_to_valid(g: GammaLike) -> GaussianState:
@@ -118,7 +120,7 @@ def clip_to_valid(g: GammaLike) -> GaussianState:
     This is the estimator-side projection onto valid correlation matrices
     (tomography Step 3); :func:`from_correlation` stays strict.
     """
-    nf = skew.normal_form(_gamma_of(g))
+    nf = skew.normal_form(_skew_of(g))
     nf = nf.with_lambdas(np.minimum(nf.lambdas, 1.0))
     m = nf.reconstruct()
     return GaussianState(corr=SkewMatrix(m), nf=nf)
@@ -215,7 +217,7 @@ def distance_bounds(g1: GammaLike, g2: GammaLike, mode: str = "mixed_mixed") -> 
     mode: "pure_pure" (both Gaussian and pure), "mixed_mixed" (both
     Gaussian), or "pure_vs_any" (first pure Gaussian, second arbitrary).
     """
-    m1, m2 = _gamma_of(g1), _gamma_of(g2)
+    m1, m2 = _skew_of(g1).mat, _skew_of(g2).mat
     if m1.shape != m2.shape:
         raise DimensionMismatch(f"shapes {m1.shape} and {m2.shape} differ")
     if mode not in ("pure_pure", "mixed_mixed", "pure_vs_any"):
@@ -257,7 +259,7 @@ class NonGaussReport:
 
 
 def nongaussianity_bounds(g: GammaLike, r: int) -> NonGaussReport:
-    n = _gamma_of(g).shape[0] // 2
+    n = _skew_of(g).n
     if not 0 <= r <= n - 1:
         raise RankExponentOutOfRange(f"r={r} outside [0, {n - 1}]")
     lam = np.minimum(_lambdas_of(g), 1.0)

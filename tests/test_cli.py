@@ -233,6 +233,19 @@ def test_draw_ceiling_bounds_every_count(tmp_path, capsys):
     assert not Path(total).exists()
 
 
+def test_draw_ceiling_bounds_a_run_total(tmp_path, capsys):
+    # one trial's 5.7e18 copies fit the ceiling, two trials' 1.1e19 do not: no record
+    argv = ["reduce-id", "--modes", "6", "--eps", "0.0003", "--state-spec",
+            "product:0,0,0,0,0,0", "--out"]
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    assert cli.main([*argv, str(one), "--trials", "1"]) == 0
+    assert json.loads(one.read_text())["aggregate"]["shot_total"] == 5657757818437813409
+    assert cli.main([*argv, str(two), "--trials", "2"]) == 3
+    assert ("the run's total of 11315515636875626818 copies after trial 1 exceeds the draw "
+            "ceiling") in capsys.readouterr().err
+    assert not two.exists()
+
+
 def test_failed_trial_is_recorded_not_fatal(tmp_path):
     # trial 9 of this run breaks the robustness promise
     out = tmp_path / "r.json"

@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from freeferm.sampling import matching_rotation, matchings
 from freeferm.errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    InvalidMatching,
     NonNegligibleImaginaryPart,
     NotOrthogonal,
     TooManyModes,
@@ -196,6 +198,100 @@ def test_gaussian_unitary_signed_permutations(n):
     for pairs in matchings(n):
         _check_synthesis(matching_rotation(pairs, n), gen)
     _check_synthesis(-np.eye(2 * n), gen)
+
+
+def _pauli_string(n, x, z):
+    """X^x Z^z as a matrix, qubit 0 the most significant bit of x and z."""
+    factors = [np.linalg.matrix_power(X, (x >> (n - 1 - q)) & 1)
+               @ np.linalg.matrix_power(Z, (z >> (n - 1 - q)) & 1) for q in range(n)]
+    return functools.reduce(np.kron, factors)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_table_matches_pauli_strings(n, rng):
+    rho = dense.random_density_matrix(n, rng)
+    table = dense.pauli_table(rho)
+    assert table.shape == (1 << n, 1 << n)
+    for x, z in itertools.product(range(1 << n), repeat=2):
+        want = np.trace(rho.rho @ _pauli_string(n, x, z))
+        assert abs(table[x, z] - want) < 1e-14, (x, z)
+
+
+def _signed_permutations(n, gen):
+    """Every matching rotation, then random signed permutations of both
+    determinants with pairs in either order."""
+    qs = [matching_rotation(m, n) for m in matchings(n)]
+    for _ in range(3):
+        q = np.eye(2 * n)[gen.permutation(2 * n)] * gen.choice([-1.0, 1.0], size=(2 * n, 1))
+        qs.append(q)
+    return np.array(qs)
+
+
+def _rotated_diagonal(rho, q):
+    u = dense.gaussian_unitary(q)
+    return np.diag(u @ rho.rho @ u.conj().T).real
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rotated_diagonals_match_synthesis(n, rng):
+    # the Pauli-table round against the synthesised unitary's diagonal
+    gen = np.random.default_rng(100 + n)
+    qs = _signed_permutations(n, gen)
+    assert {round(np.linalg.det(q)) for q in qs} == {-1, 1}
+    cases = [dense.random_density_matrix(n, rng), dense.random_density_matrix(n, rng),
+             dense.computational_basis(n, gen.integers(0, 2, size=n)),
+             dense.gaussian_to_dense(states.vacuum(n)),
+             dense.gaussian_to_dense(states.random_gaussian_state(n, "pure", rng))]
+    if n == 3:
+        cases.append(dense.ghz3())
+    for rho in cases:
+        diags = dense.rotated_diagonals(dense.pauli_table(rho), qs)
+        assert diags.shape == (len(qs), 1 << n)
+        for q, diag in zip(qs, diags):
+            assert np.abs(diag - _rotated_diagonal(rho, q)).max() < 1e-14
+            # each row is what its rotation alone gives, bit for bit
+            assert np.array_equal(dense.rotated_diagonals(dense.pauli_table(rho), q[None])[0],
+                                  diag)
+
+
+def test_rotated_diagonals_refuse_other_rotations(rng):
+    n = 3
+    table = dense.pauli_table(dense.random_density_matrix(n, rng))
+    q = matching_rotation(matchings(n)[1], n)
+    doubled = q.copy()
+    doubled[0] *= 2.0
+    repeated = q.copy()
+    repeated[1] = q[0]  # not a permutation: one column twice
+    mixed_row = q.copy()
+    mixed_row[2] = 0.6 * q[2] + 0.8 * q[3]
+    for bad in (skew.random_orthogonal(2 * n, rng), doubled, repeated, mixed_row):
+        with pytest.raises(InvalidMatching, match="signed permutations"):
+            dense.rotated_diagonals(table, np.array([q, bad]))
+    with pytest.raises(DimensionMismatch):
+        dense.rotated_diagonals(table, np.eye(2 * n + 2)[None])
+    # a corrupted state's imaginary residue is reported, as by correlation_matrix
+    rho = dense.computational_basis(2, [0, 0]).rho.copy()
+    rho[0, 3] = 0.5
+    with pytest.raises(NonNegligibleImaginaryPart):
+        dense.rotated_diagonals(dense.pauli_table(dense.DenseState(2, rho)),
+                                matching_rotation(matchings(2)[1], 2)[None])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_gaussian_pair_distance_matches_two_densifications(n, rng):
+    flip = np.diag([-1.0] + [1.0] * (2 * n - 1))  # a reflection: flips det(Q1^T Q2)
+    dets = set()
+    for kind in ("mixed", "pure"):
+        s1 = states.random_gaussian_state(n, kind, rng)
+        s2 = states.random_gaussian_state(n, kind, rng)
+        for a, b in ((s1, s2), (s1, states.rotate(s2, flip)), (s2, s1), (s1, s1)):
+            dets.add(round(np.linalg.det(a.nf.q.T @ b.nf.q)))
+            want = dense.state_metrics(dense.gaussian_to_dense(a), dense.gaussian_to_dense(b))
+            assert dense.gaussian_pair_distance(a, b) == pytest.approx(want, abs=1e-12)
+        assert dense.gaussian_pair_distance(s1, s1) == pytest.approx(0.0, abs=1e-12)
+    assert dets == {-1, 1}
+    with pytest.raises(DimensionMismatch):
+        dense.gaussian_pair_distance(states.vacuum(n), states.vacuum(n + 1))
 
 
 def test_gaussian_to_dense_examples():

@@ -252,6 +252,20 @@ def test_z_distribution_rotated_agreement(rng):
         assert np.abs(a - b).max() < 1e-12
 
 
+def test_dense_source_rounds_need_signed_permutations(rng):
+    src = DenseSource(dense.random_density_matrix(3, rng))
+    for m in matchings(3):
+        q = matching_rotation(m, 3)
+        want = np.diag(src._rotated(q)).real  # through the synthesised unitary
+        assert np.abs(src.z_distribution(q) - want / want.sum()).max() < 1e-14
+    q = skew.random_orthogonal(6, rng)
+    for rotations in (q, np.array([matching_rotation(matchings(3)[0], 3), q])):
+        with pytest.raises(InvalidMatching, match="signed permutations"):
+            src.z_distribution(rotations)
+    # the reduced state still takes any rotation
+    assert src.reduced_dense(q, 2).n == 2
+
+
 def test_sampling_tv_distance(rng):
     # shots drawn the way a commuting round draws them: one multinomial over
     # the source's z distribution, compared with the dense diagonal

@@ -30,6 +30,38 @@ def test_skewmatrix_storage_is_exact():
     assert np.all(np.diag(s.mat) == 0.0)
 
 
+def _error_of(build, m):
+    try:
+        build(m)
+    except (DimensionMismatch, NotAntisymmetric) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_skew_stack_checks_each_matrix_like_skewmatrix(rng):
+    # the stack raises what the first failing matrix raises alone, message included
+    valid = skew.random_skew(4, rng)
+    loose = valid + 1e-6 * np.eye(4)[::-1]  # antisymmetry residual 2e-6
+    nan = valid.copy()
+    nan[0, 3] = np.nan
+    inf = valid.copy()
+    inf[1, 2], inf[2, 1] = np.inf, -np.inf
+    finite = (NotAntisymmetric, "entries must be finite")
+    resid = (NotAntisymmetric, "antisymmetry violated by 2.000e-06 (tol 1.0e-12)")
+    for stack, want in (([valid, loose, nan], resid), ([valid, nan, loose], finite),
+                        ([inf, loose], finite), ([loose, inf], resid)):
+        assert _error_of(skew.as_skew_stack, np.array(stack)) == want
+        first = next(m for m in stack if _error_of(skew.SkewMatrix, m))
+        assert _error_of(skew.SkewMatrix, first) == want
+    for bad in (np.zeros((2, 3, 3)), np.zeros((2, 3, 4)), np.zeros(4)):
+        assert _error_of(skew.as_skew_stack, bad)[0] is DimensionMismatch
+    # a valid stack is each matrix's exact antisymmetric storage, bit for bit
+    stack = np.array([valid + 1e-13 * np.eye(4), -valid, np.zeros((4, 4))])
+    got = skew.as_skew_stack(stack)
+    for m, g in zip(stack, got):
+        assert np.array_equal(g, skew.SkewMatrix(m).mat)
+
+
 def test_pfaffian_2x2():
     assert skew.pfaffian(np.array([[0.0, 0.7], [-0.7, 0.0]])) == pytest.approx(0.7)
 
