@@ -81,6 +81,10 @@ class BudgetOverflow(FreeFermError):
     """Computed shot count exceeds the configured cap."""
 
 
+class NotADistribution(FreeFermError):
+    """A computed outcome distribution's mass is not 1 within tolerance."""
+
+
 # -- algorithms --------------------------------------------------------------
 
 class InfeasibleThresholds(FreeFermError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +27,7 @@ from .errors import (
     BudgetOverflow,
     DimensionMismatch,
     InvalidMatching,
+    NotADistribution,
     TooManyModes,
     ValidationError,
 )
@@ -183,8 +184,7 @@ class DenseSource(StateSource):
             return _normalize_distribution(np.diag(self.state.rho).real)
         q = np.asarray(q, dtype=float)
         dists = dense_mod.rotated_diagonals(self.pauli_table, q.reshape(-1, *q.shape[-2:]))
-        for row in dists:
-            row[:] = _normalize_distribution(row)
+        dists = _normalize_distribution(dists)
         return dists[0] if q.ndim == 2 else dists
 
     def reduced_dense(self, q: Optional[np.ndarray], r: int) -> DenseState:
@@ -192,11 +192,17 @@ class DenseSource(StateSource):
 
 
 def _normalize_distribution(d: np.ndarray) -> np.ndarray:
+    """Each row of an (R, 2^n) stack, or one (2^n,) row, clipped at 0 and
+    divided by its sum, with no loop over rows: each row comes out bit for
+    bit as it would alone.  A row whose mass is outside (0.999, 1.001), or
+    NaN, raises NotADistribution with the first such mass."""
     d = np.clip(d, 0.0, None)
-    total = d.sum()
-    if not 0.999 < total < 1.001:
-        raise ValueError(f"diagonal mass {total} is not a distribution")
-    return d / total
+    total = d.sum(axis=-1, keepdims=True)
+    bad = ~((0.999 < total) & (total < 1.001))
+    if bad.any():
+        raise NotADistribution(f"diagonal mass {total[bad][0]} is not a distribution")
+    d /= total
+    return d
 
 
 def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
@@ -218,13 +224,21 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     The roots of a stack share one tree: the node axis holds the nodes of
     up to max(1, :data:`TREE_LEAVES` >> n) roots at once, and larger stacks
     are expanded in batches of that many, which bounds the node stack's
-    memory.  Each node's leaf index starts as its root's index, so leaf
-    x of root r lands at r 2^n + x.
+    memory.
     With diff = u^T v - v^T u formed once per parent, both children are
     written side by side (node-major, bit-minor) as g_rest - diff / (2 p_0)
     and g_rest + diff / (2 p_1): s x is exact for s = +-1 and a - (-x) is
-    a + x, so each entry is the update above bit for bit.  Branches with
-    p_b <= 1e-16 are dropped; their leaves stay 0.
+    a + x, so each entry is the update above bit for bit.  Each quotient is
+    written into the buffer of u^T v, free once diff is formed.  The last
+    split builds only the children's (0, 1) entry, u_0 v_1 - u_1 v_0 (diff's
+    (0, 1) entry bit for bit), the one entry the last level reads.
+    Branches with p_b <= 1e-16 are dropped and their leaves stay 0; a NaN
+    branch is kept.  Until a batch first drops a branch its nodes are every
+    prefix of its roots in order, so its leaves land with one slice
+    assignment; from that depth on each node carries its leaf prefix, which
+    starts as (first root << depth) + its position, and leaf x of root r
+    lands at r 2^n + x.  The rows are normalised as one stack
+    (:func:`_normalize_distribution`).
     """
     stack = np.asarray(gamma, dtype=float)
     if stack.ndim not in (2, 3):
@@ -238,36 +252,49 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     batch = max(1, TREE_LEAVES >> n)
     for first in range(0, len(g), batch):
         subs = g[first:first + batch].transpose(1, 2, 0)
-        idx, p = np.arange(first, first + subs.shape[2]), np.ones(subs.shape[2])
+        g01, p, idx = subs[0, 1], np.ones(subs.shape[2]), None
         for m in range(n, 0, -1):
             # pb[node, b] is the probability of reading bit b at that node
-            pb = 0.5 * (1.0 + signs * subs[0, 1, :, None])
+            pb = 0.5 * (1.0 + signs * g01[:, None])
             dropped = pb <= 1e-16  # a NaN branch is kept, not dropped
-            idx = ((idx[:, None] << 1) | bits).ravel()
             p = (p[:, None] * pb).ravel()
             div, keep = 2.0 * pb, slice(None)
             if dropped.any():
+                if idx is None:  # the first drop: the nodes so far are every prefix in order
+                    idx = (first << (n - m)) + np.arange(len(pb))
                 keep = ~dropped.ravel()
-                idx, p = idx[keep], p[keep]
+                p = p[keep]
                 div[dropped] = 1.0  # that child is built, then discarded
+            if idx is not None:
+                idx = ((idx[:, None] << 1) | bits).ravel()[keep]
             if m == 1:
-                leaves[idx] = p
+                if idx is None:
+                    leaves[first << n:(first << n) + len(p)] = p
+                else:
+                    leaves[idx] = p
                 break
-            u, v = subs[0, 2:], subs[1, 2:]
+            u, v, rest = subs[0, 2:], subs[1, 2:], subs[2:, 2:]
+            if m == 2:  # the last level reads only g01, so build only that entry
+                d01 = u[0] * v[1] - u[1] * v[0]  # diff[0, 1], bit for bit
+                kids = np.empty((len(d01), 2))
+                np.subtract(rest[0, 1], d01 / div[:, 0], out=kids[:, 0])
+                np.add(rest[0, 1], d01 / div[:, 1], out=kids[:, 1])
+                g01 = kids.reshape(-1)[keep]
+                continue
             uv = u[:, None] * v[None, :]
             diff = uv - uv.transpose(1, 0, 2)  # v_i u_j is u_j v_i, bit for bit
-            rest = subs[2:, 2:]
             kids = np.empty((*rest.shape, 2))
-            np.subtract(rest, diff / div[:, 0], out=kids[..., 0])
-            np.add(rest, diff / div[:, 1], out=kids[..., 1])
+            np.subtract(rest, np.divide(diff, div[:, 0], out=uv), out=kids[..., 0])
+            np.add(rest, np.divide(diff, div[:, 1], out=uv), out=kids[..., 1])
             subs = kids.reshape(*rest.shape[:2], -1)[:, :, keep]
-    for row in out:
-        row[:] = _normalize_distribution(row)
+            g01 = subs[0, 1]
+    out = _normalize_distribution(out)
     return out[0] if stack.ndim == 2 else out
 
 
 # -- matchings -----------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def matchings(n: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """Round-robin (circle method) 1-factorization of the complete graph on
     the 2n Majorana indices: 2n-1 perfect matchings.
@@ -315,6 +342,28 @@ def matching_rotation(m: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
     if cycles % 2:  # 2n - cycles is odd
         q[2 * n - 1, :] *= -1.0
     return q
+
+
+@lru_cache(maxsize=None)
+def _commuting_plan(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The commuting rounds of n modes, built once per n as read-only arrays.
+
+    Returns (qs, pairs, signs, bit_signs): qs[t] is the
+    :func:`matching_rotation` of round t of :func:`matchings`, a
+    (2n-1, 2n, 2n) stack; pairs[t] is its (j, k) index arrays, (2n-1, 2, n);
+    signs[t, i] is q[2i, j] * q[2i+1, k] for pair i; and bit_signs[i, x] is
+    the +-1 Z reading of qubit i (qubit 0 most significant) in outcome x,
+    (n, 2^n).
+    """
+    plan = matchings(n)
+    qs = np.array([matching_rotation(m, n) for m in plan])
+    pairs = np.array([list(zip(*m)) for m in plan])
+    i, t = np.arange(n), np.arange(len(plan))[:, None]
+    signs = qs[t, 2 * i, pairs[:, 0]] * qs[t, 2 * i + 1, pairs[:, 1]]
+    bit_signs = 1.0 - 2.0 * ((np.arange(1 << n) >> (n - 1 - i)[:, None]) & 1)
+    for a in (qs, pairs, signs, bit_signs):
+        a.setflags(write=False)
+    return qs, pairs, signs, bit_signs
 
 
 # -- sampling and estimation ---------------------------------------------------
@@ -391,16 +440,17 @@ def estimate_gamma(
     "commuting" measures one matching round per Clifford-Gaussian rotation.
     Under "pauli_pairs" every entry is an independent Binomial(shots, (1+g)/2)
     count from one draw on ``rng_stream``; a pair given no shots reads 0.
-    Under "commuting" the rounds given shots are rotated by the
-    ``matching_rotation`` q of their matchings, and one ``z_distribution``
-    call on that stack gives all their Z-basis distributions (an exact source
-    expands one outcome tree for them, in batches of at most
-    :data:`TREE_LEAVES` leaves; a dense source reads them from its Pauli
-    table).  Round t then draws its own multinomial
-    over the 2^n Z outcomes from ``rng_stream.child(t)`` and writes all n of
-    its pairs at once: pair i, (j, k), reads q[2i, j] * q[2i+1, k] times the
-    mean Z reading of qubit i.  A round given no shots is not drawn, and
-    its pairs read 0.
+    Under "commuting" the rounds, their rotations, pair signs and the
+    bit-sign table come from one read-only plan built once per n
+    (:func:`_commuting_plan`).  The rounds given shots index its stack of
+    ``matching_rotation`` qs, and one ``z_distribution`` call on that stack
+    gives all their Z-basis distributions (an exact source expands one
+    outcome tree for them, in batches of at most :data:`TREE_LEAVES` leaves;
+    a dense source reads them from its Pauli table).  Round t then draws its
+    own multinomial over the 2^n Z outcomes from ``rng_stream.child(t)`` and
+    writes all n of its pairs at once: pair i, (j, k), reads
+    q[2i, j] * q[2i+1, k] times the mean Z reading of qubit i.  A round
+    given no shots is not drawn, and its pairs read 0.
     The default budget is the scheme's headline bound
     ``shot_budget(scheme, n, eps_stat, delta)``; ``total_shots`` overrides
     it.  Either total is split evenly across the measurement settings (pairs
@@ -432,18 +482,14 @@ def estimate_gamma(
         g[iu] = np.divide(2.0 * ones - per_setting, per_setting, out=np.zeros(pair_count),
                           where=per_setting > 0)
     else:
-        # bit_signs[i, x] is the +-1 Z reading of qubit i (qubit 0 most significant) in outcome x
-        i = np.arange(n)
-        bit_signs = 1.0 - 2.0 * ((np.arange(1 << n) >> (n - 1 - i)[:, None]) & 1)
-        plan = matchings(n)
+        qs, pairs, signs, bit_signs = _commuting_plan(n)
         rounds = [t for t in range(settings) if per_setting[t]]
-        qs = np.array([matching_rotation(plan[t], n) for t in rounds])
-        for t, q, dist in zip(rounds, qs, src.z_distribution(qs)):
+        for t, dist in zip(rounds, src.z_distribution(qs[rounds])):
             shots = per_setting[t]
             counts = rng_stream.child(t).generator().multinomial(shots, dist)
-            j, k = np.array(plan[t]).T
+            j, k = pairs[t]
             # per round, not one stacked matmul: sums above 2^53 would round differently
-            g[j, k] = q[2 * i, j] * q[2 * i + 1, k] * ((bit_signs @ counts) / shots)
+            g[j, k] = signs[t] * ((bit_signs @ counts) / shots)
 
     g = np.clip(np.triu(g, 1), -1.0, 1.0)
     return GammaEstimate(SkewMatrix(g - g.T), total_shots)

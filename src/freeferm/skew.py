@@ -240,8 +240,14 @@ def normal_form(a: SkewLike) -> NormalForm:
     q[:, 1::2] = z[:, 1::2] @ vt.T[:, order]
     lams = np.where(s[order] < ZERO_CLAMP, 0.0, s[order])
     # q is z, reordered, times blockdiag(U, V) in the same order: det(z) is -1
-    # per reflector with tau != 0 (as in pfaffian), and the orders cancel
-    negative = np.count_nonzero(tau) + (np.linalg.det(u) < 0) + (np.linalg.det(vt) < 0)
+    # per reflector with tau != 0 (as in pfaffian), and the orders cancel.  With
+    # every singular value clear of 0, sign det U det V^T is sign det B, the
+    # product of the signs of B's diagonal; otherwise it comes from two LUs
+    if s.min() > 1e-8 * s.max():
+        flips = np.count_nonzero(e[0::2] < 0)
+    else:
+        flips = int(np.linalg.det(u) < 0) + int(np.linalg.det(vt) < 0)
+    negative = np.count_nonzero(tau) + flips
     return NormalForm(q=q, lambdas=lams, det_sign=(-1) ** int(negative))
 
 

@@ -10,7 +10,9 @@ from freeferm import dense, sampling, skew, states
 from freeferm.errors import (
     BudgetOverflow,
     DimensionMismatch,
+    FreeFermError,
     InvalidMatching,
+    NotADistribution,
     NotAntisymmetric,
     TooManyModes,
     ValidationError,
@@ -205,6 +207,63 @@ def test_z_distribution_rejects_other_shapes():
         z_basis_distribution(np.zeros(4))
     with pytest.raises(DimensionMismatch, match="stack"):
         z_basis_distribution(np.zeros((1, 1, 4, 4)))
+
+
+@pytest.mark.parametrize("n", [4, 11])
+def test_z_distribution_mixed_stack_matches_per_node_reference(n, rng):
+    # one call on a shuffled stack of states that drop a first branch at
+    # different depths, or never: at n = 11 a batch holds 4 roots, so batches
+    # start their leaf bookkeeping at different depths, or keep the slice
+    lams = rng.choice([-0.6, 0.2, 0.5], size=n)
+    cases = [
+        states.random_gaussian_state(n, "mixed", rng),
+        states.random_gaussian_state(n, "mixed", rng),
+        states.vacuum(n),
+        states.product_state(rng.choice([-1.0, 1.0], size=n)),
+        states.product_state(rng.choice([-1.0, -0.4, 0.0, 0.7, 1.0], size=n)),
+        *(states.product_state(np.where(np.arange(n) == d, -1.0, lams)) for d in (1, n // 2, n - 1)),
+    ]
+    plan = matchings(n)
+    rotations = [np.eye(2 * n), matching_rotation(plan[1], n), matching_rotation(plan[-1], n)]
+    stack = np.array([q @ s.corr.mat @ q.T for s in cases for q in rotations])
+    stack = stack[rng.permutation(len(stack))]
+    dists = z_basis_distribution(stack)
+    for g, dist in zip(stack, dists):
+        assert np.array_equal(dist, _per_node_z_distribution(g))
+
+
+def test_z_distribution_mass_error_is_a_toolkit_error():
+    # |g_01| = 3 > 1 is no state: its branch probabilities are 2 and -1
+    g = 3 * skew.canonical_lambda(2)
+    for gamma in (g, np.array([skew.canonical_lambda(2), g])):
+        with pytest.raises(NotADistribution, match="diagonal mass 4.0 is not a distribution"):
+            z_basis_distribution(gamma)
+    assert issubclass(NotADistribution, FreeFermError)
+    # a NaN mass is refused too, and the message names the first bad row's mass
+    with pytest.raises(NotADistribution, match="diagonal mass nan is"):
+        sampling._normalize_distribution(np.array([[0.5, 0.5], [np.nan, 1.0], [2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_commuting_plan_is_built_once_and_read_only(n):
+    plan = sampling._commuting_plan(n)
+    assert sampling._commuting_plan(n) is plan and matchings(n) is matchings(n)
+    qs, pairs, signs, bit_signs = plan
+    fresh = sampling._commuting_plan.__wrapped__(n)
+    for a, b in zip(plan, fresh):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # against the per-round build the plan replaced
+    i = np.arange(n)
+    for t, m in enumerate(matchings(n)):
+        q = matching_rotation(m, n)
+        j, k = np.array(m).T
+        assert np.array_equal(qs[t], q)
+        assert np.array_equal(pairs[t], [j, k])
+        assert np.array_equal(signs[t], q[2 * i, j] * q[2 * i + 1, k])
+    assert np.array_equal(bit_signs, 1.0 - 2.0 * ((np.arange(1 << n) >> (n - 1 - i)[:, None]) & 1))
+    for a in plan:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
 
 
 @st.composite

@@ -257,6 +257,26 @@ def test_normal_form_properties(a):
     assert nf.det_sign == np.sign(np.linalg.det(nf.q))
 
 
+def test_normal_form_det_sign_at_a_zero_block(rng, monkeypatch):
+    # a block at exactly 0 makes the bidiagonal B singular, so its diagonal
+    # says nothing of det U det V^T: det_sign falls back to two LU
+    # determinants there, and reads B's diagonal when every block is clear of 0
+    det, lu_calls = np.linalg.det, []
+    monkeypatch.setattr(np.linalg, "det", lambda m: lu_calls.append(1) or det(m))
+    flip = np.diag([-1.0] + [1.0] * 5)
+    cases = [(skew.lambda_blocks([0.0, 0.6, 0.3]), 2), (np.zeros((6, 6)), 2)]
+    for o in (skew.random_orthogonal(6, rng), skew.random_orthogonal(6, rng) @ flip):
+        cases += [(o @ skew.lambda_blocks([0.7, 0.0, 0.2]) @ o.T, 2),
+                  (o @ skew.lambda_blocks([0.7, 0.4, 0.2]) @ o.T, 0)]
+    for a, lus in cases:
+        a = skew.as_skew_array(0.5 * (a - a.T))
+        lu_calls.clear()
+        nf = skew.normal_form(a)
+        assert len(lu_calls) == lus
+        assert nf.det_sign == np.sign(det(nf.q))
+        assert np.abs(nf.reconstruct() - a).max() <= 1e-12
+
+
 def test_normal_form_non_finite_input():
     # the antisymmetry residual of either pair is NaN, which no tolerance rejects
     for upper, lower in ((np.nan, np.nan), (np.inf, -np.inf)):
