@@ -4,7 +4,8 @@ Exact density matrices at desk scale: one Pauli-row table (``pauli_rows``,
 signed permutations from X/Z masks) and its expectation kernel behind the
 Majoranas, correlation matrices and local tomography, a state's table of all
 4^n Pauli expectations (``pauli_table``) and the Z-basis diagonals after
-signed-permutation rotations read from it (``rotated_diagonals``),
+signed-permutation rotations, given as pairs and signs, read from it
+(``rotated_diagonals``),
 Gaussian-unitary synthesis (Householder reflections, mode doubling), exact
 trace distance (of two Gaussian states from one synthesis,
 ``gaussian_pair_distance``) and relative entropy, the Gaussian state with a
@@ -30,7 +31,6 @@ from . import states
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
-    InvalidMatching,
     NonNegligibleImaginaryPart,
     TooManyModes,
 )
@@ -234,40 +234,32 @@ def _real(vals: np.ndarray, what: str) -> np.ndarray:
     return vals.real
 
 
-def rotated_diagonals(table: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Diagonals of U_q rho U_q^dag, one row per signed permutation q of an
-    (R, 2n, 2n) stack, from rho's :func:`pauli_table`.
+def rotated_diagonals(table: np.ndarray, pairs: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Diagonals of U rho U^dag, one row per signed-permutation rotation
+    given by its (R, 2, n) ``pairs`` and (R, n) ``signs``, from rho's
+    :func:`pauli_table`.
 
-    Row 2i of q is s e_j and row 2i+1 is s' e_k, so U_q^dag Z_i U_q is the
-    pair observable O_i = -i sigma_i gamma_j gamma_k with sigma_i = s s' =
-    q[2i, j] q[2i+1, k], a Pauli string read from the Majoranas' X/Z masks
-    (X^a Z^b X^c Z^d = (-1)^{|b & c|} X^{a^c} Z^{b^d}).  The 2^n products O_S
-    are formed by doubling, qubit 0 ending as the top bit of S, and the
-    diagonal is p[y] = 2^-n sum_S (-1)^{|y & S|} Tr(rho O_S), one
-    ``_walsh_hadamard`` (Aaronson & Gottesman, quant-ph/0406196, for the
-    Clifford picture).  Each row is bit for bit what q alone gives.  A q
-    that is not a signed permutation raises InvalidMatching; an imaginary
-    residue above 1e-10, NonNegligibleImaginaryPart.
+    A rotation with row 2i s e_j and row 2i+1 s' e_k, (j, k) the pair
+    (pairs[t, 0, i], pairs[t, 1, i]), makes U^dag Z_i U the pair observable
+    O_i = -i sigma_i gamma_j gamma_k with sigma_i = s s' = signs[t, i] (the
+    signs of ``sampling._commuting_plan``), a Pauli string read from the
+    Majoranas' X/Z masks (X^a Z^b X^c Z^d = (-1)^{|b & c|} X^{a^c} Z^{b^d}).
+    The 2^n products O_S are formed by doubling, qubit 0 ending as the top
+    bit of S, and the diagonal is p[y] = 2^-n sum_S (-1)^{|y & S|} Tr(rho O_S),
+    one ``_walsh_hadamard`` (Aaronson & Gottesman, quant-ph/0406196, for the
+    Clifford picture).  Each row is bit for bit what its rotation alone
+    gives.  An imaginary residue above 1e-10 raises
+    NonNegligibleImaginaryPart.
     """
-    qs = np.asarray(qs, dtype=float)
-    n = qs.shape[-1] // 2
-    if qs.ndim != 3 or qs.shape[1:] != (2 * n, 2 * n) or table.shape != (1 << n, 1 << n):
-        raise DimensionMismatch(f"rotations of shape {qs.shape} do not fit a table of "
-                                f"shape {table.shape}")
-    cols = np.abs(qs).argmax(axis=-1)  # [round, row]
-    signs = np.take_along_axis(qs, cols[..., None], axis=-1)[..., 0]
-    if (np.any(np.abs(signs) != 1.0) or np.any(np.count_nonzero(qs, axis=-1) != 1)
-            or np.any(np.sort(cols, axis=-1) != np.arange(2 * n))):
-        raise InvalidMatching("a dense source's rotations must be signed permutations")
+    n, rounds = pairs.shape[-1], len(pairs)
     b = np.arange(1 << n)
     odd = np.zeros_like(b)  # odd[m]: |m| is odd
     for shift in range(n):
         odd ^= (b >> shift) & 1
-    ms, j, k, rounds = majoranas(n), cols[:, 0::2], cols[:, 1::2], len(qs)
+    ms, j, k = majoranas(n), pairs[:, 0], pairs[:, 1]
     # O_i = phases[:, i] X^{xs[:, i]} Z^{zs[:, i]}, as gamma_mu = coefs[mu, 0] X^x[mu] Z^z[mu]
     xs, zs = ms.x[j] ^ ms.x[k], ms.z[j] ^ ms.z[k]
-    phases = (-1j * signs[:, 0::2] * signs[:, 1::2] * ms.coefs[j, 0] * ms.coefs[k, 0]
-              * (1 - 2 * odd[ms.z[j] & ms.x[k]]))
+    phases = -1j * signs * ms.coefs[j, 0] * ms.coefs[k, 0] * (1 - 2 * odd[ms.z[j] & ms.x[k]])
     x_s = z_s = np.zeros((rounds, 1), dtype=int)
     phase_s = np.ones((rounds, 1), dtype=complex)
     for x, z, phase in zip(xs.T[:, :, None], zs.T[:, :, None], phases.T[:, :, None]):

@@ -64,11 +64,13 @@ class RankExponentOutOfRange(FreeFermError):
 # -- dense oracle ------------------------------------------------------------
 
 class NonNegligibleImaginaryPart(FreeFermError):
-    """Correlation entries of a corrupted state have imaginary residue."""
+    """Correlation entries or rotated diagonals of a corrupted state have an
+    imaginary residue."""
 
 
 class TooManyModes(FreeFermError):
-    """Mode count exceeds the dense/sparse desk-scale cap."""
+    """Mode count exceeds a desk-scale cap: the dense, sparse, sampling
+    (``sampling.MAX_SAMPLING_MODES``) or robustness-certification cap."""
 
 
 # -- sampling ----------------------------------------------------------------
@@ -78,7 +80,8 @@ class InvalidMatching(FreeFermError):
 
 
 class BudgetOverflow(FreeFermError):
-    """Computed shot count exceeds the configured cap."""
+    """A copy count, or a trial's or run's total, exceeds the draw ceiling
+    ``sampling.MAX_DRAW``, or a budget exceeds every float."""
 
 
 class NotADistribution(FreeFermError):

@@ -244,9 +244,10 @@ def test_bounded_rank(
 
     Stage 1 rejects when the (r+1)-th smallest estimated eigenvalue is
     small; at r = 0 it also accepts, as there are no mixed modes to examine.
-    Stage 2 rotates by the estimated normal form, learns the leading r modes
-    by full tomography, and compares against the Gaussian state with the same
-    local correlation matrix.
+    Stage 2 rotates into the estimated normal frame (by Q^T for the normal
+    form Q Lambda Q^T, so the leading r modes carry the r smallest
+    eigenvalues), learns those modes by full tomography, and compares against
+    the Gaussian state with the same local correlation matrix.
     """
     n = src.n
     eps_t, eps_stat, eps_tom, eps_t2 = rank_test_thresholds(cfg, n)
@@ -263,7 +264,7 @@ def test_bounded_rank(
                            est.shots_used)
 
     far, local_dist, shots = _gaussianity_stage(
-        src, r, nf.q, (eps_tom, eps_t2), cfg.delta, rng_stream, scheme, est.shots_used)
+        src, r, nf.q.T, (eps_tom, eps_t2), cfg.delta, rng_stream, scheme, est.shots_used)
     return TestVerdict(CASE_B if far else CASE_A, lam_next, eps_t2, "tomography_stage",
                        shots, local_dist)
 

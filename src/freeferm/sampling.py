@@ -95,8 +95,8 @@ class StateSource:
 
     Subclasses provide the exact correlation matrix (for exact-scheme runs
     and for Bernoulli simulation of single Pauli-pair measurements), the
-    exact Z-basis distribution after an optional Gaussian rotation, and the
-    exact reduced density matrix on leading modes (for tomography sampling).
+    exact Z-basis distributions of commuting rounds, and the exact reduced
+    density matrix on leading modes (for tomography sampling).
     """
 
     n: int
@@ -104,19 +104,15 @@ class StateSource:
     def gamma(self) -> np.ndarray:
         raise NotImplementedError
 
-    def z_distribution(self, q: Optional[np.ndarray] = None) -> np.ndarray:
-        """The Z-basis distribution after the Gaussian rotation q, or of the
-        state itself when q is None.
-
-        An (R, 2n, 2n) stack of rotations gives the R distributions as an
-        (R, 2^n) array, row t bit for bit the distribution after rotation t
-        alone.  A dense source takes only signed permutations, the rotations
-        :func:`matching_rotation` builds, and refuses others with
-        InvalidMatching.
-        """
+    def round_distributions(self, rounds: Sequence[int]) -> np.ndarray:
+        """The Z-basis distributions after the rotations of the given rounds
+        of :func:`_commuting_plan`, an (R, 2^n) array, row t bit for bit what
+        round ``rounds[t]`` alone gives."""
         raise NotImplementedError
 
     def reduced_dense(self, q: Optional[np.ndarray], r: int) -> DenseState:
+        """The leading r modes after the Gaussian rotation q, which takes the
+        correlation matrix to q Gamma q^T (the state itself when q is None)."""
         raise NotImplementedError
 
 
@@ -140,8 +136,8 @@ class ExactGaussianSource(StateSource):
         g = self.state.corr.mat
         return g if q is None else q @ g @ np.swapaxes(q, -1, -2)
 
-    def z_distribution(self, q: Optional[np.ndarray] = None) -> np.ndarray:
-        return z_basis_distribution(self._rotated(q))
+    def round_distributions(self, rounds: Sequence[int]) -> np.ndarray:
+        return z_basis_distribution(self._rotated(_commuting_plan(self.n)[0][rounds]))
 
     def reduced_dense(self, q: Optional[np.ndarray], r: int) -> DenseState:
         g = self._rotated(q)
@@ -153,10 +149,10 @@ class ExactGaussianSource(StateSource):
 class DenseSource(StateSource):
     """A state given by its density matrix.
 
-    Z-basis distributions after signed-permutation rotations come from the
-    state's table of all 4^n Pauli expectations (``dense.pauli_table``,
-    built on first use), with no unitary synthesised; the reduced density
-    matrix after any rotation conjugates by ``dense.gaussian_unitary``.
+    Round distributions come from the state's table of all 4^n Pauli
+    expectations (``dense.pauli_table``, built on first use) and the plan's
+    pairs and signs, with no unitary synthesised; the reduced density matrix
+    after a rotation conjugates by ``dense.gaussian_unitary``.
     """
 
     state: DenseState
@@ -173,22 +169,17 @@ class DenseSource(StateSource):
         """Tr(rho X^x Z^z) for all masks x, z, built on first use."""
         return dense_mod.pauli_table(self.state)
 
-    def _rotated(self, q: Optional[np.ndarray]) -> np.ndarray:
-        if q is None:
-            return self.state.rho
-        u = dense_mod.gaussian_unitary(q)
-        return u @ self.state.rho @ u.conj().T
-
-    def z_distribution(self, q: Optional[np.ndarray] = None) -> np.ndarray:
-        if q is None:
-            return _normalize_distribution(np.diag(self.state.rho).real)
-        q = np.asarray(q, dtype=float)
-        dists = dense_mod.rotated_diagonals(self.pauli_table, q.reshape(-1, *q.shape[-2:]))
-        dists = _normalize_distribution(dists)
-        return dists[0] if q.ndim == 2 else dists
+    def round_distributions(self, rounds: Sequence[int]) -> np.ndarray:
+        _, pairs, signs, _ = _commuting_plan(self.n)
+        diags = dense_mod.rotated_diagonals(self.pauli_table, pairs[rounds], signs[rounds])
+        return _normalize_distribution(diags)
 
     def reduced_dense(self, q: Optional[np.ndarray], r: int) -> DenseState:
-        return dense_mod.partial_trace(DenseState(self.n, self._rotated(q)), r)
+        rho = self.state.rho
+        if q is not None:
+            u = dense_mod.gaussian_unitary(q)
+            rho = u @ rho @ u.conj().T
+        return dense_mod.partial_trace(DenseState(self.n, rho), r)
 
 
 def _normalize_distribution(d: np.ndarray) -> np.ndarray:
@@ -325,7 +316,7 @@ def matching_rotation(m: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
     points with c cycles is odd when 2n - c is.
     Measuring Z of qubit i on the q-rotated state reads out the (j, k)
     correlation entry times the sign q[2i, j] * q[2i+1, k], which
-    :func:`estimate_gamma` reads back from q.
+    :func:`_commuting_plan` derives once per round.
     """
     pairs = [tuple(p) for p in m]
     flat = [x for p in pairs for x in p]
@@ -351,9 +342,11 @@ def _commuting_plan(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     Returns (qs, pairs, signs, bit_signs): qs[t] is the
     :func:`matching_rotation` of round t of :func:`matchings`, a
     (2n-1, 2n, 2n) stack; pairs[t] is its (j, k) index arrays, (2n-1, 2, n);
-    signs[t, i] is q[2i, j] * q[2i+1, k] for pair i; and bit_signs[i, x] is
-    the +-1 Z reading of qubit i (qubit 0 most significant) in outcome x,
-    (n, 2^n).
+    signs[t, i] is q[2i, j] * q[2i+1, k] for pair i, the sign by which qubit
+    i's Z reading after q reads entry (j, k), derived here only; and
+    bit_signs[i, x] is the +-1 Z reading of qubit i (qubit 0 most
+    significant) in outcome x, (n, 2^n).  Sources take rounds as indices
+    into this plan (:meth:`StateSource.round_distributions`).
     """
     plan = matchings(n)
     qs = np.array([matching_rotation(m, n) for m in plan])
@@ -442,15 +435,14 @@ def estimate_gamma(
     count from one draw on ``rng_stream``; a pair given no shots reads 0.
     Under "commuting" the rounds, their rotations, pair signs and the
     bit-sign table come from one read-only plan built once per n
-    (:func:`_commuting_plan`).  The rounds given shots index its stack of
-    ``matching_rotation`` qs, and one ``z_distribution`` call on that stack
-    gives all their Z-basis distributions (an exact source expands one
-    outcome tree for them, in batches of at most :data:`TREE_LEAVES` leaves;
-    a dense source reads them from its Pauli table).  Round t then draws its
-    own multinomial over the 2^n Z outcomes from ``rng_stream.child(t)`` and
-    writes all n of its pairs at once: pair i, (j, k), reads
-    q[2i, j] * q[2i+1, k] times the mean Z reading of qubit i.  A round
-    given no shots is not drawn, and its pairs read 0.
+    (:func:`_commuting_plan`).  One ``round_distributions`` call on the
+    indices of the rounds given shots gives all their Z-basis distributions
+    (an exact source expands one outcome tree for them, in batches of at
+    most :data:`TREE_LEAVES` leaves; a dense source reads them from its
+    Pauli table).  Round t then draws its own multinomial over the 2^n Z
+    outcomes from ``rng_stream.child(t)`` and writes all n of its pairs at
+    once: pair i, (j, k), reads the plan's sign times the mean Z reading of
+    qubit i.  A round given no shots is not drawn, and its pairs read 0.
     The default budget is the scheme's headline bound
     ``shot_budget(scheme, n, eps_stat, delta)``; ``total_shots`` overrides
     it.  Either total is split evenly across the measurement settings (pairs
@@ -482,9 +474,9 @@ def estimate_gamma(
         g[iu] = np.divide(2.0 * ones - per_setting, per_setting, out=np.zeros(pair_count),
                           where=per_setting > 0)
     else:
-        qs, pairs, signs, bit_signs = _commuting_plan(n)
+        _, pairs, signs, bit_signs = _commuting_plan(n)
         rounds = [t for t in range(settings) if per_setting[t]]
-        for t, dist in zip(rounds, src.z_distribution(qs[rounds])):
+        for t, dist in zip(rounds, src.round_distributions(rounds)):
             shots = per_setting[t]
             counts = rng_stream.child(t).generator().multinomial(shots, dist)
             j, k = pairs[t]

@@ -645,13 +645,13 @@ SEEDED_RECORDS = (
      "--state-spec product:0.3,0.5,0.7,0.9,1,1 --expected CaseA", 0, [
         {"trial": 0, "verdict_or_error": "CaseA", "shots": 10548530440,
          "lambda_hat": 0.9999477911460677, "threshold": 0.21875,
-         "stage": "tomography_stage", "local_distance": 0.0028150309793400835, "ok": True},
+         "stage": "tomography_stage", "local_distance": 0.00276314358179083, "ok": True},
         {"trial": 1, "verdict_or_error": "CaseA", "shots": 10548530440,
          "lambda_hat": 0.9999970319118338, "threshold": 0.21875,
-         "stage": "tomography_stage", "local_distance": 0.002750831511476903, "ok": True},
+         "stage": "tomography_stage", "local_distance": 0.0027390114653337225, "ok": True},
         {"trial": 2, "verdict_or_error": "CaseA", "shots": 10548530440,
          "lambda_hat": 0.9999941555909724, "threshold": 0.21875,
-         "stage": "tomography_stage", "local_distance": 0.0026478807898515037, "ok": True},
+         "stage": "tomography_stage", "local_distance": 0.002670191683750502, "ok": True},
     ], {"trials": 3, "shot_total": 31645591320, "success_fraction": 1.0}),
     ("robustness --modes 3 --noise-strength 0.02", 0, [
         {"trial": 0, "dense_error": 0.02813605546562884, "promise_value": 0.02099055654515794,

@@ -161,6 +161,20 @@ def test_rank_case_b_stage_two(rng):
     assert v.local_distance == pytest.approx(0.8, abs=0.05)
 
 
+def test_rank_stage_two_learns_the_mixed_modes(rng):
+    # rotated GHZ3 (x) |0>: stage 2 rotates by Q^T for Gamma-hat = Q Lambda Q^T,
+    # so the r = 3 modes of lambda 0 are GHZ3 up to a Gaussian unitary, which
+    # keeps the core's distance to its Gaussianification (1.75)
+    core = dense.ghz3()
+    want = dense.state_metrics(core, dense.gaussianification(core))
+    cfg = learning.TestConfig(eps_a=0.0, eps_b=0.8, delta=0.05, r=3, gaussian_set="rank_set")
+    for t in range(5):
+        v = learning.test_bounded_rank(ghz_plus_vacuum_source(rng=rng), cfg, RngStream(46, (t,)),
+                                       scheme="exact")
+        assert v.stage == "tomography_stage"
+        assert v.local_distance == pytest.approx(want, rel=0.0, abs=1e-9)
+
+
 def test_rank_exact_scheme_deterministic(rng):
     q = skew.random_orthogonal(8, rng)
     s = states.from_correlation(q @ skew.lambda_blocks([0.5, 1, 1, 1]) @ q.T)

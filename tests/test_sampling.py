@@ -189,17 +189,20 @@ def test_z_distribution_stack_matches_per_matrix_calls(n, rng):
         assert dists.shape == (len(qs), 1 << n)
         for g, dist in zip(stack, dists):
             assert np.array_equal(dist, z_basis_distribution(g))
+        # the source's rounds are the plan's rotations, each as it is alone
         src = ExactGaussianSource(s)
-        assert np.array_equal(src.z_distribution(qs), dists)
-        assert np.array_equal(src.z_distribution(qs[-1]), dists[-1])
+        assert np.array_equal(src.round_distributions(np.arange(len(qs))), dists)
+        for t in range(len(qs)):
+            assert np.array_equal(src.round_distributions([t]), dists[t:t + 1])
     # a stack of one is the matrix's distribution in a leading axis
     g = cases[0].corr.mat
     assert np.array_equal(z_basis_distribution(g[None]), z_basis_distribution(g)[None])
-    if n <= 4:  # the dense source loops over its rotations
+    if n <= 4:  # the dense source reads every round from its Pauli table
         src = DenseSource(dense.gaussian_to_dense(cases[0]))
-        dists = src.z_distribution(qs)
-        for q, dist in zip(qs, dists):
-            assert np.array_equal(dist, src.z_distribution(q))
+        dists = src.round_distributions(np.arange(len(qs)))
+        assert dists.shape == (len(qs), 1 << n)
+        for t, dist in enumerate(dists):
+            assert np.array_equal(dist, src.round_distributions([t])[0])
 
 
 def test_z_distribution_rejects_other_shapes():
@@ -298,38 +301,48 @@ def test_z_distribution_laws(g):
 
 
 def test_z_distribution_rotated_agreement(rng):
-    # the analytic tree against the dense diagonal: a rotated n = 3 state
-    # and an unrotated n = 4 one
-    cases = [
-        (states.random_gaussian_state(3, "mixed", rng),
-         matching_rotation(matchings(3)[1], 3)),
-        (states.random_gaussian_state(4, "mixed", rng), None),
-    ]
-    for s, q in cases:
-        a = ExactGaussianSource(s).z_distribution(q)
-        b = DenseSource(dense.gaussian_to_dense(s)).z_distribution(q)
+    # the analytic tree against the dense source's Pauli table: every round
+    # of rotated n = 3 and n = 4 states, in shuffled order
+    for n in (3, 4):
+        s = states.random_gaussian_state(n, "mixed", rng)
+        rounds = rng.permutation(2 * n - 1)
+        a = ExactGaussianSource(s).round_distributions(rounds)
+        b = DenseSource(dense.gaussian_to_dense(s)).round_distributions(rounds)
         assert np.abs(a - b).max() < 1e-12
 
 
-def test_dense_source_rounds_need_signed_permutations(rng):
+def test_dense_source_rounds_match_synthesis(rng):
     src = DenseSource(dense.random_density_matrix(3, rng))
-    for m in matchings(3):
-        q = matching_rotation(m, 3)
-        want = np.diag(src._rotated(q)).real  # through the synthesised unitary
-        assert np.abs(src.z_distribution(q) - want / want.sum()).max() < 1e-14
-    q = skew.random_orthogonal(6, rng)
-    for rotations in (q, np.array([matching_rotation(matchings(3)[0], 3), q])):
-        with pytest.raises(InvalidMatching, match="signed permutations"):
-            src.z_distribution(rotations)
-    # the reduced state still takes any rotation
-    assert src.reduced_dense(q, 2).n == 2
+    qs = sampling._commuting_plan(3)[0]
+    for q, dist in zip(qs, src.round_distributions(np.arange(len(qs)))):
+        u = dense.gaussian_unitary(q)
+        want = np.diag(u @ src.state.rho @ u.conj().T).real  # through the synthesised unitary
+        assert np.abs(dist - want / want.sum()).max() < 1e-14
+    # the reduced state takes any rotation
+    assert src.reduced_dense(skew.random_orthogonal(6, rng), 2).n == 2
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_reduced_dense_in_the_normal_frame(n, rng):
+    # Gamma = Q Lambda Q^T, so q Gamma q^T is Lambda for q = Q^T: the leading
+    # r modes are the product state of the r smallest lambdas
+    missed = 0.0
+    for kind in ("mixed", "pure"):
+        s = states.random_gaussian_state(n, kind, rng)
+        srcs = (ExactGaussianSource(s), DenseSource(dense.gaussian_to_dense(s)))
+        for r in range(1, n + 1):
+            want = dense.gaussian_to_dense(states.product_state(s.lambdas[:r])).rho
+            for src in srcs:
+                assert np.abs(src.reduced_dense(s.nf.q.T, r).rho - want).max() < 1e-12
+            missed = max(missed, np.abs(srcs[0].reduced_dense(s.nf.q, r).rho - want).max())
+    assert missed > 1e-3  # the untransposed Q is another frame
 
 
 def test_sampling_tv_distance(rng):
     # shots drawn the way a commuting round draws them: one multinomial over
     # the source's z distribution, compared with the dense diagonal
     s = states.random_gaussian_state(4, "mixed", rng)
-    dist = ExactGaussianSource(s).z_distribution()
+    dist = z_basis_distribution(s.corr.mat)
     counts = RngStream(3).generator().multinomial(100_000, dist)
     emp = counts / counts.sum()
     exact = np.diag(dense.gaussian_to_dense(s).rho).real
@@ -337,20 +350,23 @@ def test_sampling_tv_distance(rng):
 
 
 def test_sample_vacuum_all_zero():
-    dist = ExactGaussianSource(states.vacuum(3)).z_distribution()
+    dist = z_basis_distribution(states.vacuum(3).corr.mat)
     assert np.array_equal(dist, np.eye(8)[0])
 
 
 def test_sample_unbiased_marginals():
-    dist = ExactGaussianSource(states.product_state([0.0, 0.0])).z_distribution()
+    dist = z_basis_distribution(states.product_state([0.0, 0.0]).corr.mat)
     assert np.array_equal(dist, np.full(4, 0.25))
 
 
 def test_depolarized_dense_source_mixes_uniform(rng):
     s = states.random_gaussian_state(2, "mixed", rng)
     noisy = DenseSource(dense.depolarize(dense.gaussian_to_dense(s), 0.3))
-    base = ExactGaussianSource(s).z_distribution()
-    assert np.allclose(noisy.z_distribution(), 0.7 * base + 0.3 / 4.0)
+    rounds = np.arange(3)
+    base = ExactGaussianSource(s).round_distributions(rounds)
+    assert np.allclose(noisy.round_distributions(rounds), 0.7 * base + 0.3 / 4.0)
+    own = z_basis_distribution(s.corr.mat)
+    assert np.allclose(np.diag(noisy.state.rho).real, 0.7 * own + 0.3 / 4.0)
     assert np.allclose(noisy.gamma(), 0.7 * s.corr.mat)
 
 
@@ -472,7 +488,8 @@ def test_estimate_determinism(rng):
     ref = np.zeros((6, 6))
     for t, pairs in enumerate(matchings(3)):
         q = matching_rotation(pairs, 3)
-        counts = RngStream(9, (1, t)).generator().multinomial(1000, src.z_distribution(q))
+        dist = z_basis_distribution(q @ s.corr.mat @ q.T)
+        counts = RngStream(9, (1, t)).generator().multinomial(1000, dist)
         for i, (j, k) in enumerate(pairs):
             z = 1.0 - 2.0 * ((np.arange(8) >> (2 - i)) & 1)  # qubit i's reading, qubit 0 first
             ref[j, k] = q[2 * i, j] * q[2 * i + 1, k] * ((z @ counts) / 1000)
@@ -492,7 +509,8 @@ def _per_round_commuting(src, total_shots, rng_stream):
         if shots == 0:
             continue
         q = matching_rotation(pairs, n)
-        counts = rng_stream.child(t).generator().multinomial(shots, src.z_distribution(q))
+        dist = src.round_distributions([t])[0]  # one round per call
+        counts = rng_stream.child(t).generator().multinomial(shots, dist)
         j, k = np.array(pairs).T
         g[j, k] = q[2 * i, j] * q[2 * i + 1, k] * ((bit_signs @ counts) / shots)
     g = np.clip(np.triu(g, 1), -1.0, 1.0)
