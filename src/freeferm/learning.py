@@ -110,8 +110,9 @@ class TestConfig:
     gaussian_set: str = "mixed_set"  # one of GAUSSIAN_SETS
 
     def __post_init__(self):
-        if not (self.eps_b > self.eps_a >= 0.0):
-            raise ValidationError(f"need eps_b > eps_a >= 0, got {self.eps_a}, {self.eps_b}")
+        # 2 is the largest unhalved trace distance, and the thresholds square eps_b
+        if not (2.0 >= self.eps_b > self.eps_a >= 0.0):
+            raise ValidationError(f"need 2 >= eps_b > eps_a >= 0, got {self.eps_a}, {self.eps_b}")
         check_delta(self.delta)
         if self.r < 0:
             raise ValidationError(f"rank exponent {self.r} must be >= 0")

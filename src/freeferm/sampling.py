@@ -210,8 +210,9 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     g' = g_rest - s (u^T v - v^T u) / (2 p_b) with u, v the first two rows.
 
     The full outcome tree is expanded, so the result is exact, one depth at
-    a time: the k live nodes of depth d are one (2(n-d), 2(n-d), k) stack,
-    node axis last, so each elementwise step is one long loop over nodes.
+    a time: the k nodes of depth d, 2^d per root, are one
+    (2(n-d), 2(n-d), k) stack, node axis last, so each elementwise step is
+    one long loop over nodes.
     The roots of a stack share one tree: the node axis holds the nodes of
     up to max(1, :data:`TREE_LEAVES` >> n) roots at once, and larger stacks
     are expanded in batches of that many, which bounds the node stack's
@@ -223,13 +224,12 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     written into the buffer of u^T v, free once diff is formed.  The last
     split builds only the children's (0, 1) entry, u_0 v_1 - u_1 v_0 (diff's
     (0, 1) entry bit for bit), the one entry the last level reads.
-    Branches with p_b <= 1e-16 are dropped and their leaves stay 0; a NaN
-    branch is kept.  Until a batch first drops a branch its nodes are every
-    prefix of its roots in order, so its leaves land with one slice
-    assignment; from that depth on each node carries its leaf prefix, which
-    starts as (first root << depth) + its position, and leaf x of root r
-    lands at r 2^n + x.  The rows are normalised as one stack
-    (:func:`_normalize_distribution`).
+    No branch leaves the stack: one with p_b <= 1e-16 gets probability 0
+    and divisor inf, so that child keeps its parent's rest block (a valid
+    marginal) and every leaf below it is 0; a NaN branch is kept as it is.
+    The nodes of each depth are thus every prefix of the batch's roots in
+    order, and the batch's leaves land with one slice.  The rows are
+    normalised as one stack (:func:`_normalize_distribution`).
     """
     stack = np.asarray(gamma, dtype=float)
     if stack.ndim not in (2, 3):
@@ -238,46 +238,36 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     n = g.shape[-1] // 2
     check_scheme("commuting", n)
     out = np.zeros((len(g), 1 << n))
-    leaves = out.reshape(-1)  # a view: leaf x of root r is leaves[r 2^n + x]
-    signs, bits = np.array([1.0, -1.0]), np.array([0, 1])
+    signs = np.array([1.0, -1.0])
     batch = max(1, TREE_LEAVES >> n)
     for first in range(0, len(g), batch):
         subs = g[first:first + batch].transpose(1, 2, 0)
-        g01, p, idx = subs[0, 1], np.ones(subs.shape[2]), None
+        g01, p = subs[0, 1], np.ones(subs.shape[2])
         for m in range(n, 0, -1):
             # pb[node, b] is the probability of reading bit b at that node
             pb = 0.5 * (1.0 + signs * g01[:, None])
             dropped = pb <= 1e-16  # a NaN branch is kept, not dropped
+            pb[dropped] = 0.0
             p = (p[:, None] * pb).ravel()
-            div, keep = 2.0 * pb, slice(None)
-            if dropped.any():
-                if idx is None:  # the first drop: the nodes so far are every prefix in order
-                    idx = (first << (n - m)) + np.arange(len(pb))
-                keep = ~dropped.ravel()
-                p = p[keep]
-                div[dropped] = 1.0  # that child is built, then discarded
-            if idx is not None:
-                idx = ((idx[:, None] << 1) | bits).ravel()[keep]
             if m == 1:
-                if idx is None:
-                    leaves[first << n:(first << n) + len(p)] = p
-                else:
-                    leaves[idx] = p
+                out[first:first + batch] = p.reshape(-1, 1 << n)
                 break
+            div = 2.0 * pb
+            div[dropped] = np.inf  # that child keeps its parent's rest block
             u, v, rest = subs[0, 2:], subs[1, 2:], subs[2:, 2:]
             if m == 2:  # the last level reads only g01, so build only that entry
                 d01 = u[0] * v[1] - u[1] * v[0]  # diff[0, 1], bit for bit
                 kids = np.empty((len(d01), 2))
                 np.subtract(rest[0, 1], d01 / div[:, 0], out=kids[:, 0])
                 np.add(rest[0, 1], d01 / div[:, 1], out=kids[:, 1])
-                g01 = kids.reshape(-1)[keep]
+                g01 = kids.reshape(-1)
                 continue
             uv = u[:, None] * v[None, :]
             diff = uv - uv.transpose(1, 0, 2)  # v_i u_j is u_j v_i, bit for bit
             kids = np.empty((*rest.shape, 2))
             np.subtract(rest, np.divide(diff, div[:, 0], out=uv), out=kids[..., 0])
             np.add(rest, np.divide(diff, div[:, 1], out=uv), out=kids[..., 1])
-            subs = kids.reshape(*rest.shape[:2], -1)[:, :, keep]
+            subs = kids.reshape(*rest.shape[:2], -1)
             g01 = subs[0, 1]
     out = _normalize_distribution(out)
     return out[0] if stack.ndim == 2 else out
@@ -312,8 +302,8 @@ def matching_rotation(m: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
 
     q is the rows of the identity gathered in pair order (row 2i is e_j, row
     2i+1 is e_k), with its last row negated when that permutation is odd.
-    The parity is read from the permutation's cycles: a permutation of 2n
-    points with c cycles is odd when 2n - c is.
+    The parity is the sign of the gathered rows' determinant, exactly +-1:
+    LU with partial pivoting does no rounding on a permutation matrix.
     Measuring Z of qubit i on the q-rotated state reads out the (j, k)
     correlation entry times the sign q[2i, j] * q[2i+1, k], which
     :func:`_commuting_plan` derives once per round.
@@ -323,14 +313,7 @@ def matching_rotation(m: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
     if len(pairs) != n or sorted(flat) != list(range(2 * n)) or any(j >= k for j, k in pairs):
         raise InvalidMatching(f"{m} is not a perfect matching of range({2 * n})")
     q = np.eye(2 * n)[flat]
-    seen, cycles = [False] * (2 * n), 0
-    for start in range(2 * n):
-        if not seen[start]:
-            cycles += 1
-            x = start
-            while not seen[x]:
-                seen[x], x = True, flat[x]
-    if cycles % 2:  # 2n - cycles is odd
+    if np.linalg.det(q) < 0:
         q[2 * n - 1, :] *= -1.0
     return q
 

@@ -383,6 +383,26 @@ def test_out_of_range_input_exits_2(tmp_path, capsys, monkeypatch):
     assert "invalid configuration:" in capsys.readouterr().err
 
 
+def test_eps_b_above_two_exits_2_at_validation(tmp_path, capsys, monkeypatch):
+    # eps_b is an unhalved trace distance, at most 2; the threshold formulas
+    # square it, so 1e200 would overflow and inf would leave no copies
+    def no_trial(*args):
+        raise AssertionError("a trial ran with eps_b above 2")
+
+    for command in ("test-pure", "test-rank"):
+        monkeypatch.setitem(cli._TRIAL_WORKERS, command, no_trial)
+    out = str(tmp_path / "x.json")
+    for eps_b in ("1e200", "inf", "2.5"):
+        for argv in (["test-pure", "--modes", "3"],
+                     ["test-rank", "--modes", "3", "--rank-exponent", "1"]):
+            argv = [*argv, "--eps-b", eps_b, "--state-spec", "vacuum", "--trials", "1"]
+            assert cli.main([*argv, "--out", out]) == 2, argv
+            err = capsys.readouterr().err
+            assert "invalid configuration:" in err and "2 >= eps_b" in err, err
+    # 2 itself is in range
+    assert learning.TestConfig(eps_a=0.0, eps_b=2.0, delta=0.1).eps_b == 2.0
+
+
 def test_product_lambdas_checked_at_validation(tmp_path, capsys, monkeypatch):
     # out-of-range and non-finite lambdas are refused before any trial runs,
     # not recorded as one LambdaOutOfRange or NotAntisymmetric per trial

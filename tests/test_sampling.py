@@ -63,7 +63,7 @@ def test_matching_rotation_conjugation(rng):
     assert rot[2, 3] == pytest.approx(signs[1] * g[1, 3])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(1, sampling.MAX_SAMPLING_MODES + 1))
 def test_matching_rotation_special_orthogonal(n):
     for m in matchings(n):
         q = matching_rotation(m, n)
@@ -153,6 +153,18 @@ def test_z_distribution_one_hot_at_the_cap(rng):
         assert np.array_equal(z_basis_distribution(s.corr.mat), one_hot)
 
 
+@pytest.mark.parametrize("n", [13, sampling.MAX_SAMPLING_MODES])
+def test_z_distribution_vacuum_plan_at_the_cap_matches_per_node_reference(n):
+    # a batch holds one root here, and every round of the vacuum's plan drops
+    # branches at some depths: the dropped children stay in the node stack
+    qs = sampling._commuting_plan(n)[0]
+    stack = qs @ states.vacuum(n).corr.mat @ qs.transpose(0, 2, 1)
+    assert max(1, sampling.TREE_LEAVES >> n) == 1
+    dists = z_basis_distribution(stack)
+    for g, dist in zip(stack, dists):
+        assert np.array_equal(dist, _per_node_z_distribution(g))
+
+
 def test_z_distribution_keeps_nan_branches_like_reference(rng):
     # no NaN branch is dropped silently: both samplers refuse a NaN input
     # before the tree is expanded
@@ -215,8 +227,8 @@ def test_z_distribution_rejects_other_shapes():
 @pytest.mark.parametrize("n", [4, 11])
 def test_z_distribution_mixed_stack_matches_per_node_reference(n, rng):
     # one call on a shuffled stack of states that drop a first branch at
-    # different depths, or never: at n = 11 a batch holds 4 roots, so batches
-    # start their leaf bookkeeping at different depths, or keep the slice
+    # different depths, or never: at n = 11 a batch holds 4 roots, so one
+    # batch holds roots that drop branches at different depths, or at none
     lams = rng.choice([-0.6, 0.2, 0.5], size=n)
     cases = [
         states.random_gaussian_state(n, "mixed", rng),
