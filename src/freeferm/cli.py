@@ -154,7 +154,7 @@ class ExperimentConfig:
         if self.trials < 1 or self.seed < 0:
             raise ValidationError(f"need trials >= 1 and seed >= 0; got {self.trials}, {self.seed}")
         if self.shots is not None:
-            sampling.check_shots(self.shots)
+            sampling.check_shots(self.shots, self.scheme)
         sampling.check_delta(self.delta)
         if self.modes < 1:
             raise ValidationError(f"modes must be >= 1, got {self.modes}")
@@ -235,14 +235,6 @@ def _state_source(cfg: ExperimentConfig) -> _Source:
     return lambda stream: src
 
 
-def _dense_of_source(src: StateSource) -> Optional[dense_mod.DenseState]:
-    if isinstance(src, ExactGaussianSource) and src.n <= DENSE_VERIFY_MODES:
-        return src.dense
-    if isinstance(src, DenseSource):
-        return src.state
-    return None
-
-
 def _scored(err: float, eps: float) -> dict:
     """``ok`` and ``verdict_or_error`` of a trial whose error against the truth is ``err``."""
     return {"ok": bool(err <= eps), "verdict_or_error": f"{err:.6f}"}
@@ -316,13 +308,18 @@ def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _S
 
 
 def _trial_tomo(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _Source) -> dict:
+    """Learn one state and score it against the truth: a dense source's
+    density matrix, or at n <= DENSE_VERIFY_MODES a Gaussian source's state in
+    one frame (``dense.gaussian_pair_distance``); ``"learned"`` otherwise."""
     src = source(stream)
     tomograph = learning.tomograph_pure if cfg.command == "tomo-pure" else learning.tomograph_mixed
     report = tomograph(src, cfg.eps, cfg.delta, stream.child(1), scheme=cfg.scheme)
-    truth = _dense_of_source(src)
-    if truth is None:
+    if isinstance(src, DenseSource):
+        err = dense_mod.state_metrics(dense_mod.gaussian_to_dense(report.learned), src.state)
+    elif src.n <= DENSE_VERIFY_MODES:
+        err = dense_mod.gaussian_pair_distance(report.learned, src.state)
+    else:
         return {"shots": report.shots_used, "verdict_or_error": "learned"}
-    err = dense_mod.state_metrics(dense_mod.gaussian_to_dense(report.learned), truth)
     return {"shots": report.shots_used, "dense_error": err, **_scored(err, cfg.eps)}
 
 

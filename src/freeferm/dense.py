@@ -85,6 +85,8 @@ class DenseState:
         object.__setattr__(self, "rho", rho)
 
     def validate(self) -> "DenseState":
+        if not np.isfinite(self.rho).all():  # NaN fails every comparison below
+            raise ValueError("density matrix has a non-finite entry")
         if np.abs(self.rho - self.rho.conj().T).max() > 1e-10:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(self.rho).real - 1.0) > 1e-10 or abs(np.trace(self.rho).imag) > 1e-10:
@@ -510,4 +512,6 @@ def read_dense(f: TextIO) -> DenseState:
         if vals.size != 2 * d:
             raise DimensionMismatch(f"expected {2 * d} reals per row, got {vals.size}")
         rows.append(vals[0::2] + 1j * vals[1::2])
+    if any(line.strip() for line in f):
+        raise DimensionMismatch(f"data after the {d} rows of a {n}-mode state")
     return DenseState(n, np.vstack(rows))

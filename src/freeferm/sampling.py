@@ -127,11 +127,6 @@ class ExactGaussianSource(StateSource):
     def gamma(self) -> np.ndarray:
         return self.state.corr.mat
 
-    @cached_property
-    def dense(self) -> DenseState:
-        """The state as a dense density matrix, built on first use."""
-        return dense_mod.gaussian_to_dense(self.state)
-
     def _rotated(self, q: Optional[np.ndarray]) -> np.ndarray:
         g = self.state.corr.mat
         return g if q is None else q @ g @ np.swapaxes(q, -1, -2)
@@ -383,10 +378,15 @@ def check_eps_stat(eps_stat: float) -> None:
         raise ValidationError(f"sup-norm accuracy {eps_stat} outside (0, 2]")
 
 
-def check_shots(total_shots: int) -> None:
-    """Raise ValidationError unless an explicit copy total is at least 1."""
+def check_shots(total_shots: int, scheme: Optional[str] = None) -> None:
+    """Raise ValidationError unless an explicit copy total is at least 1 and
+    ``scheme``, when given, draws copies: ``"exact"`` reads Gamma without any,
+    so a total given to it would be ignored."""
     if total_shots < 1:
         raise ValidationError(f"total_shots must be >= 1, got {total_shots}")
+    if scheme == "exact":
+        raise ValidationError(f"scheme exact draws no copies, so it takes no total_shots "
+                              f"(got {total_shots})")
 
 
 def check_delta(delta: float) -> None:

@@ -79,6 +79,43 @@ def test_unscored_tomography_record():
         assert "median_error" not in rec["aggregate"]
 
 
+def test_tomo_scores_a_gaussian_truth_in_one_frame():
+    # the one-frame distance equals the one from two dense states, for shared
+    # (vacuum, product) and per-trial (random_gaussian) sources, pure and mixed
+    for n in range(1, cli.DENSE_VERIFY_MODES + 1):
+        for command, spec in (("tomo-pure", "vacuum"), ("tomo-pure", "random_gaussian:pure"),
+                              ("tomo-mixed", "product:" + ",".join(["0.6"] * n)),
+                              ("tomo-mixed", "random_gaussian:mixed")):
+            cfg = cli.ExperimentConfig(command=command, modes=n, state_spec=spec, seed=n)
+            source = cfg.validate()
+            stream = sampling.RngStream(cfg.seed, (0,))
+            rec = cli._trial_tomo(cfg, 0, stream, source)
+            src = source(stream)
+            tomograph = learning.tomograph_pure if command == "tomo-pure" \
+                else learning.tomograph_mixed
+            learned = tomograph(src, cfg.eps, cfg.delta, stream.child(1),
+                                scheme=cfg.scheme).learned
+            want = dense.state_metrics(dense.gaussian_to_dense(learned),
+                                       dense.gaussian_to_dense(src.state))
+            assert abs(rec["dense_error"] - want) <= 1e-12, (n, command, spec)
+
+
+def test_tomo_scoring_synthesises_one_unitary_per_trial(monkeypatch):
+    calls = []
+    real = dense.gaussian_unitary
+
+    def counted(q):
+        calls.append(q.shape)
+        return real(q)
+
+    monkeypatch.setattr(dense, "gaussian_unitary", counted)
+    for spec in ("vacuum", "random_gaussian:mixed"):
+        calls.clear()
+        rec = run_cfg(command="tomo-mixed", modes=5, trials=10, state_spec=spec)
+        assert "success_fraction" in rec["aggregate"], spec
+        assert len(calls) == 10, spec
+
+
 def test_robustness_command():
     rec = run_cfg(command="robustness", modes=2, eps=0.3, delta=0.1, trials=2, seed=7,
                   noise_kind="depolarizing", noise_strength=0.02)
@@ -103,7 +140,8 @@ def test_bad_dense_fixture_exits_2(tmp_path, capsys, monkeypatch):
     def no_trial(*args):
         raise AssertionError("a trial ran on an invalid fixture")
 
-    monkeypatch.setitem(cli._TRIAL_WORKERS, "estimate", no_trial)
+    for command in ("estimate", "tomo-mixed"):
+        monkeypatch.setitem(cli._TRIAL_WORKERS, command, no_trial)
     skewed = np.eye(4, dtype=complex) / 4
     skewed[0, 1] = 0.1
     for name, rho in (("trace2", dense.DenseState(2, np.eye(4) / 2)),
@@ -116,13 +154,20 @@ def test_bad_dense_fixture_exits_2(tmp_path, capsys, monkeypatch):
                 "--state-spec", f"dense_fixture:{path}", "--out", str(tmp_path / "x.json")]
         assert cli.main(argv) == 2, name
         assert "invalid configuration:" in capsys.readouterr().err
-    for name, header in (("empty", ""), ("non_integer", "two\n"), ("negative", "-1\n")):
+    header = "must be a mode count >= 1"
+    for name, text, message in (
+            ("empty", "", header), ("non_integer", "two\n", header), ("negative", "-1\n", header),
+            # NaN fails every comparison, so non-finite entries are refused first
+            ("nan", "1\n0.5 0 nan 0\nnan 0 0.5 0\n", "non-finite entry"),
+            ("inf", "1\n0.5 0 inf 0\ninf 0 0.5 0\n", "non-finite entry"),
+            ("third_row", "1\n0.5 0 0 0\n0 0 0.5 0\n0 0 0 0\n", "data after the 2 rows")):
         path = tmp_path / f"{name}.txt"
-        path.write_text(header)
-        argv = ["estimate", "--modes", "2", "--trials", "1",
-                "--state-spec", f"dense_fixture:{path}", "--out", str(tmp_path / "x.json")]
-        assert cli.main(argv) == 2, name
-        assert "must be a mode count >= 1" in capsys.readouterr().err, name
+        path.write_text(text)
+        for command in ("estimate", "tomo-mixed"):
+            argv = [command, "--modes", "1", "--trials", "1",
+                    "--state-spec", f"dense_fixture:{path}", "--out", str(tmp_path / "x.json")]
+            assert cli.main(argv) == 2, (name, command)
+            assert message in capsys.readouterr().err, (name, command)
 
 
 def test_sweep_single_point_slope_absent():
@@ -529,6 +574,12 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
          ["estimate", "--modes", "3", "--shots", "1"]),
         (["sweep", "--axis", "shots", "--points", "1000,-3", "--sub-command", "estimate"],
          ["sweep", "--axis", "shots", "--points", "1000,1", "--sub-command", "estimate"]),
+        # the exact scheme draws no copies, so a copy total would be ignored
+        (["estimate", "--scheme", "exact", "--shots", "10"], ["estimate", "--scheme", "exact"]),
+        (["sweep", "--axis", "shots", "--points", "1000,4000", "--sub-command", "estimate",
+          "--scheme", "exact"],
+         ["sweep", "--axis", "eps", "--points", "0.3,0.5", "--sub-command", "estimate",
+          "--scheme", "exact"]),
     )
 
     def no_trial(*args):

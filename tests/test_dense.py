@@ -421,3 +421,13 @@ def test_dense_dump_round_trip(rng):
     buf.seek(0)
     back = dense.read_dense(buf)
     assert np.abs(back.rho - rho.rho).max() == 0.0
+    buf.write("\n  \n")  # blank lines after the rows are allowed
+    buf.seek(0)
+    assert np.abs(dense.read_dense(buf).rho - rho.rho).max() == 0.0
+
+
+def test_dense_dump_refuses_rows_past_the_last():
+    one_mode = "1\n0.5 0 0 0\n0 0 0.5 0\n"
+    with pytest.raises(DimensionMismatch, match="data after the 2 rows of a 1-mode state"):
+        dense.read_dense(io.StringIO(one_mode + "0 0 0 0\n"))
+
