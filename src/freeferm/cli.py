@@ -156,6 +156,10 @@ class ExperimentConfig:
         if self.shots is not None:
             sampling.check_shots(self.shots, self.scheme)
         sampling.check_delta(self.delta)
+        if self.scheme == "exact" and self.delta != default.delta:
+            # every command reads delta only for the copies it draws
+            raise ValidationError(f"scheme exact draws no copies, so it takes no delta "
+                                  f"(got {self.delta})")
         if self.modes < 1:
             raise ValidationError(f"modes must be >= 1, got {self.modes}")
         source = _state_source(self)  # raises on a spec that is malformed or does not fit

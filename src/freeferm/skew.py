@@ -35,6 +35,7 @@ __all__ = [
     "as_skew_stack",
     "canonical_lambda",
     "lambda_blocks",
+    "conjugate_blocks",
     "pfaffian",
     "restricted_pfaffian",
     "normal_form",
@@ -47,8 +48,10 @@ __all__ = [
 
 #: entries this close to zero are treated as exact zeros when clamping lambdas
 ZERO_CLAMP = 1e-12
+#: smallest normal float; smaller SVD factor entries are set to 0 in normal_form
+_TINY = np.finfo(float).tiny
 #: log|Pf| range of a Pfaffian returned as a normal float
-_LOG_PF_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
+_LOG_PF_RANGE = (math.log(_TINY), math.log(np.finfo(float).max))
 
 SkewLike = Union["SkewMatrix", np.ndarray]
 
@@ -131,6 +134,21 @@ def lambda_blocks(lambdas: Sequence[float]) -> np.ndarray:
     return out
 
 
+def conjugate_blocks(q: np.ndarray, lambdas: Sequence[float]) -> np.ndarray:
+    """``q @ lambda_blocks(lambdas) @ q.T`` with one matrix product.
+
+    q times the blocks only scales and swaps q's column pairs, so it is
+    written into a C-ordered buffer, the layout of the product it replaces;
+    the one product with q^T is then the same call on the same operands, and
+    the result agrees bit for bit.
+    """
+    lams = np.asarray(lambdas, dtype=float)
+    qb = np.empty(q.shape)
+    qb[:, 1::2] = q[:, 0::2] * lams
+    qb[:, 0::2] = q[:, 1::2] * -lams
+    return qb @ q.T
+
+
 def canonical_lambda(n: int) -> np.ndarray:
     """The direct sum of n blocks [[0, 1], [-1, 0]]."""
     return lambda_blocks(np.ones(n))
@@ -206,7 +224,9 @@ class NormalForm:
         return self.lambdas.size
 
     def reconstruct(self) -> np.ndarray:
-        return self.q @ lambda_blocks(self.lambdas) @ self.q.T
+        """q . blockdiag(lam_j J) . q^T by :func:`conjugate_blocks`: one matrix
+        product, bit for bit ``q @ lambda_blocks(lambdas) @ q.T``."""
+        return conjugate_blocks(self.q, self.lambdas)
 
     def with_lambdas(self, lambdas: Sequence[float]) -> "NormalForm":
         lams = np.asarray(lambdas, dtype=float)
@@ -224,6 +244,9 @@ def normal_form(a: SkewLike) -> NormalForm:
     so the SVD B = U S V^T gives block j the plane (z_even U_j, z_odd V_j)
     and the parameter S_j.  Blocks are sorted ascending by lambda; ties keep the
     SVD order.  Values within ZERO_CLAMP of zero are clamped to exactly 0.
+    Entries of U and V^T below the smallest normal float are set to 0 before
+    the two products with z: for a pure input B is nearly diagonal, and the
+    subnormals of its SVD factors would slow those products several-fold.
     """
     m = as_skew_array(a)
     ht, tau, e = _householder(m)
@@ -234,6 +257,8 @@ def normal_form(a: SkewLike) -> NormalForm:
         u, s, vt = scipy.linalg.svd(np.diag(e[0::2]) - np.diag(e[1::2], -1))
     except ValueError as exc:  # no LAPACK convergence
         raise ConvergenceFailure(f"skew normal form failed: {exc}") from exc
+    u[np.abs(u) < _TINY] = 0.0
+    vt[np.abs(vt) < _TINY] = 0.0
     order = np.argsort(s, kind="stable")
     q = np.empty_like(z)
     q[:, 0::2] = z[:, 0::2] @ u[:, order]

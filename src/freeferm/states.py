@@ -297,6 +297,9 @@ def purify(s: GaussianState) -> GaussianState:
     if resid > LAMBDA_INPUT_SLACK:
         raise NotAValidCorrelationMatrix(
             f"purification is not pure: residual {resid:.3e} exceeds {LAMBDA_INPUT_SLACK:.0e}")
+    # np.block rather than one preallocated 4n x 4n buffer: at n = 128 in a
+    # long-running process, the buffer made the allocator return and re-fault
+    # about 400 more pages per call, which cost more than the copies it saved
     m = SkewMatrix(np.block([[g, r], [-r, -g]]))
     n, qe, qo = s.n, q[:, 0::2], q[:, 1::2]
     q2 = np.zeros((4 * n, 4 * n))
@@ -322,4 +325,4 @@ def random_gaussian_state(n: int, kind: str, rng: np.random.Generator) -> Gaussi
     else:
         raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
     q = skew.random_orthogonal(2 * n, rng)
-    return from_correlation(q @ lambda_blocks(lams) @ q.T)
+    return from_correlation(skew.conjugate_blocks(q, lams))

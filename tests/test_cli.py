@@ -574,8 +574,19 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
          ["estimate", "--modes", "3", "--shots", "1"]),
         (["sweep", "--axis", "shots", "--points", "1000,-3", "--sub-command", "estimate"],
          ["sweep", "--axis", "shots", "--points", "1000,1", "--sub-command", "estimate"]),
-        # the exact scheme draws no copies, so a copy total would be ignored
+        # the exact scheme draws no copies, so a copy total or a failure
+        # probability would be ignored
         (["estimate", "--scheme", "exact", "--shots", "10"], ["estimate", "--scheme", "exact"]),
+        (["estimate", "--scheme", "exact", "--delta", "0.5"],
+         ["estimate", "--scheme", "commuting", "--delta", "0.5"]),
+        (["tomo-pure", "--scheme", "exact", "--delta", "0.05"],
+         ["tomo-pure", "--scheme", "exact", "--delta", "0.1"]),
+        (["robustness", "--scheme", "exact", "--delta", "0.5"],
+         ["robustness", "--scheme", "pauli_pairs", "--delta", "0.5"]),
+        (["sweep", "--axis", "eps", "--points", "0.3,0.5", "--sub-command", "tomo-mixed",
+          "--scheme", "exact", "--delta", "0.5"],
+         ["sweep", "--axis", "eps", "--points", "0.3,0.5", "--sub-command", "tomo-mixed",
+          "--scheme", "exact"]),
         (["sweep", "--axis", "shots", "--points", "1000,4000", "--sub-command", "estimate",
           "--scheme", "exact"],
          ["sweep", "--axis", "eps", "--points", "0.3,0.5", "--sub-command", "estimate",

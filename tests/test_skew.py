@@ -2,10 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeferm import skew
+from freeferm import skew, states
 from freeferm.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -275,6 +276,48 @@ def test_normal_form_det_sign_at_a_zero_block(rng, monkeypatch):
         assert len(lu_calls) == lus
         assert nf.det_sign == np.sign(det(nf.q))
         assert np.abs(nf.reconstruct() - a).max() <= 1e-12
+
+
+def test_reconstruct_is_the_two_product_form_bit_for_bit():
+    # one product into a C-ordered buffer; normal_form's q is F-ordered, and
+    # an F-ordered buffer differs from the two-product form in the last bit
+    # at some sizes (2n = 20 and 100 among these)
+    for dim in (2, 4, 6, 10, 20, 64, 100, 256):
+        gen = np.random.default_rng(dim)
+        n = dim // 2
+        nf = skew.normal_form(skew.random_skew(dim, gen))
+        for q in (np.asfortranarray(nf.q), np.ascontiguousarray(nf.q),
+                  skew.random_orthogonal(dim, gen)):
+            for lams in (np.ones(n), nf.lambdas, gen.uniform(0.0, 1.0, n), np.zeros(n)):
+                got = skew.NormalForm(q, lams, 1).reconstruct()
+                want = q @ skew.lambda_blocks(lams) @ q.T
+                assert got.tobytes() == want.tobytes(), (dim, q.flags.c_contiguous)
+
+
+def test_pure_normal_form_at_256(monkeypatch):
+    # a pure state and a small rotation of it, as the 128-mode bound query
+    # builds them: B is nearly diagonal, so gesdd's U and V^T hold subnormal
+    # entries, which normal_form sets to 0 before its two products
+    gen = np.random.default_rng(128)
+    pure = states.random_gaussian_state(128, "pure", gen).corr.mat
+    a = np.triu(gen.normal(scale=0.005, size=(256, 256)), 1)
+    rot = scipy.linalg.expm(a - a.T)
+    svd, factors = scipy.linalg.svd, []
+
+    def kept_svd(m):
+        factors.append(svd(m))
+        return factors[-1]
+
+    monkeypatch.setattr(scipy.linalg, "svd", kept_svd)
+    for g in (pure, skew.as_skew_array(rot @ pure @ rot.T, tol=1e-9)):
+        nf = skew.normal_form(g)
+        assert np.abs(nf.lambdas - 1.0).max() <= 1e-12
+        assert np.abs(nf.q.T @ nf.q - np.eye(256)).max() <= 1e-12
+        assert np.abs(nf.reconstruct() - g).max() <= 1e-12
+        assert nf.det_sign == np.sign(np.linalg.det(nf.q))
+        u, _, vt = factors[-1]
+        for m in (u, vt):
+            assert not ((m != 0.0) & (np.abs(m) < np.finfo(float).tiny)).any()
 
 
 def test_normal_form_non_finite_input():

@@ -290,6 +290,18 @@ def test_parity_matches_pfaffian(s):
     assert states.parity(s) == pytest.approx(skew.pfaffian(s.corr), abs=1e-10)
 
 
+def test_random_gaussian_state_is_the_two_product_form_bit_for_bit():
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 64, 100, 128):
+        for kind in ("pure", "mixed"):
+            got = states.random_gaussian_state(n, kind, np.random.default_rng(n))
+            gen = np.random.default_rng(n)
+            lams = np.ones(n) if kind == "pure" else gen.uniform(0.0, 1.0, size=n)
+            q = skew.random_orthogonal(2 * n, gen)
+            want = states.from_correlation(q @ skew.lambda_blocks(lams) @ q.T)
+            assert got.corr.mat.tobytes() == want.corr.mat.tobytes(), (n, kind)
+            assert got.nf.q.tobytes() == want.nf.q.tobytes(), (n, kind)
+
+
 def test_validation_round_trip(rng):
     s = states.random_gaussian_state(4, "mixed", rng)
     again = states.from_correlation(s.nf.reconstruct())
