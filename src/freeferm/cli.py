@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -135,8 +136,8 @@ class ExperimentConfig:
         if row is None:
             raise ValidationError(f"unknown command {self.command!r}")
         default = ExperimentConfig(self.command)
-        _check_row(self.command, [f.name for f in fields(self) if f.name != "command"
-                                  and getattr(self, f.name) != getattr(default, f.name)])
+        given = [f.name for f in fields(self) if getattr(self, f.name) != getattr(default, f.name)]
+        _check_row(self.command, given, self.axis)  # given: set away from its default
         for name in row:
             value, (flag, options) = getattr(self, name), _FLAGS[name]
             if not (_has_type(name, value) or value is None and getattr(default, name) is None):
@@ -147,8 +148,6 @@ class ExperimentConfig:
         if self.command == "sweep":
             if not self.points:
                 raise ValidationError("sweep needs at least one point")
-            if getattr(self, self.axis) != getattr(default, self.axis):
-                raise ValidationError(f"a sweep along {self.axis} sets {self.axis} at each point")
             subs = (_sweep_point(self, point) for point in self.points)
             return [(sub, sub.validate()) for sub in subs]
         if self.trials < 1 or self.seed < 0:
@@ -191,11 +190,13 @@ _OWNER_CHECKS: Dict[str, Callable[[ExperimentConfig], object]] = {
 }
 
 
-def _check_row(command: str, names: Sequence[str]) -> None:
-    """Raise ValidationError unless every field in ``names`` is in the command's row."""
+def _check_row(command: str, names: Sequence[str], axis: Optional[str] = None) -> None:
+    """Raise ValidationError unless each field in ``names`` is in the row and none is swept."""
     unread = [name for name in names if name not in COMMAND_FIELDS[command]]
     if unread:
         raise ValidationError(f"{command} does not take {unread}")
+    if axis in _FLAGS["axis"][1]["choices"] and axis in names:
+        raise ValidationError(f"a sweep along {axis} sets {axis} at each point")
 
 
 def _sweep_point(cfg: ExperimentConfig, point: float) -> ExperimentConfig:
@@ -258,7 +259,7 @@ def _trial_verify_bounds(cfg: ExperimentConfig, trial: int, stream: RngStream, *
     s1 = states.random_gaussian_state(n, kind, gen)
     if mode == "pure_vs_any":
         rho2 = dense_mod.random_density_matrix(n, gen)
-        g2 = dense_mod.correlation_matrix(rho2).mat
+        g2 = dense_mod.correlation_matrix(rho2)
         td = dense_mod.state_metrics(dense_mod.gaussian_to_dense(s1), rho2)
     else:
         g2 = states.random_gaussian_state(n, kind, gen)
@@ -449,13 +450,22 @@ def _to_csv(record: dict) -> str:
     return buf.getvalue()
 
 
-def write_record(record: dict, cfg: ExperimentConfig) -> str:
-    """Write to out_path ('-' for stdout); returns the destination label."""
+def _destination(cfg: ExperimentConfig) -> str:
+    """out_path ('-' for stdout), else ``<command>.<format>`` under FREEFERM_OUT_DIR; raises
+    the OSError of writing there if it is a directory or its parent directory is missing."""
     out = cfg.out_path
     if out is None:
-        base = os.environ.get("FREEFERM_OUT_DIR", ".")
         ext = "csv" if cfg.format == "csv" else "json"
-        out = os.path.join(base, f"{cfg.command}.{ext}")
+        out = os.path.join(os.environ.get("FREEFERM_OUT_DIR", "."), f"{cfg.command}.{ext}")
+    if out != "-" and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        code = errno.EISDIR if os.path.isdir(out) else errno.ENOENT
+        raise OSError(code, os.strerror(code), out)
+    return out
+
+
+def write_record(record: dict, cfg: ExperimentConfig) -> str:
+    """Write to out_path ('-' for stdout); returns the destination label."""
+    out = _destination(cfg)
     payload = _to_csv(record) if cfg.format == "csv" else json.dumps(record, indent=2)
     if out == "-":
         sys.stdout.write(payload + "\n")
@@ -505,7 +515,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ValidationError(f"config file {args.config!r} holds no JSON object "
                                   f"of non-null values")
     values.update((k, v) for k, v in vars(args).items() if k in _FLAGS and v is not None)
-    _check_row(args.command, list(values))
+    _check_row(args.command, list(values), values.get("axis"))  # given, even at its default
     if isinstance(values.get("points"), str):
         try:
             values["points"] = [float(x) for x in values["points"].split(",") if x]
@@ -531,6 +541,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code
     try:
         cfg = config_from_args(args)
+        _destination(cfg)  # an unwritable destination fails before the first trial
         record = run(cfg)
         dest = write_record(record, cfg)
     except BudgetOverflow as exc:

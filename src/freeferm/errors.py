@@ -42,11 +42,7 @@ class DimensionMismatch(FreeFermError):
 # -- Gaussian states ---------------------------------------------------------
 
 class NotAValidCorrelationMatrix(FreeFermError):
-    """Normal eigenvalue exceeds 1 beyond tolerance."""
-
-
-class LambdaOutOfRange(FreeFermError):
-    """Product-state occupation parameter outside [-1, 1]."""
+    """A normal eigenvalue, or a product state's lambda, is not finite or exceeds 1 in magnitude."""
 
 
 class NotOrthogonal(FreeFermError):
@@ -70,7 +66,7 @@ class NonNegligibleImaginaryPart(FreeFermError):
 
 class TooManyModes(FreeFermError):
     """Mode count exceeds a desk-scale cap: the dense, sparse, sampling
-    (``sampling.MAX_SAMPLING_MODES``) or robustness-certification cap."""
+    (``sampling.MAX_SAMPLING_MODES``), local-tomography or robustness-certification cap."""
 
 
 # -- sampling ----------------------------------------------------------------
@@ -92,10 +88,6 @@ class NotADistribution(FreeFermError):
 
 class InfeasibleThresholds(FreeFermError):
     """The (eps_a, eps_b) pair violates the feasibility predicate."""
-
-
-class TooManyLocalModes(FreeFermError):
-    """Local tomography requested on more modes than the cap allows."""
 
 
 class PromiseNotCertified(FreeFermError):

@@ -36,7 +36,7 @@ from .errors import (
     BudgetOverflow,
     InfeasibleThresholds,
     PromiseNotCertified,
-    TooManyLocalModes,
+    RankExponentOutOfRange,
     TooManyModes,
     ValidationError,
 )
@@ -50,7 +50,6 @@ from .sampling import (
     hoeffding_shots,
     shot_budget,
 )
-from .skew import SkewMatrix
 from .states import GaussianState
 
 __all__ = [
@@ -175,7 +174,7 @@ def rank_test_thresholds(cfg: TestConfig, n: int) -> Tuple[float, float, float, 
     if r:
         _check_local_modes(r)
     if not 0 <= r <= n - 1:
-        raise InfeasibleThresholds(f"rank exponent r={r} outside [0, {n - 1}]")
+        raise RankExponentOutOfRange(f"rank exponent r={r} outside [0, {n - 1}]")
     if cfg.gaussian_set == "rank_set":
         gap = ea
     elif cfg.gaussian_set == "mixed_set":
@@ -346,7 +345,7 @@ def local_full_tomography(
 
 def _check_local_modes(r: int) -> None:
     if not 1 <= r <= MAX_LOCAL_MODES:
-        raise TooManyLocalModes(f"local tomography supports 1..{MAX_LOCAL_MODES} modes, got {r}")
+        raise TooManyModes(f"local tomography supports 1..{MAX_LOCAL_MODES} modes, got {r}")
 
 
 def _pauli_strings(r: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -411,8 +410,7 @@ def tomograph_pure(
         src, eps, delta, scheme, rng_stream.child(0),
         total_shots=shot_budget("commuting", n, eps, delta),
     )
-    nf = skew.normal_form(est.gamma_hat).with_lambdas(np.ones(n))
-    learned = GaussianState(corr=SkewMatrix(nf.reconstruct(), tol=1e-9), nf=nf)
+    learned = states.from_normal_form(skew.normal_form(est.gamma_hat).with_lambdas(np.ones(n)))
     return TomographyReport(learned, est.shots_used)
 
 

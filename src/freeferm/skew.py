@@ -103,10 +103,6 @@ class SkewMatrix:
         return self._m
 
     @property
-    def dim(self) -> int:
-        return self._m.shape[0]
-
-    @property
     def n(self) -> int:
         return self._m.shape[0] // 2
 
@@ -114,7 +110,7 @@ class SkewMatrix:
         return self._m if dtype is None else self._m.astype(dtype)
 
     def __repr__(self) -> str:
-        return f"SkewMatrix(dim={self.dim})"
+        return f"SkewMatrix(dim={self._m.shape[0]})"
 
 
 def as_skew_array(a: SkewLike, *, tol: float = 1e-12) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 from . import skew
 from .errors import (
     DimensionMismatch,
-    LambdaOutOfRange,
     NotAValidCorrelationMatrix,
     NotOrthogonal,
     NotPure,
@@ -30,6 +29,7 @@ __all__ = [
     "BoundsReport",
     "NonGaussReport",
     "from_correlation",
+    "from_normal_form",
     "clip_to_valid",
     "product_state",
     "vacuum",
@@ -109,9 +109,13 @@ def from_correlation(g: GammaLike) -> GaussianState:
             f"largest normal eigenvalue {lam[-1]:.8f} exceeds 1 beyond slack"
         )
     if lam[-1] > 1.0:
-        nf = nf.with_lambdas(np.minimum(lam, 1.0))
-        corr = SkewMatrix(nf.reconstruct())
+        return from_normal_form(nf.with_lambdas(np.minimum(lam, 1.0)))
     return GaussianState(corr=corr, nf=nf)
+
+
+def from_normal_form(nf: NormalForm) -> GaussianState:
+    """The state Q (+)lam_j J Q^T of ``nf``, validated at the default tolerance."""
+    return GaussianState(corr=SkewMatrix(nf.reconstruct()), nf=nf)
 
 
 def clip_to_valid(g: GammaLike) -> GaussianState:
@@ -121,9 +125,7 @@ def clip_to_valid(g: GammaLike) -> GaussianState:
     (tomography Step 3); :func:`from_correlation` stays strict.
     """
     nf = skew.normal_form(_skew_of(g))
-    nf = nf.with_lambdas(np.minimum(nf.lambdas, 1.0))
-    m = nf.reconstruct()
-    return GaussianState(corr=SkewMatrix(m), nf=nf)
+    return from_normal_form(nf.with_lambdas(np.minimum(nf.lambdas, 1.0)))
 
 
 def product_state(lambdas: Sequence[float]) -> GaussianState:
@@ -132,7 +134,7 @@ def product_state(lambdas: Sequence[float]) -> GaussianState:
     if lams.ndim != 1 or lams.size == 0:
         raise DimensionMismatch("need a non-empty flat list of lambdas")
     if not np.all(np.abs(lams) <= 1.0):  # NaN fails this comparison too
-        raise LambdaOutOfRange(f"lambdas must be finite and in [-1, 1], got {lams}")
+        raise NotAValidCorrelationMatrix(f"lambdas must be finite and in [-1, 1], got {lams}")
     return from_correlation(lambda_blocks(lams))
 
 

@@ -450,7 +450,7 @@ def test_eps_b_above_two_exits_2_at_validation(tmp_path, capsys, monkeypatch):
 
 def test_product_lambdas_checked_at_validation(tmp_path, capsys, monkeypatch):
     # out-of-range and non-finite lambdas are refused before any trial runs,
-    # not recorded as one LambdaOutOfRange or NotAntisymmetric per trial
+    # not recorded as one NotAValidCorrelationMatrix or NotAntisymmetric per trial
     def no_trial(*args):
         raise AssertionError("a trial ran on a bad product spec")
 
@@ -543,6 +543,19 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
           "estimate"],
          ["sweep", "--axis", "shots", "--points", "1000", "--modes", "5", "--sub-command",
           "estimate"]),
+        # the swept field given, on the command line or in a config file, even at its default
+        (["sweep", "--axis", "modes", "--points", "4,5", "--modes", "3", "--sub-command",
+          "estimate"],
+         ["sweep", "--axis", "shots", "--points", "1000", "--modes", "3", "--sub-command",
+          "estimate"]),
+        (["sweep", "--axis", "eps", "--points", "0.3", "--eps", "0.2", "--sub-command",
+          "estimate"],
+         ["sweep", "--axis", "shots", "--points", "1000", "--eps", "0.2", "--sub-command",
+          "estimate"]),
+        (["sweep", "--axis", "modes", "--points", "4,5", "--sub-command", "estimate",
+          *cfg["modes"]],
+         ["sweep", "--axis", "shots", "--points", "1000", "--sub-command", "estimate",
+          *cfg["modes"]]),
         (["sweep", "--axis", "eps", "--points", "0.3", "--sub-command", "tomo-mixed",
           "--format", "csv"],
          ["tomo-mixed", "--format", "csv"]),
@@ -613,6 +626,44 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
     # a command that ignores the spec rejects one set away from its default
     with pytest.raises(ValidationError, match=r"robustness does not take \['state_spec'\]"):
         cli.ExperimentConfig(command="robustness", modes=4, state_spec="ghz3").validate()
+
+
+def test_swept_field_refused_when_given(capsys, tmp_path):
+    argv = ["sweep", "--axis", "modes", "--points", "4,5", "--sub-command", "estimate",
+            "--modes", "3", "--trials", "1", "--out", str(tmp_path / "x.json")]
+    assert cli.main(argv) == 2
+    assert "a sweep along modes sets modes at each point" in capsys.readouterr().err
+    # a config built in code cannot tell a value given at the default from none
+    cli.ExperimentConfig(command="sweep", axis="modes", points=[4.0, 5.0],
+                         sub_command="estimate", modes=3).validate()
+    with pytest.raises(ValidationError, match="a sweep along modes sets modes at each point"):
+        cli.ExperimentConfig(command="sweep", axis="modes", points=[4.0, 5.0],
+                             sub_command="estimate", modes=4).validate()
+
+
+def test_unwritable_destination_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setitem(cli._TRIAL_WORKERS, "verify-bounds", no_trial)
+    argv = ["verify-bounds", "--modes", "9", "--trials", "3"]
+    (tmp_path / "verify-bounds.json").mkdir()
+    missing = tmp_path / "missing" / "r.json"
+    # --out under a missing directory or naming a directory, and the default
+    # path under FREEFERM_OUT_DIR in the same two cases
+    for out, out_dir in ((missing, None), (tmp_path, None), (None, missing.parent),
+                         (None, tmp_path)):
+        if out_dir is not None:
+            monkeypatch.setenv("FREEFERM_OUT_DIR", str(out_dir))
+        target = out or out_dir / "verify-bounds.json"
+        with pytest.raises(OSError) as opened:  # the error writing the record would meet
+            open(target, "w")
+        assert cli.main([*argv, *(["--out", str(out)] if out else [])]) == 2
+        assert capsys.readouterr().err == f"i/o error: {opened.value}\n"
+    # stdout, and a file in an existing directory, reach the trials
+    for out in ("-", str(tmp_path / "r.json")):
+        with pytest.raises(AssertionError, match="a trial ran"):
+            cli.main([*argv, "--out", out])
 
 
 def _flag_value(field_name):

@@ -8,7 +8,7 @@ from freeferm.errors import (
     BudgetOverflow,
     InfeasibleThresholds,
     PromiseNotCertified,
-    TooManyLocalModes,
+    RankExponentOutOfRange,
     TooManyModes,
     ValidationError,
 )
@@ -73,7 +73,7 @@ def test_rank_thresholds_formulas():
 
 def test_rank_thresholds_degenerate_r():
     cfg = learning.TestConfig(eps_a=0.0, eps_b=0.5, delta=0.1, r=4, gaussian_set="rank_set")
-    with pytest.raises(InfeasibleThresholds):
+    with pytest.raises(RankExponentOutOfRange):
         learning.rank_test_thresholds(cfg, 4)
     # eps_b = 0.5 < sqrt(2^5 (n - r) eps_a) = 0.98 at n = 4, r = 1, eps_a = 0.01
     cfg = learning.TestConfig(eps_a=0.01, eps_b=0.5, delta=0.1, r=1, gaussian_set="rank_set")
@@ -236,7 +236,7 @@ def test_local_tomography(rng):
     rho2, _ = learning.local_full_tomography(mm, 2, 0.1, 0.1, RngStream(9))
     assert dense.state_metrics(rho2, dense.DenseState(2, np.eye(4) / 4)) < 0.1
 
-    with pytest.raises(TooManyLocalModes):
+    with pytest.raises(TooManyModes):
         learning.local_full_tomography(vac, 7, 0.1, 0.1, RngStream(10))
 
     # one mode at eps_tom 1e-8 draws about 1.3e18 copies per Pauli, below the ceiling
@@ -397,12 +397,25 @@ def test_two_stage_testers_check_the_local_cap_before_any_draw(monkeypatch):
     )
     for n, run in runs:
         for state in (states.vacuum(n), states.product_state([0.0] * n)):
-            with pytest.raises(TooManyLocalModes, match=f"1..{cap} modes, got {cap + 1}"):
+            with pytest.raises(TooManyModes, match=f"1..{cap} modes, got {cap + 1}"):
                 run(ExactGaussianSource(state), scheme="exact")
             with monkeypatch.context() as m:
                 m.setattr(learning, "estimate_gamma", no_estimate)
-                with pytest.raises(TooManyLocalModes):
+                with pytest.raises(TooManyModes):
                     run(ExactGaussianSource(state))
+
+
+def test_tomograph_pure_builds_at_the_default_tolerance():
+    # under pauli_pairs at n = 128 the learned Q Lambda Q^T is antisymmetric far
+    # inside SkewMatrix's default tolerance of 1e-12, at which it is built
+    n = 128
+    s = states.random_gaussian_state(n, "pure", np.random.default_rng(128))
+    rep = learning.tomograph_pure(ExactGaussianSource(s), 0.2, 0.1, RngStream(5),
+                                  scheme="pauli_pairs")
+    m = rep.learned.nf.reconstruct()
+    assert np.abs(m + m.T).max() <= 1e-15
+    assert rep.learned.corr.mat.tobytes() == skew.SkewMatrix(m).mat.tobytes()
+    assert np.array_equal(rep.learned.lambdas, np.ones(n))
 
 
 def test_tomograph_pure(rng):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from freeferm import dense, skew, states
 from freeferm.errors import (
-    LambdaOutOfRange,
     NotAValidCorrelationMatrix,
     NotOrthogonal,
     NotPure,
@@ -49,7 +48,7 @@ def test_product_state():
     one = states.product_state([-1.0])
     assert np.array_equal(one.corr.mat, -skew.canonical_lambda(1))
     for bad in ([1.2], [np.nan, 0.2], [0.0, -np.inf]):
-        with pytest.raises(LambdaOutOfRange, match="finite"):
+        with pytest.raises(NotAValidCorrelationMatrix, match="finite"):
             states.product_state(bad)
 
 
@@ -300,6 +299,28 @@ def test_random_gaussian_state_is_the_two_product_form_bit_for_bit():
             want = states.from_correlation(q @ skew.lambda_blocks(lams) @ q.T)
             assert got.corr.mat.tobytes() == want.corr.mat.tobytes(), (n, kind)
             assert got.nf.q.tobytes() == want.nf.q.tobytes(), (n, kind)
+
+
+def test_from_normal_form_is_the_reconstructed_state():
+    # the one normal-form-to-state constructor keeps its normal form, and
+    # from_correlation's clamp branch and clip_to_valid build through it
+    for n in (1, 2, 3, 4, 8, 16, 32, 64, 128):
+        gen = np.random.default_rng(n)
+        q = skew.random_orthogonal(2 * n, gen)
+        over = skew.conjugate_blocks(q, 1.0 + gen.uniform(1e-9, 1e-7, size=n))
+        nf_over = skew.normal_form(over)
+        assert nf_over.lambdas[-1] > 1.0, n
+        clamped = nf_over.with_lambdas(np.minimum(nf_over.lambdas, 1.0))
+        for nf in (skew.normal_form(skew.conjugate_blocks(q, np.ones(n))),
+                   skew.normal_form(skew.conjugate_blocks(q, gen.uniform(0.0, 1.0, size=n))),
+                   clamped):
+            s = states.from_normal_form(nf)
+            assert s.nf is nf
+            assert s.corr.mat.tobytes() == skew.SkewMatrix(nf.reconstruct()).mat.tobytes(), n
+        want = states.from_normal_form(clamped).corr.mat.tobytes()
+        for built in (states.from_correlation(over), states.clip_to_valid(over)):
+            assert built.corr.mat.tobytes() == want, n
+            assert np.array_equal(built.lambdas, clamped.lambdas)
 
 
 def test_validation_round_trip(rng):
