@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 from scipy.linalg import lapack
@@ -279,7 +279,7 @@ def correlation_matrix(rho: DenseState) -> SkewMatrix:
     vals = -1j * pauli_expectations(rho.rho, *majoranas(rho.n).pairs(j, k))
     g = np.zeros((dim, dim))
     g[j, k] = _real(vals, "correlation entries")
-    return SkewMatrix(g - g.T)
+    return SkewMatrix.from_upper(g)
 
 
 # -- Gaussian unitary synthesis ----------------------------------------------
@@ -358,17 +358,19 @@ def _synthesis_residual(u: np.ndarray, q: np.ndarray) -> float:
     return float(np.linalg.norm(lhs - rhs.T, axis=1).max())
 
 
-def _product_diagonal(s: GaussianState) -> np.ndarray:
-    """The diagonal of ⊗ (I + lam_j Z_j)/2, s's state in its normal frame."""
+def _product_in_frame(s: GaussianState, u: Optional[np.ndarray] = None) -> DenseState:
+    """U D U^dag for D = ⊗ (I + lam_j Z_j)/2, s's state in its normal frame;
+    D itself when u is None."""
     n = s.n
     bits = (np.arange(1 << n) >> (n - 1 - np.arange(n))[:, None]) & 1  # [mode, x]
-    return np.prod(0.5 * (1.0 + s.nf.lambdas[:, None] * (1.0 - 2.0 * bits)), axis=0)
+    d = np.prod(0.5 * (1.0 + s.nf.lambdas[:, None] * (1.0 - 2.0 * bits)), axis=0)
+    return DenseState(n, np.diag(d) if u is None else (u * d[None, :]) @ u.conj().T)
 
 
 def gaussian_to_dense(s: GaussianState) -> DenseState:
     """rho = U_Q (⊗ (I + lam_j Z_j)/2) U_Q^dag from the normal form of s."""
     u = gaussian_unitary(s.nf.q)  # raises TooManyModes above the dense cap
-    return DenseState(s.n, (u * _product_diagonal(s)[None, :]) @ u.conj().T)
+    return _product_in_frame(s, u)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -392,8 +394,7 @@ def gaussian_pair_distance(s1: GaussianState, s2: GaussianState) -> float:
     if s1.n != s2.n:
         raise DimensionMismatch(f"mode counts {s1.n} and {s2.n} differ")
     w = gaussian_unitary(s1.nf.q.T @ s2.nf.q)  # raises TooManyModes above the dense cap
-    return state_metrics(DenseState(s1.n, np.diag(_product_diagonal(s1))),
-                         DenseState(s2.n, (w * _product_diagonal(s2)[None, :]) @ w.conj().T))
+    return state_metrics(_product_in_frame(s1), _product_in_frame(s2, w))
 
 
 _SUPPORT_EIG = 1e-12
@@ -425,7 +426,7 @@ def gaussianification(rho: DenseState) -> DenseState:
     Its relative entropy from rho is the relative entropy of non-Gaussianity,
     the minimum over all Gaussian states.
     """
-    return gaussian_to_dense(states.clip_to_valid(correlation_matrix(rho)))
+    return gaussian_to_dense(states.from_correlation(correlation_matrix(rho)))
 
 
 def gaussian_derivative(gamma, x) -> np.ndarray:
@@ -433,11 +434,10 @@ def gaussian_derivative(gamma, x) -> np.ndarray:
 
     Traceless and Hermitian within 1e-10 by construction of the formula.
     """
-    g = as_skew_array(gamma)
+    s = states.from_correlation(gamma)
     xm = as_skew_array(x)
-    if g.shape != xm.shape:
-        raise DimensionMismatch(f"shapes {g.shape} and {xm.shape} differ")
-    s = states.from_correlation(g)
+    if s.corr.mat.shape != xm.shape:
+        raise DimensionMismatch(f"shapes {s.corr.mat.shape} and {xm.shape} differ")
     rho = gaussian_to_dense(s).rho
     ms = majoranas(s.n)
     out = np.zeros_like(rho)

@@ -114,7 +114,7 @@ class TestConfig:
             raise ValidationError(f"need 2 >= eps_b > eps_a >= 0, got {self.eps_a}, {self.eps_b}")
         check_delta(self.delta)
         if self.r < 0:
-            raise ValidationError(f"rank exponent {self.r} must be >= 0")
+            raise RankExponentOutOfRange(f"rank exponent {self.r} must be >= 0")
         if self.gaussian_set not in GAUSSIAN_SETS:
             raise ValidationError(f"unknown gaussian_set {self.gaussian_set!r}")
 

@@ -136,8 +136,8 @@ class ExactGaussianSource(StateSource):
 
     def reduced_dense(self, q: Optional[np.ndarray], r: int) -> DenseState:
         g = self._rotated(q)
-        sub = states.clip_to_valid(0.5 * (g[: 2 * r, : 2 * r] - g[: 2 * r, : 2 * r].T))
-        return dense_mod.gaussian_to_dense(sub)
+        sub = SkewMatrix.from_upper(0.5 * (g[: 2 * r, : 2 * r] - g[: 2 * r, : 2 * r].T))
+        return dense_mod.gaussian_to_dense(states.from_correlation(sub))
 
 
 @dataclass(frozen=True)
@@ -436,8 +436,7 @@ def estimate_gamma(
     dim = 2 * n
     check_scheme(scheme, n)
     if scheme == "exact":
-        g = np.clip(src.gamma(), -1.0, 1.0)
-        return GammaEstimate(SkewMatrix(g, tol=1e-9), 0)
+        return GammaEstimate(SkewMatrix.from_upper(np.clip(src.gamma(), -1.0, 1.0)), 0)
     check_delta(delta)
     if total_shots is None:
         check_eps_stat(eps_stat)
@@ -466,5 +465,4 @@ def estimate_gamma(
             # per round, not one stacked matmul: sums above 2^53 would round differently
             g[j, k] = signs[t] * ((bit_signs @ counts) / shots)
 
-    g = np.clip(np.triu(g, 1), -1.0, 1.0)
-    return GammaEstimate(SkewMatrix(g - g.T), total_shots)
+    return GammaEstimate(SkewMatrix.from_upper(np.clip(g, -1.0, 1.0)), total_shots)

@@ -87,7 +87,8 @@ def as_skew_stack(entries: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
 
 
 class SkewMatrix:
-    """Immutable real antisymmetric matrix of even dimension 2n."""
+    """Immutable real antisymmetric matrix of even dimension 2n: the
+    constructor checks a caller's matrix, :meth:`from_upper` one built in code."""
 
     __slots__ = ("_m",)
 
@@ -98,6 +99,15 @@ class SkewMatrix:
         self._m = as_skew_stack(m, tol=tol)
         self._m.setflags(write=False)
 
+    @classmethod
+    def from_upper(cls, entries: np.ndarray) -> "SkewMatrix":
+        """``entries``' strict upper triangle, mirrored, with no check: for a
+        matrix antisymmetric by construction, the bytes the constructor stores."""
+        out = cls.__new__(cls)
+        out._m = _antisymmetrize(np.asarray(entries, dtype=float))
+        out._m.setflags(write=False)
+        return out
+
     @property
     def mat(self) -> np.ndarray:
         return self._m
@@ -105,9 +115,6 @@ class SkewMatrix:
     @property
     def n(self) -> int:
         return self._m.shape[0] // 2
-
-    def __array__(self, dtype=None):
-        return self._m if dtype is None else self._m.astype(dtype)
 
     def __repr__(self) -> str:
         return f"SkewMatrix(dim={self._m.shape[0]})"
@@ -293,10 +300,10 @@ def normal_eigenvalue_gap(a: SkewLike, b: SkewLike) -> float:
 
     Bounded above by the operator norm of a - b (Weyl perturbation bound).
     """
-    ma, mb = as_skew_array(a), as_skew_array(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"shapes {ma.shape} and {mb.shape} differ")
-    return float(np.abs(normal_eigenvalues(ma) - normal_eigenvalues(mb)).max())
+    fa, fb = normal_form(a), normal_form(b)
+    if fa.q.shape != fb.q.shape:
+        raise DimensionMismatch(f"shapes {fa.q.shape} and {fb.q.shape} differ")
+    return float(np.abs(fa.lambdas - fb.lambdas).max())
 
 
 def random_skew(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     NotPure,
     RankExponentOutOfRange,
 )
-from .skew import NormalForm, SkewMatrix, as_skew_array, lambda_blocks, schatten_norm
+from .skew import NormalForm, SkewMatrix, lambda_blocks, schatten_norm
 
 __all__ = [
     "GaussianState",
@@ -67,9 +67,7 @@ def _skew_of(g: GammaLike) -> SkewMatrix:
 
 def _lambdas_of(g: GammaLike) -> np.ndarray:
     """Normal eigenvalues, ascending: a state's cached ones, else computed."""
-    if isinstance(g, GaussianState):
-        return g.lambdas
-    return skew.normal_eigenvalues(as_skew_array(g))
+    return g.lambdas if isinstance(g, GaussianState) else skew.normal_eigenvalues(g)
 
 
 @dataclass(frozen=True)
@@ -114,15 +112,16 @@ def from_correlation(g: GammaLike) -> GaussianState:
 
 
 def from_normal_form(nf: NormalForm) -> GaussianState:
-    """The state Q (+)lam_j J Q^T of ``nf``, validated at the default tolerance."""
-    return GaussianState(corr=SkewMatrix(nf.reconstruct()), nf=nf)
+    """The state Q (+)lam_j J Q^T of ``nf``: antisymmetric up to round-off, so
+    its upper triangle is stored, mirrored, unchecked."""
+    return GaussianState(corr=SkewMatrix.from_upper(nf.reconstruct()), nf=nf)
 
 
 def clip_to_valid(g: GammaLike) -> GaussianState:
     """Clip normal eigenvalues above 1 down to 1, however large.
 
-    This is the estimator-side projection onto valid correlation matrices
-    (tomography Step 3); :func:`from_correlation` stays strict.
+    This is mixed tomography's projection of its estimate onto valid
+    correlation matrices (Step 3); :func:`from_correlation` stays strict.
     """
     nf = skew.normal_form(_skew_of(g))
     return from_normal_form(nf.with_lambdas(np.minimum(nf.lambdas, 1.0)))
@@ -135,7 +134,7 @@ def product_state(lambdas: Sequence[float]) -> GaussianState:
         raise DimensionMismatch("need a non-empty flat list of lambdas")
     if not np.all(np.abs(lams) <= 1.0):  # NaN fails this comparison too
         raise NotAValidCorrelationMatrix(f"lambdas must be finite and in [-1, 1], got {lams}")
-    return from_correlation(lambda_blocks(lams))
+    return from_correlation(SkewMatrix.from_upper(lambda_blocks(lams)))
 
 
 def vacuum(n: int) -> GaussianState:
@@ -149,14 +148,9 @@ def rotate(s: GaussianState, q: np.ndarray) -> GaussianState:
     if q.shape != (2 * s.n, 2 * s.n):
         raise DimensionMismatch(f"rotation shape {q.shape} does not match 2n={2 * s.n}")
     check_orthogonal(q)
-    m = q @ s.corr.mat @ q.T
     # spectrum is preserved exactly, so reuse the cached lambdas
-    nf = NormalForm(
-        q=q @ s.nf.q,
-        lambdas=s.nf.lambdas,
-        det_sign=s.nf.det_sign * (1 if np.linalg.det(q) > 0 else -1),
-    )
-    return GaussianState(corr=SkewMatrix(m, tol=1e-9), nf=nf)
+    nf = NormalForm(q @ s.nf.q, s.nf.lambdas, s.nf.det_sign * (1 if np.linalg.det(q) > 0 else -1))
+    return GaussianState(corr=SkewMatrix.from_upper(q @ s.corr.mat @ q.T), nf=nf)
 
 
 def check_orthogonal(q: np.ndarray, tol: float = 1e-10) -> None:
@@ -219,6 +213,8 @@ def distance_bounds(g1: GammaLike, g2: GammaLike, mode: str = "mixed_mixed") -> 
     mode: "pure_pure" (both Gaussian and pure), "mixed_mixed" (both
     Gaussian), or "pure_vs_any" (first pure Gaussian, second arbitrary).
     """
+    # each array is checked once; the pure modes read its lambdas from the SkewMatrix
+    g1, g2 = (g if isinstance(g, GaussianState) else _skew_of(g) for g in (g1, g2))
     m1, m2 = _skew_of(g1).mat, _skew_of(g2).mat
     if m1.shape != m2.shape:
         raise DimensionMismatch(f"shapes {m1.shape} and {m2.shape} differ")
@@ -261,10 +257,9 @@ class NonGaussReport:
 
 
 def nongaussianity_bounds(g: GammaLike, r: int) -> NonGaussReport:
-    n = _skew_of(g).n
-    if not 0 <= r <= n - 1:
-        raise RankExponentOutOfRange(f"r={r} outside [0, {n - 1}]")
     lam = np.minimum(_lambdas_of(g), 1.0)
+    if not 0 <= r <= lam.size - 1:
+        raise RankExponentOutOfRange(f"r={r} outside [0, {lam.size - 1}]")
     gap = float(1.0 - lam[r])
     lb_rank = gap
     lb_all = gap ** (r + 1) / (1.0 + (r + 1) * gap ** r)
@@ -302,7 +297,7 @@ def purify(s: GaussianState) -> GaussianState:
     # np.block rather than one preallocated 4n x 4n buffer: at n = 128 in a
     # long-running process, the buffer made the allocator return and re-fault
     # about 400 more pages per call, which cost more than the copies it saved
-    m = SkewMatrix(np.block([[g, r], [-r, -g]]))
+    m = SkewMatrix.from_upper(np.block([[g, r], [-r, -g]]))  # antisymmetric by construction
     n, qe, qo = s.n, q[:, 0::2], q[:, 1::2]
     q2 = np.zeros((4 * n, 4 * n))
     top, bot = q2[:2 * n], q2[2 * n:]
@@ -327,4 +322,4 @@ def random_gaussian_state(n: int, kind: str, rng: np.random.Generator) -> Gaussi
     else:
         raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
     q = skew.random_orthogonal(2 * n, rng)
-    return from_correlation(skew.conjugate_blocks(q, lams))
+    return from_correlation(SkewMatrix.from_upper(skew.conjugate_blocks(q, lams)))

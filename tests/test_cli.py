@@ -880,3 +880,26 @@ def test_seeded_records(tmp_path, argv, code, results, aggregate):
     rec = json.loads(out.read_text())
     _assert_record_matches(rec["results"], results, "results")
     _assert_record_matches(rec["aggregate"], aggregate, "aggregate")
+
+
+# The benchmark's CLI requests, one trial each: a matrix the lab builds is not
+# scanned again, so only the outcome tree's stack check of an exact source's
+# commuting rounds remains (a scan is a call of skew.as_skew_stack, the check
+# behind a SkewMatrix built from a caller's matrix)
+REQUEST_SCANS = (
+    ("tomo-mixed --modes 64 --scheme pauli_pairs --state-spec random_gaussian:mixed "
+     "--eps 0.2 --delta 0.1", 0),
+    ("verify-bounds --modes 6 --trials 3", 0),
+    ("robustness --modes 4 --eps 0.3 --noise-kind trace_perturbation --noise-strength 0.01", 0),
+    ("test-rank --modes 6 --rank-exponent 4 --eps-a 0 --eps-b 0.5 --scheme commuting "
+     "--state-spec product:0.1,0.2,0.3,0.4,1,1 --expected CaseA", 1),
+    ("estimate --modes 12 --scheme commuting --state-spec random_gaussian:mixed "
+     "--eps 0.2 --delta 0.1", 1),
+)
+
+
+@pytest.mark.parametrize("argv,count", REQUEST_SCANS, ids=lambda v: str(v).split()[0])
+def test_requests_scan_only_caller_matrices(argv, count, scans, capsys):
+    argv = [*argv.split(), "--seed", "3", "--out", "-"]
+    assert cli.main(argv if "--trials" in argv else [*argv, "--trials", "1"]) == 0
+    assert len(scans) == count, scans

@@ -14,6 +14,7 @@ from freeferm.errors import (
     ConvergenceFailure,
     DimensionMismatch,
     NonNegligibleImaginaryPart,
+    NotAValidCorrelationMatrix,
     NotOrthogonal,
     TooManyModes,
 )
@@ -431,3 +432,26 @@ def test_dense_dump_refuses_rows_past_the_last():
     with pytest.raises(DimensionMismatch, match="data after the 2 rows of a 1-mode state"):
         dense.read_dense(io.StringIO(one_mode + "0 0 0 0\n"))
 
+
+
+def test_gaussianification_refuses_a_non_state():
+    # diag(2, -1) is Hermitian with trace 1 but no state: its Gamma is 3 J, so the
+    # strict constructor refuses it instead of clipping it to |0>
+    with pytest.raises(NotAValidCorrelationMatrix, match="exceeds 1 beyond slack"):
+        dense.gaussianification(dense.DenseState(1, np.diag([2.0, -1.0])))
+
+
+def test_gaussian_derivative_checks_each_matrix_once(rng, scans):
+    s = states.random_gaussian_state(2, "mixed", rng)
+    scans.clear()
+    dense.gaussian_derivative(np.array(s.corr.mat), skew.random_skew(4, rng))
+    assert len(scans) == 2
+    with pytest.raises(DimensionMismatch, match=r"shapes \(4, 4\) and \(6, 6\) differ"):
+        dense.gaussian_derivative(s.corr, skew.random_skew(6, rng))
+
+
+def test_dense_correlation_matrix_is_built_unchecked(rng, scans):
+    rho = dense.random_density_matrix(3, rng)
+    g = dense.correlation_matrix(rho)
+    assert not scans
+    assert np.array_equal(g.mat, -g.mat.T)

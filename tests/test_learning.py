@@ -36,7 +36,7 @@ def test_config_validation():
         learning.TestConfig(eps_a=0.0, eps_b=0.5, delta=1.5)
     with pytest.raises(ValidationError):
         learning.TestConfig(eps_a=0.0, eps_b=0.5, delta=0.1, gaussian_set="bogus")
-    with pytest.raises(ValidationError, match="rank exponent -1 must be >= 0"):
+    with pytest.raises(RankExponentOutOfRange, match="rank exponent -1 must be >= 0"):
         learning.TestConfig(eps_a=0.0, eps_b=0.5, delta=0.1, r=-1)
 
 

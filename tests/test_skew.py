@@ -365,3 +365,45 @@ def test_antisymmetric_inequality_fuzz(rng):
         rhs = 2.0 * skew.schatten_norm(c, 2) ** 2 + np.trace(c @ lam) ** 2
         assert lhs >= rhs - 1e-9
 
+
+
+def _accepted_matrices(rng):
+    """Matrices the constructor accepts: exact, with residuals just inside the
+    tolerance, with signed zeros, and products that are antisymmetric up to round-off."""
+    for dim in (2, 4, 8, 64):
+        a = skew.random_skew(dim, rng)
+        yield a
+        noise = rng.uniform(-0.4e-12, 0.4e-12, size=(dim, dim))
+        yield a + noise  # residual |noise + noise^T| <= 0.8e-12
+        signed = a.copy()
+        signed[0, 1], signed[1, 0] = -0.0, 0.0
+        yield signed
+        q = skew.random_orthogonal(dim, rng)
+        yield skew.conjugate_blocks(q, rng.uniform(0.0, 1.0, size=dim // 2))
+        yield q @ a @ q.T
+    yield skew.lambda_blocks([1.0, -0.0, 0.5])
+
+
+def test_from_upper_stores_the_constructor_bytes(rng, scans):
+    for m in _accepted_matrices(rng):
+        built = skew.SkewMatrix.from_upper(m)
+        scans.clear()
+        checked = skew.SkewMatrix(m)
+        assert len(scans) == 1
+        assert built.mat.tobytes() == checked.mat.tobytes()
+        assert not built.mat.flags.writeable
+    # from_upper reads only the strict upper triangle, and checks nothing
+    scans.clear()
+    lower_junk = np.triu(skew.random_skew(6, rng)) + np.tril(np.full((6, 6), np.nan))
+    assert np.array_equal(skew.SkewMatrix.from_upper(lower_junk).mat,
+                          skew.SkewMatrix(np.triu(lower_junk, 1) - np.triu(lower_junk, 1).T).mat)
+    assert len(scans) == 1  # the constructor's, not from_upper's
+
+
+def test_each_caller_matrix_is_checked_once(rng, scans):
+    a, b = skew.random_skew(6, rng), skew.random_skew(6, rng)
+    skew.normal_eigenvalue_gap(a, b)
+    assert len(scans) == 2
+    scans.clear()
+    with pytest.raises(DimensionMismatch, match=r"shapes \(6, 6\) and \(4, 4\) differ"):
+        skew.normal_eigenvalue_gap(a, skew.random_skew(4, rng))

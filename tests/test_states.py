@@ -327,3 +327,81 @@ def test_validation_round_trip(rng):
     s = states.random_gaussian_state(4, "mixed", rng)
     again = states.from_correlation(s.nf.reconstruct())
     assert np.abs(again.corr.mat - s.corr.mat).max() <= 1e-9
+
+
+def test_states_built_in_code_are_not_scanned(rng, scans):
+    # a caller's array is scanned once where it enters; states the lab builds are not
+    s = states.from_correlation(skew.random_skew(8, rng) * 0.1)
+    assert len(scans) == 1
+    scans.clear()
+    states.purify(s)
+    states.from_normal_form(s.nf)
+    states.rotate(s, skew.random_orthogonal(8, rng))
+    states.random_gaussian_state(4, "mixed", rng)
+    states.product_state([0.5, 1.0])
+    assert not scans
+
+
+def test_each_caller_matrix_is_scanned_once(rng, scans):
+    # the bound query: three arrays in, one scan each, nothing re-scanned after
+    n = 16
+    q = skew.random_orthogonal(2 * n, rng)
+    g_pure = skew.conjugate_blocks(q, np.ones(n))
+    rot = scipy.linalg.expm(skew.random_skew(2 * n, rng, scale=0.005))
+    g_rotated = skew.conjugate_blocks(rot @ q, np.ones(n))
+    g_mixed = skew.conjugate_blocks(skew.random_orthogonal(2 * n, rng), rng.uniform(size=n))
+    s1, s2, s3 = (states.from_correlation(g) for g in (g_pure, g_rotated, g_mixed))
+    states.overlap_pure(s1, s2)
+    states.distance_bounds(s1, s2, "pure_pure")
+    states.parity(s3)
+    states.purify(s3)
+    assert len(scans) == 3
+    for mode in ("pure_pure", "pure_vs_any"):
+        scans.clear()
+        states.distance_bounds(g_pure, g_rotated, mode)
+        assert len(scans) == 2, mode
+    scans.clear()
+    states.nongaussianity_bounds(g_mixed, 2)
+    assert len(scans) == 1
+
+
+def _residual(m):
+    return float(np.abs(m + m.T).max())
+
+
+def test_purify_block_is_exactly_antisymmetric(from_upper_inputs):
+    # purify stores its 4n x 4n block unchecked: the block is antisymmetric bit for bit
+    for n in (1, 2, 3, 8, 32, 128):
+        gen = np.random.default_rng(n)
+        for kind in ("pure", "mixed"):
+            s = states.random_gaussian_state(n, kind, gen)
+            from_upper_inputs.clear()
+            states.purify(s)
+            (block,) = from_upper_inputs
+            assert block.shape == (4 * n, 4 * n)
+            assert _residual(block) == 0.0, (n, kind)
+
+
+def test_normal_form_products_are_antisymmetric_to_round_off():
+    # Q Lambda Q^T of a drawn (q, lambda) and of pure, mixed and clamped normal
+    # forms, stored unchecked by random_gaussian_state and from_normal_form
+    for n in (1, 2, 8, 64, 256, 512):
+        gen = np.random.default_rng(n)
+        q = skew.random_orthogonal(2 * n, gen)
+        for lams in (np.ones(n), gen.uniform(0.0, 1.0, size=n),
+                     1.0 + gen.uniform(1e-9, 1e-7, size=n)):
+            g = skew.conjugate_blocks(q, lams)
+            assert _residual(g) <= 1e-13, n
+            nf = skew.normal_form(g)
+            nf = nf.with_lambdas(np.minimum(nf.lambdas, 1.0))
+            assert _residual(skew.conjugate_blocks(nf.q, nf.lambdas)) <= 1e-13, n
+
+
+def test_rotated_matrix_is_antisymmetric_to_round_off(from_upper_inputs):
+    for n in (1, 2, 8, 32, 128):
+        gen = np.random.default_rng(n)
+        s = states.random_gaussian_state(n, "mixed", gen)
+        from_upper_inputs.clear()
+        states.rotate(s, skew.random_orthogonal(2 * n, gen))
+        (m,) = from_upper_inputs
+        assert _residual(m) <= 1e-13, n
