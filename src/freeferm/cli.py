@@ -370,7 +370,9 @@ def _aggregate(cfg: ExperimentConfig, results: List[dict], errors: Dict[int, str
         agg["violations"] = int(sum(not r["ok"] for r in done))
     if cfg.command == "tomo-pure":
         c, p, k = sampling.SHOT_BUDGETS["commuting"]
-        agg["budget_note"] = (f"appendix budget {c:g} n^{p}/eps^2 log({k:g} n^2/delta); "
+        factor = learning.pure_tomography_factor(cfg.modes, cfg.scheme)
+        spent = f"the commuting row times n = {factor}: " if factor > 1 else ""
+        agg["budget_note"] = (f"{spent}appendix budget {c:g} n^{p}/eps^2 log({k:g} n^2/delta); "
                               f"the headline statement carries constant {4 * c:g}")
     if errors:
         agg["errors"] = dict(sorted(Counter(errors.values()).items()))

@@ -11,11 +11,12 @@ compared eigenvalue, the deciding stage and its threshold.
 
 Shot budgets follow the algorithm boxes and are rows of
 :data:`freeferm.sampling.SHOT_BUDGETS`: the pure test and pure tomography
-take the "commuting" row, the bounded-rank test the "commuting" row at delta/2
-plus its local tomography, mixed tomography the "mixed_tomography" row, and the
-identity-testing reduction its scheme's own row ("commuting" or
-"pauli_pairs", the default of ``estimate_gamma``) at eps/(6n) and delta/2
-plus its full-register tomography.
+take the "commuting" row (pure tomography n times it under "pauli_pairs",
+:func:`pure_tomography_factor`), the bounded-rank test the "commuting" row
+at delta/2 plus its local tomography, mixed tomography the
+"mixed_tomography" row, and the identity-testing reduction its scheme's own
+row ("commuting" or "pauli_pairs", the default of ``estimate_gamma``) at
+eps/(6n) and delta/2 plus its full-register tomography.
 
 Strict-inequality accuracy parameters ("eps_stat < ...") are instantiated
 at 0.9x the open bound.
@@ -74,6 +75,7 @@ __all__ = [
     "robustness_experiment",
     "check_eps_delta",
     "mixed_tomography_shots",
+    "pure_tomography_factor",
 ]
 
 CASE_A = "CaseA"
@@ -212,6 +214,13 @@ def identity_test_thresholds(eps: float, n: int) -> Tuple[float, float, float, f
 
 def mixed_tomography_shots(n: int, eps: float, delta: float) -> int:
     return shot_budget("mixed_tomography", n, eps, delta)
+
+
+def pure_tomography_factor(n: int, scheme: str) -> int:
+    """The multiple of the "commuting" row that pure tomography spends: n under
+    "pauli_pairs", the setting ratio n(2n - 1)/(2n - 1), so that each entry gets
+    the copies "commuting" gives it; 1 otherwise."""
+    return n if scheme == "pauli_pairs" else 1
 
 
 # -- testers ---------------------------------------------------------------------
@@ -402,13 +411,13 @@ def tomograph_pure(
     rng_stream: RngStream,
     scheme: str = "commuting",
 ) -> TomographyReport:
-    """Learn a pure Gaussian state: estimate, take the normal form, snap
-    every eigenvalue to 1."""
+    """Learn a pure Gaussian state: estimate on :func:`pure_tomography_factor`
+    times the "commuting" row, take the normal form, snap every eigenvalue to 1."""
     check_eps_delta(eps, delta)
     n = src.n
     est = estimate_gamma(
         src, eps, delta, scheme, rng_stream.child(0),
-        total_shots=shot_budget("commuting", n, eps, delta),
+        total_shots=pure_tomography_factor(n, scheme) * shot_budget("commuting", n, eps, delta),
     )
     learned = states.from_normal_form(skew.normal_form(est.gamma_hat).with_lambdas(np.ones(n)))
     return TomographyReport(learned, est.shots_used)

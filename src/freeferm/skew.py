@@ -36,6 +36,7 @@ __all__ = [
     "canonical_lambda",
     "lambda_blocks",
     "conjugate_blocks",
+    "log_abs_product",
     "pfaffian",
     "restricted_pfaffian",
     "normal_form",
@@ -176,20 +177,33 @@ def pfaffian(a: SkewLike) -> float:
 
     With a = z t z^T, Pf(a) = det(z) Pf(t): det(z) is -1 per reflector with
     tau != 0, and Pf(t) is the product of t's entries (2k, 2k+1).  That
-    product is taken as exp(sum log|e_k|), so no partial product overflows.
-    A zero factor gives exactly 0.0; a non-zero result whose magnitude lies
-    outside the normal float range raises :class:`PfaffianOutOfRange`.
+    product is taken as exp(:func:`log_abs_product`), so no partial product
+    overflows, and keeps its range rule: a zero factor gives exactly 0.0.
     Satisfies Pf(a)^2 = det(a) and Pf(B a B^T) = det(B) Pf(a); O(dim^3).
     """
     _, tau, e = _householder(as_skew_array(a))
     factors = e[0::2]
-    if not factors.all():
+    log_abs = log_abs_product(factors)
+    if log_abs == -math.inf:
         return 0.0
+    negative = np.count_nonzero(tau) + np.count_nonzero(factors < 0)
+    return (-1.0) ** negative * math.exp(log_abs)
+
+
+def log_abs_product(factors: np.ndarray) -> float:
+    """log|prod(factors)|, summed in logs: the one range rule for a Pfaffian
+    and for a product of normal eigenvalues.
+
+    A zero factor gives -inf (the product is exactly 0); a non-zero product
+    whose magnitude lies outside the normal float range raises
+    :class:`PfaffianOutOfRange`.
+    """
+    if not factors.all():
+        return -math.inf
     log_abs = float(np.log(np.abs(factors)).sum())
     if not _LOG_PF_RANGE[0] <= log_abs <= _LOG_PF_RANGE[1]:
         raise PfaffianOutOfRange(f"|Pf| = exp({log_abs:.6g}) is outside the float range")
-    negative = np.count_nonzero(tau) + np.count_nonzero(factors < 0)
-    return (-1.0) ** negative * math.exp(log_abs)
+    return log_abs
 
 
 def restricted_pfaffian(a: SkewLike, s: Iterable[int]) -> float:

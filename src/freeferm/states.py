@@ -143,14 +143,13 @@ def vacuum(n: int) -> GaussianState:
 
 
 def rotate(s: GaussianState, q: np.ndarray) -> GaussianState:
-    """Conjugate by the Gaussian unitary of q: corr -> q corr q^T."""
+    """Conjugate by the Gaussian unitary of q: the state of normal form (q Q, lam)."""
     q = np.asarray(q, dtype=float)
     if q.shape != (2 * s.n, 2 * s.n):
         raise DimensionMismatch(f"rotation shape {q.shape} does not match 2n={2 * s.n}")
     check_orthogonal(q)
-    # spectrum is preserved exactly, so reuse the cached lambdas
-    nf = NormalForm(q @ s.nf.q, s.nf.lambdas, s.nf.det_sign * (1 if np.linalg.det(q) > 0 else -1))
-    return GaussianState(corr=SkewMatrix.from_upper(q @ s.corr.mat @ q.T), nf=nf)
+    det_sign = s.nf.det_sign * (1 if np.linalg.det(q) > 0 else -1)
+    return from_normal_form(NormalForm(q @ s.nf.q, s.lambdas, det_sign))
 
 
 def check_orthogonal(q: np.ndarray, tol: float = 1e-10) -> None:
@@ -168,7 +167,10 @@ def wick_expectation(s: GaussianState, subset: Sequence[int]) -> complex:
 
 
 def parity(s: GaussianState) -> float:
-    """Expectation of Z^(x)n: Pf(corr) = det(q) prod(lambdas) from the cached normal form."""
+    """Expectation of Z^(x)n: Pf(corr) = det(q) prod(lambdas) from the cached normal
+    form, under the range rule of :func:`skew.pfaffian` (:func:`skew.log_abs_product`)."""
+    if skew.log_abs_product(s.lambdas) == -math.inf:
+        return 0.0
     return s.nf.det_sign * float(np.prod(s.lambdas))
 
 
@@ -311,7 +313,7 @@ def purify(s: GaussianState) -> GaussianState:
 # -- generators --------------------------------------------------------------
 
 def random_gaussian_state(n: int, kind: str, rng: np.random.Generator) -> GaussianState:
-    """Random state: Haar-ish orthogonal rotation of a diagonal state.
+    """Random state: Haar-ish orthogonal rotation of a diagonal state, in its normal form.
 
     kind "pure" sets all lambdas to 1; "mixed" draws them uniformly in [0, 1].
     """
@@ -321,5 +323,6 @@ def random_gaussian_state(n: int, kind: str, rng: np.random.Generator) -> Gaussi
         lams = rng.uniform(0.0, 1.0, size=n)
     else:
         raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
-    q = skew.random_orthogonal(2 * n, rng)
-    return from_correlation(SkewMatrix.from_upper(skew.conjugate_blocks(q, lams)))
+    order = np.argsort(lams, kind="stable")  # moving whole pairs is even: det q keeps its sign
+    q = skew.random_orthogonal(2 * n, rng)[:, (2 * order[:, None] + [0, 1]).ravel()]
+    return from_normal_form(NormalForm(q, lams[order], 1 if np.linalg.det(q) > 0 else -1))

@@ -846,10 +846,10 @@ SEEDED_RECORDS = (
          "verdict_or_error": "0.021237"},
         {"trial": 1, "shots": 82707, "dense_error": 0.018879739310528644, "ok": True,
          "verdict_or_error": "0.018880"},
-        {"trial": 2, "shots": 82707, "dense_error": 0.03059778878683639, "ok": True,
-         "verdict_or_error": "0.030598"},
+        {"trial": 2, "shots": 82707, "dense_error": 0.016755609737358845, "ok": True,
+         "verdict_or_error": "0.016756"},
     ], {"trials": 3, "shot_total": 248121, "success_fraction": 1.0,
-        "median_error": 0.021237176495804946, "budget_note": _TOMO_PURE_NOTE}),
+        "median_error": 0.018879739310528394, "budget_note": _TOMO_PURE_NOTE}),
 )
 
 
@@ -881,6 +881,15 @@ def test_seeded_records(tmp_path, argv, code, results, aggregate):
     _assert_record_matches(rec["results"], results, "results")
     _assert_record_matches(rec["aggregate"], aggregate, "aggregate")
 
+
+def test_tomo_pure_note_names_the_budget_it_spends(tmp_path):
+    # under pauli_pairs pure tomography spends n times the commuting row, and says so
+    out = tmp_path / "r.json"
+    assert cli.main(["tomo-pure", "--modes", "5", "--scheme", "pauli_pairs", "--trials", "2",
+                     "--out", str(out)]) == 0
+    agg = json.loads(out.read_text())["aggregate"]
+    assert agg["shot_total"] == 2 * 5 * sampling.shot_budget("commuting", 5, 0.2, 0.1)
+    assert agg["budget_note"] == "the commuting row times n = 5: " + _TOMO_PURE_NOTE
 
 # The benchmark's CLI requests, one trial each: a matrix the lab builds is not
 # scanned again, so only the outcome tree's stack check of an exact source's

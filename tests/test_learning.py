@@ -418,6 +418,20 @@ def test_tomograph_pure_builds_at_the_default_tolerance():
     assert np.array_equal(rep.learned.lambdas, np.ones(n))
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_tomograph_pure_meets_eps_under_pauli_pairs(n):
+    # each of the n(2n - 1) entries is a setting of its own under pauli_pairs, so
+    # n times the commuting row gives each entry the copies commuting gives it
+    eps, delta = 0.2, 0.1
+    for t in range(10):
+        s = states.random_gaussian_state(n, "pure", np.random.default_rng([n, t]))
+        rep = learning.tomograph_pure(ExactGaussianSource(s), eps, delta, RngStream(n, (t,)),
+                                      scheme="pauli_pairs")
+        assert rep.shots_used == n * sampling.shot_budget("commuting", n, eps, delta)
+        err = 2.0 * math.sqrt(1.0 - states.overlap_pure(rep.learned, s))  # exact for pure states
+        assert err <= eps, (n, t, err)
+
+
 def test_tomograph_pure(rng):
     s = states.random_gaussian_state(3, "pure", rng)
     src = ExactGaussianSource(s)

@@ -12,6 +12,7 @@ from freeferm.errors import (
     NotOrthogonal,
     NotPure,
     OddRestriction,
+    PfaffianOutOfRange,
     RankExponentOutOfRange,
 )
 
@@ -27,10 +28,11 @@ def test_from_correlation_examples():
 
 def test_from_correlation_reads_every_gamma_like(rng):
     s = states.random_gaussian_state(3, "mixed", rng)
-    for g in (s.corr.mat, s.corr, s):  # ndarray, SkewMatrix and GaussianState
-        again = states.from_correlation(g)
-        assert np.array_equal(again.corr.mat, s.corr.mat)
-        assert np.array_equal(again.lambdas, s.lambdas)
+    # ndarray, SkewMatrix and GaussianState give one state
+    first, *others = (states.from_correlation(g) for g in (s.corr.mat, s.corr, s))
+    for again in others:
+        assert np.array_equal(again.corr.mat, first.corr.mat)
+        assert np.array_equal(again.lambdas, first.lambdas)
 
 
 def test_from_correlation_clamps_tiny_overshoot():
@@ -289,16 +291,37 @@ def test_parity_matches_pfaffian(s):
     assert states.parity(s) == pytest.approx(skew.pfaffian(s.corr), abs=1e-10)
 
 
-def test_random_gaussian_state_is_the_two_product_form_bit_for_bit():
-    for n in (1, 2, 3, 5, 8, 13, 21, 34, 64, 100, 128):
+def test_parity_and_pfaffian_share_one_range_rule():
+    # |Pf| = prod(lambdas) is about exp(-851) for this drawn mixed state: no
+    # normal float, so both refuse it; a zero lambda gives exactly 0 for both
+    s = states.random_gaussian_state(800, "mixed", np.random.default_rng(800))
+    assert np.log(s.lambdas).sum() < np.log(np.finfo(float).tiny)
+    both = (states.parity, lambda t: skew.pfaffian(t.corr))
+    for pf in both:
+        with pytest.raises(PfaffianOutOfRange, match="outside the float range"):
+            pf(s)
+    zero = states.product_state([-1.0, 0.0])  # det q = -1, and the zero keeps no sign
+    assert [repr(pf(zero)) for pf in both] == ["0.0", "0.0"]
+
+
+def test_random_gaussian_state_keeps_its_drawn_normal_form():
+    # the state is built from the (q, lambdas) it draws, pairs in lambda order,
+    # and LAPACK's normal form of its matrix agrees with it
+    for n in range(1, 129):
         for kind in ("pure", "mixed"):
             got = states.random_gaussian_state(n, kind, np.random.default_rng(n))
             gen = np.random.default_rng(n)
             lams = np.ones(n) if kind == "pure" else gen.uniform(0.0, 1.0, size=n)
             q = skew.random_orthogonal(2 * n, gen)
-            want = states.from_correlation(q @ skew.lambda_blocks(lams) @ q.T)
-            assert got.corr.mat.tobytes() == want.corr.mat.tobytes(), (n, kind)
-            assert got.nf.q.tobytes() == want.nf.q.tobytes(), (n, kind)
+            order = np.argsort(lams, kind="stable")
+            assert np.array_equal(got.lambdas, lams[order]), (n, kind)
+            assert np.array_equal(got.nf.q[:, 0::2], q[:, 2 * order]), (n, kind)
+            assert np.array_equal(got.nf.q[:, 1::2], q[:, 2 * order + 1]), (n, kind)
+            want = skew.conjugate_blocks(got.nf.q, got.lambdas)
+            assert got.corr.mat.tobytes() == skew.SkewMatrix.from_upper(want).mat.tobytes()
+            lapack = skew.normal_form(got.corr)
+            assert lapack.det_sign == got.nf.det_sign, (n, kind)
+            assert np.abs(lapack.lambdas - got.lambdas).max() <= 1e-12, (n, kind)
 
 
 def test_from_normal_form_is_the_reconstructed_state():
