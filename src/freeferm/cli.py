@@ -6,6 +6,11 @@ counter-based streams keyed by (seed, trial), so each trial's record depends
 only on the seed and the trial index, and a record re-runs byte-identically
 from its config echo.
 
+A trial's exact distance to its truth comes from one referee,
+``dense.state_metrics``, which takes dense and Gaussian states alike; only
+``tomo-pure`` above :data:`DENSE_VERIFY_MODES` scores a pure Gaussian truth by
+its overlap instead (``"referee": "overlap"``).
+
 Each command reads the config fields of its row in :data:`COMMAND_FIELDS`:
 a flag or config-file key outside the row, or any other field set away from
 its default, is a validation error.
@@ -27,6 +32,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import sys
 import textwrap
@@ -249,21 +255,19 @@ def _scored(err: float, eps: float) -> dict:
 
 def _trial_verify_bounds(cfg: ExperimentConfig, trial: int, stream: RngStream, *_) -> dict:
     """Check one pair's correlation-matrix bounds against its exact trace
-    distance: a Gaussian pair's is taken in the first state's frame from one
-    synthesis (``dense.gaussian_pair_distance``), and ``pure_vs_any``'s
-    against the second state's density matrix."""
+    distance (``dense.state_metrics``): the second state is Gaussian, or for
+    ``pure_vs_any`` a random density matrix."""
     gen = stream.generator()
     n = cfg.modes
     mode = ("mixed_mixed", "pure_pure", "pure_vs_any")[trial % 3]
     kind = "mixed" if mode == "mixed_mixed" else "pure"
     s1 = states.random_gaussian_state(n, kind, gen)
     if mode == "pure_vs_any":
-        rho2 = dense_mod.random_density_matrix(n, gen)
-        g2 = dense_mod.correlation_matrix(rho2)
-        td = dense_mod.state_metrics(dense_mod.gaussian_to_dense(s1), rho2)
+        second = dense_mod.random_density_matrix(n, gen)
+        g2 = dense_mod.correlation_matrix(second)
     else:
-        g2 = states.random_gaussian_state(n, kind, gen)
-        td = dense_mod.gaussian_pair_distance(s1, g2)
+        second = g2 = states.random_gaussian_state(n, kind, gen)
+    td = dense_mod.state_metrics(s1, second)
     report = states.distance_bounds(s1, g2, mode)  # states carry their lambdas
     # ub_pure <= ub_mixed, so each mode's own upper bound is its tightest
     ub = {"mixed_mixed": report.ub_mixed, "pure_pure": report.ub_pure,
@@ -313,19 +317,22 @@ def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _S
 
 
 def _trial_tomo(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _Source) -> dict:
-    """Learn one state and score it against the truth: a dense source's
-    density matrix, or at n <= DENSE_VERIFY_MODES a Gaussian source's state in
-    one frame (``dense.gaussian_pair_distance``); ``"learned"`` otherwise."""
+    """Learn one state and score it against the truth with the exact referee
+    ``dense.state_metrics``.  Above DENSE_VERIFY_MODES a Gaussian truth is not
+    densified: ``tomo-pure`` scores a pure one by 2 sqrt(1 - |<psi|phi>|^2)
+    (``states.overlap_pure``), exact for two pure states and O(n^3), and
+    every other trial there is recorded ``"learned"``."""
     src = source(stream)
     tomograph = learning.tomograph_pure if cfg.command == "tomo-pure" else learning.tomograph_mixed
     report = tomograph(src, cfg.eps, cfg.delta, stream.child(1), scheme=cfg.scheme)
-    if isinstance(src, DenseSource):
-        err = dense_mod.state_metrics(dense_mod.gaussian_to_dense(report.learned), src.state)
-    elif src.n <= DENSE_VERIFY_MODES:
-        err = dense_mod.gaussian_pair_distance(report.learned, src.state)
-    else:
-        return {"shots": report.shots_used, "verdict_or_error": "learned"}
-    return {"shots": report.shots_used, "dense_error": err, **_scored(err, cfg.eps)}
+    if isinstance(src, DenseSource) or src.n <= DENSE_VERIFY_MODES:
+        err = dense_mod.state_metrics(report.learned, src.state)
+        return {"shots": report.shots_used, "dense_error": err, **_scored(err, cfg.eps)}
+    if cfg.command == "tomo-pure" and src.state.is_pure():  # the learned state is pure
+        err = 2.0 * math.sqrt(1.0 - states.overlap_pure(report.learned, src.state))
+        return {"shots": report.shots_used, "referee": "overlap", "exact_error": err,
+                **_scored(err, cfg.eps)}
+    return {"shots": report.shots_used, "verdict_or_error": "learned"}
 
 
 def _trial_robustness(cfg: ExperimentConfig, trial: int, stream: RngStream,
@@ -363,7 +370,7 @@ def _aggregate(cfg: ExperimentConfig, results: List[dict], errors: Dict[int, str
     oks = [r["ok"] for r in done if "ok" in r]
     if oks:
         agg["success_fraction"] = float(np.mean(oks))
-    errs = [r[k] for r in results for k in ("error_inf", "dense_error") if k in r]
+    errs = [r[k] for r in results for k in ("error_inf", "dense_error", "exact_error") if k in r]
     if errs:
         agg["median_error"] = float(np.median(errs))
     if cfg.command == "verify-bounds":

@@ -7,8 +7,8 @@ Majoranas, correlation matrices and local tomography, a state's table of all
 signed-permutation rotations, given as pairs and signs, read from it
 (``rotated_diagonals``),
 Gaussian-unitary synthesis (Householder reflections, mode doubling), exact
-trace distance (of two Gaussian states from one synthesis,
-``gaussian_pair_distance``) and relative entropy, the Gaussian state with a
+trace distance of dense and Gaussian states (``state_metrics``, two Gaussian
+states from one synthesis) and relative entropy, the Gaussian state with a
 state's correlation matrix (``gaussianification``), and the analytic
 derivative of a Gaussian state in its correlation matrix.  Ground truth for
 every other module at n <= ~10.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 from scipy.linalg import lapack
@@ -50,7 +50,6 @@ __all__ = [
     "gaussian_unitary",
     "gaussian_to_dense",
     "state_metrics",
-    "gaussian_pair_distance",
     "relative_entropy",
     "gaussianification",
     "gaussian_derivative",
@@ -375,26 +374,26 @@ def gaussian_to_dense(s: GaussianState) -> DenseState:
 
 # -- metrics ------------------------------------------------------------------
 
-def state_metrics(a: DenseState, b: DenseState) -> float:
-    """Exact trace distance tr|a-b|, unhalved, so ranging over [0, 2]."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"mode counts {a.n} and {b.n} differ")
-    return float(np.abs(np.linalg.eigvalsh(a.rho - b.rho)).sum())
+def state_metrics(a: Union[DenseState, GaussianState],
+                  b: Union[DenseState, GaussianState]) -> float:
+    """Exact trace distance tr|a-b|, unhalved, so ranging over [0, 2]: the one
+    exact referee, for dense and Gaussian states alike.
 
-
-def gaussian_pair_distance(s1: GaussianState, s2: GaussianState) -> float:
-    """Exact trace distance tr|rho_1 - rho_2|, unhalved, of two Gaussian
-    states, from one synthesis in s1's frame.
-
-    With rho_i = U_i D_i U_i^dag (:func:`gaussian_to_dense`, D_i the product
+    Two Gaussian states are compared in a's frame from one synthesis: with
+    rho_i = U_i D_i U_i^dag (:func:`gaussian_to_dense`, D_i the product
     diagonal), tr|rho_1 - rho_2| = tr|D_1 - W D_2 W^dag| for W = U_1^dag U_2,
     which acts on the Majoranas by Q_1^T Q_2 (Bravyi, quant-ph/0404180): W
-    is ``gaussian_unitary(Q_1^T Q_2)`` up to a phase that cancels.
+    is ``gaussian_unitary(Q_1^T Q_2)`` up to a phase that cancels.  A
+    Gaussian state against a dense one is densified.
     """
-    if s1.n != s2.n:
-        raise DimensionMismatch(f"mode counts {s1.n} and {s2.n} differ")
-    w = gaussian_unitary(s1.nf.q.T @ s2.nf.q)  # raises TooManyModes above the dense cap
-    return state_metrics(_product_in_frame(s1), _product_in_frame(s2, w))
+    if a.n != b.n:
+        raise DimensionMismatch(f"mode counts {a.n} and {b.n} differ")
+    if isinstance(a, GaussianState) and isinstance(b, GaussianState):
+        w = gaussian_unitary(a.nf.q.T @ b.nf.q)  # raises TooManyModes above the dense cap
+        a, b = _product_in_frame(a), _product_in_frame(b, w)
+    else:
+        a, b = (gaussian_to_dense(s) if isinstance(s, GaussianState) else s for s in (a, b))
+    return float(np.abs(np.linalg.eigvalsh(a.rho - b.rho)).sum())
 
 
 _SUPPORT_EIG = 1e-12

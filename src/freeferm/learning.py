@@ -521,7 +521,7 @@ def robustness_experiment(
         )
 
     report = tomograph_mixed(DenseSource(rho_noisy), eps, delta, rng_stream, scheme=scheme)
-    err = dense_mod.state_metrics(dense_mod.gaussian_to_dense(report.learned), rho_noisy)
+    err = dense_mod.state_metrics(report.learned, rho_noisy)
     return RobustnessResult(
         learned=report.learned,
         dense_error=err,

@@ -415,7 +415,8 @@ def estimate_gamma(
     "pauli_pairs" measures each -i gamma_j gamma_k observable separately;
     "commuting" measures one matching round per Clifford-Gaussian rotation.
     Under "pauli_pairs" every entry is an independent Binomial(shots, (1+g)/2)
-    count from one draw on ``rng_stream``; a pair given no shots reads 0.
+    count from one draw on ``rng_stream``, g clipped to [-1, 1] first (a drawn
+    pure state's can pass 1 by round-off); a pair given no shots reads 0.
     Under "commuting" the rounds, their rotations, pair signs and the
     bit-sign table come from one read-only plan built once per n
     (:func:`_commuting_plan`).  One ``round_distributions`` call on the
@@ -452,7 +453,8 @@ def estimate_gamma(
 
     if scheme == "pauli_pairs":
         iu = np.triu_indices(dim, 1)
-        ones = rng_stream.generator().binomial(per_setting, 0.5 * (1.0 + src.gamma()[iu]))
+        p_one = 0.5 * (1.0 + np.clip(src.gamma()[iu], -1.0, 1.0))
+        ones = rng_stream.generator().binomial(per_setting, p_one)
         g[iu] = np.divide(2.0 * ones - per_setting, per_setting, out=np.zeros(pair_count),
                           where=per_setting > 0)
     else:

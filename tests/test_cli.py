@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freeferm import cli, dense, learning, sampling
+from freeferm import cli, dense, learning, sampling, states
 from freeferm.errors import TooManyModes, ValidationError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -69,8 +69,9 @@ def test_reduce_id_record_carries_its_statistic():
 
 
 def test_unscored_tomography_record():
-    # no dense truth at six modes: the trial is learned, not scored
-    for kw in (dict(command="tomo-pure", state_spec="vacuum"), dict(command="tomo-mixed")):
+    # no dense truth at six modes, and no pure one: the trial is learned, not scored
+    for kw in (dict(command="tomo-pure", state_spec="random_gaussian:mixed"),
+               dict(command="tomo-mixed")):
         rec = run_cfg(modes=6, trials=2, seed=2, **kw)
         for r in rec["results"]:
             assert r["verdict_or_error"] == "learned"
@@ -114,6 +115,50 @@ def test_tomo_scoring_synthesises_one_unitary_per_trial(monkeypatch):
         rec = run_cfg(command="tomo-mixed", modes=5, trials=10, state_spec=spec)
         assert "success_fraction" in rec["aggregate"], spec
         assert len(calls) == 10, spec
+
+
+@pytest.mark.parametrize("n,argv", [
+    (6, "--state-spec vacuum"), (6, "--state-spec random_gaussian:pure"),
+    (128, "--scheme pauli_pairs --state-spec random_gaussian:pure")])
+def test_tomo_pure_scores_a_pure_truth_by_its_overlap(tmp_path, n, argv):
+    # above the dense cap a pure Gaussian truth is scored exactly, in O(n^3)
+    out = tmp_path / "r.json"
+    assert cli.main(["tomo-pure", "--modes", str(n), *argv.split(), "--trials", "2",
+                     "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    for r in rec["results"]:
+        assert r["referee"] == "overlap" and r["ok"], r
+        assert r["verdict_or_error"] == f"{r['exact_error']:.6f}"
+    assert rec["aggregate"]["success_fraction"] == 1.0
+    errs = [r["exact_error"] for r in rec["results"]]
+    assert rec["aggregate"]["median_error"] == float(np.median(errs))
+
+
+def test_overlap_score_matches_the_dense_referee():
+    # 2 sqrt(1 - |<psi|phi>|^2) is the trace distance of two pure states
+    for n in range(1, cli.DENSE_VERIFY_MODES + 1):
+        for spec in ("vacuum", "random_gaussian:pure"):
+            cfg = cli.ExperimentConfig(command="tomo-pure", modes=n, state_spec=spec, seed=n)
+            source = cfg.validate()
+            stream = sampling.RngStream(cfg.seed, (0,))
+            truth = source(stream).state
+            learned = learning.tomograph_pure(source(stream), cfg.eps, cfg.delta,
+                                              stream.child(1)).learned
+            overlap = 2.0 * np.sqrt(1.0 - states.overlap_pure(learned, truth))
+            assert abs(overlap - dense.state_metrics(learned, truth)) <= 1e-12, (n, spec)
+
+
+@pytest.mark.parametrize("argv", ["estimate", "tomo-pure", "test-pure --eps-b 0.9"])
+def test_pauli_pairs_on_a_pure_one_mode_state(tmp_path, argv):
+    # a drawn pure 1-mode Γ can have |Γ_01| = 1 + 4.4e-16; the draw clips it
+    out = tmp_path / "r.json"
+    assert cli.main([*argv.split(), "--modes", "1", "--scheme", "pauli_pairs", "--state-spec",
+                     "random_gaussian:pure", "--seed", "2", "--trials", "2",
+                     "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert "errors" not in rec["aggregate"]
+    if argv == "estimate":
+        assert all(r["error_inf"] <= 0.2 for r in rec["results"])
 
 
 def test_robustness_command():

@@ -283,11 +283,31 @@ def test_gaussian_pair_distance_matches_two_densifications(n, rng):
         for a, b in ((s1, s2), (s1, states.rotate(s2, flip)), (s2, s1), (s1, s1)):
             dets.add(round(np.linalg.det(a.nf.q.T @ b.nf.q)))
             want = dense.state_metrics(dense.gaussian_to_dense(a), dense.gaussian_to_dense(b))
-            assert dense.gaussian_pair_distance(a, b) == pytest.approx(want, abs=1e-12)
-        assert dense.gaussian_pair_distance(s1, s1) == pytest.approx(0.0, abs=1e-12)
+            assert dense.state_metrics(a, b) == pytest.approx(want, abs=1e-12)
+        assert dense.state_metrics(s1, s1) == pytest.approx(0.0, abs=1e-12)
     assert dets == {-1, 1}
     with pytest.raises(DimensionMismatch):
-        dense.gaussian_pair_distance(states.vacuum(n), states.vacuum(n + 1))
+        dense.state_metrics(states.vacuum(n), states.vacuum(n + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_state_metrics_agrees_across_representations(n, rng):
+    # Gaussian-Gaussian, Gaussian-dense, dense-Gaussian and dense-dense give one
+    # distance, symmetric in its arguments, and 0 for a state against its own density matrix
+    for kind in ("mixed", "pure"):
+        s1 = states.random_gaussian_state(n, kind, rng)
+        s2 = states.random_gaussian_state(n, kind, rng)
+        rho1, rho2 = dense.gaussian_to_dense(s1), dense.gaussian_to_dense(s2)
+        want = dense.state_metrics(rho1, rho2)
+        for a, b in itertools.product((s1, rho1), (s2, rho2)):
+            assert dense.state_metrics(a, b) == pytest.approx(want, abs=1e-12)
+            assert dense.state_metrics(b, a) == pytest.approx(want, abs=1e-12)
+        assert dense.state_metrics(s1, rho1) == pytest.approx(0.0, abs=1e-12)
+        assert dense.state_metrics(rho1, s1) == pytest.approx(0.0, abs=1e-12)
+    for a, b in ((states.vacuum(n), dense.computational_basis(n + 1, [0] * (n + 1))),
+                 (_maximally_mixed(n + 1), states.vacuum(n))):
+        with pytest.raises(DimensionMismatch):
+            dense.state_metrics(a, b)
 
 
 def test_gaussian_to_dense_examples():
