@@ -4,7 +4,8 @@ Seeded, config-driven execution of estimation, testing, tomography,
 bound-verification and scaling sweeps.  Per-trial outcomes are derived from
 counter-based streams keyed by (seed, trial), so each trial's record depends
 only on the seed and the trial index, and a record re-runs byte-identically
-from its config echo.
+from its config echo at a fixed BLAS thread count (the thread count can move
+the last bits of a LAPACK result; ``OPENBLAS_NUM_THREADS=1`` pins it).
 
 A trial's exact distance to its truth comes from one referee,
 ``dense.state_metrics``, which takes dense and Gaussian states alike; only
@@ -219,7 +220,9 @@ def _state_source(cfg: ExperimentConfig) -> _Source:
     gives a valid state on ``cfg.modes`` modes. ``random_gaussian`` draws each
     trial's state from its stream's child 999; every other spec is built once."""
     spec, n = cfg.state_spec, cfg.modes
-    head, _, arg = spec.partition(":")
+    head, colon, arg = spec.partition(":")
+    if head in ("vacuum", "ghz3") and colon:
+        raise ValidationError(f"{head} takes no argument, got {spec!r}")
     if head == "random_gaussian":
         if arg not in ("pure", "mixed"):
             raise ValidationError(f"random_gaussian needs :pure or :mixed, got {spec!r}")

@@ -240,10 +240,10 @@ def rotated_diagonals(table: np.ndarray, pairs: np.ndarray, signs: np.ndarray) -
     given by its (R, 2, n) ``pairs`` and (R, n) ``signs``, from rho's
     :func:`pauli_table`.
 
-    A rotation with row 2i s e_j and row 2i+1 s' e_k, (j, k) the pair
-    (pairs[t, 0, i], pairs[t, 1, i]), makes U^dag Z_i U the pair observable
-    O_i = -i sigma_i gamma_j gamma_k with sigma_i = s s' = signs[t, i] (the
-    signs of ``sampling._commuting_plan``), a Pauli string read from the
+    Rotation t, a round of ``sampling._commuting_plan``, has row 2i e_j and
+    row 2i+1 sigma_i e_k, with (j, k) = (pairs[t, 0, i], pairs[t, 1, i]) and
+    sigma_i = signs[t, i].  It makes U^dag Z_i U the pair observable
+    O_i = -i sigma_i gamma_j gamma_k, a Pauli string read from the
     Majoranas' X/Z masks (X^a Z^b X^c Z^d = (-1)^{|b & c|} X^{a^c} Z^{b^d}).
     The 2^n products O_S are formed by doubling, qubit 0 ending as the top
     bit of S, and the diagonal is p[y] = 2^-n sum_S (-1)^{|y & S|} Tr(rho O_S),

@@ -71,10 +71,6 @@ class TooManyModes(FreeFermError):
 
 # -- sampling ----------------------------------------------------------------
 
-class InvalidMatching(FreeFermError):
-    """Pair list is not a perfect matching of the Majorana indices."""
-
-
 class BudgetOverflow(FreeFermError):
     """A copy count, or a trial's or run's total, exceeds the draw ceiling
     ``sampling.MAX_DRAW``, or a budget exceeds every float."""

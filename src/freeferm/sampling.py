@@ -26,7 +26,6 @@ from .dense import DenseState
 from .errors import (
     BudgetOverflow,
     DimensionMismatch,
-    InvalidMatching,
     NotADistribution,
     TooManyModes,
     ValidationError,
@@ -41,7 +40,6 @@ __all__ = [
     "DenseSource",
     "GammaEstimate",
     "matchings",
-    "matching_rotation",
     "z_basis_distribution",
     "estimate_gamma",
     "check_scheme",
@@ -127,15 +125,20 @@ class ExactGaussianSource(StateSource):
     def gamma(self) -> np.ndarray:
         return self.state.corr.mat
 
-    def _rotated(self, q: Optional[np.ndarray]) -> np.ndarray:
-        g = self.state.corr.mat
-        return g if q is None else q @ g @ np.swapaxes(q, -1, -2)
-
     def round_distributions(self, rounds: Sequence[int]) -> np.ndarray:
-        return z_basis_distribution(self._rotated(_commuting_plan(self.n)[0][rounds]))
+        pairs, signs, _ = _commuting_plan(self.n)
+        # round t's q Gamma q^T as a gather: entry (a, b) is Gamma[o_a, o_b] s_a s_b,
+        # o the round's pair order and s its row signs (q's row a is s_a e_{o_a})
+        order = pairs[rounds].transpose(0, 2, 1).reshape(len(rounds), -1)
+        s = np.ones(order.shape)
+        s[:, 1::2] = signs[rounds]
+        g = self.state.corr.mat[order[:, :, None], order[:, None, :]]
+        return z_basis_distribution(g * s[:, :, None] * s[:, None, :])
 
     def reduced_dense(self, q: Optional[np.ndarray], r: int) -> DenseState:
-        g = self._rotated(q)
+        g = self.state.corr.mat
+        if q is not None:
+            g = q @ g @ q.T
         sub = SkewMatrix.from_upper(0.5 * (g[: 2 * r, : 2 * r] - g[: 2 * r, : 2 * r].T))
         return dense_mod.gaussian_to_dense(states.from_correlation(sub))
 
@@ -165,7 +168,7 @@ class DenseSource(StateSource):
         return dense_mod.pauli_table(self.state)
 
     def round_distributions(self, rounds: Sequence[int]) -> np.ndarray:
-        _, pairs, signs, _ = _commuting_plan(self.n)
+        pairs, signs, _ = _commuting_plan(self.n)
         diags = dense_mod.rotated_diagonals(self.pauli_table, pairs[rounds], signs[rounds])
         return _normalize_distribution(diags)
 
@@ -292,49 +295,33 @@ def matchings(n: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     return tuple(rounds)
 
 
-def matching_rotation(m: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
-    """Signed permutation q in SO(2n) sending pair (j, k) to rows (2i, 2i+1).
-
-    q is the rows of the identity gathered in pair order (row 2i is e_j, row
-    2i+1 is e_k), with its last row negated when that permutation is odd.
-    The parity is the sign of the gathered rows' determinant, exactly +-1:
-    LU with partial pivoting does no rounding on a permutation matrix.
-    Measuring Z of qubit i on the q-rotated state reads out the (j, k)
-    correlation entry times the sign q[2i, j] * q[2i+1, k], which
-    :func:`_commuting_plan` derives once per round.
-    """
-    pairs = [tuple(p) for p in m]
-    flat = [x for p in pairs for x in p]
-    if len(pairs) != n or sorted(flat) != list(range(2 * n)) or any(j >= k for j, k in pairs):
-        raise InvalidMatching(f"{m} is not a perfect matching of range({2 * n})")
-    q = np.eye(2 * n)[flat]
-    if np.linalg.det(q) < 0:
-        q[2 * n - 1, :] *= -1.0
-    return q
-
-
 @lru_cache(maxsize=None)
-def _commuting_plan(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _commuting_plan(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The commuting rounds of n modes, built once per n as read-only arrays.
 
-    Returns (qs, pairs, signs, bit_signs): qs[t] is the
-    :func:`matching_rotation` of round t of :func:`matchings`, a
-    (2n-1, 2n, 2n) stack; pairs[t] is its (j, k) index arrays, (2n-1, 2, n);
-    signs[t, i] is q[2i, j] * q[2i+1, k] for pair i, the sign by which qubit
-    i's Z reading after q reads entry (j, k), derived here only; and
-    bit_signs[i, x] is the +-1 Z reading of qubit i (qubit 0 most
-    significant) in outcome x, (n, 2^n).  Sources take rounds as indices
-    into this plan (:meth:`StateSource.round_distributions`).
+    Returns (pairs, signs, bit_signs).  pairs[t] is round t of
+    :func:`matchings` as (j, k) index arrays, (2n-1, 2, n), and signs[t, i]
+    is the sign by which qubit i's Z reading reads entry (j, k) of pair i.
+    Together they are round t's signed permutation q in SO(2n): row 2i is
+    e_j and row 2i+1 is signs[t, i] e_k.  Every sign is +1 except the last
+    pair's in a round whose pair order is an odd permutation, which is -1;
+    the parity is the sign of the determinant of the identity rows gathered
+    in pair order, exactly +-1, as LU with partial pivoting does no rounding
+    on a permutation matrix.  bit_signs[i, x] is the +-1 Z reading of qubit
+    i (qubit 0 most significant) in outcome x, (n, 2^n).  Sources take
+    rounds as indices into this plan
+    (:meth:`StateSource.round_distributions`).
     """
     plan = matchings(n)
-    qs = np.array([matching_rotation(m, n) for m in plan])
     pairs = np.array([list(zip(*m)) for m in plan])
-    i, t = np.arange(n), np.arange(len(plan))[:, None]
-    signs = qs[t, 2 * i, pairs[:, 0]] * qs[t, 2 * i + 1, pairs[:, 1]]
+    order = pairs.transpose(0, 2, 1).reshape(len(plan), 2 * n)
+    signs = np.ones((len(plan), n))
+    signs[np.linalg.det(np.eye(2 * n)[order]) < 0, -1] = -1.0
+    i = np.arange(n)
     bit_signs = 1.0 - 2.0 * ((np.arange(1 << n) >> (n - 1 - i)[:, None]) & 1)
-    for a in (qs, pairs, signs, bit_signs):
+    for a in (pairs, signs, bit_signs):
         a.setflags(write=False)
-    return qs, pairs, signs, bit_signs
+    return pairs, signs, bit_signs
 
 
 # -- sampling and estimation ---------------------------------------------------
@@ -417,8 +404,8 @@ def estimate_gamma(
     Under "pauli_pairs" every entry is an independent Binomial(shots, (1+g)/2)
     count from one draw on ``rng_stream``, g clipped to [-1, 1] first (a drawn
     pure state's can pass 1 by round-off); a pair given no shots reads 0.
-    Under "commuting" the rounds, their rotations, pair signs and the
-    bit-sign table come from one read-only plan built once per n
+    Under "commuting" the rounds, as pairs and signs, and the bit-sign
+    table come from one read-only plan built once per n
     (:func:`_commuting_plan`).  One ``round_distributions`` call on the
     indices of the rounds given shots gives all their Z-basis distributions
     (an exact source expands one outcome tree for them, in batches of at
@@ -458,7 +445,7 @@ def estimate_gamma(
         g[iu] = np.divide(2.0 * ones - per_setting, per_setting, out=np.zeros(pair_count),
                           where=per_setting > 0)
     else:
-        _, pairs, signs, bit_signs = _commuting_plan(n)
+        pairs, signs, bit_signs = _commuting_plan(n)
         rounds = [t for t in range(settings) if per_setting[t]]
         for t, dist in zip(rounds, src.round_distributions(rounds)):
             shots = per_setting[t]

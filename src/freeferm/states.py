@@ -152,10 +152,10 @@ def rotate(s: GaussianState, q: np.ndarray) -> GaussianState:
     return from_normal_form(NormalForm(q @ s.nf.q, s.lambdas, det_sign))
 
 
-def check_orthogonal(q: np.ndarray, tol: float = 1e-10) -> None:
-    """Raise NotOrthogonal unless ||q^T q - I|| <= tol in operator norm."""
+def check_orthogonal(q: np.ndarray) -> None:
+    """Raise NotOrthogonal unless ||q^T q - I|| <= 1e-10 in operator norm."""
     resid = schatten_norm(q.T @ q - np.eye(q.shape[0]), np.inf)
-    if resid > tol:
+    if resid > 1e-10:
         raise NotOrthogonal(f"orthogonality violated by {resid:.3e}")
 
 

@@ -36,3 +36,17 @@ def from_upper_inputs(monkeypatch):
 
     monkeypatch.setattr(skew.SkewMatrix, "from_upper", classmethod(recorded))
     return seen
+
+
+def plan_rotations(n):
+    """The commuting plan's rounds as signed permutations, a (2n-1, 2n, 2n)
+    stack built from the plan's pairs and signs: in round t, pair i = (j, k)
+    puts e_j in row 2i and signs[t, i] e_k in row 2i+1."""
+    from freeferm import sampling
+
+    pairs, signs, _ = sampling._commuting_plan(n)
+    rounds, i = np.arange(len(pairs))[:, None], np.arange(n)
+    q = np.zeros((len(pairs), 2 * n, 2 * n))
+    q[rounds, 2 * i, pairs[:, 0]] = 1.0
+    q[rounds, 2 * i + 1, pairs[:, 1]] = signs
+    return q

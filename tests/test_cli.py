@@ -271,6 +271,16 @@ def test_random_gaussian_spec_needs_pure_or_mixed(capsys):
         capsys.readouterr().err
 
 
+def test_vacuum_and_ghz3_specs_take_no_argument(capsys, tmp_path):
+    # an argument after either kind is refused before any trial runs, not ignored
+    out = tmp_path / "r.json"
+    for spec in ("vacuum:7", "ghz3:junk", "vacuum:"):
+        argv = ["estimate", "--modes", "3", "--state-spec", spec, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert f"{spec.partition(':')[0]} takes no argument, got {spec!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_sampling_cap_checked_at_validation(monkeypatch, capsys, tmp_path):
     cap = sampling.MAX_SAMPLING_MODES
     message = f"mode count {cap + 2} exceeds sampling cap {cap}"
@@ -925,6 +935,27 @@ def test_seeded_records(tmp_path, argv, code, results, aggregate):
     rec = json.loads(out.read_text())
     _assert_record_matches(rec["results"], results, "results")
     _assert_record_matches(rec["aggregate"], aggregate, "aggregate")
+
+
+# a record re-runs byte for byte from its config, wall time aside: the
+# benchmark's estimate and test-rank requests, a dense source and tomography
+BYTE_IDENTICAL_RUNS = (
+    "estimate --modes 12 --scheme commuting",
+    "estimate --modes 3 --scheme commuting --state-spec ghz3",
+    "test-rank --modes 6 --rank-exponent 4 --eps-a 0 --eps-b 0.5 --scheme commuting "
+    "--state-spec product:0.1,0.2,0.3,0.4,1,1 --expected CaseA --trials 1",
+    "tomo-mixed --modes 4",
+)
+
+
+@pytest.mark.parametrize("argv", BYTE_IDENTICAL_RUNS,
+                         ids=["estimate-n12", "estimate-ghz3", "test-rank", "tomo-mixed"])
+def test_records_rerun_byte_identically(tmp_path, argv):
+    out, texts = tmp_path / "r.json", []
+    for _ in range(2):
+        assert cli.main([*argv.split(), "--out", str(out)]) == 0
+        texts.append(re.sub(r'"wall_time_s": [^,]+,', "", out.read_text()))
+    assert texts[0] == texts[1]
 
 
 def test_tomo_pure_note_names_the_budget_it_spends(tmp_path):

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import plan_rotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeferm import dense, skew, states
-from freeferm.sampling import matching_rotation, matchings
 from freeferm.errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -195,8 +195,8 @@ def test_synthesis_residual_is_the_frobenius_residual(case, flip):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_gaussian_unitary_signed_permutations(n):
     gen = np.random.default_rng(n)
-    for pairs in matchings(n):
-        _check_synthesis(matching_rotation(pairs, n), gen)
+    for q in plan_rotations(n):
+        _check_synthesis(q, gen)
     _check_synthesis(-np.eye(2 * n), gen)
 
 
@@ -218,9 +218,9 @@ def test_pauli_table_matches_pauli_strings(n, rng):
 
 
 def _signed_permutations(n, gen):
-    """Every matching rotation, then random signed permutations of both
+    """Every round of the commuting plan, then random signed permutations of both
     determinants with pairs in either order."""
-    qs = [matching_rotation(m, n) for m in matchings(n)]
+    qs = list(plan_rotations(n))
     for _ in range(3):
         q = np.eye(2 * n)[gen.permutation(2 * n)] * gen.choice([-1.0, 1.0], size=(2 * n, 1))
         qs.append(q)
@@ -268,7 +268,7 @@ def test_rotated_diagonals_report_imaginary_residue():
     # a corrupted state's imaginary residue is reported, as by correlation_matrix
     rho = dense.computational_basis(2, [0, 0]).rho.copy()
     rho[0, 3] = 0.5
-    pairs, signs = _pairs_and_signs(matching_rotation(matchings(2)[1], 2)[None])
+    pairs, signs = _pairs_and_signs(plan_rotations(2)[1:2])
     with pytest.raises(NonNegligibleImaginaryPart):
         dense.rotated_diagonals(dense.pauli_table(dense.DenseState(2, rho)), pairs, signs)
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import plan_rotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,6 @@ from freeferm.errors import (
     BudgetOverflow,
     DimensionMismatch,
     FreeFermError,
-    InvalidMatching,
     NotADistribution,
     NotAntisymmetric,
     TooManyModes,
@@ -22,7 +22,6 @@ from freeferm.sampling import (
     ExactGaussianSource,
     RngStream,
     estimate_gamma,
-    matching_rotation,
     matchings,
     z_basis_distribution,
 )
@@ -49,33 +48,43 @@ def test_matchings_cover_every_pair_once(n):
 
 
 def test_matching_rotation_identity():
-    q = matching_rotation([(0, 1), (2, 3)], 2)
-    assert np.array_equal(q, np.eye(4))
+    t = matchings(2).index(((0, 1), (2, 3)))
+    assert np.array_equal(plan_rotations(2)[t], np.eye(4))
 
 
 def test_matching_rotation_conjugation(rng):
-    # conjugation places the matched entries into the diagonal blocks
+    # conjugation places the matched entries into the diagonal blocks; the
+    # pair order 0, 2, 1, 3 is odd, so the last pair reads with sign -1
     g = skew.random_skew(4, rng)
-    q = matching_rotation([(0, 2), (1, 3)], 2)
+    t = matchings(2).index(((0, 2), (1, 3)))
+    q = plan_rotations(2)[t]
     rot = q @ g @ q.T
-    signs = [q[0, 0] * q[1, 2], q[2, 1] * q[3, 3]]
-    assert rot[0, 1] == pytest.approx(signs[0] * g[0, 2])
-    assert rot[2, 3] == pytest.approx(signs[1] * g[1, 3])
+    assert list(sampling._commuting_plan(2)[1][t]) == [1.0, -1.0]
+    assert rot[0, 1] == pytest.approx(g[0, 2])
+    assert rot[2, 3] == pytest.approx(-g[1, 3])
 
 
 @pytest.mark.parametrize("n", range(1, sampling.MAX_SAMPLING_MODES + 1))
-def test_matching_rotation_special_orthogonal(n):
-    for m in matchings(n):
-        q = matching_rotation(m, n)
+def test_matching_rotation_special_orthogonal(n, rng):
+    # each round's q, built here from the plan's pairs and signs, is in SO(2n),
+    # and up to n = 12 the exact source's gathered rounds are z_basis_distribution
+    # of q Gamma q^T bit for bit
+    qs = plan_rotations(n)
+    for q in qs:
         assert np.array_equal(q.T @ q, np.eye(2 * n))
-        assert np.linalg.det(q) == pytest.approx(1.0)
-
-
-def test_matching_rotation_rejects_bad_input():
-    with pytest.raises(InvalidMatching):
-        matching_rotation([(0, 1), (1, 3)], 2)
-    with pytest.raises(InvalidMatching):
-        matching_rotation([(1, 0), (2, 3)], 2)
+        assert np.linalg.det(q) == 1.0
+    if n > 12:
+        return
+    cases = [
+        states.random_gaussian_state(n, "mixed", rng),
+        states.random_gaussian_state(n, "pure", rng),
+        states.vacuum(n),
+        states.product_state(rng.choice([-1.0, 0.0, 0.3, 1.0], size=n)),
+    ]
+    for s in cases:
+        want = z_basis_distribution(qs @ s.corr.mat @ qs.transpose(0, 2, 1))
+        got = ExactGaussianSource(s).round_distributions(np.arange(len(qs)))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -121,9 +130,8 @@ def test_z_distribution_matches_per_node_reference(n, rng):
         # +-1 among interior lambdas: some depths drop a branch, others none
         states.product_state(rng.choice([-1.0, -0.4, 0.0, 0.7, 1.0], size=n)),
     ]
-    plan = matchings(n)
-    picks = sorted({0, len(plan) // 2, len(plan) - 1})
-    rotations = [None] + [matching_rotation(plan[i], n) for i in picks]
+    qs = plan_rotations(n)
+    rotations = [None] + [qs[i] for i in sorted({0, len(qs) // 2, len(qs) - 1})]
     for s in cases:
         for q in rotations:
             g = s.corr.mat if q is None else q @ s.corr.mat @ q.T
@@ -134,7 +142,7 @@ def test_z_distribution_matches_per_node_reference_at_n12(rng):
     # the benchmark's size: a rotated mixed state keeps all 4096 leaves live;
     # the unrotated product state drops a branch at its two +-1 depths only
     n = 12
-    q = matching_rotation(matchings(n)[7], n)
+    q = plan_rotations(n)[7]
     lams = [0.7, 0.7, 0.0, -1.0, 0.7, 0.7, 0.7, 0.7, 1.0, 0.7, -0.4, 0.0]
     for g in (q @ states.random_gaussian_state(n, "mixed", rng).corr.mat @ q.T,
               states.product_state(lams).corr.mat):
@@ -157,7 +165,7 @@ def test_z_distribution_one_hot_at_the_cap(rng):
 def test_z_distribution_vacuum_plan_at_the_cap_matches_per_node_reference(n):
     # a batch holds one root here, and every round of the vacuum's plan drops
     # branches at some depths: the dropped children stay in the node stack
-    qs = sampling._commuting_plan(n)[0]
+    qs = plan_rotations(n)
     stack = qs @ states.vacuum(n).corr.mat @ qs.transpose(0, 2, 1)
     assert max(1, sampling.TREE_LEAVES >> n) == 1
     dists = z_basis_distribution(stack)
@@ -183,7 +191,7 @@ def test_z_distribution_keeps_nan_branches_like_reference(rng):
 def test_z_distribution_stack_matches_per_matrix_calls(n, rng):
     # every rotation of the round plan as one stack; at n = 9, 10 and 12 the
     # 2n - 1 roots need 2, 3 and 12 batches of the tree
-    qs = np.array([matching_rotation(m, n) for m in matchings(n)])
+    qs = plan_rotations(n)
     if n in (9, 10, 12):
         assert len(qs) > max(1, sampling.TREE_LEAVES >> n)
     cases = [
@@ -238,8 +246,7 @@ def test_z_distribution_mixed_stack_matches_per_node_reference(n, rng):
         states.product_state(rng.choice([-1.0, -0.4, 0.0, 0.7, 1.0], size=n)),
         *(states.product_state(np.where(np.arange(n) == d, -1.0, lams)) for d in (1, n // 2, n - 1)),
     ]
-    plan = matchings(n)
-    rotations = [np.eye(2 * n), matching_rotation(plan[1], n), matching_rotation(plan[-1], n)]
+    rotations = [np.eye(2 * n), *plan_rotations(n)[[1, -1]]]
     stack = np.array([q @ s.corr.mat @ q.T for s in cases for q in rotations])
     stack = stack[rng.permutation(len(stack))]
     dists = z_basis_distribution(stack)
@@ -263,18 +270,18 @@ def test_z_distribution_mass_error_is_a_toolkit_error():
 def test_commuting_plan_is_built_once_and_read_only(n):
     plan = sampling._commuting_plan(n)
     assert sampling._commuting_plan(n) is plan and matchings(n) is matchings(n)
-    qs, pairs, signs, bit_signs = plan
+    pairs, signs, bit_signs = plan
     fresh = sampling._commuting_plan.__wrapped__(n)
     for a, b in zip(plan, fresh):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    # against the per-round build the plan replaced
-    i = np.arange(n)
+    # every sign is +1 but the last pair's in a round whose pair order is an
+    # odd permutation, its parity counted here by inversions
     for t, m in enumerate(matchings(n)):
-        q = matching_rotation(m, n)
-        j, k = np.array(m).T
-        assert np.array_equal(qs[t], q)
-        assert np.array_equal(pairs[t], [j, k])
-        assert np.array_equal(signs[t], q[2 * i, j] * q[2 * i + 1, k])
+        order = [x for p in m for x in p]
+        odd = sum(a > b for a, b in itertools.combinations(order, 2)) % 2
+        assert np.array_equal(pairs[t], np.array(m).T)
+        assert np.array_equal(signs[t], [1.0] * (n - 1) + [-1.0 if odd else 1.0])
+    i = np.arange(n)
     assert np.array_equal(bit_signs, 1.0 - 2.0 * ((np.arange(1 << n) >> (n - 1 - i)[:, None]) & 1))
     for a in plan:
         with pytest.raises(ValueError, match="read-only"):
@@ -290,8 +297,7 @@ def _rotated_gammas(draw):
         s = states.product_state(gen.choice([-1.0, -0.4, 0.0, 0.7, 1.0], size=n))
     else:
         s = states.random_gaussian_state(n, kind, gen)
-    plan = matchings(n)
-    q = matching_rotation(plan[draw(st.integers(0, len(plan) - 1))], n)
+    q = plan_rotations(n)[draw(st.integers(0, 2 * n - 2))]
     return q @ s.corr.mat @ q.T
 
 
@@ -325,7 +331,7 @@ def test_z_distribution_rotated_agreement(rng):
 
 def test_dense_source_rounds_match_synthesis(rng):
     src = DenseSource(dense.random_density_matrix(3, rng))
-    qs = sampling._commuting_plan(3)[0]
+    qs = plan_rotations(3)
     for q, dist in zip(qs, src.round_distributions(np.arange(len(qs)))):
         u = dense.gaussian_unitary(q)
         want = np.diag(u @ src.state.rho @ u.conj().T).real  # through the synthesised unitary
@@ -498,8 +504,7 @@ def test_estimate_determinism(rng):
     src = ExactGaussianSource(s)
     est = estimate_gamma(src, 0.3, 0.1, "commuting", RngStream(9, (1,)), total_shots=5000)
     ref = np.zeros((6, 6))
-    for t, pairs in enumerate(matchings(3)):
-        q = matching_rotation(pairs, 3)
+    for t, (pairs, q) in enumerate(zip(matchings(3), plan_rotations(3))):
         dist = z_basis_distribution(q @ s.corr.mat @ q.T)
         counts = RngStream(9, (1, t)).generator().multinomial(1000, dist)
         for i, (j, k) in enumerate(pairs):
@@ -516,11 +521,10 @@ def _per_round_commuting(src, total_shots, rng_stream):
     g = np.zeros((2 * n, 2 * n))
     i = np.arange(n)
     bit_signs = 1.0 - 2.0 * ((np.arange(1 << n) >> (n - 1 - i)[:, None]) & 1)
-    for t, pairs in enumerate(matchings(n)):
+    for t, (pairs, q) in enumerate(zip(matchings(n), plan_rotations(n))):
         shots = per_setting[t]
         if shots == 0:
             continue
-        q = matching_rotation(pairs, n)
         dist = src.round_distributions([t])[0]  # one round per call
         counts = rng_stream.child(t).generator().multinomial(shots, dist)
         j, k = np.array(pairs).T
