@@ -1,11 +1,12 @@
 """Real antisymmetric (skew-symmetric) matrix algebra.
 
-One Householder tridiagonalisation (LAPACK ``dgehrd``) serves both the
-Pfaffian, read off the tridiagonal factor, and the orthogonal normal (Youla)
-form with non-negative block parameters (plus the SVD of a bidiagonal
-half-size matrix); the normal eigenvalues are that form's block parameters.
-Also Schatten norms and the Weyl bound on normal-eigenvalue perturbations.
-All indices are 0-based.
+One Householder tridiagonalisation (LAPACK ``dgehrd``) serves the Pfaffian,
+read off the tridiagonal factor, the orthogonal normal (Youla) form with
+non-negative block parameters (plus the SVD of a bidiagonal half-size
+matrix), and the singular values alone (the values-only SVD of that same
+half-size matrix, each singular value of the 2n x 2n input once); the normal
+eigenvalues are the normal form's block parameters.  Also Schatten norms and
+the Weyl bound on normal-eigenvalue perturbations.  All indices are 0-based.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "pfaffian",
     "restricted_pfaffian",
     "normal_form",
+    "singular_values",
     "schatten_norm",
     "normal_eigenvalues",
     "normal_eigenvalue_gap",
@@ -89,7 +91,8 @@ def as_skew_stack(entries: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
 
 class SkewMatrix:
     """Immutable real antisymmetric matrix of even dimension 2n: the
-    constructor checks a caller's matrix, :meth:`from_upper` one built in code."""
+    constructor checks a caller's matrix, :meth:`from_upper` one built in
+    code, and :meth:`exact` one built in code exactly antisymmetric."""
 
     __slots__ = ("_m",)
 
@@ -106,6 +109,16 @@ class SkewMatrix:
         matrix antisymmetric by construction, the bytes the constructor stores."""
         out = cls.__new__(cls)
         out._m = _antisymmetrize(np.asarray(entries, dtype=float))
+        out._m.setflags(write=False)
+        return out
+
+    @classmethod
+    def exact(cls, entries: np.ndarray) -> "SkewMatrix":
+        """``entries`` as it is, with no check and no copy: for a float array
+        antisymmetric bit for bit by construction (a difference or a block of
+        such matrices), which the caller hands over and no longer writes."""
+        out = cls.__new__(cls)
+        out._m = entries
         out._m.setflags(write=False)
         return out
 
@@ -170,6 +183,12 @@ def _householder(m: np.ndarray):
     if info != 0:
         raise ConvergenceFailure(f"Householder reduction failed (dgehrd info {info})")
     return ht, tau, 0.5 * (np.diag(ht, 1) - np.diag(ht, -1))
+
+
+def _bidiagonal(e: np.ndarray) -> np.ndarray:
+    """The n x n lower bidiagonal B of a tridiagonal t with superdiagonal e:
+    t with its indices ordered evens first is [[0, B], [-B^T, 0]]."""
+    return np.diag(e[0::2]) - np.diag(e[1::2], -1)
 
 
 def pfaffian(a: SkewLike) -> float:
@@ -271,7 +290,7 @@ def normal_form(a: SkewLike) -> NormalForm:
     if info != 0:
         raise ConvergenceFailure(f"skew normal form failed (dorghr info {info})")
     try:
-        u, s, vt = scipy.linalg.svd(np.diag(e[0::2]) - np.diag(e[1::2], -1))
+        u, s, vt = scipy.linalg.svd(_bidiagonal(e))
     except ValueError as exc:  # no LAPACK convergence
         raise ConvergenceFailure(f"skew normal form failed: {exc}") from exc
     u[np.abs(u) < _TINY] = 0.0
@@ -291,6 +310,23 @@ def normal_form(a: SkewLike) -> NormalForm:
         flips = int(np.linalg.det(u) < 0) + int(np.linalg.det(vt) < 0)
     negative = np.count_nonzero(tau) + flips
     return NormalForm(q=q, lambdas=lams, det_sign=(-1) ** int(negative))
+
+
+def singular_values(a: SkewLike) -> np.ndarray:
+    """The singular values of a, each once, descending: n values for 2n x 2n.
+
+    An antisymmetric matrix has every singular value twice; with a = z t z^T
+    (:func:`_householder`) they are those of t, twice each those of its
+    half-size bidiagonal block B, so one values-only SVD of B gives them all.
+    No vectors, no dorghr and no clamp near zero: this is the spectrum the
+    Schatten norms read, ``max()`` the operator norm and ``2 * sum()`` the
+    trace norm of a.
+    """
+    _, _, e = _householder(as_skew_array(a))
+    try:  # numpy's gesdd wrapper: half the call overhead of scipy.linalg.svdvals at n = 6
+        return np.linalg.svd(_bidiagonal(e), compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # no LAPACK convergence
+        raise ConvergenceFailure(f"skew singular values failed: {exc}") from exc
 
 
 def normal_eigenvalues(a: SkewLike) -> np.ndarray:

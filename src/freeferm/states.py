@@ -214,6 +214,11 @@ def distance_bounds(g1: GammaLike, g2: GammaLike, mode: str = "mixed_mixed") -> 
 
     mode: "pure_pure" (both Gaussian and pure), "mixed_mixed" (both
     Gaussian), or "pure_vs_any" (first pure Gaussian, second arbitrary).
+    The difference of two exactly antisymmetric matrices is exactly
+    antisymmetric, so it is stored unchecked, and its operator and trace norms
+    come from its n singular values (:func:`skew.singular_values`, one
+    Householder reduction and a half-size values-only SVD): the largest, and
+    twice their sum.
     """
     # each array is checked once; the pure modes read its lambdas from the SkewMatrix
     g1, g2 = (g if isinstance(g, GaussianState) else _skew_of(g) for g in (g1, g2))
@@ -223,9 +228,9 @@ def distance_bounds(g1: GammaLike, g2: GammaLike, mode: str = "mixed_mixed") -> 
     if mode not in ("pure_pure", "mixed_mixed", "pure_vs_any"):
         raise ValueError(f"unknown mode {mode!r}")
     delta = m1 - m2
-    sv = np.linalg.svd(delta, compute_uv=False)  # Schatten-inf and -1 norms from one SVD
-    d_inf = float(sv[0])
-    d_1 = float(sv.sum())
+    sv = skew.singular_values(SkewMatrix.exact(delta))  # each singular value of delta once
+    d_inf = float(sv.max())
+    d_1 = float(2.0 * sv.sum())
 
     ub_pure = None
     if mode == "pure_pure":
@@ -282,6 +287,8 @@ def purify(s: GaussianState) -> GaussianState:
     assumed: the Frobenius norms of R^2 - corr^2 - I and corr R - R corr must
     sum to at most LAMBDA_INPUT_SLACK.  Together they make up M M^T - I for
     the result M, so the check bounds every |lam^2 - 1| of M by the slack.
+    R is symmetrised, so the block is antisymmetric bit for bit and is
+    stored as it is (:meth:`SkewMatrix.exact`), with no check and no mirror.
     """
     g, q, lam = s.corr.mat, s.nf.q, s.lambdas
     root = np.sqrt(np.maximum(1.0 - lam * lam, 0.0))
@@ -299,7 +306,7 @@ def purify(s: GaussianState) -> GaussianState:
     # np.block rather than one preallocated 4n x 4n buffer: at n = 128 in a
     # long-running process, the buffer made the allocator return and re-fault
     # about 400 more pages per call, which cost more than the copies it saved
-    m = SkewMatrix.from_upper(np.block([[g, r], [-r, -g]]))  # antisymmetric by construction
+    m = SkewMatrix.exact(np.block([[g, r], [-r, -g]]))
     n, qe, qo = s.n, q[:, 0::2], q[:, 1::2]
     q2 = np.zeros((4 * n, 4 * n))
     top, bot = q2[:2 * n], q2[2 * n:]

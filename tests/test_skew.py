@@ -338,6 +338,54 @@ def test_schatten_norms():
         skew.schatten_norm(lam, 3)
 
 
+def _singular_value_inputs(n, gen):
+    """Antisymmetric 2n x 2n inputs: random, the differences of a pure and of a
+    mixed pair, a difference of rank 2 (n - n // 2) and the zero matrix."""
+    q1, q2 = skew.random_orthogonal(2 * n, gen), skew.random_orthogonal(2 * n, gen)
+    yield "random", skew.random_skew(2 * n, gen)
+    yield "pure", skew.conjugate_blocks(q1, np.ones(n)) - skew.conjugate_blocks(q2, np.ones(n))
+    yield "mixed", (skew.conjugate_blocks(q1, gen.uniform(size=n))
+                    - skew.conjugate_blocks(q2, gen.uniform(size=n)))
+    lam1, lam2 = gen.uniform(size=n), gen.uniform(size=n)
+    lam2[: n // 2] = lam1[: n // 2]
+    yield "rank", skew.conjugate_blocks(q1, lam1) - skew.conjugate_blocks(q1, lam2)
+    yield "zero", np.zeros((2 * n, 2 * n))
+
+
+def test_singular_values_match_the_dense_svd():
+    # each of the 2n dense singular values appears twice; the half-size
+    # bidiagonal gives each once, descending
+    for n in (*range(1, 13), 64, 128):
+        gen = np.random.default_rng(n)
+        for name, a in _singular_value_inputs(n, gen):
+            dense = np.linalg.svd(a, compute_uv=False)
+            tol = 1e-13 * max(1.0, dense[0])
+            sv = skew.singular_values(skew.SkewMatrix.from_upper(a))
+            assert sv.shape == (n,), (n, name)
+            assert np.all(np.diff(sv) <= 0), (n, name)
+            assert np.abs(dense[0::2] - dense[1::2]).max() <= tol, (n, name)
+            assert np.abs(sv - dense[0::2]).max() <= tol, (n, name)
+            assert np.array_equal(skew.singular_values(a), sv), (n, name)
+
+
+def test_singular_values_check_a_caller_matrix(rng, scans):
+    a = skew.random_skew(6, rng)
+    skew.singular_values(a)
+    assert len(scans) == 1
+    scans.clear()
+    skew.singular_values(skew.SkewMatrix.from_upper(a))
+    assert not scans
+    with pytest.raises(NotAntisymmetric):
+        skew.singular_values(a + np.eye(6))
+
+
+def test_exact_stores_the_array_as_it_is(rng, scans):
+    a = skew.random_skew(6, rng)
+    m = skew.SkewMatrix.exact(a)
+    assert m.mat is a and not a.flags.writeable
+    assert not scans
+
+
 def test_schatten_frobenius_identity(rng):
     a = skew.random_skew(8, rng)
     assert skew.schatten_norm(a, 2) ** 2 == pytest.approx((a ** 2).sum(), rel=1e-10)

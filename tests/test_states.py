@@ -161,6 +161,30 @@ def test_distance_bounds_pure_saturation_3_modes(rng):
     assert hits > 0
 
 
+def test_distance_bounds_match_the_dense_svd():
+    # the bounds read the n singular values of delta once each: they agree with
+    # the formulas on the 2n singular values of a dense SVD
+    for n in (1, 2, 3, 6, 12, 64, 128):
+        gen = np.random.default_rng(n)
+        pure = states.random_gaussian_state(n, "pure", gen)
+        near = states.rotate(pure, scipy.linalg.expm(skew.random_skew(2 * n, gen, scale=0.002)))
+        far = states.random_gaussian_state(n, "pure", gen)
+        mixed = states.random_gaussian_state(n, "mixed", gen)
+        for mode, pairs in (("pure_pure", ((pure, near), (pure, far))),
+                            ("mixed_mixed", ((mixed, near), (pure, mixed))),
+                            ("pure_vs_any", ((pure, mixed), (near, far)))):
+            for s1, s2 in pairs:
+                rep = states.distance_bounds(s1, s2, mode)
+                sv = np.linalg.svd(s1.corr.mat - s2.corr.mat, compute_uv=False)
+                want = {"lb_infty": min(2.0, sv[0]), "ub_mixed": min(2.0, 0.5 * sv.sum()),
+                        "fid_lb_sq": max(0.0, 1.0 - 0.25 * sv.sum()) ** 2}
+                if mode == "pure_vs_any":
+                    want["ub_pure_vs_any"] = min(2.0, np.sqrt(sv.sum()))
+                for field, value in want.items():
+                    assert getattr(rep, field) == pytest.approx(value, rel=0.0, abs=1e-12), \
+                        (n, mode, field)
+
+
 def test_distance_bounds_purity_checks(rng):
     mixed = states.random_gaussian_state(2, "mixed", rng)
     pure = states.random_gaussian_state(2, "pure", rng)
@@ -392,17 +416,21 @@ def _residual(m):
     return float(np.abs(m + m.T).max())
 
 
-def test_purify_block_is_exactly_antisymmetric(from_upper_inputs):
-    # purify stores its 4n x 4n block unchecked: the block is antisymmetric bit for bit
+def test_purify_block_is_exactly_antisymmetric(from_upper_inputs, scans):
+    # purify stores its 4n x 4n block as it is, with no check and no mirror:
+    # the stored matrix is antisymmetric bit for bit
     for n in (1, 2, 3, 8, 32, 128):
         gen = np.random.default_rng(n)
         for kind in ("pure", "mixed"):
             s = states.random_gaussian_state(n, kind, gen)
             from_upper_inputs.clear()
-            states.purify(s)
-            (block,) = from_upper_inputs
-            assert block.shape == (4 * n, 4 * n)
-            assert _residual(block) == 0.0, (n, kind)
+            psi = states.purify(s)
+            assert not from_upper_inputs, (n, kind)
+            m = psi.corr.mat
+            assert m.shape == (4 * n, 4 * n)
+            assert np.array_equal(m, -m.T), (n, kind)
+            assert not m.flags.writeable
+    assert not scans
 
 
 def test_normal_form_products_are_antisymmetric_to_round_off():
