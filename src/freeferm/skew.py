@@ -1,11 +1,10 @@
 """Real antisymmetric (skew-symmetric) matrix algebra.
 
-One Householder tridiagonalisation (LAPACK ``dgehrd``) serves the Pfaffian,
-read off the tridiagonal factor, the orthogonal normal (Youla) form with
-non-negative block parameters (plus the SVD of a bidiagonal half-size
-matrix), and the singular values alone (the values-only SVD of that same
-half-size matrix, each singular value of the 2n x 2n input once); the normal
-eigenvalues are the normal form's block parameters.  Also Schatten norms and
+One Householder tridiagonalisation (LAPACK ``dgehrd``) serves the Pfaffian, read
+off the tridiagonal factor.  With a values-only SVD of its half-size bidiagonal
+block it is the one :class:`Reduction` behind the singular values (each of the
+2n x 2n input once), the normal eigenvalues (the same, ascending) and, with dorghr
+and that block's SVD factors, the normal (Youla) form.  Also Schatten norms and
 the Weyl bound on normal-eigenvalue perturbations.  All indices are 0-based.
 """
 
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -40,6 +39,8 @@ __all__ = [
     "log_abs_product",
     "pfaffian",
     "restricted_pfaffian",
+    "Reduction",
+    "reduction",
     "normal_form",
     "singular_values",
     "schatten_norm",
@@ -271,26 +272,48 @@ class NormalForm:
         return NormalForm(self.q, lams, self.det_sign)
 
 
-def normal_form(a: SkewLike) -> NormalForm:
-    """Normal (Youla) form with all block parameters non-negative.
+class Reduction(NamedTuple):
+    """a = z t z^T (:func:`_householder`), the singular values ``sv`` of t's half-size
+    bidiagonal block B, descending (each singular value of a once), and the normal
+    eigenvalues ``lambdas``: ``sv`` ascending, values below ZERO_CLAMP set to 0."""
 
-    The Householder reduction a = z t z^T that :func:`pfaffian` also reads
-    (z formed by LAPACK dorghr) makes t tridiagonal.  Ordering t's indices
-    evens first turns it into [[0, B], [-B^T, 0]] with B lower bidiagonal,
-    so the SVD B = U S V^T gives block j the plane (z_even U_j, z_odd V_j)
-    and the parameter S_j.  Blocks are sorted ascending by lambda; ties keep the
-    SVD order.  Values within ZERO_CLAMP of zero are clamped to exactly 0.
+    ht: np.ndarray
+    tau: np.ndarray
+    e: np.ndarray
+    sv: np.ndarray
+    lambdas: np.ndarray
+
+
+def reduction(a: SkewLike) -> Reduction:
+    """dgehrd and one values-only SVD of the n x n B: the reduction every spectrum reads."""
+    ht, tau, e = _householder(as_skew_array(a))
+    try:  # numpy's gesdd wrapper: half the call overhead of scipy.linalg.svdvals at n = 6
+        sv = np.linalg.svd(_bidiagonal(e), compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # no LAPACK convergence
+        raise ConvergenceFailure(f"skew singular values failed: {exc}") from exc
+    lams = np.sort(sv)
+    lams[lams < ZERO_CLAMP] = 0.0
+    return Reduction(ht, tau, e, sv, lams)
+
+
+def normal_form(a: Union[SkewLike, Reduction]) -> NormalForm:
+    """Normal (Youla) form of a, or of its :class:`Reduction`, with all block
+    parameters non-negative.
+
+    Ordering t's indices evens first turns it into [[0, B], [-B^T, 0]], so with z
+    formed by LAPACK dorghr and B = U S V^T, block j is the plane (z_even U_j,
+    z_odd V_j), sorted ascending by lambda (ties keep the SVD order).  S and the
+    det-sign test are the reduction's values, the vector SVD gives only U and V^T.
     Entries of U and V^T below the smallest normal float are set to 0 before
     the two products with z: for a pure input B is nearly diagonal, and the
     subnormals of its SVD factors would slow those products several-fold.
     """
-    m = as_skew_array(a)
-    ht, tau, e = _householder(m)
-    z, info = lapack.dorghr(ht, tau, lwork=int(lapack.dorghr_lwork(m.shape[0])[0]))
+    ht, tau, e, s, lams = a if isinstance(a, Reduction) else reduction(a)
+    z, info = lapack.dorghr(ht, tau, lwork=int(lapack.dorghr_lwork(ht.shape[0])[0]))
     if info != 0:
         raise ConvergenceFailure(f"skew normal form failed (dorghr info {info})")
     try:
-        u, s, vt = scipy.linalg.svd(_bidiagonal(e))
+        u, _, vt = scipy.linalg.svd(_bidiagonal(e))
     except ValueError as exc:  # no LAPACK convergence
         raise ConvergenceFailure(f"skew normal form failed: {exc}") from exc
     u[np.abs(u) < _TINY] = 0.0
@@ -299,7 +322,6 @@ def normal_form(a: SkewLike) -> NormalForm:
     q = np.empty_like(z)
     q[:, 0::2] = z[:, 0::2] @ u[:, order]
     q[:, 1::2] = z[:, 1::2] @ vt.T[:, order]
-    lams = np.where(s[order] < ZERO_CLAMP, 0.0, s[order])
     # q is z, reordered, times blockdiag(U, V) in the same order: det(z) is -1
     # per reflector with tau != 0 (as in pfaffian), and the orders cancel.  With
     # every singular value clear of 0, sign det U det V^T is sign det B, the
@@ -315,23 +337,16 @@ def normal_form(a: SkewLike) -> NormalForm:
 def singular_values(a: SkewLike) -> np.ndarray:
     """The singular values of a, each once, descending: n values for 2n x 2n.
 
-    An antisymmetric matrix has every singular value twice; with a = z t z^T
-    (:func:`_householder`) they are those of t, twice each those of its
-    half-size bidiagonal block B, so one values-only SVD of B gives them all.
     No vectors, no dorghr and no clamp near zero: this is the spectrum the
     Schatten norms read, ``max()`` the operator norm and ``2 * sum()`` the
     trace norm of a.
     """
-    _, _, e = _householder(as_skew_array(a))
-    try:  # numpy's gesdd wrapper: half the call overhead of scipy.linalg.svdvals at n = 6
-        return np.linalg.svd(_bidiagonal(e), compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # no LAPACK convergence
-        raise ConvergenceFailure(f"skew singular values failed: {exc}") from exc
+    return reduction(a).sv
 
 
 def normal_eigenvalues(a: SkewLike) -> np.ndarray:
-    """Non-negative normal eigenvalues, ascending: ``normal_form(a).lambdas``."""
-    return normal_form(a).lambdas
+    """Non-negative normal eigenvalues, ascending: ``normal_form(a).lambdas``, no vectors."""
+    return reduction(a).lambdas
 
 
 def schatten_norm(a: np.ndarray, p) -> float:

@@ -1,9 +1,9 @@
 """Free-fermionic states represented by their correlation matrices.
 
 A state is carried entirely by a validated 2n x 2n real antisymmetric
-correlation matrix together with its cached normal form.  This module also
-evaluates every correlation-matrix bound on trace distance, fidelity and
-non-Gaussianity.
+correlation matrix and its normal eigenvalues, its normal form cached or built
+on first use.  This module also evaluates every correlation-matrix bound on
+trace distance, fidelity and non-Gaussianity.
 """
 
 from __future__ import annotations
@@ -70,20 +70,24 @@ def _lambdas_of(g: GammaLike) -> np.ndarray:
     return g.lambdas if isinstance(g, GaussianState) else skew.normal_eigenvalues(g)
 
 
-@dataclass(frozen=True)
 class GaussianState:
-    """A free-fermionic state: correlation matrix plus cached normal form."""
+    """A free-fermionic state: correlation matrix, normal eigenvalues, and normal form
+    ``nf``, given or built on first read from the :class:`skew.Reduction` of λ."""
 
-    corr: SkewMatrix
-    nf: NormalForm
+    def __init__(self, corr: SkewMatrix, nf: Optional[NormalForm] = None,
+                 reduction: Optional[skew.Reduction] = None):
+        self.corr, self._nf, self._reduction = corr, nf, reduction
+        self.lambdas = (nf if nf is not None else reduction).lambdas
+
+    @property
+    def nf(self) -> NormalForm:
+        if self._nf is None:
+            self._nf, self._reduction = skew.normal_form(self._reduction), None
+        return self._nf
 
     @property
     def n(self) -> int:
         return self.corr.n
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return self.nf.lambdas
 
     def is_pure(self, tol: float = PURITY_TOL) -> bool:
         return _pure_lambdas(self.lambdas, tol)
@@ -93,22 +97,22 @@ class GaussianState:
 
 
 def from_correlation(g: GammaLike) -> GaussianState:
-    """Validate a correlation matrix and build the state.
+    """Validate a correlation matrix and build the state from its normal
+    eigenvalues alone (:func:`skew.reduction`); its frame is built on first use.
 
-    Normal eigenvalues above 1 + 1e-6 are rejected; overshoot within the
-    slack (estimator round-off) is clamped back to 1, and the stored matrix
-    is re-synthesized from the clamped normal form so it stays consistent.
-    """
+    Normal eigenvalues above 1 + 1e-6 are rejected.  An overshoot of at most
+    ``skew.ZERO_CLAMP`` is clamped to 1 in λ only, with the matrix stored as it
+    is; a larger one within the slack (estimator round-off) is clamped in the
+    normal form, and the stored matrix is re-synthesized from it."""
     corr = _skew_of(g)
-    nf = skew.normal_form(corr)
-    lam = nf.lambdas
+    red = skew.reduction(corr)
+    lam = red.lambdas
     if lam[-1] > 1.0 + LAMBDA_INPUT_SLACK:
         raise NotAValidCorrelationMatrix(
-            f"largest normal eigenvalue {lam[-1]:.8f} exceeds 1 beyond slack"
-        )
-    if lam[-1] > 1.0:
-        return from_normal_form(nf.with_lambdas(np.minimum(lam, 1.0)))
-    return GaussianState(corr=corr, nf=nf)
+            f"largest normal eigenvalue {lam[-1]:.8f} exceeds 1 beyond slack")
+    if lam[-1] > 1.0 + skew.ZERO_CLAMP:
+        return from_normal_form(skew.normal_form(red).with_lambdas(np.minimum(lam, 1.0)))
+    return GaussianState(corr, reduction=red._replace(lambdas=np.minimum(lam, 1.0)))
 
 
 def from_normal_form(nf: NormalForm) -> GaussianState:

@@ -370,6 +370,48 @@ def test_from_normal_form_is_the_reconstructed_state():
             assert np.array_equal(built.lambdas, clamped.lambdas)
 
 
+def test_frame_is_built_on_first_use(monkeypatch):
+    # the bound query's pure pair is read through its lambdas and matrices
+    # alone, so no frame is formed (LAPACK dorghr); the mixed input forms one
+    # for parity and purify together, and a second read forms none
+    dorghr, calls = scipy.linalg.lapack.dorghr, []
+    monkeypatch.setattr(scipy.linalg.lapack, "dorghr",
+                        lambda *a, **kw: calls.append(1) or dorghr(*a, **kw))
+    n, gen = 128, np.random.default_rng(128)
+    q = skew.random_orthogonal(2 * n, gen)
+    rot = scipy.linalg.expm(skew.random_skew(2 * n, gen, scale=0.005))
+    s1, s2 = (states.from_correlation(skew.conjugate_blocks(o, np.ones(n))) for o in (q, rot @ q))
+    assert s1.is_pure() and s2.is_pure()
+    states.overlap_pure(s1, s2)
+    states.distance_bounds(s1, s2, "pure_pure")
+    assert not calls
+    g_mixed = skew.conjugate_blocks(skew.random_orthogonal(2 * n, gen), gen.uniform(size=n))
+    mixed = states.from_correlation(g_mixed)
+    states.parity(mixed)
+    states.purify(mixed)
+    assert len(calls) == 1
+    assert mixed.nf is mixed.nf
+    assert len(calls) == 1
+    for s in (s1, s2, mixed):
+        assert np.array_equal(s.nf.lambdas, s.lambdas)
+        assert np.abs(s.nf.reconstruct() - s.corr.mat).max() <= 1e-12
+    assert len(calls) == 3
+
+
+def test_round_off_overshoot_stays_in_place():
+    # a drawn pure state's normal eigenvalues pass 1 at round-off; from_correlation
+    # clamps them in lambda only and stores the caller's matrix as it is
+    for n in (8, 64, 128):
+        overshoots = 0
+        for k in range(3):
+            g = states.random_gaussian_state(n, "pure", np.random.default_rng([n, k])).corr.mat
+            overshoots += int(skew.singular_values(g).max() > 1.0)
+            s = states.from_correlation(g)
+            assert s.corr.mat.tobytes() == skew.SkewMatrix(g).mat.tobytes(), (n, k)
+            assert np.all(s.lambdas <= 1.0), (n, k)
+        assert overshoots, n
+
+
 def test_validation_round_trip(rng):
     s = states.random_gaussian_state(4, "mixed", rng)
     again = states.from_correlation(s.nf.reconstruct())
