@@ -251,9 +251,10 @@ def test_bounded_rank(
 ) -> TestVerdict:
     """Two-stage test: tail eigenvalues near 1, then local Gaussianity.
 
-    Stage 1 rejects when the (r+1)-th smallest estimated eigenvalue is
-    small; at r = 0 it also accepts, as there are no mixed modes to examine.
-    Stage 2 rotates into the estimated normal frame (by Q^T for the normal
+    Stage 1 reads the estimate's eigenvalues alone (:func:`skew.reduction`) and
+    rejects when the (r+1)-th smallest is small; at r = 0 it also accepts, as
+    there are no mixed modes to examine.  Stage 2 alone forms the estimate's
+    frame from that reduction and rotates into it (by Q^T for the normal
     form Q Lambda Q^T, so the leading r modes carry the r smallest
     eigenvalues), learns those modes by full tomography, and compares against
     the Gaussian state with the same local correlation matrix.
@@ -265,15 +266,16 @@ def test_bounded_rank(
         src, eps_stat, cfg.delta / 2.0, scheme, rng_stream.child(0),
         total_shots=shot_budget("commuting", n, eps_stat, cfg.delta / 2.0),
     )
-    nf = skew.normal_form(est.gamma_hat)
-    lam_next = float(nf.lambdas[r])
+    red = skew.reduction(est.gamma_hat)
+    lam_next = float(red.lambdas[r])
     far = lam_next <= 1.0 - eps_t
     if far or r == 0:
         return TestVerdict(CASE_B if far else CASE_A, lam_next, eps_t, "eigenvalue_stage",
                            est.shots_used)
 
     far, local_dist, shots = _gaussianity_stage(
-        src, r, nf.q.T, (eps_tom, eps_t2), cfg.delta, rng_stream, scheme, est.shots_used)
+        src, r, skew.normal_form(red).q.T, (eps_tom, eps_t2), cfg.delta, rng_stream, scheme,
+        est.shots_used)
     return TestVerdict(CASE_B if far else CASE_A, lam_next, eps_t2, "tomography_stage",
                        shots, local_dist)
 

@@ -2,10 +2,11 @@
 
 One Householder tridiagonalisation (LAPACK ``dgehrd``) serves the Pfaffian, read
 off the tridiagonal factor.  With a values-only SVD of its half-size bidiagonal
-block it is the one :class:`Reduction` behind the singular values (each of the
-2n x 2n input once), the normal eigenvalues (the same, ascending) and, with dorghr
-and that block's SVD factors, the normal (Youla) form.  Also Schatten norms and
-the Weyl bound on normal-eigenvalue perturbations.  All indices are 0-based.
+block it is the one :class:`Reduction` behind the one spectrum of a 2n x 2n
+antisymmetric matrix, its normal eigenvalues (each singular value once), and,
+with dorghr and that block's SVD factors, the normal (Youla) form.  Also dense
+Schatten norms and the Weyl bound on normal-eigenvalue perturbations.  All
+indices are 0-based.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "Reduction",
     "reduction",
     "normal_form",
-    "singular_values",
     "schatten_norm",
     "normal_eigenvalues",
     "normal_eigenvalue_gap",
@@ -274,8 +274,9 @@ class NormalForm:
 
 class Reduction(NamedTuple):
     """a = z t z^T (:func:`_householder`), the singular values ``sv`` of t's half-size
-    bidiagonal block B, descending (each singular value of a once), and the normal
-    eigenvalues ``lambdas``: ``sv`` ascending, values below ZERO_CLAMP set to 0."""
+    bidiagonal block B in its SVD's descending order, which :func:`normal_form`
+    pairs with that SVD's factors, and the normal eigenvalues ``lambdas``: ``sv``
+    ascending, values below ZERO_CLAMP set to 0, the one spectrum callers read."""
 
     ht: np.ndarray
     tau: np.ndarray
@@ -334,23 +335,16 @@ def normal_form(a: Union[SkewLike, Reduction]) -> NormalForm:
     return NormalForm(q=q, lambdas=lams, det_sign=(-1) ** int(negative))
 
 
-def singular_values(a: SkewLike) -> np.ndarray:
-    """The singular values of a, each once, descending: n values for 2n x 2n.
-
-    No vectors, no dorghr and no clamp near zero: this is the spectrum the
-    Schatten norms read, ``max()`` the operator norm and ``2 * sum()`` the
-    trace norm of a.
-    """
-    return reduction(a).sv
-
-
 def normal_eigenvalues(a: SkewLike) -> np.ndarray:
-    """Non-negative normal eigenvalues, ascending: ``normal_form(a).lambdas``, no vectors."""
+    """The one spectrum of an antisymmetric a, ``normal_form(a).lambdas`` with no
+    vectors: each singular value once, ascending, below ZERO_CLAMP set to 0.  Its
+    norms: operator ``[-1]``, trace ``2 * sum()``, Frobenius ``sqrt(2 * sum(λ²))``."""
     return reduction(a).lambdas
 
 
 def schatten_norm(a: np.ndarray, p) -> float:
-    """Schatten p-norm for p in {1, 2, inf}: the p-norm of the singular values."""
+    """Schatten p-norm for p in {1, 2, inf} of any square matrix, from a dense SVD:
+    for one known antisymmetric, :func:`normal_eigenvalues` gives the same norms."""
     m = np.asarray(a)
     if p == 2:
         return float(np.linalg.norm(m, "fro"))
@@ -365,10 +359,10 @@ def normal_eigenvalue_gap(a: SkewLike, b: SkewLike) -> float:
 
     Bounded above by the operator norm of a - b (Weyl perturbation bound).
     """
-    fa, fb = normal_form(a), normal_form(b)
-    if fa.q.shape != fb.q.shape:
-        raise DimensionMismatch(f"shapes {fa.q.shape} and {fb.q.shape} differ")
-    return float(np.abs(fa.lambdas - fb.lambdas).max())
+    la, lb = normal_eigenvalues(a), normal_eigenvalues(b)
+    if la.size != lb.size:
+        raise DimensionMismatch(f"shapes {(2 * la.size,) * 2} and {(2 * lb.size,) * 2} differ")
+    return float(np.abs(la - lb).max())
 
 
 def random_skew(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 A state is carried entirely by a validated 2n x 2n real antisymmetric
 correlation matrix and its normal eigenvalues, its normal form cached or built
-on first use.  This module also evaluates every correlation-matrix bound on
-trace distance, fidelity and non-Gaussianity.
+on first use.  Every correlation-matrix bound on trace distance, fidelity and
+non-Gaussianity is read from one spectrum (:func:`skew.normal_eigenvalues`).
 """
 
 from __future__ import annotations
@@ -97,17 +97,22 @@ class GaussianState:
 
 
 def from_correlation(g: GammaLike) -> GaussianState:
-    """Validate a correlation matrix and build the state from its normal
-    eigenvalues alone (:func:`skew.reduction`); its frame is built on first use.
+    """Validate a correlation matrix and build the state by :func:`_clamped`;
+    normal eigenvalues above 1 + 1e-6 are rejected."""
+    return _clamped(_skew_of(g), LAMBDA_INPUT_SLACK)
 
-    Normal eigenvalues above 1 + 1e-6 are rejected.  An overshoot of at most
-    ``skew.ZERO_CLAMP`` is clamped to 1 in λ only, with the matrix stored as it
-    is; a larger one within the slack (estimator round-off) is clamped in the
-    normal form, and the stored matrix is re-synthesized from it."""
-    corr = _skew_of(g)
+
+def _clamped(corr: SkewMatrix, slack: float) -> GaussianState:
+    """The one clamp rule from a matrix to a state: its normal eigenvalues from
+    :func:`skew.reduction`, clipped at 1, its frame built on first use.
+
+    An overshoot of more than ``slack`` is rejected.  One of at most
+    ``skew.ZERO_CLAMP`` (round-off) is clamped in λ only, with the matrix stored
+    as it is; a larger one is clamped in the normal form, and the stored matrix
+    is re-synthesized from it."""
     red = skew.reduction(corr)
     lam = red.lambdas
-    if lam[-1] > 1.0 + LAMBDA_INPUT_SLACK:
+    if lam[-1] > 1.0 + slack:
         raise NotAValidCorrelationMatrix(
             f"largest normal eigenvalue {lam[-1]:.8f} exceeds 1 beyond slack")
     if lam[-1] > 1.0 + skew.ZERO_CLAMP:
@@ -122,13 +127,10 @@ def from_normal_form(nf: NormalForm) -> GaussianState:
 
 
 def clip_to_valid(g: GammaLike) -> GaussianState:
-    """Clip normal eigenvalues above 1 down to 1, however large.
-
-    This is mixed tomography's projection of its estimate onto valid
-    correlation matrices (Step 3); :func:`from_correlation` stays strict.
-    """
-    nf = skew.normal_form(_skew_of(g))
-    return from_normal_form(nf.with_lambdas(np.minimum(nf.lambdas, 1.0)))
+    """:func:`from_correlation`'s clamp rule with no slack: normal eigenvalues
+    above 1 clip to 1, however large.  This is mixed tomography's projection of
+    its estimate onto valid correlation matrices (Step 3)."""
+    return _clamped(_skew_of(g), math.inf)
 
 
 def product_state(lambdas: Sequence[float]) -> GaussianState:
@@ -219,10 +221,9 @@ def distance_bounds(g1: GammaLike, g2: GammaLike, mode: str = "mixed_mixed") -> 
     mode: "pure_pure" (both Gaussian and pure), "mixed_mixed" (both
     Gaussian), or "pure_vs_any" (first pure Gaussian, second arbitrary).
     The difference of two exactly antisymmetric matrices is exactly
-    antisymmetric, so it is stored unchecked, and its operator and trace norms
-    come from its n singular values (:func:`skew.singular_values`, one
-    Householder reduction and a half-size values-only SVD): the largest, and
-    twice their sum.
+    antisymmetric, so it is stored unchecked; its operator, trace and Frobenius
+    norms are read from its one spectrum (:func:`skew.normal_eigenvalues`), so a
+    singular value below ``skew.ZERO_CLAMP`` (round-off) reads 0 in every field.
     """
     # each array is checked once; the pure modes read its lambdas from the SkewMatrix
     g1, g2 = (g if isinstance(g, GaussianState) else _skew_of(g) for g in (g1, g2))
@@ -231,16 +232,15 @@ def distance_bounds(g1: GammaLike, g2: GammaLike, mode: str = "mixed_mixed") -> 
         raise DimensionMismatch(f"shapes {m1.shape} and {m2.shape} differ")
     if mode not in ("pure_pure", "mixed_mixed", "pure_vs_any"):
         raise ValueError(f"unknown mode {mode!r}")
-    delta = m1 - m2
-    sv = skew.singular_values(SkewMatrix.exact(delta))  # each singular value of delta once
-    d_inf = float(sv.max())
-    d_1 = float(2.0 * sv.sum())
+    lam = skew.normal_eigenvalues(SkewMatrix.exact(m1 - m2))  # each singular value once
+    d_inf = float(lam[-1])
+    d_1 = float(2.0 * lam.sum())
 
     ub_pure = None
     if mode == "pure_pure":
         if not all(_pure_lambdas(_lambdas_of(g)) for g in (g1, g2)):
             raise NotPure("pure_pure mode requires two pure correlation matrices")
-        ub_pure = 2.0 if d_inf >= 2.0 - 1e-9 else min(2.0, 0.5 * schatten_norm(delta, 2))
+        ub_pure = 2.0 if d_inf >= 2.0 - 1e-9 else min(2.0, 0.5 * math.sqrt(2.0 * lam @ lam))
 
     ub_pure_vs_any = None
     if mode == "pure_vs_any":

@@ -24,6 +24,22 @@ def scans(monkeypatch):
 
 
 @pytest.fixture
+def frames(monkeypatch):
+    """The shape of each matrix whose frame LAPACK dorghr forms, the step a
+    normal form adds to its reduction: one entry per call, in call order."""
+    import scipy.linalg
+
+    calls, real = [], scipy.linalg.lapack.dorghr
+
+    def counted(*args, **kw):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dorghr", counted)
+    return calls
+
+
+@pytest.fixture
 def from_upper_inputs(monkeypatch):
     """A copy of each matrix handed to ``SkewMatrix.from_upper``, in call order."""
     from freeferm import skew

@@ -958,6 +958,25 @@ def test_records_rerun_byte_identically(tmp_path, argv):
     assert texts[0] == texts[1]
 
 
+def test_equal_one_mode_pure_pair_reads_zero(tmp_path):
+    # trial 1 draws two equal 1-mode pure states; their difference is round-off,
+    # below ZERO_CLAMP, so every bound reads exactly 0, with no tolerance needed
+    out = tmp_path / "r.json"
+    argv = ["verify-bounds", "--modes", "1", "--trials", "3", "--seed", "0", "--out", str(out)]
+    assert cli.main(argv) == 0
+    rec = json.loads(out.read_text())["results"][1]
+    assert rec["mode"] == "pure_pure" and rec["trace_dist"] == 0.0
+    assert rec["lb_infty"] == rec["ub_mixed"] == rec["ub_pure"] == 0.0
+
+
+def test_tomo_mixed_at_scale_forms_no_frame(tmp_path, frames):
+    # the scale request's estimate stays within ZERO_CLAMP of 1, so clip_to_valid
+    # keeps it as it is and no frame is formed for the learned state
+    argv = "tomo-mixed --modes 64 --scheme pauli_pairs --trials 1 --out".split()
+    assert cli.main([*argv, str(tmp_path / "r.json")]) == 0
+    assert not frames
+
+
 def test_tomo_pure_note_names_the_budget_it_spends(tmp_path):
     # under pauli_pairs pure tomography spends n times the commuting row, and says so
     out = tmp_path / "r.json"

@@ -486,6 +486,21 @@ def test_clipping_rule():
     assert np.all(learned.lambdas == 1.0)
 
 
+def test_rank_test_forms_the_estimate_frame_for_stage_2_alone(frames):
+    # stage 1 reads the estimate's lambdas alone; only the Gaussianity stage
+    # forms the frame of the 8 x 8 estimate (the local states' 2 x 2 frames aside)
+    for lams, r, stage, estimate_frames in (([1, 1, 1, 1], 0, "eigenvalue_stage", 0),
+                                            ([0, 0, 0, 0], 1, "eigenvalue_stage", 0),
+                                            ([0.5, 1, 1, 1], 1, "tomography_stage", 1)):
+        frames.clear()
+        cfg = learning.TestConfig(eps_a=0.0, eps_b=0.9, delta=0.1, r=r)
+        verdict = learning.test_bounded_rank(
+            ExactGaussianSource(states.product_state(lams)), cfg, RngStream(3))
+        assert verdict.stage == stage, lams
+        assert frames.count((8, 8)) == estimate_frames, lams
+        assert not frames or stage == "tomography_stage", lams
+
+
 def test_tomography_learns_gaussianification(rng):
     src = DenseSource(dense.ghz3())
     report = learning.tomograph_mixed(src, 0.2, 0.1, RngStream(19))

@@ -352,31 +352,31 @@ def _singular_value_inputs(n, gen):
     yield "zero", np.zeros((2 * n, 2 * n))
 
 
-def test_singular_values_match_the_dense_svd():
+def test_normal_eigenvalues_match_the_dense_svd():
     # each of the 2n dense singular values appears twice; the half-size
-    # bidiagonal gives each once, descending
+    # bidiagonal gives each once, ascending, with round-off below 1e-12 read as 0
     for n in (*range(1, 13), 64, 128):
         gen = np.random.default_rng(n)
         for name, a in _singular_value_inputs(n, gen):
             dense = np.linalg.svd(a, compute_uv=False)
             tol = 1e-13 * max(1.0, dense[0])
-            sv = skew.singular_values(skew.SkewMatrix.from_upper(a))
-            assert sv.shape == (n,), (n, name)
-            assert np.all(np.diff(sv) <= 0), (n, name)
+            lam = skew.normal_eigenvalues(skew.SkewMatrix.from_upper(a))
+            assert lam.shape == (n,), (n, name)
+            assert np.all(np.diff(lam) >= 0), (n, name)
             assert np.abs(dense[0::2] - dense[1::2]).max() <= tol, (n, name)
-            assert np.abs(sv - dense[0::2]).max() <= tol, (n, name)
-            assert np.array_equal(skew.singular_values(a), sv), (n, name)
+            assert np.abs(lam - dense[-2::-2]).max() <= tol, (n, name)
+            assert np.array_equal(skew.normal_eigenvalues(a), lam), (n, name)
 
 
-def test_singular_values_check_a_caller_matrix(rng, scans):
+def test_normal_eigenvalues_check_a_caller_matrix(rng, scans):
     a = skew.random_skew(6, rng)
-    skew.singular_values(a)
+    skew.normal_eigenvalues(a)
     assert len(scans) == 1
     scans.clear()
-    skew.singular_values(skew.SkewMatrix.from_upper(a))
+    skew.normal_eigenvalues(skew.SkewMatrix.from_upper(a))
     assert not scans
     with pytest.raises(NotAntisymmetric):
-        skew.singular_values(a + np.eye(6))
+        skew.normal_eigenvalues(a + np.eye(6))
 
 
 def test_exact_stores_the_array_as_it_is(rng, scans):
@@ -448,10 +448,12 @@ def test_from_upper_stores_the_constructor_bytes(rng, scans):
     assert len(scans) == 1  # the constructor's, not from_upper's
 
 
-def test_each_caller_matrix_is_checked_once(rng, scans):
+def test_each_caller_matrix_is_checked_once(rng, scans, frames):
+    # the gap compares two spectra: each matrix is checked once, and no frame is formed
     a, b = skew.random_skew(6, rng), skew.random_skew(6, rng)
     skew.normal_eigenvalue_gap(a, b)
     assert len(scans) == 2
     scans.clear()
     with pytest.raises(DimensionMismatch, match=r"shapes \(6, 6\) and \(4, 4\) differ"):
         skew.normal_eigenvalue_gap(a, skew.random_skew(4, rng))
+    assert not frames

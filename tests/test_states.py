@@ -370,13 +370,10 @@ def test_from_normal_form_is_the_reconstructed_state():
             assert np.array_equal(built.lambdas, clamped.lambdas)
 
 
-def test_frame_is_built_on_first_use(monkeypatch):
+def test_frame_is_built_on_first_use(frames):
     # the bound query's pure pair is read through its lambdas and matrices
     # alone, so no frame is formed (LAPACK dorghr); the mixed input forms one
     # for parity and purify together, and a second read forms none
-    dorghr, calls = scipy.linalg.lapack.dorghr, []
-    monkeypatch.setattr(scipy.linalg.lapack, "dorghr",
-                        lambda *a, **kw: calls.append(1) or dorghr(*a, **kw))
     n, gen = 128, np.random.default_rng(128)
     q = skew.random_orthogonal(2 * n, gen)
     rot = scipy.linalg.expm(skew.random_skew(2 * n, gen, scale=0.005))
@@ -384,32 +381,48 @@ def test_frame_is_built_on_first_use(monkeypatch):
     assert s1.is_pure() and s2.is_pure()
     states.overlap_pure(s1, s2)
     states.distance_bounds(s1, s2, "pure_pure")
-    assert not calls
+    assert not frames
     g_mixed = skew.conjugate_blocks(skew.random_orthogonal(2 * n, gen), gen.uniform(size=n))
     mixed = states.from_correlation(g_mixed)
     states.parity(mixed)
     states.purify(mixed)
-    assert len(calls) == 1
+    assert len(frames) == 1
     assert mixed.nf is mixed.nf
-    assert len(calls) == 1
+    assert len(frames) == 1
     for s in (s1, s2, mixed):
         assert np.array_equal(s.nf.lambdas, s.lambdas)
         assert np.abs(s.nf.reconstruct() - s.corr.mat).max() <= 1e-12
-    assert len(calls) == 3
+    assert len(frames) == 3
 
 
-def test_round_off_overshoot_stays_in_place():
-    # a drawn pure state's normal eigenvalues pass 1 at round-off; from_correlation
-    # clamps them in lambda only and stores the caller's matrix as it is
+def test_round_off_overshoot_stays_in_place(frames):
+    # a drawn pure state's normal eigenvalues pass 1 at round-off; the one clamp
+    # rule of from_correlation and clip_to_valid clamps them in lambda only,
+    # stores the caller's matrix as it is and forms no frame
     for n in (8, 64, 128):
         overshoots = 0
         for k in range(3):
             g = states.random_gaussian_state(n, "pure", np.random.default_rng([n, k])).corr.mat
-            overshoots += int(skew.singular_values(g).max() > 1.0)
-            s = states.from_correlation(g)
-            assert s.corr.mat.tobytes() == skew.SkewMatrix(g).mat.tobytes(), (n, k)
-            assert np.all(s.lambdas <= 1.0), (n, k)
+            overshoots += int(skew.normal_eigenvalues(g)[-1] > 1.0)
+            for s in (states.from_correlation(g), states.clip_to_valid(g)):
+                assert s.corr.mat.tobytes() == skew.SkewMatrix(g).mat.tobytes(), (n, k)
+                assert np.all(s.lambdas <= 1.0), (n, k)
         assert overshoots, n
+    assert not frames
+
+
+def test_round_off_copy_reads_zero_in_every_field():
+    # a pure state against a copy that differs from it only at round-off: every
+    # singular value of the difference is below ZERO_CLAMP, so every distance
+    # bound is exactly 0 and the fidelity bound exactly 1 (the CLI pins n = 1)
+    for n in (2, 3, 8, 64):
+        s = states.random_gaussian_state(n, "pure", np.random.default_rng(n))
+        copy = skew.normal_form(s.corr).with_lambdas(np.ones(n)).reconstruct()
+        assert 0.0 < np.abs(copy - s.corr.mat).max() <= 1e-13, n
+        for mode in ("pure_pure", "mixed_mixed", "pure_vs_any"):
+            r = states.distance_bounds(s, skew.SkewMatrix.from_upper(copy), mode)
+            assert r.lb_infty == r.ub_mixed == 0.0 and r.fid_lb_sq == 1.0, (n, mode)
+            assert r.ub_pure in (None, 0.0) and r.ub_pure_vs_any in (None, 0.0), (n, mode)
 
 
 def test_validation_round_trip(rng):
