@@ -64,7 +64,6 @@ __all__ = [
 ]
 
 MAX_DENSE_MODES = 10
-MAX_SPARSE_MODES = 12
 #: Frobenius-norm tolerance of the runtime check of a synthesised Gaussian unitary
 UNITARY_CHECK_TOL = 1e-8
 
@@ -175,8 +174,8 @@ def pauli_expectations(rho: np.ndarray, perms: np.ndarray, coefs: np.ndarray) ->
 @lru_cache(maxsize=None)
 def majoranas(n: int) -> MajoranaSet:
     """gamma_{2k} = (prod_{j<k} Z_j) X_k, gamma_{2k+1} = (prod_{j<k} Z_j) Y_k."""
-    if not 1 <= n <= MAX_SPARSE_MODES:
-        raise TooManyModes(f"mode count {n} outside [1, {MAX_SPARSE_MODES}]")
+    if not 1 <= n <= MAX_DENSE_MODES:
+        raise TooManyModes(f"mode count {n} outside [1, {MAX_DENSE_MODES}]")
     bit_k = 1 << (n - 1 - np.arange(n))  # qubit 0 is the most significant bit
     below_k = (1 << n) - 2 * bit_k  # the bits of the qubits j < k
     x, z = np.repeat(bit_k, 2), np.stack([below_k, below_k | bit_k], axis=1).ravel()
@@ -500,10 +499,13 @@ def write_dense(f: TextIO, rho: DenseState) -> None:
 
 
 def read_dense(f: TextIO) -> DenseState:
+    """Parse :func:`write_dense`'s format.  The header's mode count is checked
+    against the dense cap (:func:`check_dense_modes`) before any row is read."""
     header = f.readline().strip()
     if not header.isdecimal() or int(header) < 1:
         raise DimensionMismatch(f"header {header!r} must be a mode count >= 1")
     n = int(header)
+    check_dense_modes(n)
     d = 1 << n
     rows = []
     for _ in range(d):

@@ -65,7 +65,7 @@ class NonNegligibleImaginaryPart(FreeFermError):
 
 
 class TooManyModes(FreeFermError):
-    """Mode count exceeds a desk-scale cap: the dense, sparse, sampling
+    """Mode count exceeds a desk-scale cap: the dense (``dense.MAX_DENSE_MODES``), sampling
     (``sampling.MAX_SAMPLING_MODES``), local-tomography or robustness-certification cap."""
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import (
@@ -36,7 +35,6 @@ __all__ = [
     "as_skew_stack",
     "canonical_lambda",
     "lambda_blocks",
-    "conjugate_blocks",
     "log_abs_product",
     "pfaffian",
     "restricted_pfaffian",
@@ -92,16 +90,17 @@ def as_skew_stack(entries: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
 
 class SkewMatrix:
     """Immutable real antisymmetric matrix of even dimension 2n: the
-    constructor checks a caller's matrix, :meth:`from_upper` one built in
-    code, and :meth:`exact` one built in code exactly antisymmetric."""
+    constructor checks a caller's matrix (finite, antisymmetric within 1e-12),
+    :meth:`from_upper` one built in code, and :meth:`exact` one built in code
+    exactly antisymmetric."""
 
     __slots__ = ("_m",)
 
-    def __init__(self, entries: np.ndarray, *, tol: float = 1e-12):
+    def __init__(self, entries: np.ndarray):
         m = np.asarray(entries, dtype=float)
         if m.ndim != 2:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        self._m = as_skew_stack(m, tol=tol)
+        self._m = as_skew_stack(m)
         self._m.setflags(write=False)
 
     @classmethod
@@ -135,11 +134,11 @@ class SkewMatrix:
         return f"SkewMatrix(dim={self._m.shape[0]})"
 
 
-def as_skew_array(a: SkewLike, *, tol: float = 1e-12) -> np.ndarray:
+def as_skew_array(a: SkewLike) -> np.ndarray:
     """Coerce to a validated, exactly antisymmetric ndarray."""
     if isinstance(a, SkewMatrix):
         return a.mat
-    return SkewMatrix(np.asarray(a, dtype=float), tol=tol).mat
+    return SkewMatrix(np.asarray(a, dtype=float)).mat
 
 
 def lambda_blocks(lambdas: Sequence[float]) -> np.ndarray:
@@ -150,21 +149,6 @@ def lambda_blocks(lambdas: Sequence[float]) -> np.ndarray:
     out[2 * np.arange(n), 2 * np.arange(n) + 1] = lams
     out[2 * np.arange(n) + 1, 2 * np.arange(n)] = -lams
     return out
-
-
-def conjugate_blocks(q: np.ndarray, lambdas: Sequence[float]) -> np.ndarray:
-    """``q @ lambda_blocks(lambdas) @ q.T`` with one matrix product.
-
-    q times the blocks only scales and swaps q's column pairs, so it is
-    written into a C-ordered buffer, the layout of the product it replaces;
-    the one product with q^T is then the same call on the same operands, and
-    the result agrees bit for bit.
-    """
-    lams = np.asarray(lambdas, dtype=float)
-    qb = np.empty(q.shape)
-    qb[:, 1::2] = q[:, 0::2] * lams
-    qb[:, 0::2] = q[:, 1::2] * -lams
-    return qb @ q.T
 
 
 def canonical_lambda(n: int) -> np.ndarray:
@@ -261,9 +245,18 @@ class NormalForm:
         return self.lambdas.size
 
     def reconstruct(self) -> np.ndarray:
-        """q . blockdiag(lam_j J) . q^T by :func:`conjugate_blocks`: one matrix
-        product, bit for bit ``q @ lambda_blocks(lambdas) @ q.T``."""
-        return conjugate_blocks(self.q, self.lambdas)
+        """q . blockdiag(lam_j J) . q^T with one matrix product, bit for bit
+        ``q @ lambda_blocks(lambdas) @ q.T``.
+
+        q times the blocks only scales and swaps q's column pairs, so it is
+        written into a C-ordered buffer, the layout of the product it replaces;
+        the one product with q^T is then the same call on the same operands.
+        """
+        q, lams = self.q, np.asarray(self.lambdas, dtype=float)
+        qb = np.empty(q.shape)
+        qb[:, 1::2] = q[:, 0::2] * lams
+        qb[:, 0::2] = q[:, 1::2] * -lams
+        return qb @ q.T
 
     def with_lambdas(self, lambdas: Sequence[float]) -> "NormalForm":
         lams = np.asarray(lambdas, dtype=float)
@@ -288,7 +281,7 @@ class Reduction(NamedTuple):
 def reduction(a: SkewLike) -> Reduction:
     """dgehrd and one values-only SVD of the n x n B: the reduction every spectrum reads."""
     ht, tau, e = _householder(as_skew_array(a))
-    try:  # numpy's gesdd wrapper: half the call overhead of scipy.linalg.svdvals at n = 6
+    try:  # numpy's gesdd wrapper: lower call overhead than scipy's at small n
         sv = np.linalg.svd(_bidiagonal(e), compute_uv=False)
     except np.linalg.LinAlgError as exc:  # no LAPACK convergence
         raise ConvergenceFailure(f"skew singular values failed: {exc}") from exc
@@ -304,7 +297,8 @@ def normal_form(a: Union[SkewLike, Reduction]) -> NormalForm:
     Ordering t's indices evens first turns it into [[0, B], [-B^T, 0]], so with z
     formed by LAPACK dorghr and B = U S V^T, block j is the plane (z_even U_j,
     z_odd V_j), sorted ascending by lambda (ties keep the SVD order).  S and the
-    det-sign test are the reduction's values, the vector SVD gives only U and V^T.
+    det-sign test are the reduction's values; the vector SVD, through numpy's
+    wrapper as in :func:`reduction`, gives only U and V^T.
     Entries of U and V^T below the smallest normal float are set to 0 before
     the two products with z: for a pure input B is nearly diagonal, and the
     subnormals of its SVD factors would slow those products several-fold.
@@ -314,8 +308,8 @@ def normal_form(a: Union[SkewLike, Reduction]) -> NormalForm:
     if info != 0:
         raise ConvergenceFailure(f"skew normal form failed (dorghr info {info})")
     try:
-        u, _, vt = scipy.linalg.svd(_bidiagonal(e))
-    except ValueError as exc:  # no LAPACK convergence
+        u, _, vt = np.linalg.svd(_bidiagonal(e))
+    except np.linalg.LinAlgError as exc:  # no LAPACK convergence
         raise ConvergenceFailure(f"skew normal form failed: {exc}") from exc
     u[np.abs(u) < _TINY] = 0.0
     vt[np.abs(vt) < _TINY] = 0.0
@@ -365,9 +359,10 @@ def normal_eigenvalue_gap(a: SkewLike, b: SkewLike) -> float:
     return float(np.abs(la - lb).max())
 
 
-def random_skew(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random antisymmetric matrix with i.i.d. Gaussian upper triangle."""
-    return _antisymmetrize(rng.normal(scale=scale, size=(dim, dim)))
+def random_skew(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random antisymmetric matrix with i.i.d. standard Gaussian upper triangle;
+    ``s * random_skew(...)`` draws one of scale s."""
+    return _antisymmetrize(rng.normal(size=(dim, dim)))
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

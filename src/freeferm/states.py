@@ -52,9 +52,9 @@ PURITY_TOL = 1e-6
 GammaLike = Union[SkewMatrix, np.ndarray, "GaussianState"]
 
 
-def _pure_lambdas(lambdas: np.ndarray, tol: float = PURITY_TOL) -> bool:
-    """The purity predicate: every normal eigenvalue within ``tol`` of 1."""
-    return bool(np.all(lambdas >= 1.0 - tol))
+def _pure_lambdas(lambdas: np.ndarray) -> bool:
+    """The purity predicate: every normal eigenvalue within PURITY_TOL of 1."""
+    return bool(np.all(lambdas >= 1.0 - PURITY_TOL))
 
 
 def _skew_of(g: GammaLike) -> SkewMatrix:
@@ -71,26 +71,26 @@ def _lambdas_of(g: GammaLike) -> np.ndarray:
 
 
 class GaussianState:
-    """A free-fermionic state: correlation matrix, normal eigenvalues, and normal form
-    ``nf``, given or built on first read from the :class:`skew.Reduction` of λ."""
+    """A free-fermionic state: correlation matrix, normal eigenvalues, and normal
+    form ``nf``.  Its ``frame`` is that normal form, kept as it is, or the
+    :class:`skew.Reduction` of λ, replaced by its normal form on the first read
+    of ``nf``; λ are the frame's."""
 
-    def __init__(self, corr: SkewMatrix, nf: Optional[NormalForm] = None,
-                 reduction: Optional[skew.Reduction] = None):
-        self.corr, self._nf, self._reduction = corr, nf, reduction
-        self.lambdas = (nf if nf is not None else reduction).lambdas
+    def __init__(self, corr: SkewMatrix, frame: Union[NormalForm, skew.Reduction]):
+        self.corr, self._frame, self.lambdas = corr, frame, frame.lambdas
 
     @property
     def nf(self) -> NormalForm:
-        if self._nf is None:
-            self._nf, self._reduction = skew.normal_form(self._reduction), None
-        return self._nf
+        if isinstance(self._frame, skew.Reduction):
+            self._frame = skew.normal_form(self._frame)
+        return self._frame
 
     @property
     def n(self) -> int:
         return self.corr.n
 
-    def is_pure(self, tol: float = PURITY_TOL) -> bool:
-        return _pure_lambdas(self.lambdas, tol)
+    def is_pure(self) -> bool:
+        return _pure_lambdas(self.lambdas)
 
     def __repr__(self) -> str:
         return f"GaussianState(n={self.n}, lambdas={np.round(self.lambdas, 6)})"
@@ -117,13 +117,13 @@ def _clamped(corr: SkewMatrix, slack: float) -> GaussianState:
             f"largest normal eigenvalue {lam[-1]:.8f} exceeds 1 beyond slack")
     if lam[-1] > 1.0 + skew.ZERO_CLAMP:
         return from_normal_form(skew.normal_form(red).with_lambdas(np.minimum(lam, 1.0)))
-    return GaussianState(corr, reduction=red._replace(lambdas=np.minimum(lam, 1.0)))
+    return GaussianState(corr, red._replace(lambdas=np.minimum(lam, 1.0)))
 
 
 def from_normal_form(nf: NormalForm) -> GaussianState:
     """The state Q (+)lam_j J Q^T of ``nf``: antisymmetric up to round-off, so
     its upper triangle is stored, mirrored, unchecked."""
-    return GaussianState(corr=SkewMatrix.from_upper(nf.reconstruct()), nf=nf)
+    return GaussianState(SkewMatrix.from_upper(nf.reconstruct()), nf)
 
 
 def clip_to_valid(g: GammaLike) -> GaussianState:
@@ -318,7 +318,7 @@ def purify(s: GaussianState) -> GaussianState:
     top[:, 1:2 * n:2], bot[:, 1:2 * n:2] = qo * lam, qe * root  # (0, lam, s, 0)
     bot[:, 2 * n::2] = qo  # e4
     top[:, 2 * n + 1::2], bot[:, 2 * n + 1::2] = -qo * root, qe * lam  # (0, -s, lam, 0)
-    return GaussianState(corr=m, nf=NormalForm(q=q2, lambdas=np.ones(2 * n), det_sign=(-1) ** n))
+    return GaussianState(m, NormalForm(q=q2, lambdas=np.ones(2 * n), det_sign=(-1) ** n))
 
 
 # -- generators --------------------------------------------------------------

@@ -205,7 +205,9 @@ def test_bad_dense_fixture_exits_2(tmp_path, capsys, monkeypatch):
             # NaN fails every comparison, so non-finite entries are refused first
             ("nan", "1\n0.5 0 nan 0\nnan 0 0.5 0\n", "non-finite entry"),
             ("inf", "1\n0.5 0 inf 0\ninf 0 0.5 0\n", "non-finite entry"),
-            ("third_row", "1\n0.5 0 0 0\n0 0 0.5 0\n0 0 0 0\n", "data after the 2 rows")):
+            ("third_row", "1\n0.5 0 0 0\n0 0 0.5 0\n0 0 0 0\n", "data after the 2 rows"),
+            # a mode count past the dense cap is refused at the header, before any row
+            ("eleven_modes", "11\n", "exceeds dense cap 10")):
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
         for command in ("estimate", "tomo-mixed"):

@@ -125,7 +125,7 @@ def _check_synthesis(q, gen):
     assert np.abs(u.conj().T @ u - np.eye(1 << n)).max() < 1e-10
     lams = np.sort(gen.uniform(0.0, 1.0, size=n))
     nf = skew.NormalForm(q=q, lambdas=lams, det_sign=1 if np.linalg.det(q) > 0 else -1)
-    s = states.GaussianState(corr=skew.SkewMatrix(nf.reconstruct(), tol=1e-9), nf=nf)
+    s = states.from_normal_form(nf)
     back = dense.correlation_matrix(dense.gaussian_to_dense(s))
     assert np.abs(back.mat - s.corr.mat).max() < 1e-10
 
@@ -419,7 +419,7 @@ def test_derivative_matches_finite_differences(rng):
         lams = rng.uniform(0.1, 0.85, size=n)
         q = skew.random_orthogonal(2 * n, rng)
         gamma = q @ skew.lambda_blocks(lams) @ q.T
-        x = skew.random_skew(2 * n, rng, scale=0.5)
+        x = 0.5 * skew.random_skew(2 * n, rng)
         x /= skew.schatten_norm(x, np.inf)
         out = dense.gaussian_derivative(gamma, x)
         plus = dense.gaussian_to_dense(states.from_correlation(gamma + h * x)).rho
@@ -452,6 +452,11 @@ def test_dense_dump_refuses_rows_past_the_last():
     with pytest.raises(DimensionMismatch, match="data after the 2 rows of a 1-mode state"):
         dense.read_dense(io.StringIO(one_mode + "0 0 0 0\n"))
 
+
+def test_dense_dump_checks_the_dense_cap_at_the_header():
+    # an 11-mode header is refused before any of its 2048 rows is read
+    with pytest.raises(TooManyModes, match="exceeds dense cap 10"):
+        dense.read_dense(io.StringIO("11\n"))
 
 
 def test_gaussianification_refuses_a_non_state():

@@ -438,7 +438,7 @@ def test_tomograph_pure(rng):
     exact = learning.tomograph_pure(src, 0.2, 0.1, RngStream(15), scheme="exact")
     err0 = dense.state_metrics(dense.gaussian_to_dense(exact.learned), dense.gaussian_to_dense(s))
     assert err0 < 1e-8
-    assert exact.learned.is_pure(tol=1e-9)
+    assert np.all(exact.learned.lambdas >= 1 - 1e-9)
 
     sampled = learning.tomograph_pure(src, 0.25, 0.1, RngStream(16))
     err = dense.state_metrics(dense.gaussian_to_dense(sampled.learned), dense.gaussian_to_dense(s))

@@ -97,7 +97,7 @@ def test_z_distribution_matches_dense_diagonal(n, rng):
 
 def _per_node_z_distribution(gamma):
     """The depth-first, one-node-at-a-time expansion the sampler replaced."""
-    g = skew.as_skew_array(gamma, tol=1e-9)
+    g = skew.as_skew_stack(gamma, tol=1e-9)
     n = g.shape[0] // 2
     out = np.zeros(1 << n)
     stack = [(g, 0, 1.0)]

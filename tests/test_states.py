@@ -167,7 +167,7 @@ def test_distance_bounds_match_the_dense_svd():
     for n in (1, 2, 3, 6, 12, 64, 128):
         gen = np.random.default_rng(n)
         pure = states.random_gaussian_state(n, "pure", gen)
-        near = states.rotate(pure, scipy.linalg.expm(skew.random_skew(2 * n, gen, scale=0.002)))
+        near = states.rotate(pure, scipy.linalg.expm(0.002 * skew.random_skew(2 * n, gen)))
         far = states.random_gaussian_state(n, "pure", gen)
         mixed = states.random_gaussian_state(n, "mixed", gen)
         for mode, pairs in (("pure_pure", ((pure, near), (pure, far))),
@@ -203,7 +203,7 @@ def test_fidelity_bounds_against_overlap(rng):
         for scale in (1e-3, 1e-2, 1e-1, 1.0):
             for _ in range(3):
                 s1 = states.random_gaussian_state(n, "pure", rng)
-                q = scipy.linalg.expm(skew.random_skew(2 * n, rng, scale=scale))
+                q = scipy.linalg.expm(scale * skew.random_skew(2 * n, rng))
                 s2 = states.rotate(s1, q)
                 rep = states.distance_bounds(s1, s2, "pure_pure")
                 ov = states.overlap_pure(s1, s2)
@@ -251,13 +251,13 @@ def test_purify_examples():
     mm = states.purify(states.product_state([0.0, 0.0]))
     expected2 = np.block([[np.zeros((4, 4)), np.eye(4)], [-np.eye(4), np.zeros((4, 4))]])
     assert np.abs(mm.corr.mat - expected2).max() < 1e-9
-    assert mm.is_pure(tol=1e-9)
+    assert np.all(mm.lambdas >= 1 - 1e-9)
 
 
 def test_purify_marginal_matches_dense(rng):
     s = states.random_gaussian_state(3, "mixed", rng)
     psi = states.purify(s)
-    assert psi.is_pure(tol=1e-9)
+    assert np.all(psi.lambdas >= 1 - 1e-9)
     assert np.array_equal(psi.corr.mat[:6, :6], s.corr.mat)  # exact block copy
     reduced = dense.partial_trace(dense.gaussian_to_dense(psi), 3)
     td = dense.state_metrics(reduced, dense.gaussian_to_dense(s))
@@ -341,7 +341,7 @@ def test_random_gaussian_state_keeps_its_drawn_normal_form():
             assert np.array_equal(got.lambdas, lams[order]), (n, kind)
             assert np.array_equal(got.nf.q[:, 0::2], q[:, 2 * order]), (n, kind)
             assert np.array_equal(got.nf.q[:, 1::2], q[:, 2 * order + 1]), (n, kind)
-            want = skew.conjugate_blocks(got.nf.q, got.lambdas)
+            want = got.nf.reconstruct()
             assert got.corr.mat.tobytes() == skew.SkewMatrix.from_upper(want).mat.tobytes()
             lapack = skew.normal_form(got.corr)
             assert lapack.det_sign == got.nf.det_sign, (n, kind)
@@ -354,12 +354,13 @@ def test_from_normal_form_is_the_reconstructed_state():
     for n in (1, 2, 3, 4, 8, 16, 32, 64, 128):
         gen = np.random.default_rng(n)
         q = skew.random_orthogonal(2 * n, gen)
-        over = skew.conjugate_blocks(q, 1.0 + gen.uniform(1e-9, 1e-7, size=n))
+        over = skew.NormalForm(q, 1.0 + gen.uniform(1e-9, 1e-7, size=n), 1).reconstruct()
         nf_over = skew.normal_form(over)
         assert nf_over.lambdas[-1] > 1.0, n
         clamped = nf_over.with_lambdas(np.minimum(nf_over.lambdas, 1.0))
-        for nf in (skew.normal_form(skew.conjugate_blocks(q, np.ones(n))),
-                   skew.normal_form(skew.conjugate_blocks(q, gen.uniform(0.0, 1.0, size=n))),
+        for nf in (skew.normal_form(skew.NormalForm(q, np.ones(n), 1).reconstruct()),
+                   skew.normal_form(
+                       skew.NormalForm(q, gen.uniform(0.0, 1.0, size=n), 1).reconstruct()),
                    clamped):
             s = states.from_normal_form(nf)
             assert s.nf is nf
@@ -376,13 +377,15 @@ def test_frame_is_built_on_first_use(frames):
     # for parity and purify together, and a second read forms none
     n, gen = 128, np.random.default_rng(128)
     q = skew.random_orthogonal(2 * n, gen)
-    rot = scipy.linalg.expm(skew.random_skew(2 * n, gen, scale=0.005))
-    s1, s2 = (states.from_correlation(skew.conjugate_blocks(o, np.ones(n))) for o in (q, rot @ q))
+    rot = scipy.linalg.expm(0.005 * skew.random_skew(2 * n, gen))
+    s1, s2 = (states.from_correlation(skew.NormalForm(o, np.ones(n), 1).reconstruct())
+              for o in (q, rot @ q))
     assert s1.is_pure() and s2.is_pure()
     states.overlap_pure(s1, s2)
     states.distance_bounds(s1, s2, "pure_pure")
     assert not frames
-    g_mixed = skew.conjugate_blocks(skew.random_orthogonal(2 * n, gen), gen.uniform(size=n))
+    g_mixed = skew.NormalForm(
+        skew.random_orthogonal(2 * n, gen), gen.uniform(size=n), 1).reconstruct()
     mixed = states.from_correlation(g_mixed)
     states.parity(mixed)
     states.purify(mixed)
@@ -431,6 +434,24 @@ def test_validation_round_trip(rng):
     assert np.abs(again.corr.mat - s.corr.mat).max() <= 1e-9
 
 
+def test_frame_slot_keeps_a_normal_form_and_forms_a_reduction_once(frames):
+    # a NormalForm frame is the state's nf as it is; a Reduction frame is
+    # replaced by its normal form, one dorghr on the first read of nf
+    nf = states.random_gaussian_state(6, "mixed", np.random.default_rng(6)).nf
+    corr = skew.SkewMatrix.from_upper(nf.reconstruct())
+    s = states.GaussianState(corr, nf)
+    assert s.nf is nf and s.lambdas is nf.lambdas
+    red = skew.reduction(corr)
+    s = states.GaussianState(corr, red)
+    assert s.lambdas is red.lambdas and not frames
+    formed = s.nf
+    assert isinstance(formed, skew.NormalForm) and len(frames) == 1
+    assert s.nf is formed and len(frames) == 1
+    assert formed.lambdas is red.lambdas
+    with pytest.raises(TypeError):
+        states.GaussianState(corr)
+
+
 def test_states_built_in_code_are_not_scanned(rng, scans):
     # a caller's array is scanned once where it enters; states the lab builds are not
     s = states.from_correlation(skew.random_skew(8, rng) * 0.1)
@@ -448,10 +469,11 @@ def test_each_caller_matrix_is_scanned_once(rng, scans):
     # the bound query: three arrays in, one scan each, nothing re-scanned after
     n = 16
     q = skew.random_orthogonal(2 * n, rng)
-    g_pure = skew.conjugate_blocks(q, np.ones(n))
-    rot = scipy.linalg.expm(skew.random_skew(2 * n, rng, scale=0.005))
-    g_rotated = skew.conjugate_blocks(rot @ q, np.ones(n))
-    g_mixed = skew.conjugate_blocks(skew.random_orthogonal(2 * n, rng), rng.uniform(size=n))
+    g_pure = skew.NormalForm(q, np.ones(n), 1).reconstruct()
+    rot = scipy.linalg.expm(0.005 * skew.random_skew(2 * n, rng))
+    g_rotated = skew.NormalForm(rot @ q, np.ones(n), 1).reconstruct()
+    g_mixed = skew.NormalForm(
+        skew.random_orthogonal(2 * n, rng), rng.uniform(size=n), 1).reconstruct()
     s1, s2, s3 = (states.from_correlation(g) for g in (g_pure, g_rotated, g_mixed))
     states.overlap_pure(s1, s2)
     states.distance_bounds(s1, s2, "pure_pure")
@@ -496,11 +518,11 @@ def test_normal_form_products_are_antisymmetric_to_round_off():
         q = skew.random_orthogonal(2 * n, gen)
         for lams in (np.ones(n), gen.uniform(0.0, 1.0, size=n),
                      1.0 + gen.uniform(1e-9, 1e-7, size=n)):
-            g = skew.conjugate_blocks(q, lams)
+            g = skew.NormalForm(q, lams, 1).reconstruct()
             assert _residual(g) <= 1e-13, n
             nf = skew.normal_form(g)
             nf = nf.with_lambdas(np.minimum(nf.lambdas, 1.0))
-            assert _residual(skew.conjugate_blocks(nf.q, nf.lambdas)) <= 1e-13, n
+            assert _residual(nf.reconstruct()) <= 1e-13, n
 
 
 def test_rotated_matrix_is_antisymmetric_to_round_off(from_upper_inputs):
