@@ -9,12 +9,13 @@ the last bits of a LAPACK result; ``OPENBLAS_NUM_THREADS=1`` pins it).
 
 A trial's exact distance to its truth comes from one referee,
 ``dense.state_metrics``, which takes dense and Gaussian states alike; only
-``tomo-pure`` above :data:`DENSE_VERIFY_MODES` scores a pure Gaussian truth by
-its overlap instead (``"referee": "overlap"``).
+``tomo-pure`` above ``dense.MAX_TRIAL_DENSE_MODES`` scores a pure Gaussian
+truth by its overlap instead (``"referee": "overlap"``).
 
-Each command reads the config fields of its row in :data:`COMMAND_FIELDS`:
-a flag or config-file key outside the row, or any other field set away from
-its default, is a validation error.
+Each command is one row of :data:`COMMANDS`: the config fields it reads, the
+check of its config and its per-trial worker.  A flag or config-file key
+outside the row, or any other field set away from its default, is a
+validation error; each field of :class:`ExperimentConfig` declares its flag.
 
 A trial that raises a toolkit error other than a validation error or a
 budget overflow is recorded as that trial's outcome (``ok`` false, the error
@@ -41,7 +42,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,94 +59,54 @@ from .sampling import (
     estimate_gamma,
 )
 
-DENSE_VERIFY_MODES = 5  # dense cross-checks only run at or below this n
-
 _Source = Callable[[RngStream], StateSource]  # a trial's stream -> the state it measures
 #: what validation builds and a run executes: a command's state-source map,
 #: or a sweep's (point config, its map) pairs
 _Plan = Union[_Source, List[Tuple["ExperimentConfig", _Source]]]
 
-#: flag and argparse options of each config field a command can read
-_FLAGS: Dict[str, Tuple[str, dict]] = {
-    "modes": ("--modes", {"type": int}),
-    "rank_exponent": ("--rank-exponent", {"type": int}),
-    "eps_a": ("--eps-a", {"type": float}),
-    "eps_b": ("--eps-b", {"type": float}),
-    "eps": ("--eps", {"type": float}),
-    "delta": ("--delta", {"type": float}),
-    "trials": ("--trials", {"type": int}),
-    "seed": ("--seed", {"type": int}),
-    "scheme": ("--scheme", {"choices": sampling.SCHEMES}),
-    "state_spec": ("--state-spec", {}),
-    "out_path": ("--out", {}),
-    "format": ("--format", {"choices": ("json", "csv")}),
-    "shots": ("--shots", {"type": int}),
-    "expected": ("--expected", {}),
-    "noise_kind": ("--noise-kind", {"choices": tuple(learning.NOISE_STRENGTHS)}),
-    "noise_strength": ("--noise-strength", {"type": float}),
-    "promise": ("--promise", {"choices": learning.PROMISES}),
-    "gaussian_set": ("--gaussian-set", {"choices": learning.GAUSSIAN_SETS}),
-    "axis": ("--axis", {"choices": ("shots", "eps", "modes")}),
-    "points": ("--points", {"help": "comma-separated sweep points"}),
-    "sub_command": ("--sub-command", {"choices": ("estimate", "tomo-pure", "tomo-mixed")}),
-}
 
-_SAMPLED = ("modes", "state_spec", "delta", "scheme")
-_RUN = ("trials", "seed", "out_path")
-#: the config fields each command reads: its flags and config-file keys are
-#: these, and every other field must keep its default
-COMMAND_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "verify-bounds": ("modes", *_RUN, "format"),
-    "estimate": (*_SAMPLED, "eps", "shots", *_RUN, "format"),
-    "test-pure": (*_SAMPLED, "eps_a", "eps_b", "gaussian_set", "expected", *_RUN, "format"),
-    "test-rank": (*_SAMPLED, "rank_exponent", "eps_a", "eps_b", "gaussian_set", "expected",
-                  *_RUN, "format"),
-    "reduce-id": (*_SAMPLED, "eps", "expected", *_RUN, "format"),
-    "tomo-pure": (*_SAMPLED, "eps", *_RUN, "format"),
-    "tomo-mixed": (*_SAMPLED, "eps", *_RUN, "format"),
-    "robustness": ("modes", "delta", "scheme", "eps", "noise_kind", "noise_strength", "promise",
-                   *_RUN, "format"),
-    # each point runs the sub-command; a sweep record holds only sub-records,
-    # which the csv format drops
-    "sweep": ("axis", "points", "sub_command", *_SAMPLED, "eps", "shots", *_RUN),
-}
+def _flag(default=None, *, flag: Optional[str] = None, **options):
+    """A config field whose flag takes the argparse ``options``: ``flag``, else
+    ``--`` and the field's name with dashes."""
+    kind = {"default_factory": list} if isinstance(default, list) else {"default": default}
+    return field(metadata={"flag": flag, "options": options}, **kind)
 
 
 @dataclass
 class ExperimentConfig:
     command: str
-    modes: int = 3
-    rank_exponent: Optional[int] = None
-    eps_a: float = 0.0
-    eps_b: float = 0.5
-    eps: float = 0.2
-    delta: float = 0.1
-    trials: int = 10
-    seed: int = 0
-    scheme: str = "commuting"
-    state_spec: str = "random_gaussian:mixed"
-    out_path: Optional[str] = None
-    format: str = "json"
-    shots: Optional[int] = None
-    expected: Optional[str] = None
-    noise_kind: str = "depolarizing"
-    noise_strength: float = 0.0
-    promise: str = "trace"
-    gaussian_set: str = "mixed_set"
-    axis: Optional[str] = None
-    points: List[float] = field(default_factory=list)
-    sub_command: Optional[str] = None
+    modes: int = _flag(3, type=int)
+    rank_exponent: Optional[int] = _flag(type=int)
+    eps_a: float = _flag(0.0, type=float)
+    eps_b: float = _flag(0.5, type=float)
+    eps: float = _flag(0.2, type=float)
+    delta: float = _flag(0.1, type=float)
+    trials: int = _flag(10, type=int)
+    seed: int = _flag(0, type=int)
+    scheme: str = _flag("commuting", choices=sampling.SCHEMES)
+    state_spec: str = _flag("random_gaussian:mixed")
+    out_path: Optional[str] = _flag(flag="--out")
+    format: str = _flag("json", choices=("json", "csv"))
+    shots: Optional[int] = _flag(type=int)
+    expected: Optional[str] = _flag()
+    noise_kind: str = _flag("depolarizing", choices=tuple(learning.NOISE_STRENGTHS))
+    noise_strength: float = _flag(0.0, type=float)
+    promise: str = _flag("trace", choices=learning.PROMISES)
+    gaussian_set: str = _flag("mixed_set", choices=learning.GAUSSIAN_SETS)
+    axis: Optional[str] = _flag(choices=("shots", "eps", "modes"))
+    points: List[float] = _flag([], help="comma-separated sweep points")
+    sub_command: Optional[str] = _flag(choices=("estimate", "tomo-pure", "tomo-mixed"))
 
     def validate(self) -> _Plan:
         """Check the config and return the plan its run executes: the trials'
         state-source map, or for a sweep each point's config and map."""
-        row = COMMAND_FIELDS.get(self.command)
+        row = COMMANDS.get(self.command)
         if row is None:
             raise ValidationError(f"unknown command {self.command!r}")
         default = ExperimentConfig(self.command)
         given = [f.name for f in fields(self) if getattr(self, f.name) != getattr(default, f.name)]
         _check_row(self.command, given, self.axis)  # given: set away from its default
-        for name in row:
+        for name in row.fields:
             value, (flag, options) = getattr(self, name), _FLAGS[name]
             if not (_has_type(name, value) or value is None and getattr(default, name) is None):
                 raise ValidationError(f"{name} {value!r} is not a {flag} value")
@@ -170,9 +131,9 @@ class ExperimentConfig:
             raise ValidationError(f"modes must be >= 1, got {self.modes}")
         source = _state_source(self)  # raises on a spec that is malformed or does not fit
         try:
-            if "scheme" in row:  # every command that samples reads a scheme
+            if "scheme" in row.fields:  # every command that samples reads a scheme
                 sampling.check_scheme(self.scheme, self.modes)
-            _OWNER_CHECKS[self.command](self)
+            row.check(self)
         except FreeFermError as exc:  # a cap, range or threshold the library owns
             raise ValidationError(str(exc)) from exc
         return source
@@ -183,23 +144,15 @@ class ExperimentConfig:
                           r=self.rank_exponent or 0, gaussian_set=self.gaussian_set)
 
 
-#: each command's cap, range and threshold checks, owned by the library modules
-_OWNER_CHECKS: Dict[str, Callable[[ExperimentConfig], object]] = {
-    "verify-bounds": lambda cfg: dense_mod.check_dense_modes(cfg.modes),
-    "estimate": lambda cfg: sampling.check_eps_stat(cfg.eps),
-    "test-pure": lambda cfg: learning.pure_test_thresholds(cfg.test_config(), cfg.modes),
-    "test-rank": lambda cfg: learning.rank_test_thresholds(cfg.test_config(), cfg.modes),
-    "reduce-id": lambda cfg: learning.identity_test_thresholds(cfg.eps, cfg.modes),
-    "tomo-pure": lambda cfg: learning.check_eps_delta(cfg.eps, cfg.delta),
-    "tomo-mixed": lambda cfg: learning.check_eps_delta(cfg.eps, cfg.delta),
-    "robustness": lambda cfg: learning.robustness_bound(
-        cfg.modes, (cfg.noise_kind, cfg.noise_strength), cfg.eps, cfg.delta, cfg.promise),
-}
+#: flag and argparse options of each config field a command can read
+_FLAGS: Dict[str, Tuple[str, dict]] = {
+    f.name: (f.metadata["flag"] or "--" + f.name.replace("_", "-"), f.metadata["options"])
+    for f in fields(ExperimentConfig) if f.metadata}
 
 
 def _check_row(command: str, names: Sequence[str], axis: Optional[str] = None) -> None:
     """Raise ValidationError unless each field in ``names`` is in the row and none is swept."""
-    unread = [name for name in names if name not in COMMAND_FIELDS[command]]
+    unread = [name for name in names if name not in COMMANDS[command].fields]
     if unread:
         raise ValidationError(f"{command} does not take {unread}")
     if axis in _FLAGS["axis"][1]["choices"] and axis in names:
@@ -300,6 +253,21 @@ def _trial_estimate(cfg: ExperimentConfig, trial: int, stream: RngStream,
     return {"error_inf": err, **_scored(err, cfg.eps), "shots": est.shots_used}
 
 
+def _check_test(cfg: ExperimentConfig) -> None:
+    """A tester's thresholds, and ``expected`` one of its two verdicts."""
+    if cfg.command == "reduce-id":
+        learning.identity_test_thresholds(cfg.eps, cfg.modes)
+        verdicts = (learning.MAXIMALLY_MIXED, learning.FAR_FROM_MAXIMALLY_MIXED)
+    else:
+        thresholds = (learning.pure_test_thresholds if cfg.command == "test-pure"
+                      else learning.rank_test_thresholds)
+        thresholds(cfg.test_config(), cfg.modes)
+        verdicts = (learning.CASE_A, learning.CASE_B)
+    if cfg.expected not in (None, *verdicts):
+        raise ValidationError(f"expected must be one of {', '.join(verdicts)}, "
+                              f"got {cfg.expected!r}")
+
+
 def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _Source) -> dict:
     src = source(stream)
     if cfg.command == "reduce-id":
@@ -320,16 +288,20 @@ def _trial_test(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _S
     return rec
 
 
+def _check_tomo(cfg: ExperimentConfig) -> None:
+    learning.check_eps_delta(cfg.eps, cfg.delta)
+
+
 def _trial_tomo(cfg: ExperimentConfig, trial: int, stream: RngStream, source: _Source) -> dict:
     """Learn one state and score it against the truth with the exact referee
-    ``dense.state_metrics``.  Above DENSE_VERIFY_MODES a Gaussian truth is not
+    ``dense.state_metrics``.  Above ``dense.MAX_TRIAL_DENSE_MODES`` a Gaussian truth is not
     densified: ``tomo-pure`` scores a pure one by 2 sqrt(1 - |<psi|phi>|^2)
     (``states.overlap_pure``), exact for two pure states and O(n^3), and
     every other trial there is recorded ``"learned"``."""
     src = source(stream)
     tomograph = learning.tomograph_pure if cfg.command == "tomo-pure" else learning.tomograph_mixed
     report = tomograph(src, cfg.eps, cfg.delta, stream.child(1), scheme=cfg.scheme)
-    if isinstance(src, DenseSource) or src.n <= DENSE_VERIFY_MODES:
+    if isinstance(src, DenseSource) or src.n <= dense_mod.MAX_TRIAL_DENSE_MODES:
         err = dense_mod.state_metrics(report.learned, src.state)
         return {"shots": report.shots_used, "dense_error": err, **_scored(err, cfg.eps)}
     if cfg.command == "tomo-pure" and src.state.is_pure():  # the learned state is pure
@@ -350,15 +322,40 @@ def _trial_robustness(cfg: ExperimentConfig, trial: int, stream: RngStream,
             "shots": result.shots_used}
 
 
-_TRIAL_WORKERS: dict = {
-    "verify-bounds": _trial_verify_bounds,
-    "estimate": _trial_estimate,
-    "test-pure": _trial_test,
-    "test-rank": _trial_test,
-    "reduce-id": _trial_test,
-    "tomo-pure": _trial_tomo,
-    "tomo-mixed": _trial_tomo,
-    "robustness": _trial_robustness,
+class Command(NamedTuple):
+    """One command: the config fields it reads (its flags and config-file keys;
+    every other field keeps its default), its cap, range and threshold check,
+    owned by the library modules, and its per-trial worker."""
+    fields: Tuple[str, ...]
+    check: Optional[Callable[[ExperimentConfig], object]] = None
+    trial: Optional[Callable[..., dict]] = None
+
+
+_SAMPLED = ("modes", "state_spec", "delta", "scheme")
+_RUN = ("trials", "seed", "out_path")
+COMMANDS: Dict[str, Command] = {
+    "verify-bounds": Command(("modes", *_RUN, "format"),
+                             lambda cfg: dense_mod.check_dense_modes(cfg.modes),
+                             _trial_verify_bounds),
+    "estimate": Command((*_SAMPLED, "eps", "shots", *_RUN, "format"),
+                        lambda cfg: sampling.check_eps_stat(cfg.eps), _trial_estimate),
+    "test-pure": Command((*_SAMPLED, "eps_a", "eps_b", "gaussian_set", "expected", *_RUN,
+                          "format"), _check_test, _trial_test),
+    "test-rank": Command((*_SAMPLED, "rank_exponent", "eps_a", "eps_b", "gaussian_set",
+                          "expected", *_RUN, "format"), _check_test, _trial_test),
+    "reduce-id": Command((*_SAMPLED, "eps", "expected", *_RUN, "format"), _check_test,
+                         _trial_test),
+    "tomo-pure": Command((*_SAMPLED, "eps", *_RUN, "format"), _check_tomo, _trial_tomo),
+    "tomo-mixed": Command((*_SAMPLED, "eps", *_RUN, "format"), _check_tomo, _trial_tomo),
+    "robustness": Command(("modes", "delta", "scheme", "eps", "noise_kind", "noise_strength",
+                           "promise", *_RUN, "format"),
+                          lambda cfg: learning.robustness_bound(
+                              cfg.modes, (cfg.noise_kind, cfg.noise_strength), cfg.eps,
+                              cfg.delta, cfg.promise),
+                          _trial_robustness),
+    # each point runs the sub-command; a sweep record holds only sub-records,
+    # which the csv format drops
+    "sweep": Command(("axis", "points", "sub_command", *_SAMPLED, "eps", "shots", *_RUN)),
 }
 
 
@@ -394,7 +391,7 @@ def _run_trials(cfg: ExperimentConfig, source: _Source) -> dict:
     """The trials' records and aggregate; a run whose copies, summed over its
     trials so far, pass the draw ceiling raises BudgetOverflow (exit 3, no
     record), so ``shot_total`` always fits an int64."""
-    worker = _TRIAL_WORKERS[cfg.command]
+    worker = COMMANDS[cfg.command].trial
     results: List[dict] = []
     errors: Dict[int, str] = {}
     total = 0
@@ -497,17 +494,17 @@ def build_parser() -> argparse.ArgumentParser:
     """One parser for all commands, built once per process (argparse looks up
     sys.stdout and sys.stderr only when it prints); :func:`config_from_args`
     checks a command's flags."""
-    rows = "\n".join(textwrap.fill(f"{name}: {' '.join(_FLAGS[f][0] for f in row)}", 78,
+    rows = "\n".join(textwrap.fill(f"{name}: {' '.join(_FLAGS[f][0] for f in row.fields)}", 78,
                                    initial_indent="  ", subsequent_indent="      ",
                                    break_on_hyphens=False)
-                     for name, row in COMMAND_FIELDS.items())
+                     for name, row in COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="freeferm",
         description="Seeded free-fermionic estimation/testing/tomography experiments.",
         epilog=f"every command takes --config and only the flags of its row:\n{rows}",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("command", choices=COMMAND_FIELDS)
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="JSON file with config fields (snake_case)")
     for name, (flag, options) in _FLAGS.items():
         parser.add_argument(flag, dest=name, **options)
@@ -560,7 +557,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetOverflow as exc:
         print(f"budget overflow: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, FreeFermError) as exc:
+    except FreeFermError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 MAX_DENSE_MODES = 10
+#: cap of a state densified in every trial (tomography referee, robustness certification)
+MAX_TRIAL_DENSE_MODES = MAX_DENSE_MODES // 2
 #: Frobenius-norm tolerance of the runtime check of a synthesised Gaussian unitary
 UNITARY_CHECK_TOL = 1e-8
 

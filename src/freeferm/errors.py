@@ -66,7 +66,8 @@ class NonNegligibleImaginaryPart(FreeFermError):
 
 class TooManyModes(FreeFermError):
     """Mode count exceeds a desk-scale cap: the dense (``dense.MAX_DENSE_MODES``), sampling
-    (``sampling.MAX_SAMPLING_MODES``), local-tomography or robustness-certification cap."""
+    (``sampling.MAX_SAMPLING_MODES``), local-tomography or robustness-certification
+    (``dense.MAX_TRIAL_DENSE_MODES``) cap."""
 
 
 # -- sampling ----------------------------------------------------------------

@@ -89,8 +89,6 @@ SLACK = 0.9
 MIX2_THRESHOLD_FACTOR = 1.1
 #: cap for full tomography of the leading modes
 MAX_LOCAL_MODES = 6
-#: cap for robustness experiments, whose promise the dense oracle certifies
-MAX_ROBUSTNESS_MODES = dense_mod.MAX_DENSE_MODES // 2
 #: strength range of each noise kind, the strengths for which the noisy
 #: preparation is a state: (1 - p) rho + p I/2^n and (1 - s/2) rho + (s/2) tau
 NOISE_STRENGTHS = {"depolarizing": (0.0, 1.0), "trace_perturbation": (0.0, 2.0)}
@@ -469,8 +467,9 @@ def robustness_bound(n: int, noise: Tuple[str, float], eps: float, delta: float,
     """The bound on a robustness instance's promise value, eps/(3n) for "trace" and
     eps^2 for "relative_entropy"; raises unless n is within the certification cap,
     the noise strength in its kind's range, eps and delta in (0, 1) and the promise known."""
-    if n > MAX_ROBUSTNESS_MODES:
-        raise TooManyModes(f"promise certification needs n <= {MAX_ROBUSTNESS_MODES}, got {n}")
+    cap = dense_mod.MAX_TRIAL_DENSE_MODES  # the dense oracle certifies the promise
+    if n > cap:
+        raise TooManyModes(f"promise certification needs n <= {cap}, got {n}")
     kind, strength = noise
     if kind not in NOISE_STRENGTHS:
         raise ValidationError(f"unknown noise kind {kind!r}")

@@ -15,6 +15,11 @@ from freeferm.errors import TooManyModes, ValidationError
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _set_trial(monkeypatch, command, worker):
+    """Replace ``command``'s per-trial worker for one test."""
+    monkeypatch.setitem(cli.COMMANDS, command, cli.COMMANDS[command]._replace(trial=worker))
+
+
 def run_cfg(**kw):
     cfg = cli.ExperimentConfig(**kw)
     return cli.run(cfg)
@@ -83,7 +88,7 @@ def test_unscored_tomography_record():
 def test_tomo_scores_a_gaussian_truth_in_one_frame():
     # the one-frame distance equals the one from two dense states, for shared
     # (vacuum, product) and per-trial (random_gaussian) sources, pure and mixed
-    for n in range(1, cli.DENSE_VERIFY_MODES + 1):
+    for n in range(1, dense.MAX_TRIAL_DENSE_MODES + 1):
         for command, spec in (("tomo-pure", "vacuum"), ("tomo-pure", "random_gaussian:pure"),
                               ("tomo-mixed", "product:" + ",".join(["0.6"] * n)),
                               ("tomo-mixed", "random_gaussian:mixed")):
@@ -136,7 +141,7 @@ def test_tomo_pure_scores_a_pure_truth_by_its_overlap(tmp_path, n, argv):
 
 def test_overlap_score_matches_the_dense_referee():
     # 2 sqrt(1 - |<psi|phi>|^2) is the trace distance of two pure states
-    for n in range(1, cli.DENSE_VERIFY_MODES + 1):
+    for n in range(1, dense.MAX_TRIAL_DENSE_MODES + 1):
         for spec in ("vacuum", "random_gaussian:pure"):
             cfg = cli.ExperimentConfig(command="tomo-pure", modes=n, state_spec=spec, seed=n)
             source = cfg.validate()
@@ -186,7 +191,7 @@ def test_bad_dense_fixture_exits_2(tmp_path, capsys, monkeypatch):
         raise AssertionError("a trial ran on an invalid fixture")
 
     for command in ("estimate", "tomo-mixed"):
-        monkeypatch.setitem(cli._TRIAL_WORKERS, command, no_trial)
+        _set_trial(monkeypatch, command, no_trial)
     skewed = np.eye(4, dtype=complex) / 4
     skewed[0, 1] = 0.1
     for name, rho in (("trace2", dense.DenseState(2, np.eye(4) / 2)),
@@ -303,7 +308,7 @@ def test_sampling_cap_checked_at_validation(monkeypatch, capsys, tmp_path):
     # rejected before any trial runs, with the sampler's message
     def no_trial(*args):
         raise AssertionError("a trial ran")
-    monkeypatch.setitem(cli._TRIAL_WORKERS, "estimate", no_trial)
+    _set_trial(monkeypatch, "estimate", no_trial)
     assert cli.main(["estimate", "--modes", str(cap + 2),
                      "--out", str(tmp_path / "x.json")]) == 2
     assert f"invalid configuration: {message}" in capsys.readouterr().err
@@ -362,7 +367,7 @@ def test_failed_trial_is_recorded_not_fatal(tmp_path):
 
 
 def test_failed_trials_are_not_violations(monkeypatch):
-    real = cli._TRIAL_WORKERS["verify-bounds"]
+    real = cli.COMMANDS["verify-bounds"].trial
 
     def flaky(cfg, trial, stream, source):
         if trial % 2:
@@ -372,7 +377,7 @@ def test_failed_trials_are_not_violations(monkeypatch):
     def invalid(cfg, trial, stream, source):
         raise ValidationError("bad")
 
-    monkeypatch.setitem(cli._TRIAL_WORKERS, "verify-bounds", flaky)
+    _set_trial(monkeypatch, "verify-bounds", flaky)
     rec = run_cfg(command="verify-bounds", modes=3, trials=4, seed=1)
     agg = rec["aggregate"]
     assert agg["violations"] == 0 and agg["success_fraction"] == 1.0
@@ -380,7 +385,7 @@ def test_failed_trials_are_not_violations(monkeypatch):
     assert rec["results"][1] == {"trial": 1, "ok": False,
                                  "verdict_or_error": "TooManyModes: injected", "shots": 0}
     # a validation error inside a trial still aborts the run
-    monkeypatch.setitem(cli._TRIAL_WORKERS, "verify-bounds", invalid)
+    _set_trial(monkeypatch, "verify-bounds", invalid)
     with pytest.raises(ValidationError):
         run_cfg(command="verify-bounds", modes=3, trials=2, seed=1)
 
@@ -456,8 +461,8 @@ def test_out_of_range_input_exits_2(tmp_path, capsys, monkeypatch):
     def no_trial(*args):
         raise AssertionError("a trial ran on an out-of-range input")
 
-    for command in cli._TRIAL_WORKERS:
-        monkeypatch.setitem(cli._TRIAL_WORKERS, command, no_trial)
+    for command in cli.COMMANDS:
+        _set_trial(monkeypatch, command, no_trial)
     out = str(tmp_path / "x.json")
     for argv in (
         ["estimate", "--modes", "2", "--eps", "3", "--trials", "1"],
@@ -492,7 +497,7 @@ def test_eps_b_above_two_exits_2_at_validation(tmp_path, capsys, monkeypatch):
         raise AssertionError("a trial ran with eps_b above 2")
 
     for command in ("test-pure", "test-rank"):
-        monkeypatch.setitem(cli._TRIAL_WORKERS, command, no_trial)
+        _set_trial(monkeypatch, command, no_trial)
     out = str(tmp_path / "x.json")
     for eps_b in ("1e200", "inf", "2.5"):
         for argv in (["test-pure", "--modes", "3"],
@@ -511,7 +516,7 @@ def test_product_lambdas_checked_at_validation(tmp_path, capsys, monkeypatch):
     def no_trial(*args):
         raise AssertionError("a trial ran on a bad product spec")
 
-    monkeypatch.setitem(cli._TRIAL_WORKERS, "estimate", no_trial)
+    _set_trial(monkeypatch, "estimate", no_trial)
     out = str(tmp_path / "x.json")
     for spec in ("product:1.5,0.2", "product:nan,0.2", "product:0.2,-inf"):
         argv = ["estimate", "--modes", "2", "--state-spec", spec, "--trials", "2", "--out", out]
@@ -549,7 +554,7 @@ def test_flag_overrides_config_file(tmp_path):
 
 def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
     dense_cap = dense.MAX_DENSE_MODES
-    robust_cap = learning.MAX_ROBUSTNESS_MODES
+    robust_cap = dense.MAX_TRIAL_DENSE_MODES
     local_cap = learning.MAX_LOCAL_MODES
     zeros = lambda n: "product:" + ",".join(["0"] * n)  # noqa: E731
     configs = {
@@ -666,8 +671,8 @@ def test_size_caps_checked_at_validation(monkeypatch, capsys, tmp_path):
     def no_trial(*args):
         raise AssertionError("a trial ran")
 
-    for name in cli._TRIAL_WORKERS:
-        monkeypatch.setitem(cli._TRIAL_WORKERS, name, no_trial)
+    for name in cli.COMMANDS:
+        _set_trial(monkeypatch, name, no_trial)
     parser = cli.build_parser()
     for rejected, twin in cases:
         assert cli.main([*rejected, "--trials", "2", "--out", str(tmp_path / "x.json")]) == 2
@@ -702,7 +707,7 @@ def test_unwritable_destination_exits_2_before_any_trial(tmp_path, capsys, monke
     def no_trial(*args):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setitem(cli._TRIAL_WORKERS, "verify-bounds", no_trial)
+    _set_trial(monkeypatch, "verify-bounds", no_trial)
     argv = ["verify-bounds", "--modes", "9", "--trials", "3"]
     (tmp_path / "verify-bounds.json").mkdir()
     missing = tmp_path / "missing" / "r.json"
@@ -733,22 +738,61 @@ def test_each_command_takes_only_the_fields_it_reads(monkeypatch, capsys, tmp_pa
     def no_trial(*args):
         raise AssertionError("a trial ran")
 
-    for name in cli._TRIAL_WORKERS:
-        monkeypatch.setitem(cli._TRIAL_WORKERS, name, no_trial)
-    names = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
-    assert set(cli._FLAGS) == names - {"command"}
+    for name in cli.COMMANDS:
+        _set_trial(monkeypatch, name, no_trial)
     default = cli.ExperimentConfig("estimate")
     out = ["--out", str(tmp_path / "x.json")]
-    for command, row in cli.COMMAND_FIELDS.items():
+    for command, row in cli.COMMANDS.items():
         for field_name, (flag, _) in cli._FLAGS.items():
             argv = [command, flag, _flag_value(field_name)]
-            if field_name in row:  # every row flag parses and sets its field
+            if field_name in row.fields:  # every row flag parses and sets its field
                 cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
                 assert getattr(cfg, field_name) != getattr(default, field_name), argv
             else:  # every other flag exits 2 before any trial
                 assert cli.main([*argv, *out]) == 2, argv
                 err = capsys.readouterr().err
                 assert f"invalid configuration: {command} does not take ['{field_name}']" in err
+
+
+def test_command_table_rows_are_well_formed():
+    # each row names only config fields, and once each; each command but sweep
+    # has its check and its trial worker; each flag belongs to one field
+    names = {f.name for f in dataclasses.fields(cli.ExperimentConfig)} - {"command"}
+    for command, row in cli.COMMANDS.items():
+        assert set(row.fields) <= names, (command, set(row.fields) - names)
+        assert len(set(row.fields)) == len(row.fields), command
+        if command == "sweep":
+            assert row.check is None and row.trial is None
+        else:
+            assert callable(row.check) and callable(row.trial), command
+    flags = [flag for flag, _ in cli._FLAGS.values()]
+    assert len(set(flags)) == len(flags) and "--config" not in flags
+
+
+def test_expected_outside_the_verdicts_exits_2(monkeypatch, capsys, tmp_path):
+    # --expected is one of the command's two verdicts: another spelling, and the
+    # other tester kind's verdict, are refused before any trial runs
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    cases = learning.CASE_A, learning.CASE_B
+    identity = learning.MAXIMALLY_MIXED, learning.FAR_FROM_MAXIMALLY_MIXED
+    for argv, verdicts, others in (
+        (["test-pure", "--modes", "3", "--eps-b", "0.9"], cases, identity),
+        (["test-rank", "--modes", "3", "--rank-exponent", "1", "--eps-b", "0.9"], cases, identity),
+        (["reduce-id", "--modes", "3", "--eps", "0.5"], identity, cases),
+    ):
+        _set_trial(monkeypatch, argv[0], no_trial)
+        argv = [*argv, "--state-spec", "vacuum", "--trials", "1",
+                "--out", str(tmp_path / "x.json")]
+        for wrong in (verdicts[0].lower(), *others):
+            assert cli.main([*argv, "--expected", wrong]) == 2, (argv, wrong)
+            assert capsys.readouterr().err == (
+                f"invalid configuration: expected must be one of {', '.join(verdicts)}, "
+                f"got {wrong!r}\n")
+        for verdict in verdicts:
+            with pytest.raises(AssertionError, match="a trial ran"):
+                cli.main([*argv, "--expected", verdict])
 
 
 def test_dense_fixture_read_per_run_not_per_trial(tmp_path, monkeypatch):
@@ -791,7 +835,7 @@ def test_every_record_is_plain_json():
         dict(command="sweep", axis="eps", points=[0.3, 0.5], sub_command="tomo-mixed",
              modes=2, trials=1),
     )
-    assert {kw["command"] for kw in configs} == set(cli.COMMAND_FIELDS)
+    assert {kw["command"] for kw in configs} == set(cli.COMMANDS)
     for kw in configs:
         rec = run_cfg(**kw)
         assert json.loads(json.dumps(rec)) == rec, kw["command"]  # no default= needed
@@ -809,8 +853,8 @@ def test_readme_examples_parse_and_validate():
         cli.config_from_args(parser.parse_args(argv)).validate()
     table = {name: re.findall(r"`(--[a-z-]+)`", flags) for name, flags
              in re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, re.MULTILINE)}
-    assert table == {name: [cli._FLAGS[f][0] for f in row if f not in common]
-                     for name, row in cli.COMMAND_FIELDS.items()}
+    assert table == {name: [cli._FLAGS[f][0] for f in row.fields if f not in common]
+                     for name, row in cli.COMMANDS.items()}
 
 
 _TOMO_PURE_NOTE = ("appendix budget 8 n^3/eps^2 log(4 n^2/delta); the headline statement "

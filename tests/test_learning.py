@@ -565,7 +565,7 @@ def test_robustness_checks_its_promise_before_the_dense_build(monkeypatch, rng):
 
 def test_robustness_cap_is_the_dense_oracle_cap(monkeypatch, rng):
     # certification builds the noisy state densely; no local tomography is involved
-    n = learning.MAX_ROBUSTNESS_MODES + 1
+    n = dense.MAX_TRIAL_DENSE_MODES + 1
     with pytest.raises(TooManyModes, match=f"needs n <= {n - 1}, got {n}"):
         learning.robustness_bound(n, ("depolarizing", 0.0), 0.3, 0.1, "trace")
     with monkeypatch.context() as m:
