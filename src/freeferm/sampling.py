@@ -6,9 +6,9 @@ observables -i gamma_j gamma_k into 2n-1 commuting rounds, and the two
 estimation schemes with their shot budgets.
 
 Randomness comes from counter-based Philox streams keyed by (master seed,
-trial id, ...): one stream per pauli_pairs estimate and one per commuting
-round.  There is no global RNG state, so each trial's draws depend only on
-the seed and the trial index.
+trial id, ...): one stream per estimate, whichever its scheme.  There is
+no global RNG state, so each trial's draws depend only on the seed and the
+trial index.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ SCHEMES = ("pauli_pairs", "commuting", "exact")
 #: largest count one ``Generator.binomial`` or ``multinomial`` call takes: the
 #: ceiling of every copy count drawn, checked before the draw
 MAX_DRAW = int(np.iinfo(np.int64).max)
+#: largest mean ``Generator.poisson`` takes, numpy's own ceiling
+POISSON_MAX = MAX_DRAW - 10.0 * math.sqrt(MAX_DRAW)
 #: (c, p, k) of each copy budget ceil(c n^p / eps^2 ln(k n^2 / delta)); the
 #: commuting headline is also the pure-test and pure-tomography budget (the
 #: appendix constant; the main-text tomography statement carries 4x more)
@@ -387,6 +389,33 @@ def _split_budget(total: int, rounds: int) -> np.ndarray:
     return base + (np.arange(rounds) < rem)
 
 
+def _multinomial_rows(gen: np.random.Generator, shots: np.ndarray,
+                      dists: np.ndarray) -> np.ndarray:
+    """Row t of the (R, K) counts is a Multinomial(shots[t], dists[t]) draw,
+    all rows from one Poisson and one multinomial call on ``gen``.
+
+    Poissonisation: with lam_t = max(0, S_t - 2 sqrt(S_t)), capped at
+    :data:`POISSON_MAX`, the counts Poisson(lam_t p_t) given their total N_t
+    are Multinomial(N_t, p_t).  A row whose N_t passes S_t (about 2% of
+    rows) is drawn again until it does not; the redraw depends on N_t alone,
+    so the law given N_t stays Multinomial(N_t, p_t).  One multinomial of
+    each row's shortfall S_t - N_t then adds the missing draws, which leaves
+    S_t i.i.d. draws: exactly Multinomial(S_t, p_t).  Poisson totals are
+    summed as uint64, so one that passes :data:`MAX_DRAW` still compares
+    exactly.
+    """
+    shots = np.asarray(shots, dtype=np.int64)
+    lam = np.minimum(np.maximum(shots - 2.0 * np.sqrt(shots), 0.0), POISSON_MAX)
+    counts = gen.poisson(lam[:, None] * dists)
+    cap = shots.astype(np.uint64)
+    over = counts.sum(axis=1, dtype=np.uint64) > cap
+    while over.any():
+        counts[over] = gen.poisson(lam[over, None] * dists[over])
+        over[over] = counts[over].sum(axis=1, dtype=np.uint64) > cap[over]
+    counts += gen.multinomial(shots - counts.sum(axis=1), dists)
+    return counts
+
+
 def estimate_gamma(
     src: StateSource,
     eps_stat: float,
@@ -410,10 +439,11 @@ def estimate_gamma(
     indices of the rounds given shots gives all their Z-basis distributions
     (an exact source expands one outcome tree for them, in batches of at
     most :data:`TREE_LEAVES` leaves; a dense source reads them from its
-    Pauli table).  Round t then draws its own multinomial over the 2^n Z
-    outcomes from ``rng_stream.child(t)`` and writes all n of its pairs at
-    once: pair i, (j, k), reads the plan's sign times the mean Z reading of
-    qubit i.  A round given no shots is not drawn, and its pairs read 0.
+    Pauli table).  All their counts over the 2^n Z outcomes come from one
+    Poissonised multinomial draw on ``rng_stream`` (:func:`_multinomial_rows`,
+    exact in law), and each round writes all n of its pairs at once: pair i,
+    (j, k), reads the plan's sign times the mean Z reading of qubit i.  A
+    round given no shots is not drawn, and its pairs read 0.
     The default budget is the scheme's headline bound
     ``shot_budget(scheme, n, eps_stat, delta)``; ``total_shots`` overrides
     it.  Either total is split evenly across the measurement settings (pairs
@@ -446,12 +476,13 @@ def estimate_gamma(
                           where=per_setting > 0)
     else:
         pairs, signs, bit_signs = _commuting_plan(n)
-        rounds = [t for t in range(settings) if per_setting[t]]
-        for t, dist in zip(rounds, src.round_distributions(rounds)):
-            shots = per_setting[t]
-            counts = rng_stream.child(t).generator().multinomial(shots, dist)
+        rounds = np.flatnonzero(per_setting)
+        shots = per_setting[rounds]
+        counts = _multinomial_rows(rng_stream.generator(), shots,
+                                   src.round_distributions(rounds))
+        for t, s, c in zip(rounds, shots, counts):
             j, k = pairs[t]
             # per round, not one stacked matmul: sums above 2^53 would round differently
-            g[j, k] = signs[t] * ((bit_signs @ counts) / shots)
+            g[j, k] = signs[t] * ((bit_signs @ c) / s)
 
     return GammaEstimate(SkewMatrix.from_upper(np.clip(g, -1.0, 1.0)), total_shots)

@@ -325,6 +325,10 @@ def test_draw_ceiling_bounds_every_count(tmp_path, capsys):
             assert cli.main(["estimate", "--modes", "3", "--scheme", scheme, "--shots",
                              str(shots), "--trials", "1", "--out", out]) == 3
             assert "shots exceed the draw ceiling" in capsys.readouterr().err
+    # one round of 2 outcomes: its Poisson mean meets numpy's Poisson ceiling
+    assert cli.main(["estimate", "--modes", "1", "--scheme", "commuting", "--shots",
+                     str(ceiling), "--trials", "1", "--out", out]) == 0
+    assert json.loads(Path(out).read_text())["results"][0]["shots"] == ceiling
     # reduce-id's stage 1 draws about 4.5e18 copies and passes; stage 3's
     # per-Pauli count, about 3.1e19, does not
     assert cli.main(["reduce-id", "--modes", "6", "--eps", "0.000002",
@@ -878,42 +882,42 @@ SEEDED_RECORDS = (
     ("test-rank --modes 6 --rank-exponent 4 --eps-a 0 --eps-b 0.5 --scheme commuting "
      "--state-spec product:0.3,0.5,0.7,0.9,1,1 --expected CaseA", 0, [
         {"trial": 0, "verdict_or_error": "CaseA", "shots": 10548530440,
-         "lambda_hat": 0.9999477911460677, "threshold": 0.21875,
-         "stage": "tomography_stage", "local_distance": 0.00276314358179083, "ok": True},
+         "lambda_hat": 0.9999622743384012, "threshold": 0.21875,
+         "stage": "tomography_stage", "local_distance": 0.0027449099044122302, "ok": True},
         {"trial": 1, "verdict_or_error": "CaseA", "shots": 10548530440,
-         "lambda_hat": 0.9999970319118338, "threshold": 0.21875,
-         "stage": "tomography_stage", "local_distance": 0.0027390114653337225, "ok": True},
+         "lambda_hat": 0.9999775231795146, "threshold": 0.21875,
+         "stage": "tomography_stage", "local_distance": 0.0026909623608954115, "ok": True},
         {"trial": 2, "verdict_or_error": "CaseA", "shots": 10548530440,
-         "lambda_hat": 0.9999941555909724, "threshold": 0.21875,
-         "stage": "tomography_stage", "local_distance": 0.002670191683750502, "ok": True},
+         "lambda_hat": 0.9999481500195271, "threshold": 0.21875,
+         "stage": "tomography_stage", "local_distance": 0.0027264345955770124, "ok": True},
     ], {"trials": 3, "shot_total": 31645591320, "success_fraction": 1.0}),
     ("robustness --modes 3 --noise-strength 0.02", 0, [
-        {"trial": 0, "dense_error": 0.02813605546562884, "promise_value": 0.02099055654515794,
-         "ok": True, "verdict_or_error": "0.028136", "shots": 190710},
-        {"trial": 1, "dense_error": 0.03315197213019479, "promise_value": 0.015113463436746289,
-         "ok": True, "verdict_or_error": "0.033152", "shots": 190710},
-        {"trial": 2, "dense_error": 0.016385264762255436, "promise_value": 0.0037134938933928285,
-         "ok": True, "verdict_or_error": "0.016385", "shots": 190710},
+        {"trial": 0, "dense_error": 0.02668604131803491, "promise_value": 0.02099055654515794,
+         "ok": True, "verdict_or_error": "0.026686", "shots": 190710},
+        {"trial": 1, "dense_error": 0.023681706772939917, "promise_value": 0.015113463436746289,
+         "ok": True, "verdict_or_error": "0.023682", "shots": 190710},
+        {"trial": 2, "dense_error": 0.019008114552102703, "promise_value": 0.0037134938933928285,
+         "ok": True, "verdict_or_error": "0.019008", "shots": 190710},
     ], {"trials": 3, "shot_total": 572130, "success_fraction": 1.0,
-        "median_error": 0.02813605546562884}),
+        "median_error": 0.023681706772939917}),
     ("tomo-mixed --modes 4", 0, [
-        {"trial": 0, "shots": 661655, "dense_error": 0.01603175857635116, "ok": True,
-         "verdict_or_error": "0.016032"},
-        {"trial": 1, "shots": 661655, "dense_error": 0.016037424334775813, "ok": True,
-         "verdict_or_error": "0.016037"},
-        {"trial": 2, "shots": 661655, "dense_error": 0.017390698012724908, "ok": True,
-         "verdict_or_error": "0.017391"},
+        {"trial": 0, "shots": 661655, "dense_error": 0.015788368284553052, "ok": True,
+         "verdict_or_error": "0.015788"},
+        {"trial": 1, "shots": 661655, "dense_error": 0.01567286762663453, "ok": True,
+         "verdict_or_error": "0.015673"},
+        {"trial": 2, "shots": 661655, "dense_error": 0.015708858572598745, "ok": True,
+         "verdict_or_error": "0.015709"},
     ], {"trials": 3, "shot_total": 1984965, "success_fraction": 1.0,
-        "median_error": 0.016037424334775813}),
+        "median_error": 0.015708858572598745}),
     ("estimate --modes 4 --scheme commuting", 0, [
-        {"trial": 0, "error_inf": 0.038752255721033364, "ok": True,
-         "verdict_or_error": "0.038752", "shots": 82707},
-        {"trial": 1, "error_inf": 0.03240156744102941, "ok": True,
-         "verdict_or_error": "0.032402", "shots": 82707},
-        {"trial": 2, "error_inf": 0.04299562908487101, "ok": True,
-         "verdict_or_error": "0.042996", "shots": 82707},
+        {"trial": 0, "error_inf": 0.03890534437791719, "ok": True,
+         "verdict_or_error": "0.038905", "shots": 82707},
+        {"trial": 1, "error_inf": 0.02771565965332712, "ok": True,
+         "verdict_or_error": "0.027716", "shots": 82707},
+        {"trial": 2, "error_inf": 0.04346771039909928, "ok": True,
+         "verdict_or_error": "0.043468", "shots": 82707},
     ], {"trials": 3, "shot_total": 248121, "success_fraction": 1.0,
-        "median_error": 0.038752255721033364}),
+        "median_error": 0.03890534437791719}),
     ("estimate --modes 4 --scheme pauli_pairs", 0, [
         {"trial": 0, "error_inf": 0.025254858152206124, "ok": True,
          "verdict_or_error": "0.025255", "shots": 519698},
@@ -925,32 +929,32 @@ SEEDED_RECORDS = (
         "median_error": 0.026854416598048568}),
     # the benchmark's estimate request: 4096 live leaves per commuting round
     ("estimate --modes 12 --scheme commuting --state-spec random_gaussian:mixed", 0, [
-        {"trial": 0, "error_inf": 0.024991764633869436, "ok": True,
-         "verdict_or_error": "0.024992", "shots": 2992445},
-        {"trial": 1, "error_inf": 0.021241938824334908, "ok": True,
-         "verdict_or_error": "0.021242", "shots": 2992445},
-        {"trial": 2, "error_inf": 0.023957525155775622, "ok": True,
-         "verdict_or_error": "0.023958", "shots": 2992445},
+        {"trial": 0, "error_inf": 0.024378160125823885, "ok": True,
+         "verdict_or_error": "0.024378", "shots": 2992445},
+        {"trial": 1, "error_inf": 0.02723816015174472, "ok": True,
+         "verdict_or_error": "0.027238", "shots": 2992445},
+        {"trial": 2, "error_inf": 0.024904483359723898, "ok": True,
+         "verdict_or_error": "0.024904", "shots": 2992445},
     ], {"trials": 3, "shot_total": 8977335, "success_fraction": 1.0,
-        "median_error": 0.023957525155775622}),
+        "median_error": 0.024904483359723898}),
     ("tomo-pure --modes 4 --state-spec vacuum", 0, [
-        {"trial": 0, "shots": 82707, "dense_error": 0.030046943023198484, "ok": True,
-         "verdict_or_error": "0.030047"},
-        {"trial": 1, "shots": 82707, "dense_error": 0.0326612466625337, "ok": True,
-         "verdict_or_error": "0.032661"},
-        {"trial": 2, "shots": 82707, "dense_error": 0.03154999459885745, "ok": True,
-         "verdict_or_error": "0.031550"},
+        {"trial": 0, "shots": 82707, "dense_error": 0.020578834969738734, "ok": True,
+         "verdict_or_error": "0.020579"},
+        {"trial": 1, "shots": 82707, "dense_error": 0.01783711018518698, "ok": True,
+         "verdict_or_error": "0.017837"},
+        {"trial": 2, "shots": 82707, "dense_error": 0.0376810845625576, "ok": True,
+         "verdict_or_error": "0.037681"},
     ], {"trials": 3, "shot_total": 248121, "success_fraction": 1.0,
-        "median_error": 0.03154999459885745, "budget_note": _TOMO_PURE_NOTE}),
+        "median_error": 0.020578834969738734, "budget_note": _TOMO_PURE_NOTE}),
     ("tomo-pure --modes 4 --state-spec random_gaussian:pure", 0, [
-        {"trial": 0, "shots": 82707, "dense_error": 0.021237176495804946, "ok": True,
-         "verdict_or_error": "0.021237"},
-        {"trial": 1, "shots": 82707, "dense_error": 0.018879739310528644, "ok": True,
-         "verdict_or_error": "0.018880"},
-        {"trial": 2, "shots": 82707, "dense_error": 0.016755609737358845, "ok": True,
-         "verdict_or_error": "0.016756"},
+        {"trial": 0, "shots": 82707, "dense_error": 0.022514471167681602, "ok": True,
+         "verdict_or_error": "0.022514"},
+        {"trial": 1, "shots": 82707, "dense_error": 0.01305156786186661, "ok": True,
+         "verdict_or_error": "0.013052"},
+        {"trial": 2, "shots": 82707, "dense_error": 0.022878053855352624, "ok": True,
+         "verdict_or_error": "0.022878"},
     ], {"trials": 3, "shot_total": 248121, "success_fraction": 1.0,
-        "median_error": 0.018879739310528394, "budget_note": _TOMO_PURE_NOTE}),
+        "median_error": 0.022514471167681602, "budget_note": _TOMO_PURE_NOTE}),
 )
 
 

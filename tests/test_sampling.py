@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from conftest import plan_rotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -357,14 +358,69 @@ def test_reduced_dense_in_the_normal_frame(n, rng):
 
 
 def test_sampling_tv_distance(rng):
-    # shots drawn the way a commuting round draws them: one multinomial over
-    # the source's z distribution, compared with the dense diagonal
+    # shots drawn the way a commuting round draws them, from the source's z
+    # distribution, compared with the dense diagonal
     s = states.random_gaussian_state(4, "mixed", rng)
     dist = z_basis_distribution(s.corr.mat)
-    counts = RngStream(3).generator().multinomial(100_000, dist)
+    counts = sampling._multinomial_rows(RngStream(3).generator(), [100_000], dist[None])[0]
     emp = counts / counts.sum()
     exact = np.diag(dense.gaussian_to_dense(s).rho).real
     assert 0.5 * np.abs(emp - exact / exact.sum()).sum() <= 0.02
+
+
+class _CountingGenerator:
+    """A generator that counts the rows each Poisson call draws."""
+
+    def __init__(self, gen):
+        self.gen, self.poisson_rows = gen, []
+
+    def poisson(self, lam):
+        self.poisson_rows.append(len(lam))
+        return self.gen.poisson(lam)
+
+    def multinomial(self, n, pvals):
+        return self.gen.multinomial(n, pvals)
+
+
+@pytest.mark.parametrize("shots", [20, 100])
+def test_multinomial_rows_law(shots):
+    # chi-square of 2e5 rows against the exact Multinomial(shots, p) pmf, with
+    # cells of expectation below 5 pooled; some rows' Poisson totals passed
+    # shots and were drawn again
+    p, rows = np.array([0.5, 0.3, 0.2]), 200_000
+    gen = _CountingGenerator(RngStream(22, (shots,)).generator())
+    counts = sampling._multinomial_rows(gen, np.full(rows, shots), np.tile(p, (rows, 1)))
+    assert np.all(counts.sum(axis=1) == shots)
+    assert gen.poisson_rows[0] == rows and sum(gen.poisson_rows[1:]) > 0
+    cells = np.array([(a, shots - a - b, b) for a in range(shots + 1)
+                      for b in range(shots + 1 - a)])
+    code = lambda c: c[:, 0] * (shots + 1) + c[:, 2]  # noqa: E731
+    seen = np.bincount(code(counts), minlength=(shots + 1) ** 2)[code(cells)]
+    want = rows * scipy.stats.multinomial.pmf(cells, shots, p)
+    small = want < 5.0
+    obs = np.append(seen[~small], seen[small].sum())
+    exp = np.append(want[~small], want[small].sum())
+    assert scipy.stats.chisquare(obs, exp * rows / exp.sum()).pvalue > 1e-3
+
+
+@st.composite
+def _shot_rows(draw):
+    k, r = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    shots = draw(st.lists(st.integers(0, sampling.MAX_DRAW), min_size=r, max_size=r))
+    weights = draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any),
+                            min_size=r, max_size=r))
+    return draw(st.integers(0, 2 ** 32 - 1)), np.array(shots), np.array(weights, dtype=float)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_shot_rows())
+def test_multinomial_rows_sum_to_their_shots(case):
+    # up to the draw ceiling, where the Poisson mean meets numpy's own ceiling
+    seed, shots, weights = case
+    dists = weights / weights.sum(axis=1, keepdims=True)
+    counts = sampling._multinomial_rows(np.random.default_rng(seed), shots, dists)
+    assert np.array_equal(counts.sum(axis=1), shots)
+    assert np.all(counts[weights == 0] == 0)
 
 
 def test_sample_vacuum_all_zero():
@@ -504,9 +560,10 @@ def test_estimate_determinism(rng):
     src = ExactGaussianSource(s)
     est = estimate_gamma(src, 0.3, 0.1, "commuting", RngStream(9, (1,)), total_shots=5000)
     ref = np.zeros((6, 6))
-    for t, (pairs, q) in enumerate(zip(matchings(3), plan_rotations(3))):
-        dist = z_basis_distribution(q @ s.corr.mat @ q.T)
-        counts = RngStream(9, (1, t)).generator().multinomial(1000, dist)
+    dists = [z_basis_distribution(q @ s.corr.mat @ q.T) for q in plan_rotations(3)]
+    draws = sampling._multinomial_rows(RngStream(9, (1,)).generator(), [1000] * 5,
+                                       np.array(dists))
+    for pairs, q, counts in zip(matchings(3), plan_rotations(3), draws):
         for i, (j, k) in enumerate(pairs):
             z = 1.0 - 2.0 * ((np.arange(8) >> (2 - i)) & 1)  # qubit i's reading, qubit 0 first
             ref[j, k] = q[2 * i, j] * q[2 * i + 1, k] * ((z @ counts) / 1000)
@@ -514,20 +571,21 @@ def test_estimate_determinism(rng):
 
 
 def _per_round_commuting(src, total_shots, rng_stream):
-    """The commuting branch of estimate_gamma with one outcome tree per round:
-    the loop the stacked tree replaced."""
+    """The commuting branch of estimate_gamma with one outcome tree per round
+    (the loop the stacked tree replaced), drawn the same way on the same
+    stream."""
     n = src.n
     per_setting = sampling._split_budget(total_shots, 2 * n - 1)
     g = np.zeros((2 * n, 2 * n))
     i = np.arange(n)
     bit_signs = 1.0 - 2.0 * ((np.arange(1 << n) >> (n - 1 - i)[:, None]) & 1)
-    for t, (pairs, q) in enumerate(zip(matchings(n), plan_rotations(n))):
-        shots = per_setting[t]
-        if shots == 0:
-            continue
-        dist = src.round_distributions([t])[0]  # one round per call
-        counts = rng_stream.child(t).generator().multinomial(shots, dist)
-        j, k = np.array(pairs).T
+    rounds = [t for t in range(2 * n - 1) if per_setting[t]]
+    dists = np.array([src.round_distributions([t])[0] for t in rounds])  # one round per call
+    draws = sampling._multinomial_rows(rng_stream.generator(), per_setting[rounds], dists)
+    plan, qs = matchings(n), plan_rotations(n)
+    for t, counts in zip(rounds, draws):
+        q, shots = qs[t], per_setting[t]
+        j, k = np.array(plan[t]).T
         g[j, k] = q[2 * i, j] * q[2 * i + 1, k] * ((bit_signs @ counts) / shots)
     g = np.clip(np.triu(g, 1), -1.0, 1.0)
     return g - g.T
