@@ -53,8 +53,9 @@ __all__ = [
 
 #: largest mode count for the exact conditional-sampling path (2^n branches)
 MAX_SAMPLING_MODES = 14
-#: leaves one expansion of the outcome tree holds: a stack of rounds shares
-#: one tree, max(1, TREE_LEAVES >> n) roots at a time
+#: leaves one expansion of the outcome tree holds (a node is its block's packed
+#: upper triangle, half the entries): a stack of rounds shares one tree,
+#: max(1, TREE_LEAVES >> n) roots at a time
 TREE_LEAVES = 1 << 13
 #: the estimation schemes of :func:`estimate_gamma`
 SCHEMES = ("pauli_pairs", "commuting", "exact")
@@ -196,6 +197,27 @@ def _normalize_distribution(d: np.ndarray) -> np.ndarray:
     return d
 
 
+@lru_cache(maxsize=None)
+def _layout(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, of a 2m block's packed upper triangle as
+    read-only arrays, row-major and so recursive: (0, 1), rows 0 and 1 over
+    columns 2..2m-1, then the layout of m - 1 shifted by 2 ((0, 1) at m = 1)."""
+    ij = np.triu_indices(2 * m, 1)
+    for a in ij:
+        a.setflags(write=False)
+    return ij
+
+
+@lru_cache(maxsize=None)
+def _factor_rows(m: int) -> np.ndarray:
+    """The rows of a packed 2m node that hold u_i, u_j (row 0) and v_j, v_i
+    (row 1) over its rest block's pairs (i, j), read-only."""
+    i, j = _layout(m - 1)
+    rows = np.array([np.concatenate([i, j]) + 1, np.concatenate([j, i]) + 2 * m - 1])
+    rows.setflags(write=False)
+    return rows
+
+
 def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     """Exact computational-basis distribution of the Gaussian state of ``gamma``.
 
@@ -210,20 +232,20 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     g' = g_rest - s (u^T v - v^T u) / (2 p_b) with u, v the first two rows.
 
     The full outcome tree is expanded, so the result is exact, one depth at
-    a time: the k nodes of depth d, 2^d per root, are one
-    (2(n-d), 2(n-d), k) stack, node axis last, so each elementwise step is
-    one long loop over nodes.
-    The roots of a stack share one tree: the node axis holds the nodes of
-    up to max(1, :data:`TREE_LEAVES` >> n) roots at once, and larger stacks
-    are expanded in batches of that many, which bounds the node stack's
-    memory.
-    With diff = u^T v - v^T u formed once per parent, both children are
-    written side by side (node-major, bit-minor) as g_rest - diff / (2 p_0)
-    and g_rest + diff / (2 p_1): s x is exact for s = +-1 and a - (-x) is
-    a + x, so each entry is the update above bit for bit.  Each quotient is
-    written into the buffer of u^T v, free once diff is formed.  The last
-    split builds only the children's (0, 1) entry, u_0 v_1 - u_1 v_0 (diff's
-    (0, 1) entry bit for bit), the one entry the last level reads.
+    a time: the k nodes of depth d, 2^d per root, are one (m(2m-1), k) stack
+    of packed upper triangles (m = n - d, :func:`_layout`), node axis last,
+    so each elementwise step is one long loop over nodes, g_01 and g_rest
+    are row slices, and u and v are read with one gather.  The roots of a
+    stack share one tree: the node axis holds the nodes of up to
+    max(1, :data:`TREE_LEAVES` >> n) roots at once, and larger stacks are
+    expanded in batches of that many, which bounds the node stack's memory.
+    With diff = u_i v_j - u_j v_i over g_rest's pairs (i, j) formed once per
+    parent (:func:`_factor_rows`), both children are written side by side
+    (node-major, bit-minor) as g_rest - diff / (2 p_0) and
+    g_rest + diff / (2 p_1): s x is exact for s = +-1 and a - (-x) is a + x,
+    so each entry is the update above bit for bit.  Each quotient is written
+    into the buffer of u_j v_i.  The last split is no special case: there
+    g_rest's layout is the one entry (0, 1), all the last level reads.
     No branch leaves the stack: one with p_b <= 1e-16 gets probability 0
     and divisor inf, so that child keeps its parent's rest block (a valid
     marginal) and every leaf below it is 0; a NaN branch is kept as it is.
@@ -240,35 +262,30 @@ def z_basis_distribution(gamma: np.ndarray) -> np.ndarray:
     out = np.zeros((len(g), 1 << n))
     signs = np.array([1.0, -1.0])
     batch = max(1, TREE_LEAVES >> n)
+    i0, j0 = _layout(n)
     for first in range(0, len(g), batch):
-        subs = g[first:first + batch].transpose(1, 2, 0)
-        g01, p = subs[0, 1], np.ones(subs.shape[2])
+        subs = g[first:first + batch, i0, j0].T
+        p = np.ones(subs.shape[1])
         for m in range(n, 0, -1):
-            # pb[node, b] is the probability of reading bit b at that node
-            pb = 0.5 * (1.0 + signs * g01[:, None])
+            # pb[b, node] is the probability of reading bit b at that node
+            pb = 0.5 * (1.0 + signs[:, None] * subs[0])
             dropped = pb <= 1e-16  # a NaN branch is kept, not dropped
             pb[dropped] = 0.0
-            p = (p[:, None] * pb).ravel()
+            p = (pb * p).T.ravel()
             if m == 1:
                 out[first:first + batch] = p.reshape(-1, 1 << n)
                 break
             div = 2.0 * pb
             div[dropped] = np.inf  # that child keeps its parent's rest block
-            u, v, rest = subs[0, 2:], subs[1, 2:], subs[2:, 2:]
-            if m == 2:  # the last level reads only g01, so build only that entry
-                d01 = u[0] * v[1] - u[1] * v[0]  # diff[0, 1], bit for bit
-                kids = np.empty((len(d01), 2))
-                np.subtract(rest[0, 1], d01 / div[:, 0], out=kids[:, 0])
-                np.add(rest[0, 1], d01 / div[:, 1], out=kids[:, 1])
-                g01 = kids.reshape(-1)
-                continue
-            uv = u[:, None] * v[None, :]
-            diff = uv - uv.transpose(1, 0, 2)  # v_i u_j is u_j v_i, bit for bit
+            rest = subs[4 * m - 3:]
+            f = np.take(subs, _factor_rows(m), axis=0)
+            prods = np.multiply(f[0], f[1], out=f[0])  # u_i v_j, then u_j v_i
+            diff, q = prods[:len(rest)], prods[len(rest):]
+            diff -= q  # v_i u_j is u_j v_i, bit for bit
             kids = np.empty((*rest.shape, 2))
-            np.subtract(rest, np.divide(diff, div[:, 0], out=uv), out=kids[..., 0])
-            np.add(rest, np.divide(diff, div[:, 1], out=uv), out=kids[..., 1])
-            subs = kids.reshape(*rest.shape[:2], -1)
-            g01 = subs[0, 1]
+            np.subtract(rest, np.divide(diff, div[0], out=q), out=kids[..., 0])
+            np.add(rest, np.divide(diff, div[1], out=q), out=kids[..., 1])
+            subs = kids.reshape(len(rest), -1)
     out = _normalize_distribution(out)
     return out[0] if stack.ndim == 2 else out
 

@@ -174,6 +174,42 @@ def test_z_distribution_vacuum_plan_at_the_cap_matches_per_node_reference(n):
         assert np.array_equal(dist, _per_node_z_distribution(g))
 
 
+def test_z_distribution_rotated_mixed_at_the_cap_matches_per_node_reference(rng):
+    # one root per batch and no branch dropped: all 16384 leaves are live
+    n = sampling.MAX_SAMPLING_MODES
+    q = plan_rotations(n)[5]
+    g = q @ states.random_gaussian_state(n, "mixed", rng).corr.mat @ q.T
+    assert max(1, sampling.TREE_LEAVES >> n) == 1
+    dist = z_basis_distribution(g)
+    assert (dist > 0).all()
+    assert np.array_equal(dist, _per_node_z_distribution(g))
+
+
+@pytest.mark.parametrize("m", range(1, sampling.MAX_SAMPLING_MODES + 1))
+def test_tree_layout_is_recursive(m):
+    # every pair i < j of a 2m block once; (0, 1), row 0 and row 1 lead, and
+    # the tail is the layout of m - 1 shifted by 2, so at m = 1 the one pair
+    # (0, 1) is the last split's whole node
+    i, j = sampling._layout(m)
+    pairs = list(zip(i.tolist(), j.tolist()))
+    assert sorted(pairs) == list(itertools.combinations(range(2 * m), 2))
+    assert len(pairs) == len(set(pairs)) == m * (2 * m - 1)
+    cols = list(range(2, 2 * m))
+    head = [(0, 1)] + [(0, c) for c in cols] + [(1, c) for c in cols]
+    assert pairs[:len(head)] == head
+    assert not i.flags.writeable and not j.flags.writeable
+    if m == 1:
+        assert pairs == [(0, 1)]
+        return
+    ti, tj = sampling._layout(m - 1)
+    assert pairs[len(head):] == list(zip((ti + 2).tolist(), (tj + 2).tolist()))
+    # a split gathers u_a = g[0, a] and v_a = g[1, a]: u_i, u_j in row 0 and
+    # v_j, v_i in row 1, over the rest block's pairs (i, j)
+    rows = sampling._factor_rows(m)
+    assert [pairs[r] for r in rows[0]] == [(0, a) for a in [*ti + 2, *tj + 2]]
+    assert [pairs[r] for r in rows[1]] == [(1, a) for a in [*tj + 2, *ti + 2]]
+
+
 def test_z_distribution_keeps_nan_branches_like_reference(rng):
     # no NaN branch is dropped silently: both samplers refuse a NaN input
     # before the tree is expanded
