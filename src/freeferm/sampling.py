@@ -409,17 +409,29 @@ def _split_budget(total: int, rounds: int) -> np.ndarray:
 def _multinomial_rows(gen: np.random.Generator, shots: np.ndarray,
                       dists: np.ndarray) -> np.ndarray:
     """Row t of the (R, K) counts is a Multinomial(shots[t], dists[t]) draw,
-    all rows from one Poisson and one multinomial call on ``gen``.
+    all rows from one Poisson call and one shortfall draw on ``gen``.
 
     Poissonisation: with lam_t = max(0, S_t - 2 sqrt(S_t)), capped at
     :data:`POISSON_MAX`, the counts Poisson(lam_t p_t) given their total N_t
     are Multinomial(N_t, p_t).  A row whose N_t passes S_t (about 2% of
     rows) is drawn again until it does not; the redraw depends on N_t alone,
-    so the law given N_t stays Multinomial(N_t, p_t).  One multinomial of
-    each row's shortfall S_t - N_t then adds the missing draws, which leaves
-    S_t i.i.d. draws: exactly Multinomial(S_t, p_t).  Poisson totals are
-    summed as uint64, so one that passes :data:`MAX_DRAW` still compares
-    exactly.
+    so the law given N_t stays Multinomial(N_t, p_t).  The shortfall
+    S_t - N_t then adds the missing draws, which leaves S_t i.i.d. draws:
+    exactly Multinomial(S_t, p_t).  Poisson totals are summed as uint64, so
+    one that passes :data:`MAX_DRAW` still compares exactly.
+
+    The shortfall is drawn one of two ways, chosen per call from the Poisson
+    totals alone.  When no row's shortfall passes K, by inverse CDF: one
+    ``gen.random`` uniform per missing copy, scaled by its row's cumulative
+    total c_K and placed among the row's K - 1 interior cumulative edges
+    (``searchsorted``, side "right", and one ``bincount`` per row), so a
+    copy costs one draw and a search instead of one binomial per outcome.
+    An outcome of probability 0 has an empty interval and is never drawn: a
+    first one because its edge is 0 and side "right" places u = 0 past it,
+    a last one because u * c_K < c_K for every u < 1 in round-to-nearest.
+    Otherwise one ``gen.multinomial`` of the shortfalls, one binomial per
+    outcome, which costs less than a draw per copy once the shortfalls pass
+    K.
     """
     shots = np.asarray(shots, dtype=np.int64)
     lam = np.minimum(np.maximum(shots - 2.0 * np.sqrt(shots), 0.0), POISSON_MAX)
@@ -429,7 +441,18 @@ def _multinomial_rows(gen: np.random.Generator, shots: np.ndarray,
     while over.any():
         counts[over] = gen.poisson(lam[over, None] * dists[over])
         over[over] = counts[over].sum(axis=1, dtype=np.uint64) > cap[over]
-    counts += gen.multinomial(shots - counts.sum(axis=1), dists)
+    short = shots - counts.sum(axis=1)
+    k = counts.shape[1]
+    if (short > k).any():
+        counts += gen.multinomial(short, dists)
+        return counts
+    u = gen.random(short.sum())
+    ends = np.cumsum(short)
+    for t, (a, b) in enumerate(zip(ends - short, ends)):
+        cum = np.cumsum(dists[t])
+        # sorted keys search about twice as fast, and the counts ignore their order
+        cut = np.sort(u[a:b]) * cum[-1]
+        counts[t] += np.bincount(np.searchsorted(cum[:-1], cut, side="right"), minlength=k)
     return counts
 
 
@@ -458,9 +481,12 @@ def estimate_gamma(
     most :data:`TREE_LEAVES` leaves; a dense source reads them from its
     Pauli table).  All their counts over the 2^n Z outcomes come from one
     Poissonised multinomial draw on ``rng_stream`` (:func:`_multinomial_rows`,
-    exact in law), and each round writes all n of its pairs at once: pair i,
-    (j, k), reads the plan's sign times the mean Z reading of qubit i.  A
-    round given no shots is not drawn, and its pairs read 0.
+    exact in law): a stacked Poisson draw, then each round's shortfall by
+    inverse CDF when no round is short of more copies than it has outcomes
+    (the default budget from about n = 10 at eps 0.2, or a few explicit
+    copies), else by one multinomial.  Each round writes all n of its pairs
+    at once: pair i, (j, k), reads the plan's sign times the mean Z reading
+    of qubit i.  A round given no shots is not drawn, and its pairs read 0.
     The default budget is the scheme's headline bound
     ``shot_budget(scheme, n, eps_stat, delta)``; ``total_shots`` overrides
     it.  Either total is split evenly across the measurement settings (pairs

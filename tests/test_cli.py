@@ -929,14 +929,14 @@ SEEDED_RECORDS = (
         "median_error": 0.026854416598048568}),
     # the benchmark's estimate request: 4096 live leaves per commuting round
     ("estimate --modes 12 --scheme commuting --state-spec random_gaussian:mixed", 0, [
-        {"trial": 0, "error_inf": 0.024378160125823885, "ok": True,
-         "verdict_or_error": "0.024378", "shots": 2992445},
-        {"trial": 1, "error_inf": 0.02723816015174472, "ok": True,
-         "verdict_or_error": "0.027238", "shots": 2992445},
-        {"trial": 2, "error_inf": 0.024904483359723898, "ok": True,
-         "verdict_or_error": "0.024904", "shots": 2992445},
+        {"trial": 0, "error_inf": 0.024664092785548417, "ok": True,
+         "verdict_or_error": "0.024664", "shots": 2992445},
+        {"trial": 1, "error_inf": 0.026717238529220918, "ok": True,
+         "verdict_or_error": "0.026717", "shots": 2992445},
+        {"trial": 2, "error_inf": 0.02486032522653772, "ok": True,
+         "verdict_or_error": "0.024860", "shots": 2992445},
     ], {"trials": 3, "shot_total": 8977335, "success_fraction": 1.0,
-        "median_error": 0.024904483359723898}),
+        "median_error": 0.02486032522653772}),
     ("tomo-pure --modes 4 --state-spec vacuum", 0, [
         {"trial": 0, "shots": 82707, "dense_error": 0.020578834969738734, "ok": True,
          "verdict_or_error": "0.020579"},

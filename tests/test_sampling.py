@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 from conftest import plan_rotations
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freeferm import dense, sampling, skew, states
@@ -405,17 +405,33 @@ def test_sampling_tv_distance(rng):
 
 
 class _CountingGenerator:
-    """A generator that counts the rows each Poisson call draws."""
+    """A generator that counts the rows each Poisson call draws and the
+    multinomial calls."""
 
     def __init__(self, gen):
-        self.gen, self.poisson_rows = gen, []
+        self.gen, self.poisson_rows, self.multinomial_calls = gen, [], 0
 
     def poisson(self, lam):
         self.poisson_rows.append(len(lam))
         return self.gen.poisson(lam)
 
     def multinomial(self, n, pvals):
+        self.multinomial_calls += 1
         return self.gen.multinomial(n, pvals)
+
+    def random(self, size):
+        return self.gen.random(size)
+
+
+class _ConstantGenerator(_CountingGenerator):
+    """A counting generator whose uniforms all read u."""
+
+    def __init__(self, gen, u):
+        super().__init__(gen)
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
 
 
 @pytest.mark.parametrize("shots", [20, 100])
@@ -439,13 +455,99 @@ def test_multinomial_rows_law(shots):
     assert scipy.stats.chisquare(obs, exp * rows / exp.sum()).pvalue > 1e-3
 
 
+def _compositions(total, parts):
+    """Every row of ``parts`` non-negative integers summing to ``total``
+    (stars and bars)."""
+    bars = np.array(list(itertools.combinations(range(total + parts - 1), parts - 1)),
+                    dtype=np.int64).reshape(-1, parts - 1)
+    return np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, total + parts - 1)),
+                   axis=1) - 1
+
+
+@pytest.mark.parametrize("shots,p", [
+    # a shortfall reaches 9 = K only when no Poisson copy is drawn; outcomes
+    # of probability 0 first, inside and last
+    (9, [0.0, 0.3, 0.2, 0.15, 0.0, 0.15, 0.1, 0.1, 0.0]),
+    # the Poisson mean is 0 at shots <= 4, so the whole draw is inversion
+    (4, [0.4, 0.3, 0.0, 0.2, 0.1]),
+], ids=["shots9", "shots4"])
+def test_multinomial_rows_inverse_cdf_law(shots, p):
+    # chi-square of the rows against the exact Multinomial(shots, p) pmf, with
+    # cells of expectation below 5 pooled; no row's shortfall passes K, so no
+    # multinomial is drawn
+    p, rows = np.array(p), 50_000
+    gen = _CountingGenerator(RngStream(23, (shots,)).generator())
+    counts = sampling._multinomial_rows(gen, np.full(rows, shots), np.tile(p, (rows, 1)))
+    assert gen.multinomial_calls == 0
+    assert np.all(counts.sum(axis=1) == shots) and np.all(counts[:, p == 0] == 0)
+    live = p > 0
+    cells = _compositions(shots, live.sum())
+    radix = (shots + 1) ** np.arange(live.sum())
+    seen = np.bincount(counts[:, live] @ radix, minlength=(shots + 1) ** live.sum())[cells @ radix]
+    want = rows * scipy.stats.multinomial.pmf(cells, shots, p[live])
+    small = want < 5.0
+    obs, exp = seen[~small], want[~small]
+    if small.any():
+        obs, exp = np.append(obs, seen[small].sum()), np.append(exp, want[small].sum())
+    assert scipy.stats.chisquare(obs, exp * rows / exp.sum()).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("u,drawn", [(0.0, 1), (np.nextafter(1.0, 0.0), 10)])
+def test_multinomial_rows_inverse_cdf_never_draws_a_zero_outcome(u, drawn):
+    # numpy's extreme uniforms, 0 and 1 - 2^-53, on ten outcomes of 0.1
+    # between two of probability 0: the first edge is 0, and the cumulative
+    # total 1 - 2^-53 is also the last interior edge
+    p = np.array([0.0] + [0.1] * 10 + [0.0])
+    gen = _ConstantGenerator(RngStream(24).generator(), u)
+    counts = sampling._multinomial_rows(gen, [4, 3], np.tile(p, (2, 1)))  # Poisson mean 0
+    assert gen.multinomial_calls == 0
+    assert np.array_equal(counts, np.outer([4, 3], np.eye(12, dtype=np.int64)[drawn]))
+
+
+def _multinomial_shortfall_rows(gen, shots, dists):
+    """The Poissonised draw with its shortfall always drawn by one
+    ``gen.multinomial`` call: stacked Poisson, redraw of the rows that
+    overshoot, then the multinomial."""
+    shots = np.asarray(shots, dtype=np.int64)
+    lam = np.minimum(np.maximum(shots - 2.0 * np.sqrt(shots), 0.0), sampling.POISSON_MAX)
+    counts = gen.poisson(lam[:, None] * dists)
+    over = counts.sum(axis=1) > shots
+    while over.any():
+        counts[over] = gen.poisson(lam[over, None] * dists[over])
+        over[over] = counts[over].sum(axis=1) > shots[over]
+    return counts + gen.multinomial(shots - counts.sum(axis=1), dists)
+
+
+@pytest.mark.parametrize("shots,k", [
+    ([20] * 500, 3),
+    ([1000, 3, 57], 6),  # one shortfall passes K, the others need not
+    ([40_247] * 11, 64),  # the oracle workload's n = 6 rounds
+], ids=["k3", "mixed-shots", "k64"])
+def test_multinomial_rows_keep_the_multinomial_stream(shots, k):
+    # a call where some shortfall passes K draws exactly what the multinomial
+    # shortfall drew on the same stream, and leaves the stream where it did
+    w = np.random.default_rng(k).random((len(shots), k))
+    w[:, [0, -1]] = 0.0
+    dists = w / w.sum(axis=1, keepdims=True)
+    gen, ref = _CountingGenerator(RngStream(25, (k,)).generator()), RngStream(25, (k,)).generator()
+    counts = sampling._multinomial_rows(gen, shots, dists)
+    assert gen.multinomial_calls == 1
+    assert np.array_equal(counts, _multinomial_shortfall_rows(ref, shots, dists))
+    assert gen.gen.random() == ref.random()
+
+
 @st.composite
 def _shot_rows(draw):
-    k, r = draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    shots = draw(st.lists(st.integers(0, sampling.MAX_DRAW), min_size=r, max_size=r))
-    weights = draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any),
-                            min_size=r, max_size=r))
-    return draw(st.integers(0, 2 ** 32 - 1)), np.array(shots), np.array(weights, dtype=float)
+    # K up to 64 with shots up to 3K reaches the inverse-CDF shortfall, shots
+    # up to the draw ceiling the multinomial one
+    k, r = draw(st.integers(1, 64)), draw(st.integers(1, 4))
+    shots = draw(st.lists(st.one_of(st.integers(0, 3 * k), st.integers(0, sampling.MAX_DRAW)),
+                          min_size=r, max_size=r))
+    weights = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k),
+                                     min_size=r, max_size=r)), dtype=float)
+    weights[:, list(draw(st.sampled_from([(), (0,), (-1,), (0, -1)])))] = 0.0  # zero ends
+    assume(weights.any(axis=1).all())
+    return draw(st.integers(0, 2 ** 32 - 1)), np.array(shots), weights
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
